@@ -7,7 +7,13 @@ measure seen either from the source or from the displaced destination:
 
 * ``lambda_prime(r)`` -- expected number of qualified relays within distance
   ``r`` of the destination. The radial integral inside it has a closed form
-  (:func:`inner_integral_I`); only the angular integral is numeric.
+  (:func:`inner_integral_I`); only the angular integral is numeric. Its
+  radial derivative is closed too (:func:`lambda_prime_derivative`, an
+  ``I0`` Bessel function).
+* :class:`MassProfile` -- that mean measure ``M`` and its density on a fixed
+  spectral grid over the whole distance range, built once per threshold.
+  Every distance integral of the statistical-knowledge outage is taken on
+  it.
 * ``f_k_pdf`` -- density of the distance to the k-th nearest qualified
   relay, in two variants (see the function docstring).
 * ``p_fail_jth`` / ``outage_stat`` -- per-relay failure probabilities and
@@ -30,13 +36,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_1d
-from .specials import erf, erfc, erfcx  # noqa: F401  (erf/erfc re-exported as public API)
+from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate_1d
+from .specials import erf, erfc, erfcx, i0e  # noqa: F401  (erf/erfc re-exported as public API)
 
 #: Variants of the k-th-nearest distance density, see :func:`f_k_pdf`.
 F_K_FORMS = ("exact", "quadratic")
@@ -47,8 +53,9 @@ LAMBDA_Q_METHODS = ("closed", "quadrature")
 # Budget for angular integrals nested inside a distance integral; tighter
 # than the default so inner noise stays below outer tolerances.
 _INNER_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=256)
-# Default budget for the outer distance integral of p_fail_jth.
-_PFAIL_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=512)
+# Error budget of every MassProfile integral: abs 1e-10, rel 1e-8.
+_PROFILE_ABS_TOL = 1e-10
+_PROFILE_REL_TOL = 1e-8
 
 
 def _require_alpha_two(cell: CellGeometry, what: str) -> None:
@@ -84,9 +91,17 @@ def _inner_core(
     u = alf - s * r_jd
     with np.errstate(over="ignore"):
         big_a = math.exp(log_scale) if log_scale <= 709.0 else math.inf
-        # exp(log_scale) - exp(log_scale - theta (r^2 - a r)) via expm1, so
-        # the 1/(2 theta) amplification does not magnify rounding as theta -> 0
-        term1 = big_a * -np.expm1(-theta * (r_jd * r_jd - a * r_jd)) / (2.0 * theta)
+        # exp(log_scale) - exp(log_scale + x) with x = -theta (r^2 - a r), as
+        # -+exp(log_scale + max(x, 0)) * expm1(-|x|): expm1 keeps the digits
+        # as theta -> 0, and folding max(x, 0) into the exponent avoids an
+        # underflowed exp(log_scale) times an overflowed expm1(x) at large theta
+        x = -theta * (r_jd * r_jd - a * r_jd)
+        term1 = (
+            np.where(x > 0.0, 1.0, -1.0)
+            * np.exp(log_scale + np.maximum(x, 0.0))
+            * np.expm1(-np.abs(x))
+            / (2.0 * theta)
+        )
         e0 = log_scale + alf * alf  # = log_scale + theta a^2 / 4
         eu = np.exp(e0 - u * u)
         cx_u = erfcx(np.abs(u))
@@ -160,9 +175,31 @@ def lambda_prime(
     return max(val, 0.0)
 
 
-def lambda_prime_derivative(
-    r_jd: float, cell: CellGeometry, theta: float, spec: QuadratureSpec | None = None
-) -> float:
+def _mass_density(r: np.ndarray, cell: CellGeometry, theta: float) -> np.ndarray:
+    """``dM/dr`` at distances ``r`` from the destination, vectorized.
+
+    The angular integral of the qualified intensity over the circle of
+    radius ``r`` about the destination is ``2 pi I0(2 theta r_d r)``
+    (Abramowitz & Stegun 9.6.16), so
+
+        dM/dr = 2 pi lam r exp(-theta (1 + (r - r_d)^2)) i0e(2 theta r_d r)
+
+    with the scaled Bessel function ``i0e``; the exponent is nonpositive,
+    so nothing overflows at any theta.
+    """
+    r_d = cell.dest_distance
+    d = r - r_d
+    return (
+        2.0
+        * math.pi
+        * cell.relay_intensity
+        * r
+        * np.exp(-theta * (1.0 + d * d))
+        * i0e(2.0 * theta * r_d * r)
+    )
+
+
+def lambda_prime_derivative(r_jd: float, cell: CellGeometry, theta: float) -> float:
     """Radial derivative of :func:`lambda_prime`.
 
     Equals ``r_jd`` times the qualified intensity integrated over the circle
@@ -170,25 +207,206 @@ def lambda_prime_derivative(
 
         r_jd * lam * integral_0^2pi exp(-theta (1 + r_d^2 + r_jd^2
                                         - 2 r_d r_jd cos(phi))) dphi
+
+    which is closed: ``2 pi lam r_jd exp(-theta (1 + (r_jd - r_d)^2))
+    i0e(2 theta r_d r_jd)``.
     """
     _require_alpha_two(cell, "lambda_prime_derivative")
     _require_positive_theta(theta)
     if not (math.isfinite(r_jd) and r_jd >= 0):
         raise ValueError("r_jd must be finite and >= 0")
-    if r_jd == 0.0:
-        return 0.0
-    r_d = cell.dest_distance
-    const = 1.0 + r_d * r_d + r_jd * r_jd
+    return float(_mass_density(np.array([float(r_jd)]), cell, theta)[0])
 
-    def integrand(phis: np.ndarray) -> np.ndarray:
-        return np.exp(-theta * (const - 2.0 * r_d * r_jd * np.cos(phis)))
 
-    return (
-        2.0
-        * r_jd
-        * cell.relay_intensity
-        * integrate_1d(integrand, 0.0, math.pi, spec or _INNER_SPEC)
-    )
+def poisson_tail(mass, k: int):
+    """``P(N >= k)`` for ``N`` Poisson with mean ``mass``, elementwise:
+    ``1 - exp(-mass) * sum_{i<k} mass^i / i!``."""
+    mass = np.asarray(mass, dtype=float)
+    term = np.ones_like(mass)
+    head = np.ones_like(mass)
+    for i in range(1, k):
+        term = term * mass / i
+        head = head + term
+    out = 1.0 - np.exp(-mass) * head
+    return float(out) if out.ndim == 0 else out
+
+
+def _chebyshev_operators(n: int):
+    """Spectral operators on ``n`` Chebyshev points of the first kind.
+
+    Returns the ascending nodes on [-1, 1]; the matrix mapping node values
+    to Chebyshev coefficients ``c`` of the interpolant; the matrix mapping
+    node values to the coefficients ``b`` (length ``n + 1``) of its
+    antiderivative that vanishes at -1; the cumulative matrix (node values
+    to that antiderivative at the nodes); and the weights of the integral
+    over [-1, 1] (Fejer's first rule).
+    """
+    ang = (2.0 * np.arange(n)[::-1] + 1.0) * math.pi / (2.0 * n)
+    nodes = np.cos(ang)
+    to_coef = (2.0 / n) * np.cos(np.outer(np.arange(n), ang))
+    to_coef[0] *= 0.5
+    # int T_0 = T_1, int T_1 = T_2 / 4, int T_k = T_{k+1} / (2 (k+1)) - T_{k-1} / (2 (k-1))
+    integ = np.zeros((n + 1, n))
+    integ[1, 0] = 1.0
+    integ[2, 1] = 0.25
+    for k in range(2, n):
+        integ[k + 1, k] = 0.5 / (k + 1)
+        integ[k - 1, k] = -0.5 / (k - 1)
+    # the constant term puts the antiderivative at zero at t = -1 (T_k(-1) = (-1)^k)
+    integ[0] = -np.einsum("k,kj->j", (-1.0) ** np.arange(1, n + 1), integ[1:])
+    antideriv = np.einsum("ik,kj->ij", integ, to_coef)
+    cumulative = np.einsum("ik,kj->ij", np.cos(np.outer(ang, np.arange(n + 1))), antideriv)
+    weights = antideriv.sum(axis=0)  # T_k(1) = 1
+    return nodes, to_coef, antideriv, cumulative, weights
+
+
+#: Nodes per profile panel; the top ``_CHEB_TAIL`` Chebyshev coefficients of
+#: each panel's interpolant make the error estimate. The operators are
+#: applied with einsum: at these sizes a BLAS call costs more than the work.
+_CHEB_N = 24
+_CHEB_TAIL = 4
+_CHEB_NODES, _CHEB_TO_COEF, _CHEB_ANTIDERIV, _CHEB_CUMULATIVE, _CHEB_WEIGHTS = (
+    _chebyshev_operators(_CHEB_N)
+)
+#: Uniform panels across [0, R + r_d] before the peak and mass breakpoints.
+_UNIFORM_PANELS = 16
+#: Breakpoints ``r_d + m / sqrt(theta)`` around the intensity peak.
+_PEAK_OFFSETS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+#: Mass levels whose radii become breakpoints: they pace the exp(-M) M^j
+#: factors of the order statistics, whatever the density.
+_MASS_LEVELS = 2.0 ** np.arange(-4, 11)
+
+
+@dataclass(frozen=True, eq=False)
+class MassProfile:
+    """The destination-view mean measure ``M(r)`` of the qualified field for
+    one threshold ``theta``, on fixed spectral panels over [0, R + r_d].
+
+    ``M(r) = lambda_prime(r)``: the qualified field is taken to extend past
+    the cell edge, as in :func:`lambda_prime`. The density ``dM/dr`` is the
+    closed form of :func:`lambda_prime_derivative`, sampled at ``_CHEB_N``
+    Chebyshev points of the first kind per panel (open nodes, so ``r = 0``
+    is never one), and ``M`` is its per-panel spectral cumulative integral.
+
+    Panel breakpoints: ``_UNIFORM_PANELS`` uniform panels; ``r_d + m /
+    sqrt(theta)`` for ``m`` in ``_PEAK_OFFSETS``, which resolve the
+    intensity peak at any theta; and the radii where a first pass reaches
+    the mass levels ``_MASS_LEVELS``, which resolve the ``exp(-M) M^j``
+    factors of the order statistics however dense the field is.
+
+    Every integral taken on the profile (``M`` itself, :meth:`cumulative`,
+    :meth:`total`, :meth:`cumulative_at`) carries an error estimate: the
+    magnitude of the top ``_CHEB_TAIL`` Chebyshev coefficients of each
+    panel's interpolant, i.e. the gap to a lower-order rule on the same
+    panels. Past abs 1e-10 or rel 1e-8 it raises :class:`QuadratureError`
+    with the estimate and the bound. ``error`` holds the estimate for ``M``.
+
+    ``r``, ``density`` and ``M`` are read-only arrays of shape (panels,
+    ``_CHEB_N``), ascending in ``r``; functions to integrate are sampled on
+    ``r``. ``total_mass`` is ``M(R + r_d)``.
+    """
+
+    cell: CellGeometry
+    theta: float
+    edges: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
+    density: np.ndarray = field(init=False, repr=False)
+    M: np.ndarray = field(init=False, repr=False)
+    total_mass: float = field(init=False)
+    error: float = field(init=False)
+    _half: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        cell, theta = self.cell, self.theta
+        _require_alpha_two(cell, "MassProfile")
+        _require_positive_theta(theta)
+        upper = cell.cell_radius + cell.dest_distance
+        peaks = cell.dest_distance + _PEAK_OFFSETS / math.sqrt(theta)
+        uniform = np.linspace(0.0, upper, _UNIFORM_PANELS + 1)
+        first = _sorted_unique(np.concatenate([uniform, peaks[(peaks > 0) & (peaks < upper)]]))
+        r, half, density = _profile_panels(first, cell, theta)
+        mass = _cumulative(density, half).ravel()
+        at_level = np.searchsorted(mass, _MASS_LEVELS)
+        edges = _sorted_unique(np.concatenate([first, r.ravel()[at_level[at_level < mass.size]]]))
+        r, half, density = _profile_panels(edges, cell, theta)
+        mass = _cumulative(density, half)
+        for arr in (edges, r, half, density, mass):
+            arr.setflags(write=False)
+        for name, value in (
+            ("edges", edges),
+            ("r", r),
+            ("_half", half),
+            ("density", density),
+            ("M", mass),
+        ):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "error", self._check(density))
+        object.__setattr__(self, "total_mass", float(_offsets(density, half)[-1]))
+
+    def _check(self, f: np.ndarray) -> float:
+        """Error estimate of the integral of ``f``; raises past the budget."""
+        tail = np.abs(np.einsum("pj,kj->pk", f, _CHEB_TO_COEF[-_CHEB_TAIL:])).sum(axis=1)
+        err = float(np.dot(self._half, tail))
+        total = float(_offsets(f, self._half)[-1])
+        bound = max(_PROFILE_ABS_TOL, _PROFILE_REL_TOL * abs(total))
+        if not err <= bound:
+            raise QuadratureError(
+                f"mass profile at theta={self.theta!r} misses its error budget "
+                f"(estimate {total!r}, error bound {err:.3e} > {bound:.3e})",
+                total,
+                err,
+            )
+        return err
+
+    def total(self, f: np.ndarray) -> float:
+        """``integral_0^(R + r_d) f(r) dr`` for ``f`` sampled on ``r``."""
+        self._check(f)
+        return float(_offsets(f, self._half)[-1])
+
+    def cumulative(self, f: np.ndarray) -> np.ndarray:
+        """``integral_0^r f`` at every node ``r``, for ``f`` sampled on ``r``."""
+        self._check(f)
+        return _cumulative(f, self._half)
+
+    def cumulative_at(self, f: np.ndarray, x) -> np.ndarray:
+        """``integral_0^x f`` at arbitrary ``x`` in [0, R + r_d], from the
+        per-panel Chebyshev antiderivative of ``f`` sampled on ``r``."""
+        self._check(f)
+        x = np.asarray(x, dtype=float)
+        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self._half) - 1)
+        t = np.clip((x - self.edges[idx]) / self._half[idx] - 1.0, -1.0, 1.0)
+        coef = np.einsum("pj,kj->pk", f, _CHEB_ANTIDERIV)
+        # Clenshaw recurrence for sum_k coef_k T_k(t), one coefficient at a time
+        b1 = b2 = np.zeros_like(t)
+        for k in range(_CHEB_N, 0, -1):
+            b1, b2 = coef[idx, k] + 2.0 * t * b1 - b2, b1
+        series = coef[idx, 0] + t * b1 - b2
+        return _offsets(f, self._half)[idx] + self._half[idx] * series
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    # Not np.unique: its first call in a process raises peak RSS by ~0.7 MB.
+    x = np.sort(x)
+    return x[np.concatenate([[True], x[1:] > x[:-1]])]
+
+
+def _profile_panels(edges: np.ndarray, cell: CellGeometry, theta: float):
+    """Nodes (panels x ``_CHEB_N``), half-widths and ``dM/dr`` on ``edges``."""
+    half = np.diff(edges) / 2.0
+    r = (edges[:-1] + half)[:, None] + half[:, None] * _CHEB_NODES
+    return r, half, _mass_density(r, cell, theta)
+
+
+def _offsets(f: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Integral of node values ``f`` up to each panel edge, from 0 to the
+    whole range (length panels + 1)."""
+    return np.concatenate([[0.0], np.cumsum(half * np.einsum("pj,j->p", f, _CHEB_WEIGHTS))])
+
+
+def _cumulative(f: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Per-panel spectral cumulative integral of node values ``f``."""
+    within = np.einsum("pj,kj->pk", f, _CHEB_CUMULATIVE)
+    return _offsets(f, half)[:-1, None] + half[:, None] * within
 
 
 def f_k_pdf(
@@ -231,7 +449,7 @@ def f_k_pdf(
     fact = math.factorial(k - 1)
     if form == "quadratic":
         return math.exp(-mass) * 2.0 * mass**k / (r_jd * fact)
-    deriv = lambda_prime_derivative(r_jd, cell, theta, spec)
+    deriv = lambda_prime_derivative(r_jd, cell, theta)
     return math.exp(-mass) * mass ** (k - 1) / fact * deriv
 
 
@@ -247,18 +465,34 @@ def kth_nearest_cdf(
         raise ValueError("k must be an integer >= 1")
     if x <= 0.0:
         return 0.0
-    mass = lambda_prime(x, cell, theta, spec)
-    tail = sum(mass**i / math.factorial(i) for i in range(k))
-    return 1.0 - math.exp(-mass) * tail
+    return poisson_tail(lambda_prime(x, cell, theta, spec), k)
 
 
-def p_fail_jth(
-    j: int,
-    cell: CellGeometry,
-    thresholds: Thresholds,
-    form: str = "exact",
-    spec: QuadratureSpec | None = None,
-) -> float:
+def _p_fail_ranks(profile: MassProfile, k: int, theta_second: float, form: str) -> list[float]:
+    """:func:`p_fail_jth` for ``j = 1 .. k`` from one profile."""
+    if form not in F_K_FORMS:
+        raise ValueError(f"form must be one of {F_K_FORMS}, got {form!r}")
+    r, mass = profile.r, profile.M
+    # success probability at the destination times exp(-M) M^(j-1) / (j-1)!
+    # times dM/dr ("exact") or 2 M / r ("quadratic"); j = 1 first
+    term = np.exp(-theta_second * (1.0 + r * r)) * np.exp(-mass)
+    term = term * (profile.density if form == "exact" else 2.0 * mass / r)
+    out = []
+    for j in range(1, k + 1):
+        if j > 1:
+            term = term * mass / (j - 1)
+        p = 1.0 - profile.total(term)
+        if p < -1e-9 or p > 1.0 + 1e-9:
+            warnings.warn(
+                f"p_fail_jth(j={j}) outside [0, 1] by more than quadrature noise: {p!r}; clamping",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        out.append(min(max(p, 0.0), 1.0))
+    return out
+
+
+def p_fail_jth(j: int, cell: CellGeometry, thresholds: Thresholds, form: str = "exact") -> float:
     """Probability that the j-th nearest qualified relay fails to reach the
     destination.
 
@@ -269,38 +503,15 @@ def p_fail_jth(
     the event that fewer than ``j`` qualified relays exist (the defective
     mass), matching a protocol whose j-th slot stays silent in that case.
 
-    ``spec`` controls the outer distance integral (default: abs 1e-10,
-    rel 1e-8); the angular integrals inside the density run at a fixed
-    tighter budget. Values outside [0, 1] by more than quadrature noise are
-    clamped with a warning.
+    The integral is taken on the :class:`MassProfile` of ``theta_first``
+    (error budget abs 1e-10, rel 1e-8). Values outside [0, 1] by more than
+    1e-9 are clamped with a warning; the ``"quadratic"`` density is not a
+    probability law, so it can get there.
     """
     if not (isinstance(j, int) and j >= 1):
         raise ValueError("j must be an integer >= 1")
-    _require_alpha_two(cell, "p_fail_jth")
-    _require_positive_theta(thresholds.theta_first)
-    theta2 = thresholds.theta_second
-    upper = cell.cell_radius + cell.dest_distance
-
-    def integrand(rs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rs)
-        for i, r in enumerate(rs):
-            if r <= 0.0:
-                out[i] = 0.0
-            else:
-                out[i] = math.exp(-theta2 * (1.0 + r * r)) * f_k_pdf(
-                    float(r), j, cell, thresholds.theta_first, form, _INNER_SPEC
-                )
-        return out
-
-    val = integrate_1d(integrand, 0.0, upper, spec or _PFAIL_SPEC)
-    p = 1.0 - val
-    if p < -1e-9 or p > 1.0 + 1e-9:
-        warnings.warn(
-            f"p_fail_jth(j={j}) outside [0, 1] by more than quadrature noise: {p!r}; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return min(max(p, 0.0), 1.0)
+    profile = MassProfile(cell, thresholds.theta_first)
+    return _p_fail_ranks(profile, j, thresholds.theta_second, form)[j - 1]
 
 
 def outage_stat(
@@ -309,13 +520,13 @@ def outage_stat(
     radio: RadioParams,
     form: str = "exact",
     first_hop: str = "frame_rate",
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Outage probability of distance-ranked selection of ``k`` relays.
 
     The outage is taken as the product of :func:`p_fail_jth` over
     ``j = 1 .. k``, with both thresholds derived for a ``k``-relay frame
-    (``radio.num_relays`` is overridden by ``k``). The product treats the
+    (``radio.num_relays`` is overridden by ``k``), all from one
+    :class:`MassProfile`. The product treats the
     ``k`` selected relays as failing independently. That is exact for
     ``k == 1``, where there is a single factor. For ``k >= 2`` it is an
     approximation: the ranked distances share one realization, so the
@@ -327,10 +538,8 @@ def outage_stat(
     if not (isinstance(k, int) and k >= 1):
         raise ValueError("k must be an integer >= 1")
     thresholds = compute_thresholds(replace(radio, num_relays=k), first_hop)
-    p = 1.0
-    for j in range(1, k + 1):
-        p *= p_fail_jth(j, cell, thresholds, form, spec)
-    return p
+    profile = MassProfile(cell, thresholds.theta_first)
+    return math.prod(_p_fail_ranks(profile, k, thresholds.theta_second, form))
 
 
 def lambda_q_closed(cell: CellGeometry, theta: float) -> float:
@@ -359,15 +568,26 @@ def lambda_q_quadrature(
     """Finite-cell mean number of relays decodable by both endpoints.
 
     ``integral_cell lam exp(-theta (1 + r^a)) exp(-theta (1 + r_jd^a)) dw``
-    evaluated as nested adaptive quadrature in polar coordinates (angular
-    outer on [0, pi], doubled; radial inner per angle). Unlike the closed
-    form this supports any ``path_loss_exponent >= 2``.
+    evaluated in polar coordinates about the source: adaptive angular
+    quadrature on [0, pi], doubled, of the radial integral per angle. Unlike
+    the closed form this supports any ``path_loss_exponent >= 2``. For
+    exponent 2 the radial integral is closed: the exponent is
+    ``-theta (2 + r_d^2) - 2 theta (r^2 - r_d cos(phi) r)``, the closed inner
+    integral at ``(2 theta, r_d / 2)``. Other exponents integrate it
+    adaptively.
     """
     _require_positive_theta(theta)
     lam = cell.relay_intensity
     r_d = cell.dest_distance
     big_r = cell.cell_radius
     alpha = cell.path_loss_exponent
+    if alpha == 2.0:
+        scale = -theta * (2.0 + r_d * r_d)
+
+        def closed(phis: np.ndarray) -> np.ndarray:
+            return lam * _inner_core(big_r, phis, 0.5 * r_d, 2.0 * theta, scale)
+
+        return 2.0 * integrate_1d(closed, 0.0, math.pi, spec or DEFAULT_SPEC)
     half = 0.5 * alpha
 
     def radial(phi: float) -> float:

@@ -46,7 +46,7 @@ class OutagePoint:
     point); ``tested`` says whether ``product`` reaches the check's floor,
     so that the point counts toward the verdict. ``zscore`` uses the null
     standard error at ``product``. ``rank_joint`` and ``rank_joint_zscore``
-    hold :func:`exact_ranked_outage` (capped at 1) and the Monte Carlo
+    hold :func:`exact_ranked_outage` and the Monte Carlo
     z-score against it; they are computed only at rejected points and are
     ``None`` elsewhere.
     """
@@ -226,9 +226,7 @@ def check_exact_csi_outage(
 # criterion 4: ranked-selection outage, Monte Carlo vs product form
 # ----------------------------------------------------------------------
 
-def exact_ranked_outage(
-    k: int, cell: CellGeometry, radio: RadioParams, n_grid: int = 3001
-) -> float:
+def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float:
     """Ranked-selection outage without the rank-independence assumption.
 
     Mapping the qualified field to its destination distances gives a 1-d
@@ -237,27 +235,40 @@ def exact_ranked_outage(
     ``G(z) = int_0^z q dM`` the failure-weighted mass, the fixed-frame
     outage with ``k`` slots is exactly
 
-        e^(-M_inf) * sum_{j<k} G_inf^j / j!
-        + int q(z) e^(-M(z)) G(z)^(k-1)/(k-1)! dM(z)
+        O = e^(-M_inf) * sum_{j<k} G_inf^j / j!
+            + int q(z) e^(-M(z)) G(z)^(k-1)/(k-1)! dM(z)
 
     (the first part covers trials with fewer than ``k`` qualified relays,
-    the second integrates over the k-th nearest distance). Grid-trapezoid
-    evaluation, diagnostic-grade (~1e-4 relative). This is the independent
-    yardstick for how much the product form loses to rank dependence.
+    the second integrates over the k-th nearest distance). Its complement is
+
+        S = int (1 - q(z)) e^(-M(z)) sum_{j<k} G(z)^j / j! dM(z),
+
+    the chance that a relay succeeds at ``z`` with fewer than ``k`` closer
+    relays, all failed. Both are integrals on the first-hop threshold's
+    :class:`~relaygeom.analytic.MassProfile`, and ``O / (O + S)`` is
+    returned: the two add to 1 up to the profile's error, and the ratio
+    lies in [0, 1] with relative accuracy at both ends. This is the
+    independent yardstick for how much the product form loses to rank
+    dependence.
     """
     thresholds = compute_thresholds(replace(radio, num_relays=k))
-    theta1, theta2 = thresholds.theta_first, thresholds.theta_second
-    upper = cell.cell_radius + cell.dest_distance
-    xs = np.linspace(0.0, upper, n_grid)
-    mu = np.array([analytic.lambda_prime_derivative(float(x), cell, theta1) for x in xs])
-    mass = np.array([analytic.lambda_prime(float(x), cell, theta1) for x in xs])
-    q = 1.0 - np.exp(-theta2 * (1.0 + xs * xs))
-    qmu = q * mu
-    g = np.concatenate([[0.0], np.cumsum(0.5 * (qmu[1:] + qmu[:-1]) * np.diff(xs))])
-    head = math.exp(-mass[-1]) * sum(g[-1] ** j / math.factorial(j) for j in range(k))
-    integrand = qmu * np.exp(-mass) * g ** (k - 1) / math.factorial(k - 1)
-    tail = float(np.trapezoid(integrand, xs))
-    return head + tail
+    theta2 = thresholds.theta_second
+    profile = analytic.MassProfile(cell, thresholds.theta_first)
+    r = profile.r
+    fail = -np.expm1(-theta2 * (1.0 + r * r))
+    g = profile.cumulative(fail * profile.density)
+    g_inf = profile.total(fail * profile.density)
+    # after the loop: term = G^(k-1)/(k-1)!, partial = sum_{j<k} G^j/j!
+    term = np.ones_like(g)
+    partial = np.ones_like(g)
+    for j in range(1, k):
+        term = term * g / j
+        partial = partial + term
+    decay = np.exp(-profile.M) * profile.density
+    head = math.exp(-profile.total_mass) * sum(g_inf**j / math.factorial(j) for j in range(k))
+    outage = head + profile.total(fail * decay * term)
+    success = profile.total(np.exp(-theta2 * (1.0 + r * r)) * decay * partial)
+    return outage / (outage + success)
 
 
 def check_stat_csi_outage(
@@ -302,8 +313,7 @@ def check_stat_csi_outage(
                 k, snr, trials, est.outage_count, est.p_hat, p0, in_band, p0 >= 1e-3, zscore
             )
             if point.rejected:
-                # the trapezoid can land a few ulps above 1 where outage is certain
-                joint = min(float(exact_ranked_outage(k, DEFAULT_CELL, radio)), 1.0)
+                joint = exact_ranked_outage(k, DEFAULT_CELL, radio)
                 _, joint_z = binomial_consistent(est.outage_count, trials, joint)
                 point = replace(point, rank_joint=joint, rank_joint_zscore=joint_z)
                 details.append(
@@ -362,13 +372,6 @@ def check_diversity_order(
 # criterion 6: k-th nearest qualified distance distribution (KS)
 # ----------------------------------------------------------------------
 
-def _lambda_prime_interpolator(cell: CellGeometry, theta: float, n_grid: int = 2049):
-    upper = cell.cell_radius + cell.dest_distance
-    xs = np.linspace(0.0, upper, n_grid)
-    vals = np.array([analytic.lambda_prime(float(x), cell, theta) for x in xs])
-    return xs, vals
-
-
 def _ks_statistic(samples: np.ndarray, cdf_at_samples: np.ndarray, cdf_at_sup: float, n: int) -> float:
     """Two-sided KS distance for a possibly defective distribution.
 
@@ -396,28 +399,22 @@ def check_fk_distribution(
     ).theta_first
     cell = DEFAULT_CELL
     draws = montecarlo.kth_nearest_qualified_distances(cell, theta, k_max, samples, seed)
-    xs, masses = _lambda_prime_interpolator(cell, theta)
+    profile = analytic.MassProfile(cell, theta)
     crit = _KS_CRIT_1PCT / math.sqrt(samples)
     details = [f"critical value {crit:.5f} (1% level, n={samples})"]
     passed = True
-    mass_sup = float(masses[-1])
-
-    def poisson_sf(mass_vals, kk):
-        mass_vals = np.asarray(mass_vals, dtype=float)
-        tail = sum(mass_vals**i / math.factorial(i) for i in range(kk))
-        return 1.0 - np.exp(-mass_vals) * tail
-
     for k in range(1, k_max + 1):
         finite = np.sort(draws[:, k - 1][np.isfinite(draws[:, k - 1])])
-        mass_at = np.interp(finite, xs, masses)
-        ks_exact = _ks_statistic(finite, poisson_sf(mass_at, k), float(poisson_sf(mass_sup, k)), samples)
-        # Quadratic-growth variant: cumulative trapezoid of its density on
-        # the shared grid (report-grade accuracy, ~1e-5 in CDF).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.exp(-masses) * 2.0 * masses**k / (xs * math.factorial(k - 1))
-        dens[0] = 0.0
-        cdf_quad = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
-        ks_quad = _ks_statistic(finite, np.interp(finite, xs, cdf_quad), float(cdf_quad[-1]), samples)
+        cdf_exact = analytic.poisson_tail(profile.cumulative_at(profile.density, finite), k)
+        ks_exact = _ks_statistic(
+            finite, cdf_exact, analytic.poisson_tail(profile.total_mass, k), samples
+        )
+        # Quadratic-growth variant: its density integrated on the profile.
+        mass = profile.M
+        dens = np.exp(-mass) * 2.0 * mass**k / (profile.r * math.factorial(k - 1))
+        ks_quad = _ks_statistic(
+            finite, profile.cumulative_at(dens, finite), profile.total(dens), samples
+        )
         passed &= ks_exact <= crit
         details.append(f"k={k}: KS(exact)={ks_exact:.5f} KS(quadratic)={ks_quad:.5f}")
     return _finish("kth_nearest_distance_ks", passed, "; ".join(details), t0)

@@ -6,7 +6,7 @@ import pytest
 
 from relaygeom import analytic
 from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thresholds
-from relaygeom.quadrature import QuadratureSpec, integrate_1d
+from relaygeom.quadrature import QuadratureError, QuadratureSpec, integrate_1d
 
 TIGHT = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=1024)
 
@@ -93,6 +93,16 @@ class TestLambdaPrime:
         b = analytic.lambda_prime(7.3, default_cell, 0.17)
         assert a == b
 
+    @pytest.mark.parametrize("snr_db", [-20.0, -30.0])
+    def test_finite_at_large_theta(self, default_cell, snr_db):
+        # theta = 300 and 3000: exp(-theta (1 + r_d^2)) underflows while the
+        # radial exponent toward the source overflows; the result is finite
+        theta = compute_thresholds(RadioParams(snr_db=snr_db, target_rate=1.0)).theta_first
+        total = total_qualified_mass(default_cell.relay_intensity, theta)
+        for r in (0.5, 5.0, 25.0):
+            val = analytic.lambda_prime(r, default_cell, theta)
+            assert math.isfinite(val) and 0.0 <= val <= total
+
 
 class TestLambdaPrimeDerivative:
     def test_zero_radius(self, default_cell):
@@ -117,6 +127,90 @@ class TestLambdaPrimeDerivative:
             assert analytic.lambda_prime_derivative(r, cell, theta) == pytest.approx(
                 closed, rel=1e-9
             )
+
+    @pytest.mark.parametrize("theta", [0.015, 0.15, 1.5, 15.0])
+    def test_matches_scaled_angular_quadrature(self, default_cell, theta):
+        # dM/dr = 2 lam r exp(-theta (1 + (r - r_d)^2))
+        #         * integral_0^pi exp(-2 theta r_d r (1 - cos(phi))) dphi,
+        # whose integrand lies in (0, 1] and is integrated independently here
+        lam, r_d = default_cell.relay_intensity, default_cell.dest_distance
+        for r in (0.5, 2.0, 5.0, 12.0, 25.0):
+            z = 2.0 * theta * r_d * r
+            angular = integrate_1d(
+                lambda phi: np.exp(-z * (1.0 - np.cos(phi))), 0.0, math.pi, TIGHT
+            )
+            oracle = 2.0 * lam * r * math.exp(-theta * (1.0 + (r - r_d) ** 2)) * angular
+            closed = analytic.lambda_prime_derivative(r, default_cell, theta)
+            assert closed == pytest.approx(oracle, rel=1e-12, abs=1e-300)
+
+
+class TestMassProfile:
+    @pytest.mark.parametrize("theta", [0.003, 0.0949, 0.3, 3.0])
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5),
+            CellGeometry(cell_radius=20.0, dest_distance=0.0, relay_intensity=0.5),
+            CellGeometry(cell_radius=50.0, dest_distance=30.0, relay_intensity=5.0),
+        ],
+    )
+    def test_mass_matches_lambda_prime(self, cell, theta):
+        prof = analytic.MassProfile(cell, theta)
+        upper = cell.cell_radius + cell.dest_distance
+        m_total = analytic.lambda_prime(upper, cell, theta)
+        assert prof.total_mass == pytest.approx(m_total, rel=1e-10)
+        for r, m in zip(prof.r.ravel()[::5], prof.M.ravel()[::5]):
+            ref = analytic.lambda_prime(float(r), cell, theta)
+            if ref >= 1e-12 * m_total:
+                assert m == pytest.approx(ref, rel=1e-10)
+            else:
+                assert abs(m - ref) <= 1e-14 * m_total
+
+    def test_panels_cover_the_range_with_open_nodes(self, default_cell):
+        prof = analytic.MassProfile(default_cell, 0.1)
+        assert prof.edges[0] == 0.0 and prof.edges[-1] == 25.0
+        assert np.all(np.diff(prof.edges) > 0)
+        assert prof.r.min() > 0.0 and prof.r.max() < 25.0
+        assert np.all(np.diff(prof.r.ravel()) > 0)
+        assert prof.r.shape == prof.M.shape == prof.density.shape
+
+    def test_arbitrary_points_agree_with_nodes(self, default_cell):
+        prof = analytic.MassProfile(default_cell, 0.1)
+        mass_at = lambda x: prof.cumulative_at(prof.density, x)
+        assert abs(mass_at(0.0)) <= 1e-15 * prof.total_mass
+        assert mass_at(25.0) == pytest.approx(prof.total_mass, rel=1e-14)
+        # two evaluations of one polynomial per panel: they differ by rounding
+        assert np.max(np.abs(mass_at(prof.r) - prof.M)) <= 1e-15 * prof.total_mass
+        f = prof.density * np.exp(-prof.M)
+        assert np.max(np.abs(prof.cumulative_at(f, prof.r) - prof.cumulative(f))) <= 1e-15
+
+    def test_error_estimate_within_budget(self, default_cell):
+        prof = analytic.MassProfile(default_cell, 0.0949)
+        assert 0.0 <= prof.error <= max(1e-10, 1e-8 * prof.total_mass)
+
+    def test_unresolved_integrand_raises(self, default_cell):
+        prof = analytic.MassProfile(default_cell, 0.1)
+        step = (prof.r > 3.3).astype(float)
+        with pytest.raises(QuadratureError) as info:
+            prof.total(step)
+        assert info.value.error > 1e-8 * abs(info.value.estimate)
+
+    def test_immutable_and_deterministic(self, default_cell):
+        a = analytic.MassProfile(default_cell, 0.17)
+        b = analytic.MassProfile(default_cell, 0.17)
+        for name in ("edges", "r", "density", "M"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.total_mass == b.total_mass and a.error == b.error
+        with pytest.raises(AttributeError):
+            a.theta = 0.2
+        with pytest.raises(ValueError):
+            a.M[0, 0] = 1.0
+
+    def test_domain_validation(self, default_cell):
+        with pytest.raises(ValueError):
+            analytic.MassProfile(default_cell, 0.0)
+        with pytest.raises(ValueError):
+            analytic.MassProfile(replace(default_cell, path_loss_exponent=3.0), 0.1)
 
 
 class TestFkPdf:
@@ -285,6 +379,25 @@ class TestLambdaQ:
         )
         baseline = analytic.lambda_q_quadrature(default_cell, 0.1)
         assert 0.0 < steeper < baseline
+
+    @pytest.mark.parametrize("theta", [0.003, 0.1, 1.0])
+    def test_quadrature_closed_radial_matches_nested(self, theta):
+        # exponent 2 takes the radial integral in closed form; compare with
+        # nested adaptive quadrature of the doubly-connected intensity
+        cell = CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5)
+        r_d = cell.dest_distance
+
+        def radial(phi):
+            def intensity(r):
+                r_jd2 = r * r + r_d * r_d - 2.0 * r_d * r * math.cos(phi)
+                return 0.5 * r * np.exp(-theta * (2.0 + r * r + r_jd2))
+
+            return integrate_1d(intensity, 0.0, cell.cell_radius, TIGHT)
+
+        nested = 2.0 * integrate_1d(
+            lambda phis: np.array([radial(float(p)) for p in phis]), 0.0, math.pi, TIGHT
+        )
+        assert analytic.lambda_q_quadrature(cell, theta) == pytest.approx(nested, rel=1e-9)
 
     def test_closed_never_below_quadrature(self, default_cell):
         # the closed form integrates over the whole plane

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relaygeom.specials import erf, erfc, erfcx
+from scipy import special
+
+from relaygeom.specials import erf, erfc, erfcx, i0e
 
 # Reference values computed independently with 30-digit arithmetic
 # (mpmath: erf(x), erfc(x) * exp(x^2)) and frozen.
@@ -93,3 +95,32 @@ def test_array_and_scalar_interfaces():
     assert isinstance(erf(0.7), float)
     assert isinstance(erfcx(2.5), float)
     assert isinstance(erfc(-0.3), float)
+
+
+class TestI0e:
+    def test_matches_scipy_on_both_branches(self):
+        xs = np.concatenate(
+            [
+                np.linspace(0.0, 8.0, 4001),
+                np.linspace(8.0, 60.0, 2601),
+                np.geomspace(60.0, 1e5, 500),
+            ]
+        )
+        ref = special.i0e(xs)
+        assert np.max(np.abs(i0e(xs) / ref - 1.0)) < 1e-14
+
+    def test_both_sides_of_the_split(self):
+        for x in (np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0)):
+            assert i0e(float(x)) == pytest.approx(float(special.i0e(x)), rel=1e-15)
+
+    def test_value_at_zero(self):
+        assert i0e(0.0) == 1.0
+
+    @given(x=st.floats(0.0, 1e5))
+    def test_even(self, x):
+        assert i0e(-x) == i0e(x)
+
+    def test_scalar_and_array_interfaces(self):
+        assert isinstance(i0e(3.0), float)
+        arr = i0e(np.array([0.0, 3.0, 30.0]))
+        assert isinstance(arr, np.ndarray) and arr.shape == (3,)

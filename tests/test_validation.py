@@ -69,17 +69,16 @@ class TestKsStatistic:
 
 class TestStatCsiRecords:
     def test_records_cover_grid_and_explain_verdict(self, monkeypatch):
-        # the rank-joint diagnostic on a coarser grid keeps this test fast;
-        # the wrapper also records where the check asks for it
+        # the wrapper records where the check asks for the rank-joint diagnostic
         grid, trials = (0.0, 25.0), 4000
         joint_calls = []
         full = validation.exact_ranked_outage
 
-        def coarse_joint(k, cell, radio):
+        def recording_joint(k, cell, radio):
             joint_calls.append((k, radio.snr_db))
-            return full(k, cell, radio, n_grid=301)
+            return full(k, cell, radio)
 
-        monkeypatch.setattr(validation, "exact_ranked_outage", coarse_joint)
+        monkeypatch.setattr(validation, "exact_ranked_outage", recording_joint)
         result = validation.check_stat_csi_outage(trials=trials, seed=42, workers=1, snr_grid=grid)
         points = result.records
         assert [(p.k, p.snr_db) for p in points] == [(k, s) for k in (1, 2, 3) for s in grid]
