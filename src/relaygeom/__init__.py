@@ -17,8 +17,7 @@ from .model import (
     compute_thresholds,
     snr_db_to_linear,
 )
-from .geometry import Point, Realization, dist_to_dest, k_nearest_to_dest, sample_ppp
-from .montecarlo import OutageEstimate, TrialOutcome, estimate_outage
+from .montecarlo import OutageEstimate, estimate_outage
 from .quadrature import QuadratureError, QuadratureSpec, integrate_1d
 
 __version__ = "0.1.0"
@@ -30,12 +29,6 @@ __all__ = [
     "FIRST_HOP_RULES",
     "compute_thresholds",
     "snr_db_to_linear",
-    "Point",
-    "Realization",
-    "sample_ppp",
-    "dist_to_dest",
-    "k_nearest_to_dest",
-    "TrialOutcome",
     "OutageEstimate",
     "estimate_outage",
     "QuadratureSpec",

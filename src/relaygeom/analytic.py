@@ -140,7 +140,13 @@ def inner_integral_I(r_jd: float, phi: float, r_d: float, theta: float) -> float
         raise ValueError("r_jd must be finite and >= 0")
     if not (math.isfinite(r_d) and r_d >= 0):
         raise ValueError("r_d must be finite and >= 0")
-    return float(_inner_core(r_jd, np.atleast_1d(float(phi)), r_d, theta, 0.0)[0])
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    with np.errstate(invalid="ignore"):
+        value = float(_inner_core(r_jd, np.atleast_1d(float(phi)), r_d, theta, 0.0)[0])
+    # The integrand is positive, so with finite inputs a NaN can only be
+    # inf - inf between overflowed terms of the antiderivative.
+    return math.inf if math.isnan(value) else value
 
 
 def lambda_prime(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -165,10 +166,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     if "stat" in strategies and (not k_values or any(k < 1 for k in k_values)):
         raise ConfigError("k_values must be a nonempty set of integers >= 1 when 'stat' is selected")
 
-    trials = int(data["trials"])
+    trials = _integer(data, "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    seed = int(data["seed"])
+    seed = _integer(data, "seed")
     if data["fk_form"] not in F_K_FORMS:
         raise ConfigError(f"fk_form must be one of {F_K_FORMS}")
     if data["first_hop_threshold"] not in FIRST_HOP_RULES:
@@ -189,12 +190,27 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     )
 
 
+def _integer(data: dict, key: str) -> int:
+    """``data[key]`` as an int; integral finite floats (``1e5`` in JSON) pass,
+    while bools, fractions, NaN, infinities and non-numbers are refused."""
+    value = data[key]
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral and not (
+        isinstance(value, float) and math.isfinite(value) and value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepRow]:
     """Run the sweep: one row per (snr, strategy, k), in that order.
 
     Every row reuses ``config.seed``, so strategies at the same SNR share
-    realizations and channel draws (paired comparison). A failing row gets
-    its message in the ``error`` column and the sweep continues.
+    realizations and channel draws (paired comparison). The analytic and
+    the Monte Carlo value of a row are computed independently: a side that
+    fails leaves its columns empty and its message, prefixed ``analytic:``
+    or ``mc:``, in the ``error`` column (both joined by ``; ``), and the
+    sweep continues.
     """
     rows: list[SweepRow] = []
     for snr in config.snr_grid_db:
@@ -202,6 +218,8 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
             ks = (1,) if strategy == "exact" else config.k_values
             for k in ks:
                 radio = RadioParams(snr_db=snr, target_rate=config.rate, num_relays=k)
+                p_an = p_mc = stderr = None
+                errors = []
                 try:
                     if strategy == "exact":
                         p_an = outage_exact_csi(config.cell, radio, "quadrature")
@@ -209,6 +227,9 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
                         p_an = outage_stat(
                             k, config.cell, radio, config.fk_form, config.first_hop_threshold
                         )
+                except Exception as exc:  # noqa: BLE001 - per-row error contract
+                    errors.append(f"analytic: {exc}")
+                try:
                     est = estimate_outage(
                         strategy,
                         config.cell,
@@ -218,13 +239,12 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
                         first_hop=config.first_hop_threshold,
                         workers=workers,
                     )
-                    rows.append(
-                        SweepRow(snr, strategy, k, p_an, est.p_hat, est.stderr, config.trials)
-                    )
+                    p_mc, stderr = est.p_hat, est.stderr
                 except Exception as exc:  # noqa: BLE001 - per-row error contract
-                    rows.append(
-                        SweepRow(snr, strategy, k, None, None, None, config.trials, str(exc))
-                    )
+                    errors.append(f"mc: {exc}")
+                rows.append(
+                    SweepRow(snr, strategy, k, p_an, p_mc, stderr, config.trials, "; ".join(errors))
+                )
     return rows
 
 
@@ -302,6 +322,35 @@ def _write_lines(lines: list[str], path: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _sweep_line(r: SweepRow) -> str:
+    return ",".join(
+        [
+            _fmt(r.snr_db),
+            r.strategy,
+            str(r.k),
+            _fmt(r.p_analytic),
+            _fmt(r.p_mc),
+            _fmt(r.stderr_mc),
+            str(r.trials),
+            _sanitize(r.error),
+        ]
+    )
+
+
+def _mean_count_line(r: MeanCountRow) -> str:
+    return ",".join(
+        [
+            r.observer,
+            _fmt(r.radius),
+            _fmt(r.analytic),
+            _fmt(r.empirical),
+            _fmt(r.stderr_empirical),
+            str(r.trials),
+            _sanitize(r.error),
+        ]
+    )
+
+
 def write_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None) -> None:
     """Write sweep rows as CSV: fixed header, %.10e floats, LF endings.
 
@@ -312,21 +361,7 @@ def write_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None
         raise ValueError("refusing to write CSV without rows")
     lines = _metadata_lines(config, "outage-sweep") if config is not None else []
     lines.append(CSV_HEADER)
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.snr_db),
-                    r.strategy,
-                    str(r.k),
-                    _fmt(r.p_analytic),
-                    _fmt(r.p_mc),
-                    _fmt(r.stderr_mc),
-                    str(r.trials),
-                    _sanitize(r.error),
-                ]
-            )
-        )
+    lines.extend(_sweep_line(r) for r in rows)
     _write_lines(lines, path)
 
 
@@ -338,20 +373,7 @@ def write_mean_count_csv(
         raise ValueError("refusing to write CSV without rows")
     lines = _metadata_lines(config, "mean-count") if config is not None else []
     lines.append(MEAN_COUNT_HEADER)
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.observer,
-                    _fmt(r.radius),
-                    _fmt(r.analytic),
-                    _fmt(r.empirical),
-                    _fmt(r.stderr_empirical),
-                    str(r.trials),
-                    _sanitize(r.error),
-                ]
-            )
-        )
+    lines.extend(_mean_count_line(r) for r in rows)
     _write_lines(lines, path)
 
 
@@ -364,11 +386,11 @@ _SVG_FLOOR = 1e-12
 def write_svg(rows: list[SweepRow], path: str) -> None:
     """Log-scale outage chart, one series per (strategy, k): analytic solid,
     Monte Carlo dashed. Presentation only; every number shown is in the CSV.
-    Rows with errors and nonpositive probabilities (below chart floor) are
-    skipped."""
+    Missing values (the failed side of a row) and nonpositive probabilities
+    (below chart floor) are skipped."""
     if not rows:
         raise ValueError("refusing to write SVG without rows")
-    ok_rows = [r for r in rows if not r.error]
+    ok_rows = [r for r in rows if r.p_analytic is not None or r.p_mc is not None]
     series_keys = sorted({(r.strategy, r.k) for r in ok_rows})
     xs = sorted({r.snr_db for r in ok_rows})
     ys = [
@@ -532,10 +554,7 @@ def _cmd_outage_sweep(args: argparse.Namespace) -> int:
     else:
         print(CSV_HEADER)
         for r in rows:
-            print(
-                f"{_fmt(r.snr_db)},{r.strategy},{r.k},{_fmt(r.p_analytic)},"
-                f"{_fmt(r.p_mc)},{_fmt(r.stderr_mc)},{r.trials},{_sanitize(r.error)}"
-            )
+            print(_sweep_line(r))
     if config.svg:
         write_svg(rows, config.svg)
     return 0 if all(not r.error for r in rows) else 2
@@ -555,10 +574,7 @@ def _cmd_mean_count(args: argparse.Namespace) -> int:
     else:
         print(MEAN_COUNT_HEADER)
         for r in rows:
-            print(
-                f"{r.observer},{_fmt(r.radius)},{_fmt(r.analytic)},{_fmt(r.empirical)},"
-                f"{_fmt(r.stderr_empirical)},{r.trials},{_sanitize(r.error)}"
-            )
+            print(_mean_count_line(r))
     return 0 if all(not r.error for r in rows) else 2
 
 

@@ -1,127 +1,42 @@
-"""Poisson relay fields on the disk cell and distance primitives.
+"""Poisson relay fields on the disk cell and squared distances to the destination.
 
 Positions are polar coordinates about the cell center; the destination sits
-on the reference ray at angle 0. All sampling goes through an injected
+on the reference ray at angle 0. Sampling goes through an injected
 :class:`numpy.random.Generator`, so each caller owns its stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .model import CellGeometry
 
 
-class Point(NamedTuple):
-    """Polar position: distance from the cell center and angle in [0, 2*pi)."""
-
-    radius: float
-    angle: float
-
-
-@dataclass(frozen=True)
-class Realization:
-    """One sampled relay field.
-
-    ``radii`` and ``angles`` are parallel arrays; treat them as immutable
-    (they are marked read-only on construction). Over many samples the count
-    is Poisson with mean ``relay_intensity * pi * cell_radius**2`` and,
-    conditional on the count, positions are i.i.d. uniform over the disk.
-    """
-
-    radii: np.ndarray
-    angles: np.ndarray
-    cell: CellGeometry
-
-    def __post_init__(self) -> None:
-        if self.radii.shape != self.angles.shape or self.radii.ndim != 1:
-            raise ValueError("radii and angles must be 1-d arrays of equal length")
-        self.radii.setflags(write=False)
-        self.angles.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.radii.size
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(Point(float(r), float(a)) for r, a in zip(self.radii, self.angles))
-
-
-def sample_poisson_count(mean: float, rng: np.random.Generator) -> int:
-    """Draw a Poisson count with the given mean.
-
-    Delegates to ``Generator.poisson`` (inversion by sequential search for
-    small means, transformed rejection for large ones); the draw consumes a
-    documented, seed-stable position in the caller's stream.
-    """
-    if not (math.isfinite(mean) and mean >= 0):
-        raise ValueError("mean must be finite and >= 0")
-    return int(rng.poisson(mean))
-
-
-def sample_uniform_disk(cell_radius: float, rng: np.random.Generator) -> Point:
-    """Sample one point uniformly over a disk of the given radius.
-
-    Radius is ``R * sqrt(u)`` with ``u`` uniform on [0, 1); the square root
-    compensates for the growth of area with radius. Angle is uniform on
-    [0, 2*pi). Draw order: radius variate first, then angle.
-    """
-    if not cell_radius > 0:
-        raise ValueError("cell_radius must be > 0")
-    r = cell_radius * math.sqrt(rng.random())
-    phi = 2.0 * math.pi * rng.random()
-    return Point(r, phi)
-
-
-def sample_ppp(cell: CellGeometry, rng: np.random.Generator) -> Realization:
+def sample_field(cell: CellGeometry, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample a homogeneous Poisson relay field over the cell.
 
+    Returns parallel arrays ``(radii, angles)``. The count is Poisson with
+    mean ``cell.mean_relay_count``; given the count, positions are i.i.d.
+    uniform over the disk: radius ``R * sqrt(u)`` with ``u`` uniform on
+    [0, 1) (the square root compensates for the growth of area with radius)
+    and angle uniform on [0, 2*pi).
+
     Draw order: one Poisson count, then all radius variates, then all angle
-    variates (vectorized, so the stream layout differs from repeated calls
-    to :func:`sample_uniform_disk`).
+    variates. The Monte Carlo reproducibility contract rests on this order.
     """
-    n = sample_poisson_count(cell.mean_relay_count, rng)
+    n = int(rng.poisson(cell.mean_relay_count))
     radii = cell.cell_radius * np.sqrt(rng.random(n))
     angles = 2.0 * math.pi * rng.random(n)
-    return Realization(radii=radii, angles=angles, cell=cell)
-
-
-def dist_to_dest(p: Point, dest_distance: float) -> float:
-    """Distance from a point to the destination at ``(dest_distance, 0)``.
-
-    Law of cosines: ``sqrt(r^2 + r_d^2 - 2 r r_d cos(angle))``.
-    """
-    d2 = p.radius**2 + dest_distance**2 - 2.0 * p.radius * dest_distance * math.cos(p.angle)
-    return math.sqrt(max(d2, 0.0))
-
-
-def dists_to_dest(radii: np.ndarray, angles: np.ndarray, dest_distance: float) -> np.ndarray:
-    """Vectorized :func:`dist_to_dest` over parallel coordinate arrays."""
-    d2 = sq_dists_to_dest(radii, angles, dest_distance)
-    return np.sqrt(d2)
+    return radii, angles
 
 
 def sq_dists_to_dest(radii: np.ndarray, angles: np.ndarray, dest_distance: float) -> np.ndarray:
-    """Squared distances to the destination (cheaper when only ranking matters)."""
+    """Squared distances to the destination at ``(dest_distance, 0)``.
+
+    Law of cosines, ``r^2 + r_d^2 - 2 r r_d cos(angle)``, clipped at 0
+    against rounding. Squared distances suffice for ranking.
+    """
     d2 = radii * radii + dest_distance * dest_distance - 2.0 * dest_distance * radii * np.cos(angles)
     return np.maximum(d2, 0.0)
-
-
-def k_nearest_to_dest(points: Sequence[Point], dest_distance: float, k: int) -> tuple[Point, ...]:
-    """The ``min(k, len(points))`` points closest to the destination.
-
-    Sorted by ascending distance; exact ties keep input order (stable sort),
-    so the result is deterministic for a given input sequence.
-    """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("k must be an integer >= 1")
-    if not points:
-        return ()
-    radii = np.array([p.radius for p in points])
-    angles = np.array([p.angle for p in points])
-    order = np.argsort(sq_dists_to_dest(radii, angles, dest_distance), kind="stable")
-    return tuple(points[i] for i in order[: min(k, len(points))])

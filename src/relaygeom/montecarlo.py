@@ -6,8 +6,10 @@ Trial ``t`` of a run seeded with ``s`` draws from its own counter-based
 stream, ``Generator(Philox(key=s, counter=[0, 0, 0, t]))``; streams of
 distinct trials never overlap and do not depend on scheduling, so estimates
 are bit-identical for any worker count. Within a trial the draw order is
-fixed: relay count, all radii, all angles, first-hop fading gains for every
-relay, then second-hop gains for every *qualified* relay in input order.
+fixed: the field as drawn by :func:`relaygeom.geometry.sample_field`, which
+owns that part of the order (relay count, all radii, all angles), then
+first-hop fading gains for every relay, then second-hop gains for every
+*qualified* relay in input order.
 Both strategies consume draws identically (the statistical strategy draws
 second-hop gains even for relays it does not select), so runs that share a
 seed share realizations and channels draw for draw.
@@ -26,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Point, Realization, sq_dists_to_dest
+from .geometry import sample_field, sq_dists_to_dest
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 
 log = logging.getLogger(__name__)
@@ -56,21 +58,6 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one end-to-end trial.
-
-    ``qualified_count`` is the number of relays that decoded the source
-    broadcast; ``selected_count`` is how many took part in the cooperative
-    phase (at most 1 under full channel knowledge, ``min(k, qualified)``
-    under distance ranking). ``qualified_count == 0`` forces an outage.
-    """
-
-    qualified_count: int
-    outage: bool
-    selected_count: int
-
-
-@dataclass(frozen=True)
 class OutageEstimate:
     """Binomial outage estimate with its standard error."""
 
@@ -93,97 +80,67 @@ class OutageEstimate:
         return self.outage_count == 0
 
 
-def sample_fading_gain(rng: np.random.Generator) -> float:
-    """Squared magnitude of a unit Rayleigh fading coefficient: Exp(1)."""
-    return float(rng.standard_exponential())
+def _qualified_field(cell: CellGeometry, theta_first: float, rng: np.random.Generator):
+    """Sample a relay field and thin it to the relays that decoded the
+    source broadcast; returns their ``(radii, angles)`` in input order.
 
-
-def _qualify_mask(
-    radii: np.ndarray, theta_first: float, alpha: float, rng: np.random.Generator
-) -> np.ndarray:
-    gains = rng.standard_exponential(radii.size)
-    rpow = radii * radii if alpha == 2.0 else radii**alpha
-    return gains >= theta_first * (1.0 + rpow)
-
-
-def qualify_relays(
-    realization: Realization,
-    theta_first: float,
-    path_loss_exponent: float,
-    rng: np.random.Generator,
-) -> tuple[Point, ...]:
-    """Thin a relay field to the relays that decoded the source broadcast.
-
-    Keeps a relay at source-distance ``r`` iff a fresh Exp(1) gain ``g``
-    satisfies ``g >= theta_first * (1 + r**alpha)``, so the survivor set is
-    an independent thinning with keep probability
+    A relay at source distance ``r`` is kept iff a fresh Exp(1) gain ``g``
+    satisfies ``g >= theta_first * (1 + r**alpha)``, so the survivors are an
+    independent thinning with keep probability
     ``exp(-theta_first (1 + r**alpha))`` at radius ``r``.
     """
-    keep = _qualify_mask(realization.radii, theta_first, path_loss_exponent, rng)
-    return tuple(
-        Point(float(r), float(a))
-        for r, a in zip(realization.radii[keep], realization.angles[keep])
-    )
-
-
-def _sample_field(cell: CellGeometry, rng: np.random.Generator):
-    n = int(rng.poisson(cell.mean_relay_count))
-    radii = cell.cell_radius * np.sqrt(rng.random(n))
-    angles = 2.0 * math.pi * rng.random(n)
-    return radii, angles
+    radii, angles = sample_field(cell, rng)
+    gains = rng.standard_exponential(radii.size)
+    alpha = cell.path_loss_exponent
+    rpow = radii * radii if alpha == 2.0 else radii**alpha
+    keep = gains >= theta_first * (1.0 + rpow)
+    return radii[keep], angles[keep]
 
 
 def _link_trial(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator):
-    """Common first phase of a trial: field, qualification, per-relay
-    second-hop outcomes. Returns (J, squared dest distances, success flags)."""
-    radii, angles = _sample_field(cell, rng)
+    """Common first phase of a trial: qualified field and per-relay
+    second-hop outcomes. Returns (squared dest distances, success flags),
+    or ``(None, None)`` when no relay qualified."""
+    radii, angles = _qualified_field(cell, thresholds.theta_first, rng)
+    if radii.size == 0:
+        return None, None
+    d2 = sq_dists_to_dest(radii, angles, cell.dest_distance)
+    gains = rng.standard_exponential(radii.size)
     alpha = cell.path_loss_exponent
-    keep = _qualify_mask(radii, thresholds.theta_first, alpha, rng)
-    j = int(np.count_nonzero(keep))
-    if j == 0:
-        return 0, None, None
-    d2 = sq_dists_to_dest(radii[keep], angles[keep], cell.dest_distance)
-    gains = rng.standard_exponential(j)
     dpow = d2 if alpha == 2.0 else d2 ** (0.5 * alpha)
-    succ = gains >= thresholds.theta_second * (1.0 + dpow)
-    return j, d2, succ
+    return d2, gains >= thresholds.theta_second * (1.0 + dpow)
 
 
-def trial_exact_csi(
-    cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator
-) -> TrialOutcome:
-    """One trial under full channel knowledge (single-relay frame).
+def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator) -> bool:
+    """One trial under full channel knowledge (single-relay frame); returns
+    whether it is an outage.
 
     The frame succeeds iff some relay passes both the first-hop test and an
     independent second-hop test; gains on the two hops of one relay and
     across relays are independent.
     """
-    j, _, succ = _link_trial(cell, thresholds, rng)
-    if j == 0:
-        return TrialOutcome(0, True, 0)
-    ok = bool(succ.any())
-    return TrialOutcome(j, not ok, 1 if ok else 0)
+    _, succ = _link_trial(cell, thresholds, rng)
+    return succ is None or not succ.any()
 
 
 def trial_stat_csi(
     cell: CellGeometry, thresholds: Thresholds, k: int, rng: np.random.Generator
-) -> TrialOutcome:
-    """One trial under distance ranking only.
+) -> bool:
+    """One trial under distance ranking only; returns whether it is an outage.
 
     The ``min(k, J)`` qualified relays nearest to the destination each get
-    one slot; the frame format (and hence ``theta_second``) is fixed for
-    ``k`` slots in advance, even when fewer relays are available. Outage iff
-    every selected relay fails, vacuously when none qualified.
+    one slot (exact distance ties go to the earlier relay in input order);
+    the frame format (and hence ``theta_second``) is fixed for ``k`` slots
+    in advance, even when fewer relays are available. Outage iff every
+    selected relay fails, vacuously when none qualified.
     """
     if not (isinstance(k, int) and k >= 1):
         raise ValueError("k must be an integer >= 1")
-    j, d2, succ = _link_trial(cell, thresholds, rng)
-    if j == 0:
-        return TrialOutcome(0, True, 0)
-    order = np.argsort(d2, kind="stable")
-    selected = order[: min(k, j)]
-    ok = bool(succ[selected].any())
-    return TrialOutcome(j, not ok, int(selected.size))
+    d2, succ = _link_trial(cell, thresholds, rng)
+    if d2 is None:
+        return True
+    selected = np.argsort(d2, kind="stable")[:k]
+    return not succ[selected].any()
 
 
 def _outage_block(
@@ -199,16 +156,28 @@ def _outage_block(
     for t in range(start, stop):
         rng = trial_rng(seed, t)
         if strategy == "exact":
-            outcome = trial_exact_csi(cell, thresholds, rng)
+            count += trial_exact_csi(cell, thresholds, rng)
         else:
-            outcome = trial_stat_csi(cell, thresholds, k, rng)
-        count += outcome.outage
+            count += trial_stat_csi(cell, thresholds, k, rng)
     return count
 
 
-def _block_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    workers = min(workers, n)
-    return [(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
+def _run_blocks(block, args: tuple, trials: int, workers: int | None) -> list:
+    """Call ``block(*args, start, stop)`` on contiguous trial ranges and
+    return the partial results in range order.
+
+    The ranges split ``trials`` evenly over ``min(workers, trials)`` worker
+    processes, or run in this process when that is 1. Each trial owns its
+    stream and callers combine the parts by integer sums, so the combined
+    result does not depend on the worker count.
+    """
+    workers = min(_resolve_workers(workers), trials)
+    if workers == 1:
+        return [block(*args, 0, trials)]
+    bounds = [(i * trials // workers, (i + 1) * trials // workers) for i in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(block, *args, lo, hi) for lo, hi in bounds]
+        return [f.result() for f in futures]
 
 
 def estimate_outage(
@@ -236,18 +205,8 @@ def estimate_outage(
     if strategy == "exact" and radio.num_relays != 1:
         raise ValueError("the exact-knowledge strategy is defined for num_relays == 1")
     thresholds = compute_thresholds(radio, first_hop)
-    workers = _resolve_workers(workers)
-    k = radio.num_relays
-    if workers == 1:
-        total = _outage_block(strategy, cell, thresholds, k, seed, 0, trials)
-    else:
-        bounds = _block_bounds(trials, workers)
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [
-                pool.submit(_outage_block, strategy, cell, thresholds, k, seed, lo, hi)
-                for lo, hi in bounds
-            ]
-            total = sum(f.result() for f in futures)
+    args = (strategy, cell, thresholds, radio.num_relays, seed)
+    total = sum(_run_blocks(_outage_block, args, trials, workers))
     estimate = OutageEstimate.from_counts(total, trials)
     if estimate.below_resolution:
         log.info(
@@ -267,12 +226,6 @@ class MeanCountPoint(NamedTuple):
     stderr: float
 
 
-def _observer_distances(observer, radii, angles, keep, dest_distance):
-    if observer == "bs":
-        return radii[keep]
-    return np.sqrt(sq_dists_to_dest(radii[keep], angles[keep], dest_distance))
-
-
 def _mean_count_block(
     observer: str,
     cell: CellGeometry,
@@ -286,11 +239,12 @@ def _mean_count_block(
     s1 = np.zeros(grid_arr.size, dtype=np.int64)
     s2 = np.zeros(grid_arr.size, dtype=np.int64)
     for t in range(start, stop):
-        rng = trial_rng(seed, t)
-        radii, angles = _sample_field(cell, rng)
-        keep = _qualify_mask(radii, theta_first, cell.path_loss_exponent, rng)
-        d = np.sort(_observer_distances(observer, radii, angles, keep, cell.dest_distance))
-        counts = np.searchsorted(d, grid_arr, side="right").astype(np.int64)
+        radii, angles = _qualified_field(cell, theta_first, trial_rng(seed, t))
+        if observer == "bs":
+            d = radii
+        else:
+            d = np.sqrt(sq_dists_to_dest(radii, angles, cell.dest_distance))
+        counts = np.searchsorted(np.sort(d), grid_arr, side="right").astype(np.int64)
         s1 += counts
         s2 += counts * counts
     return s1, s2
@@ -326,22 +280,10 @@ def empirical_mean_count(
         raise ValueError(f"radii must lie within [0, {upper}]")
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be an integer >= 1")
-    workers = _resolve_workers(workers)
-    if workers == 1:
-        s1, s2 = _mean_count_block(observer, cell, theta_first, grid, seed, 0, trials)
-    else:
-        bounds = _block_bounds(trials, workers)
-        s1 = np.zeros(len(grid), dtype=np.int64)
-        s2 = np.zeros(len(grid), dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [
-                pool.submit(_mean_count_block, observer, cell, theta_first, grid, seed, lo, hi)
-                for lo, hi in bounds
-            ]
-            for f in futures:
-                b1, b2 = f.result()
-                s1 += b1
-                s2 += b2
+    args = (observer, cell, theta_first, grid, seed)
+    parts = _run_blocks(_mean_count_block, args, trials, workers)
+    s1 = sum(p[0] for p in parts)
+    s2 = sum(p[1] for p in parts)
     out = []
     for i, r in enumerate(grid):
         mean = s1[i] / trials
@@ -370,10 +312,8 @@ def kth_nearest_qualified_distances(
         raise ValueError("trials must be an integer >= 1")
     out = np.full((trials, k_max), np.inf)
     for t in range(trials):
-        rng = trial_rng(seed, t)
-        radii, angles = _sample_field(cell, rng)
-        keep = _qualify_mask(radii, theta_first, cell.path_loss_exponent, rng)
-        d = np.sort(np.sqrt(sq_dists_to_dest(radii[keep], angles[keep], cell.dest_distance)))
+        radii, angles = _qualified_field(cell, theta_first, trial_rng(seed, t))
+        d = np.sort(np.sqrt(sq_dists_to_dest(radii, angles, cell.dest_distance)))
         take = min(k_max, d.size)
         out[t, :take] = d[:take]
     return out

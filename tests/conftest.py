@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relaygeom import montecarlo
 from relaygeom.model import CellGeometry, RadioParams
 
 
@@ -17,3 +18,18 @@ def radio_15db() -> RadioParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def ring_field(monkeypatch):
+    """``ring_field(radius, n)`` makes the simulator draw, in place of a
+    Poisson field, ``n`` relays evenly spaced on one circle about the cell
+    center. Only the field is replaced: gains still come from the trial's
+    stream."""
+
+    def install(radius: float, n: int) -> None:
+        angles = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        field = lambda cell, rng: (np.full(n, radius), angles.copy())  # noqa: E731
+        monkeypatch.setattr(montecarlo, "sample_field", field)
+
+    return install

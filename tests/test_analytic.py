@@ -37,6 +37,19 @@ class TestInnerIntegral:
                 closed = analytic.inner_integral_I(r_jd, phi, r_d, theta)
                 assert closed == pytest.approx(direct, rel=1e-10, abs=1e-300)
 
+    @pytest.mark.parametrize("theta", [300.0, 1e4])
+    def test_overflow_is_inf(self, theta):
+        # exponent theta (a r - r^2) = 2700 at theta = 300: past the double range
+        assert analytic.inner_integral_I(1.0, 0.0, 5.0, theta) == math.inf
+        # no overflow on the far side of the destination
+        far = analytic.inner_integral_I(1.0, math.pi, 5.0, theta)
+        assert math.isfinite(far) and far > 0.0
+
+    def test_rejects_non_finite_phi(self):
+        for phi in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="phi"):
+                analytic.inner_integral_I(1.0, phi, 5.0, 0.1)
+
     def test_rejects_zero_theta(self):
         with pytest.raises(ValueError):
             analytic.inner_integral_I(1.0, 0.0, 5.0, 0.0)

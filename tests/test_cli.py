@@ -1,3 +1,5 @@
+import json
+import math
 import xml.dom.minidom
 
 import pytest
@@ -15,6 +17,11 @@ from relaygeom.cli import (
     write_mean_count_csv,
     write_svg,
 )
+
+
+#: JSON values that are not integers: bools, fractions, non-finite numbers
+#: (Python's json module reads NaN and Infinity) and non-numbers.
+_NOT_INTEGERS = ["true", "false", "2.7", "1.5", "NaN", "Infinity", "-Infinity", '"5"', "null", "[3]"]
 
 
 class TestParseConfig:
@@ -70,6 +77,27 @@ class TestParseConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(str(path))
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    @pytest.mark.parametrize("text", _NOT_INTEGERS)
+    def test_integer_fields_refuse_non_integers(self, key, text, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{key}": {text}}}')
+        with pytest.raises(ConfigError, match=key):
+            parse_config(str(path))
+        value = json.loads(text)
+        if value is not None:  # a None override means "flag not given"
+            with pytest.raises(ConfigError, match=key):
+                parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    def test_integer_fields_accept_integral_numbers(self, key, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{key}": 1e5}}')
+        value = getattr(parse_config(str(path)), key)
+        assert value == 100_000 and type(value) is int
+        assert getattr(parse_config(overrides={key: 7}), key) == 7
+        assert getattr(parse_config(overrides={key: 12.0}), key) == 12
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +166,33 @@ class TestRunOutageSweep:
         exact = [r for r in rows if r.strategy == "exact"]
         ranked = [r for r in rows if r.strategy == "stat"]
         assert all(not r.error and r.p_analytic is not None for r in exact)
-        assert all(r.error and r.p_analytic is None and r.p_mc is None for r in ranked)
+        assert all(r.error and r.p_analytic is None for r in ranked)
+        assert all(r.error.startswith("analytic: ") for r in ranked)
         assert all("path_loss_exponent" in r.error for r in ranked)
+        # the simulation runs independently of the failed closed form
+        assert all(r.p_mc is not None and 0.0 <= r.p_mc <= 1.0 for r in ranked)
+        assert all(math.isfinite(r.stderr_mc) for r in ranked)
+
+    def test_failed_sides_named_in_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulated failure")
+
+        config = parse_config(
+            overrides={
+                "trials": 2,
+                "path_loss_exponent": 3.0,
+                "snr_grid_db": (10.0,),
+                "k_values": (1,),
+            }
+        )
+        monkeypatch.setattr(cli, "estimate_outage", broken)
+        rows = run_outage_sweep(config)
+        exact, ranked = rows
+        assert exact.error == "mc: simulated failure"
+        assert exact.p_analytic is not None and exact.p_mc is None and exact.stderr_mc is None
+        assert ranked.error.startswith("analytic: ")
+        assert ranked.error.endswith("; mc: simulated failure")
+        assert ranked.p_analytic is None and ranked.p_mc is None
 
 
 class TestWriters:
@@ -199,6 +252,18 @@ class TestWriters:
         assert len(polylines) >= 4
         assert write_svg(rows, str(path)) is None  # idempotent overwrite
 
+    def test_svg_plots_the_surviving_side(self, tmp_path):
+        # analytic failed on every row; the Monte Carlo curve is still drawn
+        rows = [
+            SweepRow(snr, "stat", 1, None, p, 0.01, 100, "analytic: no closed form")
+            for snr, p in ((10.0, 0.5), (20.0, 0.05))
+        ]
+        path = tmp_path / "mc_only.svg"
+        write_svg(rows, str(path))
+        polylines = xml.dom.minidom.parse(str(path)).getElementsByTagName("polyline")
+        assert len(polylines) == 1
+        assert polylines[0].getAttribute("stroke-dasharray")
+
     def test_svg_refuses_empty(self, tmp_path):
         with pytest.raises(ValueError):
             write_svg([], str(tmp_path / "no.svg"))
@@ -246,6 +311,15 @@ class TestMainEntry:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    @pytest.mark.parametrize("text", ["true", "2.7", "NaN", '"5"'])
+    def test_non_integer_config_exit_code(self, key, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{key}": {text}}}')
+        # refused while parsing, before any row runs
+        assert cli.main(["outage-sweep", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_sweep_to_stdout(self, capsys):
         rc = cli.main(
