@@ -5,22 +5,19 @@ thinned Poisson process with intensity ``lam * exp(-theta (1 + r^2))`` at
 distance ``r`` from the source. Everything here derives from its mean
 measure seen either from the source or from the displaced destination:
 
-* ``lambda_prime(r)`` -- expected number of qualified relays within distance
-  ``r`` of the destination. The radial integral inside it has a closed form
-  (:func:`inner_integral_I`); only the angular integral is numeric. Its
-  radial derivative is closed too (:func:`lambda_prime_derivative`, an
-  ``I0`` Bessel function).
-* :class:`MassProfile` -- that mean measure ``M`` and its density on a fixed
-  spectral grid over the whole distance range, built once per threshold.
-  Every distance integral of the statistical-knowledge outage is taken on
-  it.
-* ``f_k_pdf`` -- density of the distance to the k-th nearest qualified
-  relay, in two variants (see the function docstring).
+* :class:`MassProfile` / ``lambda_prime`` -- the destination-view mean
+  measure ``M(r)``, the expected number of qualified relays within ``r`` of
+  the destination, with its closed density (:func:`lambda_prime_derivative`,
+  an ``I0`` Bessel function) on fixed spectral panels, built once per
+  threshold. It is the one implementation of ``M`` here.
+* ``f_k_pdf`` / ``kth_nearest_cdf`` -- density (in two variants, see the
+  function docstring) and distribution of the distance to the k-th nearest
+  qualified relay.
 * ``p_fail_jth`` / ``outage_stat`` -- per-relay failure probabilities and
   their product, the outage of distance-ranked relay selection under the
   approximation that ranked relays fail independently (exact for one relay;
-  for more it runs low at high SNR, see
-  :func:`relaygeom.validation.exact_ranked_outage`).
+  for more it runs low at high SNR). ``exact_ranked_outage`` is the same
+  outage without that approximation.
 * ``lambda_q_*`` / ``outage_exact_csi`` -- mean number of relays connected
   to both endpoints and the void-probability outage of selection under full
   channel knowledge.
@@ -50,8 +47,8 @@ F_K_FORMS = ("exact", "quadratic")
 #: Variants of the doubly-connected mean measure, see :func:`outage_exact_csi`.
 LAMBDA_Q_METHODS = ("closed", "quadrature")
 
-# Budget for angular integrals nested inside a distance integral; tighter
-# than the default so inner noise stays below outer tolerances.
+# Budget for integrals nested inside an outer one (lambda_q_quadrature's
+# radial integrals); tighter than the default so inner noise stays below it.
 _INNER_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=256)
 # Error budget of every MassProfile integral: abs 1e-10, rel 1e-8.
 _PROFILE_ABS_TOL = 1e-10
@@ -129,8 +126,8 @@ def inner_integral_I(r_jd: float, phi: float, r_d: float, theta: float) -> float
     prefactor left out. Matches direct quadrature of the integrand to
     relative error well below 1e-8 over the supported range. For very large
     ``theta * r_d^2`` (exponent above ~709) the unscaled value exceeds the
-    double range and the result is ``inf``; :func:`lambda_prime` avoids that
-    regime by folding the prefactor into the exponents.
+    double range and the result is ``inf``; :func:`lambda_q_quadrature` avoids
+    that regime by folding the prefactor into the exponents.
 
     ``theta == 0`` is rejected; in that limit the integral is just
     ``r_jd^2 / 2``.
@@ -149,36 +146,29 @@ def inner_integral_I(r_jd: float, phi: float, r_d: float, theta: float) -> float
     return math.inf if math.isnan(value) else value
 
 
-def lambda_prime(
-    r_jd: float, cell: CellGeometry, theta: float, spec: QuadratureSpec | None = None
-) -> float:
-    """Expected number of qualified relays within ``r_jd`` of the destination.
+def lambda_prime(r_jd, cell: CellGeometry, theta: float):
+    """Expected number of qualified relays within ``r_jd`` of the destination,
+    elementwise over ``r_jd`` (a float for a scalar).
 
-    ``lam * exp(-theta (1 + r_d^2)) * integral_0^2pi I(r_jd, phi) dphi`` with
-    the angular integral done numerically on [0, pi] and doubled (the
-    integrand is symmetric under ``phi -> 2 pi - phi``). The qualified field
-    is treated as extending beyond the cell edge, so this is exact for
+    ``lam * exp(-theta (1 + r_d^2)) * integral_0^2pi I(r_jd, phi) dphi``,
+    read from one :class:`MassProfile` per call, so it keeps its relative
+    accuracy where the mass is tiny (low SNR). The qualified field is
+    treated as extending beyond the cell edge, so this is exact for
     ``r_jd <= cell_radius - dest_distance`` and a slight overcount closer to
     the rim.
 
-    Non-decreasing in ``r_jd`` and bounded by the total qualified mass
-    ``pi lam exp(-theta) / theta``.
+    Zero at 0, non-decreasing in ``r_jd`` and bounded by the total qualified
+    mass ``pi lam exp(-theta) / theta``.
     """
-    _require_alpha_two(cell, "lambda_prime")
-    _require_positive_theta(theta)
     upper = cell.cell_radius + cell.dest_distance
-    if not (0.0 <= r_jd <= upper * (1.0 + 1e-12)):
+    r_jd = np.asarray(r_jd, dtype=float)
+    # the profile clips its argument to [0, R + r_d]
+    if not np.all((r_jd >= 0.0) & (r_jd <= upper * (1.0 + 1e-12))):
         raise ValueError(f"r_jd must lie in [0, cell_radius + dest_distance] = [0, {upper}]")
-    if r_jd == 0.0:
-        return 0.0
-    r_d = cell.dest_distance
-    scale = -theta * (1.0 + r_d * r_d)
-
-    def integrand(phis: np.ndarray) -> np.ndarray:
-        return _inner_core(r_jd, phis, r_d, theta, scale)
-
-    val = 2.0 * cell.relay_intensity * integrate_1d(integrand, 0.0, math.pi, spec or _INNER_SPEC)
-    return max(val, 0.0)
+    profile = MassProfile(cell, theta)
+    mass = np.maximum(profile.cumulative_at(profile.density, r_jd), 0.0)
+    mass = np.where(r_jd > 0.0, mass, 0.0)
+    return float(mass) if mass.ndim == 0 else mass
 
 
 def _mass_density(r: np.ndarray, cell: CellGeometry, theta: float) -> np.ndarray:
@@ -288,11 +278,12 @@ class MassProfile:
     """The destination-view mean measure ``M(r)`` of the qualified field for
     one threshold ``theta``, on fixed spectral panels over [0, R + r_d].
 
-    ``M(r) = lambda_prime(r)``: the qualified field is taken to extend past
-    the cell edge, as in :func:`lambda_prime`. The density ``dM/dr`` is the
-    closed form of :func:`lambda_prime_derivative`, sampled at ``_CHEB_N``
-    Chebyshev points of the first kind per panel (open nodes, so ``r = 0``
-    is never one), and ``M`` is its per-panel spectral cumulative integral.
+    :func:`lambda_prime`, :func:`f_k_pdf` and the outages all read ``M``
+    here; the qualified field is taken to extend past the cell edge. The
+    density ``dM/dr`` is the closed form of :func:`lambda_prime_derivative`,
+    sampled at ``_CHEB_N`` Chebyshev points of the first kind per panel (open
+    nodes, so ``r = 0`` is never one), and ``M`` is its per-panel spectral
+    cumulative integral.
 
     Panel breakpoints: ``_UNIFORM_PANELS`` uniform panels; ``r_d + m /
     sqrt(theta)`` for ``m`` in ``_PEAK_OFFSETS``, which resolve the
@@ -415,16 +406,24 @@ def _cumulative(f: np.ndarray, half: np.ndarray) -> np.ndarray:
     return _offsets(f, half)[:-1, None] + half[:, None] * within
 
 
-def f_k_pdf(
-    r_jd: float,
-    k: int,
-    cell: CellGeometry,
-    theta: float,
-    form: str = "exact",
-    spec: QuadratureSpec | None = None,
-) -> float:
+def _order_densities(mass, density, r, k: int, form: str, weight=1.0) -> list:
+    """``weight * exp(-M) M^(j-1) / (j-1)!`` times ``dM/dr`` (``form="exact"``)
+    or ``2 M / r`` (``"quadratic"``), for ``j = 1 .. k``: the densities of the
+    distances to the j-th nearest points of a process with mean measure ``M``
+    (see :func:`f_k_pdf`), elementwise over the sample points."""
+    if form not in F_K_FORMS:
+        raise ValueError(f"form must be one of {F_K_FORMS}, got {form!r}")
+    term = weight * np.exp(-mass) * (density if form == "exact" else 2.0 * mass / r)
+    out = [term]
+    for j in range(1, k):
+        term = term * mass / j
+        out.append(term)
+    return out
+
+
+def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact"):
     """Density of the distance from the destination to the k-th nearest
-    qualified relay.
+    qualified relay, elementwise over ``r_jd``, from one :class:`MassProfile`.
 
     ``form="exact"``
         The order-statistic density of a point process with mean measure
@@ -445,23 +444,17 @@ def f_k_pdf(
         the tail. Kept selectable so the two variants can be compared
         against simulation.
     """
-    if form not in F_K_FORMS:
-        raise ValueError(f"form must be one of {F_K_FORMS}, got {form!r}")
     if not (isinstance(k, int) and k >= 1):
         raise ValueError("k must be an integer >= 1")
-    if not r_jd > 0:
+    r_jd = np.asarray(r_jd, dtype=float)
+    if not np.all(r_jd > 0):
         raise ValueError("r_jd must be > 0 (both variants are densities in the open half-line)")
-    mass = lambda_prime(r_jd, cell, theta, spec)
-    fact = math.factorial(k - 1)
-    if form == "quadratic":
-        return math.exp(-mass) * 2.0 * mass**k / (r_jd * fact)
-    deriv = lambda_prime_derivative(r_jd, cell, theta)
-    return math.exp(-mass) * mass ** (k - 1) / fact * deriv
+    mass = lambda_prime(r_jd, cell, theta)
+    out = _order_densities(mass, _mass_density(r_jd, cell, theta), r_jd, k, form)[-1]
+    return float(out) if out.ndim == 0 else out
 
 
-def kth_nearest_cdf(
-    x: float, k: int, cell: CellGeometry, theta: float, spec: QuadratureSpec | None = None
-) -> float:
+def kth_nearest_cdf(x: float, k: int, cell: CellGeometry, theta: float) -> float:
     """Probability of at least ``k`` qualified relays within ``x`` of the
     destination; the CDF matching ``f_k_pdf(form="exact")``.
 
@@ -471,22 +464,16 @@ def kth_nearest_cdf(
         raise ValueError("k must be an integer >= 1")
     if x <= 0.0:
         return 0.0
-    return poisson_tail(lambda_prime(x, cell, theta, spec), k)
+    return poisson_tail(lambda_prime(x, cell, theta), k)
 
 
 def _p_fail_ranks(profile: MassProfile, k: int, theta_second: float, form: str) -> list[float]:
     """:func:`p_fail_jth` for ``j = 1 .. k`` from one profile."""
-    if form not in F_K_FORMS:
-        raise ValueError(f"form must be one of {F_K_FORMS}, got {form!r}")
-    r, mass = profile.r, profile.M
-    # success probability at the destination times exp(-M) M^(j-1) / (j-1)!
-    # times dM/dr ("exact") or 2 M / r ("quadratic"); j = 1 first
-    term = np.exp(-theta_second * (1.0 + r * r)) * np.exp(-mass)
-    term = term * (profile.density if form == "exact" else 2.0 * mass / r)
+    r = profile.r
+    success = np.exp(-theta_second * (1.0 + r * r))  # at the destination
+    densities = _order_densities(profile.M, profile.density, r, k, form, weight=success)
     out = []
-    for j in range(1, k + 1):
-        if j > 1:
-            term = term * mass / (j - 1)
+    for j, term in enumerate(densities, start=1):
         p = 1.0 - profile.total(term)
         if p < -1e-9 or p > 1.0 + 1e-9:
             warnings.warn(
@@ -538,14 +525,58 @@ def outage_stat(
     approximation: the ranked distances share one realization, so the
     relays tend to fail together and the product runs low at high SNR
     (9-30% below simulation beyond ~15 dB at the default density).
-    :func:`relaygeom.validation.exact_ranked_outage` gives the outage
-    without the independence assumption.
+    :func:`exact_ranked_outage` gives the outage without the independence
+    assumption.
     """
     if not (isinstance(k, int) and k >= 1):
         raise ValueError("k must be an integer >= 1")
     thresholds = compute_thresholds(replace(radio, num_relays=k), first_hop)
     profile = MassProfile(cell, thresholds.theta_first)
     return math.prod(_p_fail_ranks(profile, k, thresholds.theta_second, form))
+
+
+def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float:
+    """Ranked-selection outage without the rank-independence assumption.
+
+    Mapping the qualified field to its destination distances gives a 1-d
+    process with mean measure ``M`` and intensity ``dM/dr``; with
+    ``q(r) = 1 - exp(-theta2 (1 + r^2))`` the per-relay failure and
+    ``G(z) = int_0^z q dM`` the failure-weighted mass, the fixed-frame
+    outage with ``k`` slots is exactly
+
+        O = e^(-M_inf) * sum_{j<k} G_inf^j / j!
+            + int q(z) e^(-M(z)) G(z)^(k-1)/(k-1)! dM(z)
+
+    (the first part covers trials with fewer than ``k`` qualified relays,
+    the second integrates over the k-th nearest distance). Its complement is
+
+        S = int (1 - q(z)) e^(-M(z)) sum_{j<k} G(z)^j / j! dM(z),
+
+    the chance that a relay succeeds at ``z`` with fewer than ``k`` closer
+    relays, all failed. Both are integrals on the first-hop threshold's
+    :class:`MassProfile`, and ``O / (O + S)`` is returned: the two add to 1
+    up to the profile's error, and the ratio lies in [0, 1] with relative
+    accuracy at both ends. This is the independent yardstick for how much
+    the product form :func:`outage_stat` loses to rank dependence.
+    """
+    thresholds = compute_thresholds(replace(radio, num_relays=k))
+    theta2 = thresholds.theta_second
+    profile = MassProfile(cell, thresholds.theta_first)
+    r = profile.r
+    fail = -np.expm1(-theta2 * (1.0 + r * r))
+    g = profile.cumulative(fail * profile.density)
+    g_inf = profile.total(fail * profile.density)
+    # after the loop: term = G^(k-1)/(k-1)!, partial = sum_{j<k} G^j/j!
+    term = np.ones_like(g)
+    partial = np.ones_like(g)
+    for j in range(1, k):
+        term = term * g / j
+        partial = partial + term
+    decay = np.exp(-profile.M) * profile.density
+    head = math.exp(-profile.total_mass) * sum(g_inf**j / math.factorial(j) for j in range(k))
+    outage = head + profile.total(fail * decay * term)
+    success = profile.total(np.exp(-theta2 * (1.0 + r * r)) * decay * partial)
+    return outage / (outage + success)
 
 
 def lambda_q_closed(cell: CellGeometry, theta: float) -> float:
@@ -568,9 +599,7 @@ def lambda_q_closed(cell: CellGeometry, theta: float) -> float:
     )
 
 
-def lambda_q_quadrature(
-    cell: CellGeometry, theta: float, spec: QuadratureSpec | None = None
-) -> float:
+def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
     """Finite-cell mean number of relays decodable by both endpoints.
 
     ``integral_cell lam exp(-theta (1 + r^a)) exp(-theta (1 + r_jd^a)) dw``
@@ -593,7 +622,7 @@ def lambda_q_quadrature(
         def closed(phis: np.ndarray) -> np.ndarray:
             return lam * _inner_core(big_r, phis, 0.5 * r_d, 2.0 * theta, scale)
 
-        return 2.0 * integrate_1d(closed, 0.0, math.pi, spec or DEFAULT_SPEC)
+        return 2.0 * integrate_1d(closed, 0.0, math.pi, DEFAULT_SPEC)
     half = 0.5 * alpha
 
     def radial(phi: float) -> float:
@@ -609,14 +638,11 @@ def lambda_q_quadrature(
     def outer(phis: np.ndarray) -> np.ndarray:
         return np.array([radial(float(p)) for p in phis])
 
-    return 2.0 * integrate_1d(outer, 0.0, math.pi, spec or DEFAULT_SPEC)
+    return 2.0 * integrate_1d(outer, 0.0, math.pi, DEFAULT_SPEC)
 
 
 def outage_exact_csi(
-    cell: CellGeometry,
-    radio: RadioParams,
-    lambda_q: str = "quadrature",
-    spec: QuadratureSpec | None = None,
+    cell: CellGeometry, radio: RadioParams, lambda_q: str = "quadrature"
 ) -> float:
     """Outage probability when relays know their instantaneous channels.
 
@@ -637,7 +663,7 @@ def outage_exact_csi(
     if lambda_q == "closed":
         mass = lambda_q_closed(cell, theta)
     else:
-        mass = lambda_q_quadrature(cell, theta, spec)
+        mass = lambda_q_quadrature(cell, theta)
     return math.exp(-mass)
 
 

@@ -145,31 +145,25 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     if not (math.isfinite(rate) and rate > 0):
         raise ConfigError("rate must be finite and > 0")
 
-    try:
-        grid = tuple(float(s) for s in data["snr_grid_db"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"snr_grid_db must be a sequence of numbers: {exc}") from exc
+    grid = tuple(_listed(data, "snr_grid_db", float))
     if not grid:
         raise ConfigError("snr_grid_db must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("snr_grid_db must be strictly increasing")
 
-    strategies = tuple(data["strategies"])
+    strategies = tuple(_listed(data, "strategies", str))
     if not strategies or any(s not in STRATEGIES for s in strategies):
         raise ConfigError(f"strategies must be a nonempty subset of {STRATEGIES}")
     strategies = tuple(s for s in STRATEGIES if s in strategies)  # canonical order
 
-    try:
-        k_values = tuple(sorted({int(k) for k in data["k_values"]}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"k_values must be integers: {exc}") from exc
+    k_values = tuple(sorted(set(_listed(data, "k_values", _integer_item))))
     if "stat" in strategies and (not k_values or any(k < 1 for k in k_values)):
         raise ConfigError("k_values must be a nonempty set of integers >= 1 when 'stat' is selected")
 
-    trials = _integer(data, "trials")
+    trials = _integer(data["trials"], "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    seed = _integer(data, "seed")
+    seed = _integer(data["seed"], "seed")
     if data["fk_form"] not in F_K_FORMS:
         raise ConfigError(f"fk_form must be one of {F_K_FORMS}")
     if data["first_hop_threshold"] not in FIRST_HOP_RULES:
@@ -190,10 +184,28 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
     )
 
 
-def _integer(data: dict, key: str) -> int:
-    """``data[key]`` as an int; integral finite floats (``1e5`` in JSON) pass,
-    while bools, fractions, NaN, infinities and non-numbers are refused."""
+def _listed(data: dict, key: str, parse) -> list:
+    """Setting ``key`` as a list of ``parse(item)``; a string (a flag's value)
+    is split at commas first. A non-list, or an item that ``parse`` refuses,
+    is a :class:`ConfigError` naming ``key``."""
     value = data[key]
+    items = [v.strip() for v in value.split(",")] if isinstance(value, str) else value
+    try:
+        return [parse(item) for item in items]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
+def _integer_item(value) -> int:
+    """A list entry under the :func:`_integer` rule; text (from a flag) is
+    read as a decimal integer first."""
+    return _integer(int(value) if isinstance(value, str) else value, "entry")
+
+
+def _integer(value, key: str) -> int:
+    """``value`` of setting ``key`` as an int; integral finite floats (``1e5``
+    in JSON) pass, while bools, fractions, NaN, infinities and non-numbers
+    are refused."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integral and not (
         isinstance(value, float) and math.isfinite(value) and value.is_integer()
@@ -501,18 +513,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    out: dict = {}
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key in ("snr_grid_db",) and isinstance(value, str):
-            value = tuple(float(v) for v in value.split(","))
-        if key in ("strategies", "k_values") and isinstance(value, str):
-            parts = tuple(v.strip() for v in value.split(","))
-            value = tuple(int(v) for v in parts) if key == "k_values" else parts
-        out[key] = value
-    return out
+    # parse_config skips the None of a flag not given and splits list flags
+    return {key: getattr(args, key, None) for key in DEFAULTS}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic, montecarlo
+from .analytic import exact_ranked_outage
 from .model import CellGeometry, RadioParams, compute_thresholds
 from .quadrature import QuadratureSpec, integrate_1d
 
@@ -226,51 +227,6 @@ def check_exact_csi_outage(
 # criterion 4: ranked-selection outage, Monte Carlo vs product form
 # ----------------------------------------------------------------------
 
-def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float:
-    """Ranked-selection outage without the rank-independence assumption.
-
-    Mapping the qualified field to its destination distances gives a 1-d
-    process with mean measure ``M`` and intensity ``dM/dr``; with
-    ``q(r) = 1 - exp(-theta2 (1 + r^2))`` the per-relay failure and
-    ``G(z) = int_0^z q dM`` the failure-weighted mass, the fixed-frame
-    outage with ``k`` slots is exactly
-
-        O = e^(-M_inf) * sum_{j<k} G_inf^j / j!
-            + int q(z) e^(-M(z)) G(z)^(k-1)/(k-1)! dM(z)
-
-    (the first part covers trials with fewer than ``k`` qualified relays,
-    the second integrates over the k-th nearest distance). Its complement is
-
-        S = int (1 - q(z)) e^(-M(z)) sum_{j<k} G(z)^j / j! dM(z),
-
-    the chance that a relay succeeds at ``z`` with fewer than ``k`` closer
-    relays, all failed. Both are integrals on the first-hop threshold's
-    :class:`~relaygeom.analytic.MassProfile`, and ``O / (O + S)`` is
-    returned: the two add to 1 up to the profile's error, and the ratio
-    lies in [0, 1] with relative accuracy at both ends. This is the
-    independent yardstick for how much the product form loses to rank
-    dependence.
-    """
-    thresholds = compute_thresholds(replace(radio, num_relays=k))
-    theta2 = thresholds.theta_second
-    profile = analytic.MassProfile(cell, thresholds.theta_first)
-    r = profile.r
-    fail = -np.expm1(-theta2 * (1.0 + r * r))
-    g = profile.cumulative(fail * profile.density)
-    g_inf = profile.total(fail * profile.density)
-    # after the loop: term = G^(k-1)/(k-1)!, partial = sum_{j<k} G^j/j!
-    term = np.ones_like(g)
-    partial = np.ones_like(g)
-    for j in range(1, k):
-        term = term * g / j
-        partial = partial + term
-    decay = np.exp(-profile.M) * profile.density
-    head = math.exp(-profile.total_mass) * sum(g_inf**j / math.factorial(j) for j in range(k))
-    outage = head + profile.total(fail * decay * term)
-    success = profile.total(np.exp(-theta2 * (1.0 + r * r)) * decay * partial)
-    return outage / (outage + success)
-
-
 def check_stat_csi_outage(
     trials: int = 100_000,
     seed: int = DEFAULT_SEED,
@@ -400,6 +356,9 @@ def check_fk_distribution(
     cell = DEFAULT_CELL
     draws = montecarlo.kth_nearest_qualified_distances(cell, theta, k_max, samples, seed)
     profile = analytic.MassProfile(cell, theta)
+    quadratic = analytic._order_densities(
+        profile.M, profile.density, profile.r, k_max, "quadratic"
+    )
     crit = _KS_CRIT_1PCT / math.sqrt(samples)
     details = [f"critical value {crit:.5f} (1% level, n={samples})"]
     passed = True
@@ -410,8 +369,7 @@ def check_fk_distribution(
             finite, cdf_exact, analytic.poisson_tail(profile.total_mass, k), samples
         )
         # Quadratic-growth variant: its density integrated on the profile.
-        mass = profile.M
-        dens = np.exp(-mass) * 2.0 * mass**k / (profile.r * math.factorial(k - 1))
+        dens = quadratic[k - 1]
         ks_quad = _ks_statistic(
             finite, profile.cumulative_at(dens, finite), profile.total(dens), samples
         )
@@ -439,7 +397,7 @@ def check_mean_count_curves(
     upper = cell.cell_radius + cell.dest_distance
     grid = [i * 1.0 for i in range(int(upper) + 1)]
     an_bs = [analytic.mean_count_from_bs(r, cell.relay_intensity, theta) for r in grid]
-    an_dest = [analytic.lambda_prime(r, cell, theta) for r in grid]
+    an_dest = analytic.lambda_prime(np.array(grid), cell, theta)
     emp_bs = montecarlo.empirical_mean_count("bs", grid, cell, theta, trials, seed, workers=workers)
     emp_dest = montecarlo.empirical_mean_count(
         "dest", grid, cell, theta, trials, seed, workers=workers
@@ -478,9 +436,27 @@ def check_mean_count_curves(
 # criterion 8: nearest-distance density integrates to the void probability
 # ----------------------------------------------------------------------
 
+def _angular_mass(r_jd: float, cell: CellGeometry, theta: float) -> float:
+    """Oracle for the destination-view mean measure ``M(r_jd)``, independent
+    of :class:`~relaygeom.analytic.MassProfile`: the closed radial slice
+    :func:`~relaygeom.analytic.inner_integral_I` (its scaled core, so nothing
+    overflows) integrated adaptively over the bearing on [0, pi], doubled.
+    Its absolute tolerance of 1e-13 costs relative accuracy at low SNR.
+    """
+    r_d = cell.dest_distance
+    scale = -theta * (1.0 + r_d * r_d)
+
+    def integrand(phis: np.ndarray) -> np.ndarray:
+        return analytic._inner_core(r_jd, phis, r_d, theta, scale)
+
+    val = integrate_1d(integrand, 0.0, math.pi, analytic._INNER_SPEC)
+    return max(2.0 * cell.relay_intensity * val, 0.0)
+
+
 def check_normalization(tol: float = 1e-6) -> CheckResult:
     """The exact nearest-distance density integrated to x must equal
-    1 - exp(-mass(x)) within 1e-6 at x = 1, 5 and the far edge."""
+    1 - exp(-mass(x)) within 1e-6 at x = 1, 5 and the far edge; the density
+    reads the mass profile, the mass is the oracle :func:`_angular_mass`."""
     t0 = time.perf_counter()
     cell = DEFAULT_CELL
     theta = compute_thresholds(
@@ -488,15 +464,10 @@ def check_normalization(tol: float = 1e-6) -> CheckResult:
     ).theta_first
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=512)
 
-    def density(rs: np.ndarray) -> np.ndarray:
-        return np.array(
-            [0.0 if r <= 0 else analytic.f_k_pdf(float(r), 1, cell, theta, "exact") for r in rs]
-        )
-
     worst = 0.0
     for x in (1.0, 5.0, cell.cell_radius + cell.dest_distance):
-        integral = integrate_1d(density, 0.0, x, spec)
-        target = 1.0 - math.exp(-analytic.lambda_prime(x, cell, theta))
+        integral = integrate_1d(lambda rs: analytic.f_k_pdf(rs, 1, cell, theta), 0.0, x, spec)
+        target = 1.0 - math.exp(-_angular_mass(x, cell, theta))
         worst = max(worst, abs(integral - target))
     return _finish(
         "nearest_distance_normalization",

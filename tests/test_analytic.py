@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaygeom import analytic
+from relaygeom import analytic, validation
 from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from relaygeom.quadrature import QuadratureError, QuadratureSpec, integrate_1d
 
@@ -106,6 +106,15 @@ class TestLambdaPrime:
         b = analytic.lambda_prime(7.3, default_cell, 0.17)
         assert a == b
 
+    @pytest.mark.parametrize("theta", [30.0, 300.0])
+    def test_plane_total_at_low_snr(self, default_cell, theta):
+        # at these thresholds every qualified relay sits near the source, well
+        # inside R + r_d of the destination, so M there is the plane total of
+        # ~1e-15 and ~1e-133; an absolute quadrature tolerance loses it
+        total = total_qualified_mass(default_cell.relay_intensity, theta)
+        mass = analytic.lambda_prime(25.0, default_cell, theta)
+        assert mass == pytest.approx(total, rel=1e-8, abs=0.0)
+
     @pytest.mark.parametrize("snr_db", [-20.0, -30.0])
     def test_finite_at_large_theta(self, default_cell, snr_db):
         # theta = 300 and 3000: exp(-theta (1 + r_d^2)) underflows while the
@@ -168,12 +177,14 @@ class TestMassProfile:
         ],
     )
     def test_mass_matches_lambda_prime(self, cell, theta):
+        # against validation's angular quadrature of the closed radial slice,
+        # the mass implementation independent of the profile
         prof = analytic.MassProfile(cell, theta)
         upper = cell.cell_radius + cell.dest_distance
-        m_total = analytic.lambda_prime(upper, cell, theta)
+        m_total = validation._angular_mass(upper, cell, theta)
         assert prof.total_mass == pytest.approx(m_total, rel=1e-10)
         for r, m in zip(prof.r.ravel()[::5], prof.M.ravel()[::5]):
-            ref = analytic.lambda_prime(float(r), cell, theta)
+            ref = validation._angular_mass(float(r), cell, theta)
             if ref >= 1e-12 * m_total:
                 assert m == pytest.approx(ref, rel=1e-10)
             else:
@@ -264,17 +275,30 @@ class TestFkPdf:
         k = 2
 
         def density(rs):
-            return np.array(
-                [
-                    0.0 if r <= 0 else analytic.f_k_pdf(float(r), k, default_cell, theta)
-                    for r in rs
-                ]
-            )
+            return analytic.f_k_pdf(rs, k, default_cell, theta)
 
         integral = integrate_1d(density, 0.0, 5.0, QuadratureSpec(1e-10, 1e-9, 512))
         assert integral == pytest.approx(
             analytic.kth_nearest_cdf(5.0, k, default_cell, theta), abs=1e-6
         )
+
+    @pytest.mark.parametrize("form", ["exact", "quadratic"])
+    def test_array_matches_scalar_calls(self, default_cell, form):
+        rs = np.array([0.3, 2.0, 5.0, 11.0, 25.0])
+        batch = analytic.f_k_pdf(rs, 3, default_cell, 0.2, form)
+        assert batch.shape == rs.shape
+        for r, val in zip(rs, batch):
+            assert analytic.f_k_pdf(float(r), 3, default_cell, 0.2, form) == val
+
+    def test_rejects_distances_past_the_far_edge(self, default_cell):
+        # the mass profile clips its argument to [0, R + r_d]; the callers may not
+        for x in (25.001, 26.0, math.inf):
+            with pytest.raises(ValueError, match="cell_radius"):
+                analytic.kth_nearest_cdf(x, 1, default_cell, 0.1)
+            with pytest.raises(ValueError, match="cell_radius"):
+                analytic.f_k_pdf(x, 1, default_cell, 0.1)
+            with pytest.raises(ValueError, match="cell_radius"):
+                analytic.f_k_pdf(np.array([1.0, x]), 1, default_cell, 0.1)
 
     def test_validation(self, default_cell):
         with pytest.raises(ValueError):

@@ -68,6 +68,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="k_values"):
             parse_config(overrides={"k_values": (0,), "strategies": ("stat",)})
 
+    def test_k_values_refuse_non_integers(self, tmp_path):
+        # each entry takes the integer rule of trials/seed instead of int()
+        path = tmp_path / "cfg.json"
+        path.write_text('{"k_values": [2.7, true]}')
+        with pytest.raises(ConfigError, match="k_values"):
+            parse_config(str(path))
+
+    def test_list_settings_split_comma_strings(self):
+        config = parse_config(
+            overrides={"snr_grid_db": "5, 10", "strategies": "stat,exact", "k_values": "3, 1"}
+        )
+        assert config.snr_grid_db == (5.0, 10.0)
+        assert config.strategies == ("exact", "stat")
+        assert config.k_values == (1, 3)
+
     def test_cell_invariants_reported(self):
         with pytest.raises(ConfigError, match="relay_intensity"):
             parse_config(overrides={"relay_intensity": -1.0})
@@ -293,6 +308,15 @@ class TestMainEntry:
         rc = cli.main(["outage-sweep", "--snr-grid-db", "5,3", "--trials", "2"])
         assert rc == 1
         assert "snr_grid_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--k-values", "1.5", "k_values"), ("--snr-grid-db", "5,x", "snr_grid_db")],
+    )
+    def test_malformed_list_flag_exit_code(self, flag, value, key, capsys):
+        # a configuration error (exit 1), not a runtime error (exit 2)
+        assert cli.main(["outage-sweep", flag, value, "--trials", "2"]) == 1
+        assert key in capsys.readouterr().err
 
     def test_row_error_exit_code(self, tmp_path, capsys):
         rc = cli.main(

@@ -1,7 +1,7 @@
 """Statistical-knowledge outage over the configuration space.
 
 The product form (:func:`relaygeom.analytic.outage_stat`) and the
-rank-joint outage (:func:`relaygeom.validation.exact_ranked_outage`) must be
+rank-joint outage (:func:`relaygeom.analytic.exact_ranked_outage`) must be
 probabilities, must not rise with SNR at a fixed number of relays, and must
 raise nothing, the mass profile's own accuracy check included, well beyond
 the desk scenario.
@@ -12,10 +12,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaygeom import analytic, validation
+from relaygeom import analytic
 from relaygeom.model import CellGeometry, RadioParams
 
-OUTAGES = {"product": analytic.outage_stat, "rank_joint": validation.exact_ranked_outage}
+OUTAGES = {"product": analytic.outage_stat, "rank_joint": analytic.exact_ranked_outage}
 #: Allowed rise with SNR, for rounding where the curve is flat at 1.
 MONOTONE_SLACK = 1e-9
 
@@ -44,7 +44,7 @@ def test_extreme_snr(default_cell, name, k):
 def test_rank_joint_is_a_probability_on_the_gate_grid(default_cell, k):
     # the rank-joint value feeds binomial_consistent, which rejects p > 1
     grid = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    vals = _curve(validation.exact_ranked_outage, k, default_cell, grid)
+    vals = _curve(analytic.exact_ranked_outage, k, default_cell, grid)
     assert all(0.0 <= v <= 1.0 for v in vals), vals
 
 
