@@ -39,7 +39,7 @@ import numpy as np
 
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate_1d
-from .specials import erf, erfc, erfcx, i0e  # noqa: F401  (erf/erfc re-exported as public API)
+from .specials import erfcx, i0e
 
 #: Variants of the k-th-nearest distance density, see :func:`f_k_pdf`.
 F_K_FORMS = ("exact", "quadratic")
@@ -667,24 +667,29 @@ def outage_exact_csi(
     return math.exp(-mass)
 
 
-def mean_count_from_bs(r: float, relay_intensity: float, theta: float) -> float:
+def mean_count_from_bs(
+    r: float, relay_intensity: float, theta: float, cell_radius: float = math.inf
+) -> float:
     """Expected number of qualified relays within ``r`` of the source.
 
     Seen from the source the thinned field is isotropic and the mean measure
-    is closed: ``pi lam / theta * exp(-theta) * (1 - exp(-theta r^2))``.
-    Assumes squared-distance attenuation (the ``path_loss_exponent == 2``
-    regime of the closed forms). Coincides with :func:`lambda_prime` when
-    the destination sits at the source.
+    is closed: ``pi lam / theta * exp(-theta) * (1 - exp(-theta rho^2))``
+    with ``rho = min(r, cell_radius)``, since no relay lies outside the cell
+    (the default ``inf`` counts over the whole plane). Assumes
+    squared-distance attenuation (the ``path_loss_exponent == 2`` regime of
+    the closed forms). Coincides with :func:`lambda_prime` when the
+    destination sits at the source.
     """
     _require_positive_theta(theta)
     if not (math.isfinite(r) and r >= 0):
         raise ValueError("r must be finite and >= 0")
     if not relay_intensity > 0:
         raise ValueError("relay_intensity must be > 0")
+    rho = min(r, cell_radius)
     return (
         math.pi
         * relay_intensity
         / theta
         * math.exp(-theta)
-        * (1.0 - math.exp(-theta * r * r))
+        * (1.0 - math.exp(-theta * rho * rho))
     )

@@ -15,9 +15,16 @@ Subcommands
     Compare the two k-th-nearest-distance density variants against sampled
     distances (KS statistic per k).
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/numerical error
-(including any row of a sweep failing). Output files are byte-reproducible
-for a fixed configuration and seed, independent of ``RELAYGEOM_THREADS``.
+Every configuration key is listed once, in :data:`DEFAULTS`, and the first
+two subcommands get one flag per key they read. :func:`parse_config` is the
+only reader and checker of settings: a flag's text means what the same text
+means in the JSON file (``--trials 1e5`` passes, ``--trials 1.5`` does not).
+Both row types are written by :func:`write_csv`, headed by their field names.
+
+Exit codes: 0 success, 1 configuration error (a malformed setting, from a
+flag or the file), 2 runtime/numerical error (including any row of a sweep
+failing). Output files are byte-reproducible for a fixed configuration and
+seed, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from typing import ClassVar
 
 from . import validation
 from .analytic import F_K_FORMS, lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
@@ -54,8 +62,14 @@ DEFAULTS: dict = {
     "svg": None,
 }
 
-CSV_HEADER = "snr_db,strategy,k,p_analytic,p_mc,stderr_mc,trials,error"
-MEAN_COUNT_HEADER = "observer,radius,analytic,empirical,stderr_empirical,trials,error"
+_CELL_KEYS = ("cell_radius", "dest_distance", "relay_intensity", "path_loss_exponent")
+
+#: Per configuration command: the defaults :func:`parse_config` starts from
+#: and the keys that get a flag. ``mean-count`` runs 4000 trials by default.
+_COMMAND_SETTINGS = {
+    "outage-sweep": (DEFAULTS, tuple(DEFAULTS)),
+    "mean-count": ({**DEFAULTS, "trials": 4000}, _CELL_KEYS + ("rate", "trials", "seed", "csv")),
+}
 
 
 class ConfigError(ValueError):
@@ -83,6 +97,7 @@ class SweepConfig:
 class SweepRow:
     """One (snr, strategy, k) record pairing analytic and empirical outage."""
 
+    command: ClassVar[str] = "outage-sweep"
     snr_db: float
     strategy: str
     k: int
@@ -95,6 +110,9 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class MeanCountRow:
+    """One (observer, radius) record pairing analytic and empirical mean count."""
+
+    command: ClassVar[str] = "mean-count"
     observer: str
     radius: float
     analytic: float | None
@@ -104,13 +122,21 @@ class MeanCountRow:
     error: str = ""
 
 
-def parse_config(path: str | None = None, overrides: dict | None = None) -> SweepConfig:
-    """Merge defaults, an optional JSON file and flag overrides, then validate.
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
-    Precedence: flags > file > defaults. Unknown keys are rejected and every
-    invariant violation is reported with the field name.
+
+def parse_config(
+    path: str | None = None, overrides: dict | None = None, defaults: dict = DEFAULTS
+) -> SweepConfig:
+    """Merge ``defaults``, an optional JSON file and flag overrides, then validate.
+
+    Precedence: flags > file > defaults. An override holds what the file
+    would (a flag's text is first read by :func:`_flag_value`); ``None`` is a
+    flag not given. A list setting also takes a comma-separated string. Unknown
+    keys are rejected, and every malformed value is a :class:`ConfigError`
+    naming its key.
     """
-    data = dict(DEFAULTS)
+    data = dict(defaults)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -121,53 +147,36 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
-        for key in loaded:
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key: {key}")
-        data.update(loaded)
-    for key, value in (overrides or {}).items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
-        if value is not None:
-            data[key] = value
+        data.update(_known(loaded))
+    data.update({key: v for key, v in _known(overrides or {}).items() if v is not None})
 
-    try:
-        cell = CellGeometry(
-            cell_radius=float(data["cell_radius"]),
-            dest_distance=float(data["dest_distance"]),
-            relay_intensity=float(data["relay_intensity"]),
-            path_loss_exponent=float(data["path_loss_exponent"]),
-        )
-    except (TypeError, ValueError) as exc:
+    try:  # a ConfigError from _number passes through with its message
+        cell = CellGeometry(**{key: _number(data[key], key) for key in _CELL_KEYS})
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    rate = float(data["rate"])
-    if not (math.isfinite(rate) and rate > 0):
-        raise ConfigError("rate must be finite and > 0")
+    rate = _number(data["rate"], "rate")
+    if not rate > 0:
+        raise ConfigError("rate must be > 0")
 
-    grid = tuple(_listed(data, "snr_grid_db", float))
+    grid = tuple(_listed(data, "snr_grid_db", _number))
     if not grid:
         raise ConfigError("snr_grid_db must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("snr_grid_db must be strictly increasing")
 
-    strategies = tuple(_listed(data, "strategies", str))
-    if not strategies or any(s not in STRATEGIES for s in strategies):
+    chosen = _listed(data, "strategies", lambda s, key: _choice(s, key, STRATEGIES))
+    if not chosen:
         raise ConfigError(f"strategies must be a nonempty subset of {STRATEGIES}")
-    strategies = tuple(s for s in STRATEGIES if s in strategies)  # canonical order
+    strategies = tuple(s for s in STRATEGIES if s in chosen)  # canonical order
 
-    k_values = tuple(sorted(set(_listed(data, "k_values", _integer_item))))
+    k_values = tuple(sorted(set(_listed(data, "k_values", _integer))))
     if "stat" in strategies and (not k_values or any(k < 1 for k in k_values)):
         raise ConfigError("k_values must be a nonempty set of integers >= 1 when 'stat' is selected")
 
     trials = _integer(data["trials"], "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    seed = _integer(data["seed"], "seed")
-    if data["fk_form"] not in F_K_FORMS:
-        raise ConfigError(f"fk_form must be one of {F_K_FORMS}")
-    if data["first_hop_threshold"] not in FIRST_HOP_RULES:
-        raise ConfigError(f"first_hop_threshold must be one of {FIRST_HOP_RULES}")
 
     return SweepConfig(
         cell=cell,
@@ -176,30 +185,50 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Swee
         strategies=strategies,
         k_values=k_values,
         trials=trials,
-        seed=seed,
-        fk_form=str(data["fk_form"]),
-        first_hop_threshold=str(data["first_hop_threshold"]),
-        csv=data["csv"],
-        svg=data["svg"],
+        seed=_integer(data["seed"], "seed"),
+        fk_form=_choice(data["fk_form"], "fk_form", F_K_FORMS),
+        first_hop_threshold=_choice(data["first_hop_threshold"], "first_hop_threshold", FIRST_HOP_RULES),
+        csv=_path(data["csv"], "csv"),
+        svg=_path(data["svg"], "svg"),
     )
 
 
-def _listed(data: dict, key: str, parse) -> list:
-    """Setting ``key`` as a list of ``parse(item)``; a string (a flag's value)
-    is split at commas first. A non-list, or an item that ``parse`` refuses,
-    is a :class:`ConfigError` naming ``key``."""
-    value = data[key]
-    items = [v.strip() for v in value.split(",")] if isinstance(value, str) else value
+def _known(settings: dict) -> dict:
+    for key in settings:
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config key: {key}")
+    return settings
+
+
+def _literal(text: str):
+    """``text`` read as a JSON literal (``1e5``, ``true``), or the text itself
+    where it is none or is ``null`` (an override of None means "not given");
+    the setting's own rule then accepts or refuses it."""
     try:
-        return [parse(item) for item in items]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key}: {exc}") from exc
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return text if value is None else value
 
 
-def _integer_item(value) -> int:
-    """A list entry under the :func:`_integer` rule; text (from a flag) is
-    read as a decimal integer first."""
-    return _integer(int(value) if isinstance(value, str) else value, "entry")
+def _listed(data: dict, key: str, item) -> list:
+    """Setting ``key`` as a list of ``item(entry, key)``; a string is split at
+    commas and each piece read by :func:`_literal`."""
+    value = data[key]
+    if isinstance(value, str):
+        value = [_literal(piece.strip()) for piece in value.split(",")]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return [item(entry, key) for entry in value]
+
+
+def _number(value, key: str) -> float:
+    """``value`` of setting ``key`` as a float; a finite JSON number passes,
+    while bools, strings, null and non-finite numbers are refused."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):  # NaN and ints beyond a float fail too
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, key: str) -> int:
@@ -212,6 +241,18 @@ def _integer(value, key: str) -> int:
     ):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _choice(value, key: str, options: tuple[str, ...]) -> str:
+    if not (isinstance(value, str) and value in options):
+        raise ConfigError(f"{key} must be one of {options}, got {value!r}")
+    return value
+
+
+def _path(value, key: str) -> str | None:
+    if not (value is None or isinstance(value, str)):
+        raise ConfigError(f"{key} must be a path string or null, got {value!r}")
+    return value
 
 
 def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepRow]:
@@ -264,15 +305,15 @@ def run_mean_count(
     config: SweepConfig,
     radii: list[float],
     snr_db: float = 15.0,
-    trials: int | None = None,
     workers: int | None = None,
 ) -> list[MeanCountRow]:
-    """Mean-count curves from both observers over a radius grid.
+    """Mean-count curves from both observers over a radius grid, each
+    averaged over ``config.trials`` realizations.
 
     The qualification threshold is the single-relay one at ``snr_db`` and
     ``config.rate``. Rows are ordered by observer ("bs" first), then radius.
     """
-    trials = config.trials if trials is None else trials
+    cell, lam, trials = config.cell, config.cell.relay_intensity, config.trials
     theta = compute_thresholds(
         RadioParams(snr_db=snr_db, target_rate=config.rate, num_relays=1)
     ).theta_first
@@ -280,7 +321,7 @@ def run_mean_count(
     for observer in ("bs", "dest"):
         try:
             empirical = empirical_mean_count(
-                observer, radii, config.cell, theta, trials, config.seed, workers=workers
+                observer, radii, cell, theta, trials, config.seed, workers=workers
             )
         except Exception as exc:  # noqa: BLE001
             rows.extend(
@@ -290,9 +331,9 @@ def run_mean_count(
         for point in empirical:
             try:
                 if observer == "bs":
-                    an = mean_count_from_bs(point.radius, config.cell.relay_intensity, theta)
+                    an = mean_count_from_bs(point.radius, lam, theta, cell_radius=cell.cell_radius)
                 else:
-                    an = lambda_prime(point.radius, config.cell, theta)
+                    an = lambda_prime(point.radius, cell, theta)
                 rows.append(
                     MeanCountRow(observer, point.radius, an, point.mean, point.stderr, trials)
                 )
@@ -303,27 +344,34 @@ def run_mean_count(
     return rows
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else "%.10e" % value
+def _field(value) -> str:
+    """One CSV field: empty when missing, %.10e for a float, an integer as
+    is, and text with its commas and line breaks replaced."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ").replace("\r", " ")
+    if isinstance(value, numbers.Integral):
+        return str(value)
+    return "%.10e" % value
 
 
-def _sanitize(text: str) -> str:
-    return text.replace(",", ";").replace("\n", " ").replace("\r", " ")
-
-
-def _metadata_lines(config: SweepConfig, command: str) -> list[str]:
-    return [
-        f"# relaygeom {command}",
-        f"# cell_radius = {_fmt(config.cell.cell_radius)}",
-        f"# dest_distance = {_fmt(config.cell.dest_distance)}",
-        f"# relay_intensity = {_fmt(config.cell.relay_intensity)}",
-        f"# path_loss_exponent = {_fmt(config.cell.path_loss_exponent)}",
-        f"# rate = {_fmt(config.rate)}",
+def _csv_lines(rows: list, config: SweepConfig | None) -> list[str]:
+    if not rows:
+        raise ValueError("refusing to write CSV without rows")
+    kind = type(rows[0])
+    lines = [] if config is None else [
+        f"# relaygeom {kind.command}",
+        *(f"# {key} = {_field(getattr(config.cell, key))}" for key in _CELL_KEYS),
+        f"# rate = {_field(config.rate)}",
         f"# trials = {config.trials}",
         f"# seed = {config.seed}",
         f"# fk_form = {config.fk_form}",
         f"# first_hop_threshold = {config.first_hop_threshold}",
     ]
+    lines.append(",".join(f.name for f in fields(kind)))
+    lines.extend(",".join(map(_field, astuple(r))) for r in rows)
+    return lines
 
 
 def _write_lines(lines: list[str], path: str) -> None:
@@ -334,59 +382,26 @@ def _write_lines(lines: list[str], path: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _sweep_line(r: SweepRow) -> str:
-    return ",".join(
-        [
-            _fmt(r.snr_db),
-            r.strategy,
-            str(r.k),
-            _fmt(r.p_analytic),
-            _fmt(r.p_mc),
-            _fmt(r.stderr_mc),
-            str(r.trials),
-            _sanitize(r.error),
-        ]
-    )
-
-
-def _mean_count_line(r: MeanCountRow) -> str:
-    return ",".join(
-        [
-            r.observer,
-            _fmt(r.radius),
-            _fmt(r.analytic),
-            _fmt(r.empirical),
-            _fmt(r.stderr_empirical),
-            str(r.trials),
-            _sanitize(r.error),
-        ]
-    )
-
-
-def write_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None) -> None:
-    """Write sweep rows as CSV: fixed header, %.10e floats, LF endings.
+def write_csv(
+    rows: list[SweepRow] | list[MeanCountRow], path: str, config: SweepConfig | None = None
+) -> None:
+    """Write sweep or mean-count rows as CSV: the row's field names as the
+    header, %.10e floats, LF endings.
 
     Byte-reproducible for identical rows; refuses empty input (no file is
     created). Metadata comment lines carry the configuration when given.
     """
-    if not rows:
-        raise ValueError("refusing to write CSV without rows")
-    lines = _metadata_lines(config, "outage-sweep") if config is not None else []
-    lines.append(CSV_HEADER)
-    lines.extend(_sweep_line(r) for r in rows)
-    _write_lines(lines, path)
+    _write_lines(_csv_lines(rows, config), path)
 
 
-def write_mean_count_csv(
-    rows: list[MeanCountRow], path: str, config: SweepConfig | None = None
-) -> None:
-    """CSV writer for mean-count rows; same conventions as :func:`write_csv`."""
-    if not rows:
-        raise ValueError("refusing to write CSV without rows")
-    lines = _metadata_lines(config, "mean-count") if config is not None else []
-    lines.append(MEAN_COUNT_HEADER)
-    lines.extend(_mean_count_line(r) for r in rows)
-    _write_lines(lines, path)
+def _emit(rows: list, config: SweepConfig) -> int:
+    """Send rows to ``config.csv`` (with metadata) or to stdout (without);
+    the exit code is 2 when some row recorded an error."""
+    if config.csv:
+        write_csv(rows, config.csv, config)
+    else:
+        print("\n".join(_csv_lines(rows, None)))
+    return 0 if all(not r.error for r in rows) else 2
 
 
 _SVG_COLORS = ("#1b6ca8", "#c03221", "#2e7d32", "#7b1fa2", "#e65100", "#455a64")
@@ -483,28 +498,15 @@ def write_svg(rows: list[SweepRow], path: str) -> None:
 # argument parsing and dispatch
 # ----------------------------------------------------------------------
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """``--config`` and one flag per key ``command`` reads; each flag keeps its
+    text for :func:`parse_config`, the one checker of settings."""
+    defaults, keys = _COMMAND_SETTINGS[command]
     parser.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    parser.add_argument("--cell-radius", type=float, dest="cell_radius")
-    parser.add_argument("--dest-distance", type=float, dest="dest_distance")
-    parser.add_argument("--relay-intensity", type=float, dest="relay_intensity")
-    parser.add_argument("--path-loss-exponent", type=float, dest="path_loss_exponent")
-    parser.add_argument("--rate", type=float)
-    parser.add_argument(
-        "--snr-grid-db",
-        dest="snr_grid_db",
-        help="comma-separated SNR grid in dB, strictly increasing",
-    )
-    parser.add_argument("--strategies", help="comma-separated subset of exact,stat")
-    parser.add_argument("--k-values", dest="k_values", help="comma-separated relay counts")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--fk-form", dest="fk_form", choices=F_K_FORMS)
-    parser.add_argument(
-        "--first-hop-threshold", dest="first_hop_threshold", choices=FIRST_HOP_RULES
-    )
-    parser.add_argument("--csv", metavar="PATH", help="output CSV path (default: stdout)")
-    parser.add_argument("--svg", metavar="PATH", help="optional SVG chart path")
+    for key in keys:
+        default = defaults[key]
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=f"default: {shown}")
     parser.add_argument(
         "--workers",
         type=int,
@@ -512,9 +514,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    # parse_config skips the None of a flag not given and splits list flags
-    return {key: getattr(args, key, None) for key in DEFAULTS}
+def _flag_value(key: str, text: str | None):
+    """A flag's text as the file would hold it: a number setting reads it as
+    JSON (see :func:`_literal`); any other setting takes the text itself."""
+    return _literal(text) if text is not None and isinstance(DEFAULTS[key], (int, float)) else text
+
+
+def _config(args: argparse.Namespace) -> SweepConfig:
+    defaults, keys = _COMMAND_SETTINGS[args.command]
+    overrides = {key: _flag_value(key, getattr(args, key)) for key in keys}
+    return parse_config(args.config, overrides, defaults)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,10 +534,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("outage-sweep", help="analytic + Monte Carlo outage over an SNR grid")
-    _add_config_flags(p_sweep)
+    _add_config_flags(p_sweep, "outage-sweep")
 
     p_mean = sub.add_parser("mean-count", help="qualified-relay mean-count curves, both observers")
-    _add_config_flags(p_mean)
+    _add_config_flags(p_mean, "mean-count")
     p_mean.add_argument("--snr-db", type=float, default=15.0, help="operating SNR (default 15)")
     p_mean.add_argument(
         "--radius-step", type=float, default=1.0, help="radius grid step (default 1.0)"
@@ -549,35 +558,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_outage_sweep(args: argparse.Namespace) -> int:
-    config = parse_config(args.config, _overrides_from_args(args))
+    config = _config(args)
     rows = run_outage_sweep(config, workers=args.workers)
-    if config.csv:
-        write_csv(rows, config.csv, config)
-    else:
-        print(CSV_HEADER)
-        for r in rows:
-            print(_sweep_line(r))
+    code = _emit(rows, config)
     if config.svg:
         write_svg(rows, config.svg)
-    return 0 if all(not r.error for r in rows) else 2
+    return code
 
 
 def _cmd_mean_count(args: argparse.Namespace) -> int:
-    config = parse_config(args.config, _overrides_from_args(args))
+    config = _config(args)
     step = args.radius_step
     if not step > 0:
         raise ConfigError("radius-step must be > 0")
     upper = config.cell.cell_radius + config.cell.dest_distance
     radii = [i * step for i in range(int(math.floor(upper / step)) + 1)]
-    trials = args.trials if args.trials is not None else 4000
-    rows = run_mean_count(config, radii, snr_db=args.snr_db, trials=trials, workers=args.workers)
-    if config.csv:
-        write_mean_count_csv(rows, config.csv, config)
-    else:
-        print(MEAN_COUNT_HEADER)
-        for r in rows:
-            print(_mean_count_line(r))
-    return 0 if all(not r.error for r in rows) else 2
+    return _emit(run_mean_count(config, radii, snr_db=args.snr_db, workers=args.workers), config)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

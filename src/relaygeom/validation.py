@@ -396,7 +396,10 @@ def check_mean_count_curves(
     ).theta_first
     upper = cell.cell_radius + cell.dest_distance
     grid = [i * 1.0 for i in range(int(upper) + 1)]
-    an_bs = [analytic.mean_count_from_bs(r, cell.relay_intensity, theta) for r in grid]
+    an_bs = [
+        analytic.mean_count_from_bs(r, cell.relay_intensity, theta, cell_radius=cell.cell_radius)
+        for r in grid
+    ]
     an_dest = analytic.lambda_prime(np.array(grid), cell, theta)
     emp_bs = montecarlo.empirical_mean_count("bs", grid, cell, theta, trials, seed, workers=workers)
     emp_dest = montecarlo.empirical_mean_count(
@@ -482,36 +485,28 @@ def check_normalization(tol: float = 1e-6) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def check_cli_determinism(trials: int = 2000, seed: int = 7) -> CheckResult:
-    """Two full outage-sweep runs with the same seed but different
-    RELAYGEOM_THREADS settings must write byte-identical CSVs."""
+    """Two full outage-sweep runs with the same seed, one with ``--workers 1``
+    and one with ``--workers 2``, must write byte-identical CSVs."""
     from . import cli  # deferred: cli imports this module for `validate`
 
     t0 = time.perf_counter()
-    saved = os.environ.get(montecarlo.THREADS_ENV)
     outputs = []
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg_path = os.path.join(tmp, "cfg.json")
-            with open(cfg_path, "w", encoding="utf-8") as fh:
-                fh.write(
-                    '{"trials": %d, "seed": %d, "snr_grid_db": [5, 15, 25], '
-                    '"k_values": [1, 2], "strategies": ["exact", "stat"]}' % (trials, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(
+                '{"trials": %d, "seed": %d, "snr_grid_db": [5, 15, 25], '
+                '"k_values": [1, 2], "strategies": ["exact", "stat"]}' % (trials, seed)
+            )
+        for workers in ("1", "2"):
+            out = os.path.join(tmp, f"sweep_{workers}.csv")
+            rc = cli.main(["outage-sweep", "--config", cfg_path, "--csv", out, "--workers", workers])
+            if rc != 0:
+                return _finish(
+                    "cli_determinism", False, f"sweep exited with code {rc} at {workers} workers", t0
                 )
-            for threads in ("1", "2"):
-                os.environ[montecarlo.THREADS_ENV] = threads
-                out = os.path.join(tmp, f"sweep_{threads}.csv")
-                rc = cli.main(["outage-sweep", "--config", cfg_path, "--csv", out])
-                if rc != 0:
-                    return _finish(
-                        "cli_determinism", False, f"sweep exited with code {rc} at {threads} threads", t0
-                    )
-                with open(out, "rb") as fh:
-                    outputs.append(fh.read())
-    finally:
-        if saved is None:
-            os.environ.pop(montecarlo.THREADS_ENV, None)
-        else:
-            os.environ[montecarlo.THREADS_ENV] = saved
+            with open(out, "rb") as fh:
+                outputs.append(fh.read())
     same = outputs[0] == outputs[1]
     return _finish(
         "cli_determinism",

@@ -490,6 +490,13 @@ class TestMeanCountFromBs:
                 analytic.lambda_prime(r, cell, 0.2), rel=1e-9, abs=1e-12
             )
 
+    def test_counts_only_inside_the_cell(self):
+        theta = 0.2
+        at_edge = analytic.mean_count_from_bs(3.0, 0.5, theta, cell_radius=3.0)
+        assert analytic.mean_count_from_bs(5.0, 0.5, theta, cell_radius=3.0) == at_edge
+        assert at_edge == analytic.mean_count_from_bs(3.0, 0.5, theta)
+        assert at_edge < analytic.mean_count_from_bs(5.0, 0.5, theta)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             analytic.mean_count_from_bs(-1.0, 0.5, 0.1)

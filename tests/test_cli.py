@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,6 @@ from relaygeom.cli import (
     run_mean_count,
     run_outage_sweep,
     write_csv,
-    write_mean_count_csv,
     write_svg,
 )
 
@@ -113,6 +114,36 @@ class TestParseConfig:
         assert value == 100_000 and type(value) is int
         assert getattr(parse_config(overrides={key: 7}), key) == 7
         assert getattr(parse_config(overrides={key: 12.0}), key) == 12
+
+    @pytest.mark.parametrize(
+        "key", ["rate", "cell_radius", "dest_distance", "relay_intensity", "path_loss_exponent"]
+    )
+    @pytest.mark.parametrize("text", ["true", '"20"', "null", "NaN", "[3]"])
+    def test_float_fields_take_json_numbers(self, key, text, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{key}": {text}}}')
+        with pytest.raises(ConfigError, match=key):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("text", ['{"csv": 1}', '{"svg": true}', '{"csv": ["a.csv"]}'])
+    def test_output_paths_take_strings(self, text, tmp_path):
+        # a number here was once opened as a file descriptor
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=next(iter(json.loads(text)))):
+            parse_config(str(path))
+
+    def test_flag_text_reads_like_json(self):
+        args = cli._build_parser().parse_args(["outage-sweep", "--trials", "1e5", "--seed", "1e3"])
+        config = cli._config(args)
+        assert (config.trials, config.seed) == (100_000, 1000)
+
+    def test_defaults_argument_sets_the_base(self, tmp_path):
+        base = {**cli.DEFAULTS, "trials": 4000}
+        assert parse_config(defaults=base).trials == 4000
+        path = tmp_path / "cfg.json"
+        path.write_text('{"trials": 50}')
+        assert parse_config(str(path), defaults=base).trials == 50
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +284,7 @@ class TestWriters:
             MeanCountRow("dest", 5.0, 1.25, 1.3, 0.1, 10),
         ]
         path = tmp_path / "mean.csv"
-        write_mean_count_csv(rows, str(path))
+        write_csv(rows, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "observer,radius,analytic,empirical,stderr_empirical,trials,error"
         assert lines[1].startswith("bs,0.0000000000e+00")
@@ -287,7 +318,7 @@ class TestWriters:
 class TestMeanCountCommand:
     def test_rows_and_zero_radius(self):
         config = parse_config(overrides={"trials": 300, "seed": 3})
-        rows = run_mean_count(config, [0.0, 5.0, 25.0], snr_db=15.0, trials=300)
+        rows = run_mean_count(config, [0.0, 5.0, 25.0], snr_db=15.0)
         assert [r.observer for r in rows] == ["bs", "bs", "bs", "dest", "dest", "dest"]
         for r in rows:
             if r.radius == 0.0:
@@ -297,10 +328,20 @@ class TestMeanCountCommand:
 
     def test_far_edge_views_agree(self):
         config = parse_config(overrides={"trials": 400, "seed": 3})
-        rows = run_mean_count(config, [25.0], snr_db=15.0, trials=400)
+        rows = run_mean_count(config, [25.0], snr_db=15.0)
         bs, dest = rows[0], rows[1]
         assert bs.empirical == dest.empirical  # the cell fits in both disks
         assert abs(bs.analytic - dest.analytic) / bs.analytic < 0.02
+
+    def test_source_view_stops_at_the_cell_edge(self):
+        # a disk of radius 4 about the source holds only the radius-3 cell
+        config = parse_config(
+            overrides={"cell_radius": 3.0, "dest_distance": 1.0, "trials": 2000, "seed": 3}
+        )
+        at_edge, beyond = run_mean_count(config, [3.0, 4.0], snr_db=15.0)[:2]
+        assert beyond.analytic == at_edge.analytic
+        assert beyond.empirical == at_edge.empirical
+        assert abs(beyond.empirical - beyond.analytic) < 3 * beyond.stderr_empirical
 
 
 class TestMainEntry:
@@ -317,6 +358,36 @@ class TestMainEntry:
         # a configuration error (exit 1), not a runtime error (exit 2)
         assert cli.main(["outage-sweep", flag, value, "--trials", "2"]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["outage-sweep", "mean-count"])
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--trials", "1.5", "trials"),
+            ("--rate", "x", "rate"),
+            ("--cell-radius", "abc", "cell_radius"),
+            ("--seed", "true", "seed"),
+        ],
+    )
+    def test_malformed_flag_exit_code(self, command, flag, value, key, capsys):
+        # one checker for flags and file alike: exit 1, naming the key
+        assert cli.main([command, flag, value]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['"x"', "null"])
+    def test_malformed_rate_in_file_exit_code(self, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"rate": {text}}}')
+        assert cli.main(["outage-sweep", "--config", str(path)]) == 1
+        assert "rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--snr-grid-db", "--strategies", "--k-values", "--fk-form", "--first-hop-threshold", "--svg"]
+    )
+    def test_mean_count_refuses_flags_it_does_not_read(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(["mean-count", flag, "1"])
+        assert exc.value.code == 2
 
     def test_row_error_exit_code(self, tmp_path, capsys):
         rc = cli.main(
@@ -365,8 +436,45 @@ class TestMainEntry:
         assert lines[0] == "# relaygeom mean-count"
         assert sum(1 for l in lines if l.startswith("bs,")) == 6
 
+    def test_mean_count_reads_trials_from_file(self, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "mean.csv"
+        cfg.write_text('{"trials": 50}')
+        assert cli.main(["mean-count", "--config", str(cfg), "--radius-step", "25", "--csv", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "# trials = 50" in lines
+        assert all(l.split(",")[5] == "50" for l in lines if l.startswith(("bs,", "dest,")))
+
+    def test_mean_count_default_trials(self, tmp_path):
+        out = tmp_path / "mean.csv"
+        assert cli.main(["mean-count", "--radius-step", "25", "--csv", str(out)]) == 0
+        assert "# trials = 4000" in out.read_text().splitlines()
+
     def test_fk_check_command(self, capsys):
         rc = cli.main(["fk-check", "--samples", "1500", "--k-max", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "KS(exact)" in out and "KS(quadratic)" in out
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every ``relaygeom ...`` line in README's code blocks."""
+    commands, fenced = [], False
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("relaygeom "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_has_commands():
+    assert {argv[0] for argv in _readme_commands()} == {
+        "outage-sweep", "mean-count", "validate", "fk-check"
+    }
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    # the documented flags exist on the subcommand that documents them
+    cli._build_parser().parse_args(argv)
