@@ -19,6 +19,9 @@ Every configuration key is listed once, in :data:`DEFAULTS`, and the first
 two subcommands get one flag per key they read. :func:`parse_config` is the
 only reader and checker of settings: a flag's text means what the same text
 means in the JSON file (``--trials 1e5`` passes, ``--trials 1.5`` does not).
+The flags that are not configuration keys (``--workers``, ``validate``'s
+sizes and seed, ...) are listed in :data:`_COMMAND_FLAGS` and read by the
+same rules, so a malformed value is a configuration error naming the flag.
 Both row types are written by :func:`write_csv`, headed by their field names.
 
 Exit codes: 0 success, 1 configuration error (a malformed setting, from a
@@ -40,7 +43,8 @@ from typing import ClassVar
 from . import validation
 from .analytic import F_K_FORMS, lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
 from .model import FIRST_HOP_RULES, CellGeometry, RadioParams, compute_thresholds
-from .montecarlo import STRATEGIES, THREADS_ENV, empirical_mean_count, estimate_outage
+from .montecarlo import STRATEGIES, THREADS_ENV, empirical_mean_count, estimate_outage_grid
+from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
 #: Documented defaults for every configuration key. These are repository
 #: choices for a desk-scale scenario, not values with any outside authority;
@@ -174,9 +178,7 @@ def parse_config(
     if "stat" in strategies and (not k_values or any(k < 1 for k in k_values)):
         raise ConfigError("k_values must be a nonempty set of integers >= 1 when 'stat' is selected")
 
-    trials = _integer(data["trials"], "trials")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    trials = _count(data["trials"], "trials")
 
     return SweepConfig(
         cell=cell,
@@ -243,6 +245,22 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _count(value, key: str) -> int:
+    """``value`` of setting ``key`` as an integer >= 1 (see :func:`_integer`)."""
+    count = _integer(value, key)
+    if count < 1:
+        raise ConfigError(f"{key} must be >= 1")
+    return count
+
+
+def _positive(value, key: str) -> float:
+    """``value`` of setting ``key`` as a number > 0 (see :func:`_number`)."""
+    number = _number(value, key)
+    if not number > 0:
+        raise ConfigError(f"{key} must be > 0")
+    return number
+
+
 def _choice(value, key: str, options: tuple[str, ...]) -> str:
     if not (isinstance(value, str) and value in options):
         raise ConfigError(f"{key} must be one of {options}, got {value!r}")
@@ -259,45 +277,46 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
     """Run the sweep: one row per (snr, strategy, k), in that order.
 
     Every row reuses ``config.seed``, so strategies at the same SNR share
-    realizations and channel draws (paired comparison). The analytic and
-    the Monte Carlo value of a row are computed independently: a side that
-    fails leaves its columns empty and its message, prefixed ``analytic:``
-    or ``mc:``, in the ``error`` column (both joined by ``; ``), and the
-    sweep continues.
+    realizations and channel draws (paired comparison); one
+    :func:`estimate_outage_grid` call draws each trial once for all rows.
+    The analytic and the Monte Carlo value of a row are computed
+    independently: a side that fails leaves its columns empty and its
+    message, prefixed ``analytic:`` or ``mc:``, in the ``error`` column
+    (both joined by ``; ``), and the sweep continues.
     """
+    mc_rows = [
+        (strategy, RadioParams(snr_db=snr, target_rate=config.rate, num_relays=k))
+        for snr in config.snr_grid_db
+        for strategy in config.strategies
+        for k in ((1,) if strategy == "exact" else config.k_values)
+    ]
+    try:
+        estimates = estimate_outage_grid(
+            config.cell,
+            mc_rows,
+            config.trials,
+            config.seed,
+            first_hop=config.first_hop_threshold,
+            workers=workers,
+        )
+        mc_errors = []
+    except Exception as exc:  # noqa: BLE001 - per-row error contract
+        estimates, mc_errors = [None] * len(mc_rows), [f"mc: {exc}"]
     rows: list[SweepRow] = []
-    for snr in config.snr_grid_db:
-        for strategy in config.strategies:
-            ks = (1,) if strategy == "exact" else config.k_values
-            for k in ks:
-                radio = RadioParams(snr_db=snr, target_rate=config.rate, num_relays=k)
-                p_an = p_mc = stderr = None
-                errors = []
-                try:
-                    if strategy == "exact":
-                        p_an = outage_exact_csi(config.cell, radio, "quadrature")
-                    else:
-                        p_an = outage_stat(
-                            k, config.cell, radio, config.fk_form, config.first_hop_threshold
-                        )
-                except Exception as exc:  # noqa: BLE001 - per-row error contract
-                    errors.append(f"analytic: {exc}")
-                try:
-                    est = estimate_outage(
-                        strategy,
-                        config.cell,
-                        radio,
-                        config.trials,
-                        config.seed,
-                        first_hop=config.first_hop_threshold,
-                        workers=workers,
-                    )
-                    p_mc, stderr = est.p_hat, est.stderr
-                except Exception as exc:  # noqa: BLE001 - per-row error contract
-                    errors.append(f"mc: {exc}")
-                rows.append(
-                    SweepRow(snr, strategy, k, p_an, p_mc, stderr, config.trials, "; ".join(errors))
-                )
+    for (strategy, radio), est in zip(mc_rows, estimates):
+        k = radio.num_relays
+        p_an = None
+        errors = []
+        try:
+            if strategy == "exact":
+                p_an = outage_exact_csi(config.cell, radio, "quadrature")
+            else:
+                p_an = outage_stat(k, config.cell, radio, config.fk_form, config.first_hop_threshold)
+        except Exception as exc:  # noqa: BLE001 - per-row error contract
+            errors.append(f"analytic: {exc}")
+        p_mc, stderr = (None, None) if est is None else (est.p_hat, est.stderr)
+        error = "; ".join(errors + mc_errors)
+        rows.append(SweepRow(radio.snr_db, strategy, k, p_an, p_mc, stderr, config.trials, error))
     return rows
 
 
@@ -507,11 +526,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
         default = defaults[key]
         shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
         parser.add_argument("--" + key.replace("_", "-"), dest=key, help=f"default: {shown}")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help=f"worker processes (default: ${THREADS_ENV} or 1); results do not depend on it",
-    )
 
 
 def _flag_value(key: str, text: str | None):
@@ -526,34 +540,64 @@ def _config(args: argparse.Namespace) -> SweepConfig:
     return parse_config(args.config, overrides, defaults)
 
 
+_WORKERS = (
+    _count, None, f"worker processes (default: ${THREADS_ENV} or 1); results do not depend on it"
+)
+
+#: Per command, the flags that are not configuration keys: name -> (reader,
+#: default, help). Each flag's text is read as JSON (see :func:`_literal`)
+#: and checked by the reader :func:`parse_config` uses for settings, so a
+#: malformed value is a :class:`ConfigError` naming the flag.
+_COMMAND_FLAGS = {
+    "outage-sweep": {"workers": _WORKERS},
+    "mean-count": {
+        "snr-db": (_number, 15.0, "operating SNR"),
+        "radius-step": (_positive, 1.0, "radius grid step"),
+        "workers": _WORKERS,
+    },
+    "validate": {
+        "trials": (_count, 100_000, "Monte Carlo trials of criteria 3 and 4"),
+        "samples": (_count, 10_000, "sampled distances of criterion 6"),
+        "mean-count-trials": (_count, 4000, "realizations of criterion 7"),
+        "seed": (_integer, validation.DEFAULT_SEED, "seed of every Monte Carlo check"),
+        "workers": _WORKERS,
+    },
+    "fk-check": {
+        "samples": (_count, 10_000, "sampled distances"),
+        "seed": (_integer, validation.DEFAULT_SEED, "sampling seed"),
+        "k-max": (_count, 3, "largest rank k"),
+    },
+}
+
+
+def _read_flags(args: argparse.Namespace) -> None:
+    """Replace the text of each of the command's non-configuration flags by
+    its checked value, or by its default when the flag is not given."""
+    for name, (reader, default, _) in _COMMAND_FLAGS[args.command].items():
+        dest = name.replace("-", "_")
+        text = getattr(args, dest)
+        setattr(args, dest, default if text is None else reader(_literal(text), "--" + name))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaygeom",
         description="Outage analysis of opportunistic relaying over a Poisson relay field",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("outage-sweep", help="analytic + Monte Carlo outage over an SNR grid")
-    _add_config_flags(p_sweep, "outage-sweep")
-
-    p_mean = sub.add_parser("mean-count", help="qualified-relay mean-count curves, both observers")
-    _add_config_flags(p_mean, "mean-count")
-    p_mean.add_argument("--snr-db", type=float, default=15.0, help="operating SNR (default 15)")
-    p_mean.add_argument(
-        "--radius-step", type=float, default=1.0, help="radius grid step (default 1.0)"
-    )
-
-    p_val = sub.add_parser("validate", help="run the full consistency gate")
-    p_val.add_argument("--trials", type=int, default=100_000)
-    p_val.add_argument("--samples", type=int, default=10_000)
-    p_val.add_argument("--mean-count-trials", type=int, default=4000)
-    p_val.add_argument("--seed", type=int, default=validation.DEFAULT_SEED)
-    p_val.add_argument("--workers", type=int)
-
-    p_fk = sub.add_parser("fk-check", help="k-th nearest distance law vs sampled distances")
-    p_fk.add_argument("--samples", type=int, default=10_000)
-    p_fk.add_argument("--seed", type=int, default=validation.DEFAULT_SEED)
-    p_fk.add_argument("--k-max", type=int, default=3, dest="k_max")
+    commands = {
+        "outage-sweep": "analytic + Monte Carlo outage over an SNR grid",
+        "mean-count": "qualified-relay mean-count curves, both observers",
+        "validate": "run the full consistency gate",
+        "fk-check": "k-th nearest distance law vs sampled distances",
+    }
+    for command, text in commands.items():
+        p_cmd = sub.add_parser(command, help=text)
+        if command in _COMMAND_SETTINGS:
+            _add_config_flags(p_cmd, command)
+        for name, (_, default, hint) in _COMMAND_FLAGS[command].items():
+            shown = "" if default is None else f" (default: {default})"
+            p_cmd.add_argument("--" + name, help=hint + shown)
     return parser
 
 
@@ -569,8 +613,6 @@ def _cmd_outage_sweep(args: argparse.Namespace) -> int:
 def _cmd_mean_count(args: argparse.Namespace) -> int:
     config = _config(args)
     step = args.radius_step
-    if not step > 0:
-        raise ConfigError("radius-step must be > 0")
     upper = config.cell.cell_radius + config.cell.dest_distance
     radii = [i * step for i in range(int(math.floor(upper / step)) + 1)]
     return _emit(run_mean_count(config, radii, snr_db=args.snr_db, workers=args.workers), config)
@@ -604,6 +646,7 @@ def main(argv: list[str] | None = None) -> int:
         "fk-check": _cmd_fk_check,
     }
     try:
+        _read_flags(args)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -14,6 +14,14 @@ Both strategies consume draws identically (the statistical strategy draws
 second-hop gains even for relays it does not select), so runs that share a
 seed share realizations and channels draw for draw.
 
+That per-row order is what :func:`estimate_outage_grid` reproduces for many
+rows at once. It draws each trial once: the field and first-hop gains, then
+second-hop gains for the relays qualified under the loosest row, which
+include every other row's. That is the longest prefix any row reads, and
+``standard_exponential(n)`` returns the first ``n`` values of
+``standard_exponential(N)`` on the same stream, so a row with ``J``
+qualified relays sees exactly the gains it would draw alone.
+
 Aggregation across trials is integer summation, which is order-independent.
 """
 
@@ -80,35 +88,88 @@ class OutageEstimate:
         return self.outage_count == 0
 
 
-def _qualified_field(cell: CellGeometry, theta_first: float, rng: np.random.Generator):
-    """Sample a relay field and thin it to the relays that decoded the
-    source broadcast; returns their ``(radii, angles)`` in input order.
+def _first_hop(cell: CellGeometry, rng: np.random.Generator):
+    """Sample a relay field and a first-hop gain per relay; returns
+    ``(radii, angles, gains, 1 + radii**alpha)`` in input order.
 
-    A relay at source distance ``r`` is kept iff a fresh Exp(1) gain ``g``
-    satisfies ``g >= theta_first * (1 + r**alpha)``, so the survivors are an
-    independent thinning with keep probability
-    ``exp(-theta_first (1 + r**alpha))`` at radius ``r``.
+    A relay at source distance ``r`` decodes the source broadcast at
+    threshold ``theta`` iff its Exp(1) gain ``g`` satisfies
+    ``g >= theta * (1 + r**alpha)``.
     """
     radii, angles = sample_field(cell, rng)
     gains = rng.standard_exponential(radii.size)
     alpha = cell.path_loss_exponent
     rpow = radii * radii if alpha == 2.0 else radii**alpha
-    keep = gains >= theta_first * (1.0 + rpow)
+    return radii, angles, gains, 1.0 + rpow
+
+
+def _qualified_field(cell: CellGeometry, theta_first: float, rng: np.random.Generator):
+    """Sample a relay field and thin it to the relays that decoded the
+    source broadcast; returns their ``(radii, angles)`` in input order.
+
+    The survivors are an independent thinning with keep probability
+    ``exp(-theta_first (1 + r**alpha))`` at radius ``r``.
+    """
+    radii, angles, gains, loss = _first_hop(cell, rng)
+    keep = gains >= theta_first * loss
     return radii[keep], angles[keep]
 
 
-def _link_trial(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator):
-    """Common first phase of a trial: qualified field and per-relay
-    second-hop outcomes. Returns (squared dest distances, success flags),
-    or ``(None, None)`` when no relay qualified."""
-    radii, angles = _qualified_field(cell, thresholds.theta_first, rng)
+class _Row(NamedTuple):
+    """One estimator row reduced to what a trial decides it by; ``k`` is 0
+    for exact knowledge and the slot count for distance ranking."""
+
+    theta_first: float
+    theta_second: float
+    k: int
+
+
+class _Plan(NamedTuple):
+    """The rows of one estimator run, their loosest first-hop threshold, and
+    whether some row is tighter than it."""
+
+    rows: tuple[_Row, ...]
+    theta_min: float
+    nested: bool
+
+    @classmethod
+    def of(cls, rows) -> "_Plan":
+        rows = tuple(rows)
+        theta_min = min(row.theta_first for row in rows)
+        return cls(rows, theta_min, any(row.theta_first != theta_min for row in rows))
+
+
+def _trial_outages(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> list[bool]:
+    """One trial decided for every row of ``plan``: whether each is an outage.
+
+    The field and all first-hop gains are drawn once. The loosest row's
+    qualified set is the union of every row's, because ``fl(theta * x)``
+    does not decrease in ``theta``; second-hop gains are drawn once for that
+    union, in input order. A row with ``J`` qualified relays takes the first
+    ``J`` of them, which are the gains it would draw on its own.
+    """
+    radii, angles, gains, loss = _first_hop(cell, rng)
+    rows, theta_min = plan.rows, plan.theta_min
+    keep = gains >= theta_min * loss
+    radii = radii[keep]
     if radii.size == 0:
-        return None, None
-    d2 = sq_dists_to_dest(radii, angles, cell.dest_distance)
-    gains = rng.standard_exponential(radii.size)
+        return [True] * len(rows)
+    d2 = sq_dists_to_dest(radii, angles[keep], cell.dest_distance)
+    g2 = rng.standard_exponential(d2.size)
     alpha = cell.path_loss_exponent
-    dpow = d2 if alpha == 2.0 else d2 ** (0.5 * alpha)
-    return d2, gains >= thresholds.theta_second * (1.0 + dpow)
+    loss2 = 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha))
+    if plan.nested:
+        gains, loss = gains[keep], loss[keep]
+    outages = []
+    for theta_first, theta_second, k in rows:
+        sub = None if theta_first == theta_min else gains >= theta_first * loss
+        row_loss2 = loss2 if sub is None else loss2[sub]
+        succ = g2[: row_loss2.size] >= theta_second * row_loss2
+        if k and k < succ.size:  # else every qualified relay gets a slot
+            row_d2 = d2 if sub is None else d2[sub]
+            succ = succ[row_d2.argsort(kind="stable")[:k]]
+        outages.append(not succ.any())
+    return outages
 
 
 def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator) -> bool:
@@ -119,8 +180,8 @@ def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.G
     independent second-hop test; gains on the two hops of one relay and
     across relays are independent.
     """
-    _, succ = _link_trial(cell, thresholds, rng)
-    return succ is None or not succ.any()
+    row = _Row(thresholds.theta_first, thresholds.theta_second, 0)
+    return _trial_outages(cell, _Plan.of([row]), rng)[0]
 
 
 def trial_stat_csi(
@@ -136,30 +197,16 @@ def trial_stat_csi(
     """
     if not (isinstance(k, int) and k >= 1):
         raise ValueError("k must be an integer >= 1")
-    d2, succ = _link_trial(cell, thresholds, rng)
-    if d2 is None:
-        return True
-    selected = np.argsort(d2, kind="stable")[:k]
-    return not succ[selected].any()
+    row = _Row(thresholds.theta_first, thresholds.theta_second, k)
+    return _trial_outages(cell, _Plan.of([row]), rng)[0]
 
 
-def _outage_block(
-    strategy: str,
-    cell: CellGeometry,
-    thresholds: Thresholds,
-    k: int,
-    seed: int,
-    start: int,
-    stop: int,
-) -> int:
-    count = 0
+def _grid_block(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int) -> list[int]:
+    counts = [0] * len(plan.rows)
     for t in range(start, stop):
-        rng = trial_rng(seed, t)
-        if strategy == "exact":
-            count += trial_exact_csi(cell, thresholds, rng)
-        else:
-            count += trial_stat_csi(cell, thresholds, k, rng)
-    return count
+        for i, outage in enumerate(_trial_outages(cell, plan, trial_rng(seed, t))):
+            counts[i] += outage
+    return counts
 
 
 def _run_blocks(block, args: tuple, trials: int, workers: int | None) -> list:
@@ -180,6 +227,57 @@ def _run_blocks(block, args: tuple, trials: int, workers: int | None) -> list:
         return [f.result() for f in futures]
 
 
+def _grid_row(strategy: str, radio: RadioParams, first_hop: str) -> _Row:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    k = radio.num_relays
+    if not (isinstance(k, int) and k >= 1):
+        raise ValueError("k must be an integer >= 1")
+    if strategy == "exact" and k != 1:
+        raise ValueError("the exact-knowledge strategy is defined for num_relays == 1")
+    th = compute_thresholds(radio, first_hop)
+    return _Row(th.theta_first, th.theta_second, 0 if strategy == "exact" else k)
+
+
+def estimate_outage_grid(
+    cell: CellGeometry,
+    rows: Sequence[tuple[str, RadioParams]],
+    trials: int,
+    seed: int,
+    *,
+    first_hop: str = "frame_rate",
+    workers: int | None = None,
+) -> list[OutageEstimate]:
+    """Outage estimates for many ``(strategy, radio)`` rows from one set of
+    ``trials`` trials; returns one estimate per row, in row order.
+
+    Each row's estimate equals :func:`estimate_outage` for that row alone,
+    count for count: trial ``t`` draws the same field and gains for every
+    row (see :func:`_trial_outages`), so it is drawn once and decided for
+    all rows. Worker processes as in :func:`estimate_outage`.
+    """
+    if not (isinstance(trials, int) and trials >= 1):
+        raise ValueError("trials must be an integer >= 1")
+    if not rows:
+        raise ValueError("rows must be nonempty")
+    plan = _Plan.of(_grid_row(strategy, radio, first_hop) for strategy, radio in rows)
+    parts = _run_blocks(_grid_block, (cell, plan, seed), trials, workers)
+    estimates = []
+    for i, (strategy, radio) in enumerate(rows):
+        estimate = OutageEstimate.from_counts(sum(p[i] for p in parts), trials)
+        if estimate.below_resolution:
+            log.info(
+                "no outage in %d trials (%s, k=%d, %g dB): estimate below resolution %.1e",
+                trials,
+                strategy,
+                radio.num_relays,
+                radio.snr_db,
+                1.0 / trials,
+            )
+        estimates.append(estimate)
+    return estimates
+
+
 def estimate_outage(
     strategy: str,
     cell: CellGeometry,
@@ -196,26 +294,12 @@ def estimate_outage(
     ``radio.num_relays == 1``) or ``"stat"`` (distance ranking with
     ``radio.num_relays`` slots). ``workers`` defaults to the
     ``RELAYGEOM_THREADS`` environment variable, else 1; the result is
-    bit-identical for any worker count.
+    bit-identical for any worker count. A one-row
+    :func:`estimate_outage_grid`.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError("trials must be an integer >= 1")
-    if strategy == "exact" and radio.num_relays != 1:
-        raise ValueError("the exact-knowledge strategy is defined for num_relays == 1")
-    thresholds = compute_thresholds(radio, first_hop)
-    args = (strategy, cell, thresholds, radio.num_relays, seed)
-    total = sum(_run_blocks(_outage_block, args, trials, workers))
-    estimate = OutageEstimate.from_counts(total, trials)
-    if estimate.below_resolution:
-        log.info(
-            "no outage in %d trials (%s): estimate below resolution %.1e",
-            trials,
-            strategy,
-            1.0 / trials,
-        )
-    return estimate
+    return estimate_outage_grid(
+        cell, [(strategy, radio)], trials, seed, first_hop=first_hop, workers=workers
+    )[0]
 
 
 class MeanCountPoint(NamedTuple):

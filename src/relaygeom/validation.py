@@ -211,15 +211,20 @@ def check_exact_csi_outage(
     t0 = time.perf_counter()
     details = []
     passed = True
-    for snr in (5.0, 10.0, 15.0, 20.0):
-        radio = RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=1)
+    radios = [
+        RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=1)
+        for snr in (5.0, 10.0, 15.0, 20.0)
+    ]
+    estimates = montecarlo.estimate_outage_grid(
+        DEFAULT_CELL, [("exact", radio) for radio in radios], trials, seed, workers=workers
+    )
+    for radio, est in zip(radios, estimates):
         p0 = analytic.outage_exact_csi(DEFAULT_CELL, radio, "quadrature")
-        est = montecarlo.estimate_outage(
-            "exact", DEFAULT_CELL, radio, trials, seed, workers=workers
-        )
         ok, zscore = binomial_consistent(est.outage_count, trials, p0)
         passed &= ok
-        details.append(f"{snr:g}dB: mc={est.p_hat:.5f} analytic={p0:.5f} z={zscore:+.2f}")
+        details.append(
+            f"{radio.snr_db:g}dB: mc={est.p_hat:.5f} analytic={p0:.5f} z={zscore:+.2f}"
+        )
     return _finish("exact_csi_outage_mc_vs_analytic", passed, "; ".join(details), t0)
 
 
@@ -255,35 +260,39 @@ def check_stat_csi_outage(
     records = []
     passed = True
     low_snr = min(snr_grid)
-    for k in (1, 2, 3):
-        for snr in snr_grid:
-            radio = RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=k)
-            p0 = analytic.outage_stat(k, DEFAULT_CELL, radio, form="exact")
-            est = montecarlo.estimate_outage(
-                "stat", DEFAULT_CELL, radio, trials, seed, workers=workers
+    radios = [
+        RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=k)
+        for k in (1, 2, 3)
+        for snr in snr_grid
+    ]
+    estimates = montecarlo.estimate_outage_grid(
+        DEFAULT_CELL, [("stat", radio) for radio in radios], trials, seed, workers=workers
+    )
+    for radio, est in zip(radios, estimates):
+        k, snr = radio.num_relays, radio.snr_db
+        p0 = analytic.outage_stat(k, DEFAULT_CELL, radio, form="exact")
+        in_band, zscore = binomial_consistent(est.outage_count, trials, p0)
+        if not in_band:
+            in_band = abs(est.p_hat - p0) <= 0.05 * p0
+        point = OutagePoint(
+            k, snr, trials, est.outage_count, est.p_hat, p0, in_band, p0 >= 1e-3, zscore
+        )
+        if point.rejected:
+            joint = exact_ranked_outage(k, DEFAULT_CELL, radio)
+            _, joint_z = binomial_consistent(est.outage_count, trials, joint)
+            point = replace(point, rank_joint=joint, rank_joint_zscore=joint_z)
+            details.append(
+                f"k={k} {snr:g}dB: mc={est.p_hat:.5f} vs product={p0:.5f} "
+                f"z={zscore:+.2f} MISMATCH (rank-joint exact={joint:.5f} z={joint_z:+.2f})"
             )
-            in_band, zscore = binomial_consistent(est.outage_count, trials, p0)
-            if not in_band:
-                in_band = abs(est.p_hat - p0) <= 0.05 * p0
-            point = OutagePoint(
-                k, snr, trials, est.outage_count, est.p_hat, p0, in_band, p0 >= 1e-3, zscore
+            passed = False
+        records.append(point)
+        if k >= 2 and snr == low_snr:
+            direction_ok = est.p_hat >= p0
+            passed &= direction_ok
+            details.append(
+                f"k={k} {snr:g}dB: mc={est.p_hat:.6f} >= analytic={p0:.6f}: {direction_ok}"
             )
-            if point.rejected:
-                joint = exact_ranked_outage(k, DEFAULT_CELL, radio)
-                _, joint_z = binomial_consistent(est.outage_count, trials, joint)
-                point = replace(point, rank_joint=joint, rank_joint_zscore=joint_z)
-                details.append(
-                    f"k={k} {snr:g}dB: mc={est.p_hat:.5f} vs product={p0:.5f} "
-                    f"z={zscore:+.2f} MISMATCH (rank-joint exact={joint:.5f} z={joint_z:+.2f})"
-                )
-                passed = False
-            records.append(point)
-            if k >= 2 and snr == low_snr:
-                direction_ok = est.p_hat >= p0
-                passed &= direction_ok
-                details.append(
-                    f"k={k} {snr:g}dB: mc={est.p_hat:.6f} >= analytic={p0:.6f}: {direction_ok}"
-                )
     if passed:
         details.insert(0, f"all grid points within max(3 sigma, 5%) where p >= 1e-3 (n={trials})")
     return _finish("stat_csi_outage_mc_vs_analytic", passed, "; ".join(details), t0, tuple(records))

@@ -231,7 +231,7 @@ class TestRunOutageSweep:
                 "k_values": (1,),
             }
         )
-        monkeypatch.setattr(cli, "estimate_outage", broken)
+        monkeypatch.setattr(cli, "estimate_outage_grid", broken)
         rows = run_outage_sweep(config)
         exact, ranked = rows
         assert exact.error == "mc: simulated failure"
@@ -373,6 +373,35 @@ class TestMainEntry:
         # one checker for flags and file alike: exit 1, naming the key
         assert cli.main([command, flag, value]) == 1
         assert key in capsys.readouterr().err
+
+    def test_validate_reads_trials_like_the_sweep(self, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli.validation, "run_all", lambda **kw: seen.update(kw) or [])
+        assert cli.main(["validate", "--trials", "1e5", "--seed", "7"]) == 0
+        assert seen == {
+            "trials": 100_000, "samples": 10_000, "mean_count_trials": 4000, "seed": 7, "workers": None
+        }
+        assert type(seen["trials"]) is int
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["validate", "--samples", "x"], "--samples"),
+            (["validate", "--mean-count-trials", "0"], "--mean-count-trials"),
+            (["validate", "--seed", "1.5"], "--seed"),
+            (["validate", "--workers", "2.5"], "--workers"),
+            (["fk-check", "--samples", "0"], "--samples"),
+            (["fk-check", "--k-max", "-1"], "--k-max"),
+            (["mean-count", "--snr-db", "nan"], "--snr-db"),
+            (["mean-count", "--radius-step", "0"], "--radius-step"),
+            (["mean-count", "--workers", "0"], "--workers"),
+            (["outage-sweep", "--workers", "0", "--trials", "2"], "--workers"),
+        ],
+    )
+    def test_malformed_command_flag_exit_code(self, argv, flag, capsys):
+        # refused before any work, as a configuration error naming the flag
+        assert cli.main(argv) == 1
+        assert f"configuration error: {flag} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['"x"', "null"])
     def test_malformed_rate_in_file_exit_code(self, text, tmp_path, capsys):

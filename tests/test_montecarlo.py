@@ -220,6 +220,98 @@ class TestEstimateOutage:
             mc.estimate_outage("exact", default_cell, radio_15db, 10, 0, workers=0)
 
 
+def _mixed_rows(snrs=(5.0, 15.0, 25.0)):
+    rows = []
+    for snr in snrs:
+        rows.append(("exact", RadioParams(snr_db=snr, target_rate=1.0, num_relays=1)))
+        rows.extend(
+            ("stat", RadioParams(snr_db=snr, target_rate=1.0, num_relays=k)) for k in (1, 2, 3)
+        )
+    return rows
+
+
+class TestOutageGrid:
+    """One draw per trial decides every row; each row's count must equal what
+    the row gets on its own, which the draw-order replay and the golden
+    streams pin to the documented per-trial stream."""
+
+    def test_exponential_draws_are_prefixes(self):
+        # a row with J qualified relays reads the first J of the union's gains
+        for n, total in ((0, 4), (1, 1), (7, 7), (7, 500), (300, 301)):
+            short = mc.trial_rng(5, n).standard_exponential(n)
+            long = mc.trial_rng(5, n).standard_exponential(total)
+            assert np.array_equal(short, long[:n])
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    @pytest.mark.parametrize("first_hop", ["frame_rate", "base_rate"])
+    def test_matches_one_row_calls(self, alpha, first_hop):
+        cell = CellGeometry(20.0, 5.0, 0.5, path_loss_exponent=alpha)
+        rows = _mixed_rows()
+        rows.insert(3, rows[5])  # a duplicate row, out of order
+        grid = mc.estimate_outage_grid(cell, rows, 300, 17, first_hop=first_hop)
+        alone = [mc.estimate_outage(s, cell, r, 300, 17, first_hop=first_hop) for s, r in rows]
+        assert grid == alone
+        assert grid[3] == grid[6]
+        # the rows disagree, so equal lists are not all-or-nothing by chance
+        assert len({e.outage_count for e in grid}) > 4
+
+    def test_zero_threshold_row_in_the_union(self):
+        # theta_first = 0 qualifies every relay, so the union is the field
+        cell = CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.01)
+        rows = [
+            Thresholds(0.0, 0.05),
+            Thresholds(0.02, 0.08),
+            Thresholds(0.0, 0.05),
+            Thresholds(0.05, 0.02),
+        ]
+        ks = [0, 2, 1, 3]
+        plan = mc._Plan.of(mc._Row(th.theta_first, th.theta_second, k) for th, k in zip(rows, ks))
+        seen = set()
+        for t in range(300):
+            outages = mc._trial_outages(cell, plan, mc.trial_rng(8, t))
+            alone = [
+                mc.trial_stat_csi(cell, th, k, mc.trial_rng(8, t))
+                if k
+                else mc.trial_exact_csi(cell, th, mc.trial_rng(8, t))
+                for th, k in zip(rows, ks)
+            ]
+            assert outages == alone
+            seen.update(enumerate(outages))
+        assert len(seen) == 8  # every row has both outcomes
+
+    def test_ties_go_to_the_earlier_relay(self, ring_field):
+        # every relay is equidistant from the destination, so ranking is by
+        # input index alone, in every row of the grid as on its own
+        ring_field(2.0, 6)
+        cell = CellGeometry(cell_radius=3.0, dest_distance=0.0, relay_intensity=0.5)
+        rows = [
+            (s, RadioParams(snr_db=snr, target_rate=1.0, num_relays=k))
+            for snr in (12.0, 20.0, 28.0)
+            for s, k in (("exact", 1), ("stat", 1), ("stat", 2), ("stat", 3))
+        ]
+        grid = mc.estimate_outage_grid(cell, rows, 400, 6, workers=1)
+        alone = [mc.estimate_outage(s, cell, r, 400, 6, workers=1) for s, r in rows]
+        assert grid == alone
+        assert len({e.outage_count for e in grid}) > 3
+
+    def test_worker_count_invariance(self, default_cell):
+        rows = _mixed_rows((10.0, 20.0))
+        runs = [mc.estimate_outage_grid(default_cell, rows, 600, 23, workers=w) for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_rejects_what_one_row_rejects(self, default_cell, radio_15db):
+        two = RadioParams(snr_db=15.0, target_rate=1.0, num_relays=2)
+        no_slot = RadioParams(snr_db=15.0, target_rate=1.0, num_relays=1)
+        object.__setattr__(no_slot, "num_relays", 0)  # past RadioParams' own check
+        for strategy, radio in (("bogus", radio_15db), ("stat", no_slot), ("exact", two)):
+            with pytest.raises(ValueError):
+                mc.estimate_outage(strategy, default_cell, radio, 10, 0)
+            with pytest.raises(ValueError):
+                mc.estimate_outage_grid(default_cell, [("stat", two), (strategy, radio)], 10, 0)
+        with pytest.raises(ValueError):
+            mc.estimate_outage_grid(default_cell, [], 10, 0)
+
+
 class TestEmpiricalMeanCount:
     THETA = 0.09486832980505139
 
