@@ -36,6 +36,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import astuple, dataclass, fields
 from typing import ClassVar
@@ -572,11 +573,14 @@ _COMMAND_FLAGS = {
 
 def _read_flags(args: argparse.Namespace) -> None:
     """Replace the text of each of the command's non-configuration flags by
-    its checked value, or by its default when the flag is not given."""
+    its checked value, or by its default when the flag is not given. An
+    absent ``--workers`` reads ``$RELAYGEOM_THREADS`` by the same rule."""
     for name, (reader, default, _) in _COMMAND_FLAGS[args.command].items():
-        dest = name.replace("-", "_")
+        dest, key = name.replace("-", "_"), "--" + name
         text = getattr(args, dest)
-        setattr(args, dest, default if text is None else reader(_literal(text), "--" + name))
+        if text is None and name == "workers" and os.environ.get(THREADS_ENV):
+            key, text = "$" + THREADS_ENV, os.environ[THREADS_ENV]
+        setattr(args, dest, default if text is None else reader(_literal(text), key))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,13 +14,22 @@ Both strategies consume draws identically (the statistical strategy draws
 second-hop gains even for relays it does not select), so runs that share a
 seed share realizations and channels draw for draw.
 
+A sampler builds one generator per range of trials and moves it onto each
+trial's stream by resetting its Philox state (:func:`_enter_trial`), which
+:func:`trial_rng` uses too: the reset generator draws exactly what a fresh
+``trial_rng(s, t)`` draws.
+
 That per-row order is what :func:`estimate_outage_grid` reproduces for many
 rows at once. It draws each trial once: the field and first-hop gains, then
 second-hop gains for the relays qualified under the loosest row, which
 include every other row's. That is the longest prefix any row reads, and
 ``standard_exponential(n)`` returns the first ``n`` values of
 ``standard_exponential(N)`` on the same stream, so a row with ``J``
-qualified relays sees exactly the gains it would draw alone.
+qualified relays sees exactly the gains it would draw alone. Trials are
+drawn one by one and decided in blocks of up to :data:`_BLOCK_TRIALS`: the
+qualified relays of a block are concatenated and every row is decided on
+them with array operations (see :func:`_decide`). Each decision reads only
+its own trial's relays, so no count depends on the block size.
 
 Aggregation across trials is integer summation, which is order-independent.
 """
@@ -48,21 +57,58 @@ STRATEGIES = ("exact", "stat")
 OBSERVERS = ("bs", "dest")
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, scheduling-invariant stream for one trial."""
+#: Trials decided together. The counts do not depend on it, so it is sized
+#: for memory: a block holds the qualified relays of this many trials (up to
+#: ~630 each on the default cell) and the decision's temporaries over them.
+_BLOCK_TRIALS = 16
+
+
+def _enter_trial(rng: np.random.Generator, seed: int, trial_index: int) -> np.random.Generator:
+    """Move the Philox generator ``rng`` onto the start of trial
+    ``trial_index``'s stream and return it: counter ``[0, 0, 0, t]``, key
+    ``seed mod 2**128`` as two little-endian 64-bit words, nothing buffered.
+    This is the one definition of a trial's stream."""
     if trial_index < 0:
         raise ValueError("trial_index must be >= 0")
-    key = int(seed) % (1 << 128)
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, int(trial_index)]))
+    high, low = divmod(int(seed) % (1 << 128), 1 << 64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, int(trial_index)], "key": [low, high]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _philox() -> np.random.Generator:
+    """A Philox generator to be placed by :func:`_enter_trial`."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    """Independent, scheduling-invariant stream for one trial, on a generator
+    of its own."""
+    return _enter_trial(_philox(), seed, trial_index)
 
 
 def _resolve_workers(workers: int | None) -> int:
+    name = "workers"
     if workers is None:
-        env = os.environ.get(THREADS_ENV)
-        workers = int(env) if env else 1
+        name, text = THREADS_ENV, os.environ.get(THREADS_ENV)
+        try:
+            workers = int(text) if text else 1
+        except ValueError:
+            workers = text
     if not (isinstance(workers, int) and workers >= 1):
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {workers!r}")
     return workers
+
+
+def _check_theta_first(theta_first: float) -> None:
+    if not (math.isfinite(theta_first) and theta_first >= 0):
+        raise ValueError(f"theta_first must be finite and >= 0, got {theta_first!r}")
 
 
 @dataclass(frozen=True)
@@ -139,37 +185,95 @@ class _Plan(NamedTuple):
         return cls(rows, theta_min, any(row.theta_first != theta_min for row in rows))
 
 
-def _trial_outages(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> list[bool]:
-    """One trial decided for every row of ``plan``: whether each is an outage.
+def _draw(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> tuple:
+    """One trial's draws, reduced to the relays qualified under the loosest
+    row: their ``(radii, angles, second-hop gains)`` in input order, plus
+    their first-hop gains and losses when some row is tighter.
 
-    The field and all first-hop gains are drawn once. The loosest row's
-    qualified set is the union of every row's, because ``fl(theta * x)``
-    does not decrease in ``theta``; second-hop gains are drawn once for that
-    union, in input order. A row with ``J`` qualified relays takes the first
-    ``J`` of them, which are the gains it would draw on its own.
+    The loosest row's qualified set is the union of every row's, because
+    ``fl(theta * x)`` does not decrease in ``theta``; second-hop gains are
+    drawn once for that union, in input order.
     """
     radii, angles, gains, loss = _first_hop(cell, rng)
-    rows, theta_min = plan.rows, plan.theta_min
-    keep = gains >= theta_min * loss
+    keep = gains >= plan.theta_min * loss
     radii = radii[keep]
-    if radii.size == 0:
-        return [True] * len(rows)
-    d2 = sq_dists_to_dest(radii, angles[keep], cell.dest_distance)
-    g2 = rng.standard_exponential(d2.size)
+    drawn = (radii, angles[keep], rng.standard_exponential(radii.size))
+    return drawn + (gains[keep], loss[keep]) if plan.nested else drawn
+
+
+def _decide(cell: CellGeometry, plan: _Plan, draws: Sequence[tuple]) -> np.ndarray:
+    """Outage flags, shape ``(rows, trials)``, of a block of trials given
+    their :func:`_draw` results.
+
+    The trials' relays are concatenated; ``trial`` names each relay's trial.
+    A row with ``J`` qualified relays in a trial takes that trial's first
+    ``J`` second-hop gains, which are the gains it would draw on its own.
+    Exact knowledge is an outage iff no relay succeeds; distance ranking
+    as in :func:`_ranked_outages`.
+    """
+    n = len(draws)
+    sizes = np.fromiter((d[0].size for d in draws), np.intp, n)
+    radii, angles, g2, *first = (np.concatenate(col) for col in zip(*draws))
+    trial = np.repeat(np.arange(n), sizes)
+    start = np.cumsum(sizes) - sizes
+    d2 = sq_dists_to_dest(radii, angles, cell.dest_distance)
     alpha = cell.path_loss_exponent
     loss2 = 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha))
-    if plan.nested:
-        gains, loss = gains[keep], loss[keep]
-    outages = []
-    for theta_first, theta_second, k in rows:
-        sub = None if theta_first == theta_min else gains >= theta_first * loss
-        row_loss2 = loss2 if sub is None else loss2[sub]
-        succ = g2[: row_loss2.size] >= theta_second * row_loss2
-        if k and k < succ.size:  # else every qualified relay gets a slot
-            row_d2 = d2 if sub is None else d2[sub]
-            succ = succ[row_d2.argsort(kind="stable")[:k]]
-        outages.append(not succ.any())
-    return outages
+    subsets = {plan.theta_min: (trial, d2, loss2, g2)}
+    out = np.empty((len(plan.rows), n), dtype=bool)
+    for i, (theta_first, theta_second, k) in enumerate(plan.rows):
+        if theta_first not in subsets:
+            gains, loss = first
+            sub = np.flatnonzero(gains >= theta_first * loss)
+            tid = trial[sub]
+            counts = np.bincount(tid, minlength=n)
+            pos = np.arange(sub.size) - (np.cumsum(counts) - counts)[tid]
+            subsets[theta_first] = (tid, d2[sub], loss2[sub], g2[start[tid] + pos])
+        tid, row_d2, row_loss2, row_g2 = subsets[theta_first]
+        succ = row_g2 >= theta_second * row_loss2
+        if k:
+            out[i] = _ranked_outages(row_d2, succ, tid, n, k)
+        else:
+            out[i] = np.bincount(tid[succ], minlength=n) == 0
+    return out
+
+
+def _ranked_outages(
+    d2: np.ndarray, succ: np.ndarray, trial: np.ndarray, n: int, k: int
+) -> np.ndarray:
+    """Per trial, whether none of the ``k`` relays nearest to the destination
+    succeeds; ``d2``, ``succ`` and ``trial`` list the qualified relays of
+    ``n`` trials, grouped by trial in input order.
+
+    Relays rank by ``(d2, position)``, so exact ties go to the earlier relay.
+    Some selected relay succeeds iff the first succeeding relay in that
+    order, at ``(v, s)``, is among the first ``k``: its rank
+    ``#(d2 < v) + #(d2 == v, position < s)`` is below ``k``. No sort needed.
+    """
+    won = np.flatnonzero(succ)
+    outage = np.ones(n, dtype=bool)
+    if won.size == 0:
+        return outage
+    heads = np.flatnonzero(_run_starts(trial[won]))
+    hit = trial[won[heads]]
+    v = np.full(n, np.inf)
+    v[hit] = np.minimum.reduceat(d2[won], heads)
+    best = won[d2[won] == v[trial[won]]]
+    s = np.full(n, d2.size)
+    s[hit] = best[_run_starts(trial[best])]
+    ahead = (d2 < v[trial]) | ((d2 == v[trial]) & (np.arange(d2.size) < s[trial]))
+    outage[hit] = np.bincount(trial[ahead], minlength=n)[hit] >= k
+    return outage
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries of the nonempty sorted ``ids`` that begin a run."""
+    return np.r_[True, ids[1:] != ids[:-1]]
+
+
+def _trial_outages(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> list[bool]:
+    """One trial decided for every row of ``plan``: whether each is an outage."""
+    return _decide(cell, plan, [_draw(cell, plan, rng)])[:, 0].tolist()
 
 
 def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator) -> bool:
@@ -202,11 +306,13 @@ def trial_stat_csi(
 
 
 def _grid_block(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int) -> list[int]:
-    counts = [0] * len(plan.rows)
-    for t in range(start, stop):
-        for i, outage in enumerate(_trial_outages(cell, plan, trial_rng(seed, t))):
-            counts[i] += outage
-    return counts
+    counts = np.zeros(len(plan.rows), dtype=np.int64)
+    rng = _philox()
+    for lo in range(start, stop, _BLOCK_TRIALS):
+        hi = min(lo + _BLOCK_TRIALS, stop)
+        draws = [_draw(cell, plan, _enter_trial(rng, seed, t)) for t in range(lo, hi)]
+        counts += _decide(cell, plan, draws).sum(axis=1)
+    return counts.tolist()
 
 
 def _run_blocks(block, args: tuple, trials: int, workers: int | None) -> list:
@@ -253,8 +359,8 @@ def estimate_outage_grid(
 
     Each row's estimate equals :func:`estimate_outage` for that row alone,
     count for count: trial ``t`` draws the same field and gains for every
-    row (see :func:`_trial_outages`), so it is drawn once and decided for
-    all rows. Worker processes as in :func:`estimate_outage`.
+    row (see :func:`_draw`), so it is drawn once and decided for all rows.
+    Worker processes as in :func:`estimate_outage`.
     """
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be an integer >= 1")
@@ -322,8 +428,9 @@ def _mean_count_block(
     grid_arr = np.asarray(grid)
     s1 = np.zeros(grid_arr.size, dtype=np.int64)
     s2 = np.zeros(grid_arr.size, dtype=np.int64)
+    rng = _philox()
     for t in range(start, stop):
-        radii, angles = _qualified_field(cell, theta_first, trial_rng(seed, t))
+        radii, angles = _qualified_field(cell, theta_first, _enter_trial(rng, seed, t))
         if observer == "bs":
             d = radii
         else:
@@ -364,6 +471,7 @@ def empirical_mean_count(
         raise ValueError(f"radii must lie within [0, {upper}]")
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be an integer >= 1")
+    _check_theta_first(theta_first)
     args = (observer, cell, theta_first, grid, seed)
     parts = _run_blocks(_mean_count_block, args, trials, workers)
     s1 = sum(p[0] for p in parts)
@@ -394,9 +502,11 @@ def kth_nearest_qualified_distances(
         raise ValueError("k_max must be an integer >= 1")
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be an integer >= 1")
+    _check_theta_first(theta_first)
     out = np.full((trials, k_max), np.inf)
+    rng = _philox()
     for t in range(trials):
-        radii, angles = _qualified_field(cell, theta_first, trial_rng(seed, t))
+        radii, angles = _qualified_field(cell, theta_first, _enter_trial(rng, seed, t))
         d = np.sort(np.sqrt(sq_dists_to_dest(radii, angles, cell.dest_distance)))
         take = min(k_max, d.size)
         out[t, :take] = d[:take]

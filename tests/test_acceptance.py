@@ -16,7 +16,13 @@ independence-free rank-joint outage, the low-SNR direction rule holds, and
 the verdict is red exactly when some point was rejected.
 """
 
+import os
+
 from relaygeom import validation
+
+#: Worker processes for the Monte Carlo criteria; their counts do not depend
+#: on it, so a second core only shortens the run.
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _run(check, *args, **kwargs):
@@ -38,14 +44,14 @@ def test_criterion_2_far_field_mean():
 
 
 def test_criterion_3_exact_csi_outage():
-    result = _run(validation.check_exact_csi_outage, trials=100_000)
+    result = _run(validation.check_exact_csi_outage, trials=100_000, workers=WORKERS)
     assert result.passed, result.detail
     assert result.seconds < 120.0, f"runtime {result.seconds:.1f}s exceeds 2 minutes"
 
 
 def test_criterion_4_stat_csi_outage():
     trials = 100_000
-    result = _run(validation.check_stat_csi_outage, trials=trials)
+    result = _run(validation.check_stat_csi_outage, trials=trials, workers=WORKERS)
     grid = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     points = result.records
     assert [(p.k, p.snr_db) for p in points] == [(k, s) for k in (1, 2, 3) for s in grid]

@@ -403,6 +403,31 @@ class TestMainEntry:
         assert cli.main(argv) == 1
         assert f"configuration error: {flag} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["outage-sweep", "--trials", "2", "--snr-grid-db", "10"],
+            ["validate", "--trials", "2"],
+            ["mean-count", "--trials", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("text", ["abc", "0", "1.5"])
+    def test_malformed_threads_variable_exit_code(self, argv, text, monkeypatch, capsys):
+        # read like --workers when the flag is absent, and named in the error
+        monkeypatch.setenv(cli.THREADS_ENV, text)
+        assert cli.main(argv) == 1
+        assert f"configuration error: ${cli.THREADS_ENV} must be" in capsys.readouterr().err
+
+    def test_workers_flag_then_threads_variable(self, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli.validation, "run_all", lambda **kw: seen.update(kw) or [])
+        monkeypatch.setenv(cli.THREADS_ENV, "2")
+        assert cli.main(["validate"]) == 0
+        assert seen["workers"] == 2
+        monkeypatch.setenv(cli.THREADS_ENV, "abc")
+        assert cli.main(["validate", "--workers", "1"]) == 0
+        assert seen["workers"] == 1
+
     @pytest.mark.parametrize("text", ['"x"', "null"])
     def test_malformed_rate_in_file_exit_code(self, text, tmp_path, capsys):
         path = tmp_path / "cfg.json"

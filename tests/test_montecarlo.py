@@ -25,6 +25,29 @@ class TestTrialRng:
         with pytest.raises(ValueError):
             mc.trial_rng(1, -1)
 
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5, 2**128 - 1])
+    def test_reset_stream_is_the_trial_stream(self, seed):
+        # a generator moved onto trial t draws what the documented stream
+        # and trial_rng draw, whatever it drew before: three raw 32-bit words
+        # leave half a 64-bit word pending, and five doubles part of a block
+        def draws(g):
+            return [
+                g.random(5),
+                g.integers(0, 2**32, size=3, dtype=np.uint32),
+                g.poisson(628.3),
+                g.standard_exponential(6),
+                g.random(1),
+            ]
+
+        rng = mc.trial_rng(3, 9)
+        for t in (0, 1, 7, 2**32 + 1, 2**40):
+            draws(rng)
+            moved = draws(mc._enter_trial(rng, seed, t))
+            documented = np.random.Philox(key=seed % 2**128, counter=[0, 0, 0, t])
+            for reference in (np.random.Generator(documented), mc.trial_rng(seed, t)):
+                for a, b in zip(moved, draws(reference), strict=True):
+                    assert np.array_equal(a, b)
+
 
 def _kept_fraction(ring_field, radius: float, theta: float, n: int, rng) -> float:
     ring_field(radius, n)
@@ -219,6 +242,12 @@ class TestEstimateOutage:
         with pytest.raises(ValueError):
             mc.estimate_outage("exact", default_cell, radio_15db, 10, 0, workers=0)
 
+    @pytest.mark.parametrize("text", ["abc", "0", "2.5"])
+    def test_malformed_env_variable_is_named(self, text, default_cell, radio_15db, monkeypatch):
+        monkeypatch.setenv(mc.THREADS_ENV, text)
+        with pytest.raises(ValueError, match=mc.THREADS_ENV):
+            mc.estimate_outage("exact", default_cell, radio_15db, 10, 0)
+
 
 def _mixed_rows(snrs=(5.0, 15.0, 25.0)):
     rows = []
@@ -299,6 +328,39 @@ class TestOutageGrid:
         runs = [mc.estimate_outage_grid(default_cell, rows, 600, 23, workers=w) for w in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
 
+    @pytest.mark.parametrize("trials", [1, 31, 32, 33, 100])
+    def test_counts_do_not_depend_on_blocks(self, trials, default_cell, monkeypatch):
+        # base_rate nests the k >= 2 rows inside the k = 1 rows; workers split
+        # the trials at edges that are not multiples of the block size
+        rows = _mixed_rows((10.0, 25.0))
+        runs = []
+        for block, workers in ((1, 1), (7, 1), (32, 1), (7, 2), (7, 3), (32, 3)):
+            monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
+            runs.append(
+                mc.estimate_outage_grid(
+                    default_cell, rows, trials, 31, first_hop="base_rate", workers=workers
+                )
+            )
+        assert all(run == runs[0] for run in runs)
+        if trials == 100:
+            assert len({e.outage_count for e in runs[0]}) > 3
+
+    def test_sort_free_rank_matches_sorted_oracle(self):
+        # few distinct distances force exact ties, which go to the earlier relay
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            trial = np.repeat(np.arange(n), rng.integers(0, 7, n))
+            d2 = rng.integers(0, 4, trial.size).astype(float)
+            succ = rng.random(trial.size) < 0.4
+            for k in (1, 2, 3, 10):
+                want = []
+                for t in range(n):
+                    relays = np.flatnonzero(trial == t).tolist()
+                    chosen = sorted(relays, key=lambda i: (d2[i], i))[:k]
+                    want.append(not succ[chosen].any())
+                assert mc._ranked_outages(d2, succ, trial, n, k).tolist() == want
+
     def test_rejects_what_one_row_rejects(self, default_cell, radio_15db):
         two = RadioParams(snr_db=15.0, target_rate=1.0, num_relays=2)
         no_slot = RadioParams(snr_db=15.0, target_rate=1.0, num_relays=1)
@@ -345,6 +407,14 @@ class TestEmpiricalMeanCount:
             mc.empirical_mean_count("bs", [1.0, 30.0], default_cell, self.THETA, 10, 0)
         with pytest.raises(ValueError):
             mc.empirical_mean_count("bs", [], default_cell, self.THETA, 10, 0)
+
+    @pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_theta_first(self, theta, default_cell):
+        # -1 would qualify every relay, NaN and inf none
+        with pytest.raises(ValueError, match="theta_first"):
+            mc.empirical_mean_count("bs", [1.0], default_cell, theta, 10, 0)
+        with pytest.raises(ValueError, match="theta_first"):
+            mc.kth_nearest_qualified_distances(default_cell, theta, 1, 10, 0)
 
 
 class TestMonotoneProperties:
