@@ -187,6 +187,31 @@ class TestGoldenStreams:
         digest = hashlib.sha256(out.tobytes()).hexdigest()
         assert digest == "bf46bc4b7fb3c99f89f57e47bfcdc362abe785b27c764c5e65511862ead34e41"
 
+    @pytest.mark.parametrize(
+        "observer, at_2_5, at_5, sha",
+        [
+            (
+                "bs",
+                (6.722, 0.11300873394519466),
+                (13.582, 0.16627039329770882),
+                "8aaabab18768699461a5d4ba1348d5c599df7ddfdabfbc18a4c7d18013ea4361",
+            ),
+            (
+                "dest",
+                (1.114, 0.05050851631597271),
+                (6.136, 0.11993237907713748),
+                "c2dceba77a80fb67c7638ed5b46889a84ac1c18474ed07739939579ded42aa8d",
+            ),
+        ],
+    )
+    def test_empirical_mean_counts(self, observer, at_2_5, at_5, sha, default_cell):
+        grid = [0.0, 0.5, 1.0, 2.5, 5.0, 10.0, 15.0, 20.0, 25.0]
+        out = mc.empirical_mean_count(observer, grid, default_cell, 0.0948, 500, 42)
+        assert (out[3].mean, out[3].stderr) == at_2_5
+        assert (out[4].mean, out[4].stderr) == at_5
+        table = np.array([(p.radius, p.mean, p.stderr) for p in out])
+        assert hashlib.sha256(table.tobytes()).hexdigest() == sha
+
 
 class TestEstimateOutage:
     def test_fixed_seed_reproducible(self, default_cell, radio_15db):
