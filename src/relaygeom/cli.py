@@ -44,7 +44,7 @@ from typing import ClassVar
 from . import validation
 from .analytic import F_K_FORMS, lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
 from .model import FIRST_HOP_RULES, CellGeometry, RadioParams, compute_thresholds
-from .montecarlo import STRATEGIES, THREADS_ENV, empirical_mean_count, estimate_outage_grid
+from .montecarlo import OBSERVERS, STRATEGIES, THREADS_ENV, empirical_mean_count, estimate_outage_grid
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
 #: Documented defaults for every configuration key. These are repository
@@ -327,8 +327,8 @@ def run_mean_count(
     snr_db: float = 15.0,
     workers: int | None = None,
 ) -> list[MeanCountRow]:
-    """Mean-count curves from both observers over a radius grid, each
-    averaged over ``config.trials`` realizations.
+    """Mean-count curves from both observers over a radius grid, both
+    averaged over the same ``config.trials`` realizations.
 
     The qualification threshold is the single-relay one at ``snr_db`` and
     ``config.rate``. Rows are ordered by observer ("bs" first), then radius.
@@ -337,18 +337,17 @@ def run_mean_count(
     theta = compute_thresholds(
         RadioParams(snr_db=snr_db, target_rate=config.rate, num_relays=1)
     ).theta_first
+    try:
+        empirical = empirical_mean_count(radii, cell, theta, trials, config.seed, workers=workers)
+    except Exception as exc:  # noqa: BLE001
+        return [
+            MeanCountRow(observer, r, None, None, None, trials, str(exc))
+            for observer in OBSERVERS
+            for r in radii
+        ]
     rows: list[MeanCountRow] = []
-    for observer in ("bs", "dest"):
-        try:
-            empirical = empirical_mean_count(
-                observer, radii, cell, theta, trials, config.seed, workers=workers
-            )
-        except Exception as exc:  # noqa: BLE001
-            rows.extend(
-                MeanCountRow(observer, r, None, None, None, trials, str(exc)) for r in radii
-            )
-            continue
-        for point in empirical:
+    for observer in OBSERVERS:
+        for point in empirical[observer]:
             try:
                 if observer == "bs":
                     an = mean_count_from_bs(point.radius, lam, theta, cell_radius=cell.cell_radius)
@@ -567,6 +566,7 @@ _COMMAND_FLAGS = {
         "samples": (_count, 10_000, "sampled distances"),
         "seed": (_integer, validation.DEFAULT_SEED, "sampling seed"),
         "k-max": (_count, 3, "largest rank k"),
+        "workers": _WORKERS,
     },
 }
 
@@ -636,7 +636,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fk_check(args: argparse.Namespace) -> int:
-    result = validation.check_fk_distribution(args.samples, args.seed, args.k_max)
+    result = validation.check_fk_distribution(args.samples, args.seed, args.k_max, args.workers)
     print(result.line())
     return 0 if result.passed else 2
 

@@ -31,6 +31,15 @@ qualified relays of a block are concatenated and every row is decided on
 them with array operations (see :func:`_decide`). Each decision reads only
 its own trial's relays, so no count depends on the block size.
 
+The distance samplers (:func:`empirical_mean_count` and
+:func:`kth_nearest_qualified_distances`) draw the same way, one qualified
+field per trial, and work on a block's concatenated relays too: one
+distance computation per block, a sort-free count of the relays within
+each radius for both observers at once, and for the k-th nearest distances
+an in-place sort of each trial's slice of the block. Like the outage
+estimators they take ``workers`` and split the trials over worker processes
+(see :func:`_run_blocks`), with results identical for any worker count.
+
 Aggregation across trials is integer summation, which is order-independent.
 """
 
@@ -104,6 +113,14 @@ def _resolve_workers(workers: int | None) -> int:
     if not (isinstance(workers, int) and workers >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {workers!r}")
     return workers
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, the upper bound on worker processes."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _check_theta_first(theta_first: float) -> None:
@@ -224,11 +241,12 @@ def _decide(cell: CellGeometry, plan: _Plan, draws: Sequence[tuple]) -> np.ndarr
     for i, (theta_first, theta_second, k) in enumerate(plan.rows):
         if theta_first not in subsets:
             gains, loss = first
-            sub = np.flatnonzero(gains >= theta_first * loss)
+            sub = (gains >= theta_first * loss).nonzero()[0]
             tid = trial[sub]
             counts = np.bincount(tid, minlength=n)
-            pos = np.arange(sub.size) - (np.cumsum(counts) - counts)[tid]
-            subsets[theta_first] = (tid, d2[sub], loss2[sub], g2[start[tid] + pos])
+            # the row's j-th relay of a trial reads that trial's j-th gain
+            shift = start - (np.cumsum(counts) - counts)
+            subsets[theta_first] = (tid, d2[sub], loss2[sub], g2[np.arange(sub.size) + shift[tid]])
         tid, row_d2, row_loss2, row_g2 = subsets[theta_first]
         succ = row_g2 >= theta_second * row_loss2
         if k:
@@ -250,25 +268,35 @@ def _ranked_outages(
     order, at ``(v, s)``, is among the first ``k``: its rank
     ``#(d2 < v) + #(d2 == v, position < s)`` is below ``k``. No sort needed.
     """
-    won = np.flatnonzero(succ)
+    won = succ.nonzero()[0]
     outage = np.ones(n, dtype=bool)
     if won.size == 0:
         return outage
-    heads = np.flatnonzero(_run_starts(trial[won]))
-    hit = trial[won[heads]]
+    won_trial, won_d2 = trial[won], d2[won]
+    heads = _run_starts(won_trial).nonzero()[0]
+    hit = won_trial[heads]
     v = np.full(n, np.inf)
-    v[hit] = np.minimum.reduceat(d2[won], heads)
-    best = won[d2[won] == v[trial[won]]]
-    s = np.full(n, d2.size)
-    s[hit] = best[_run_starts(trial[best])]
-    ahead = (d2 < v[trial]) | ((d2 == v[trial]) & (np.arange(d2.size) < s[trial]))
+    v[hit] = np.minimum.reduceat(won_d2, heads)
+    v_at = v[trial]
+    ahead = d2 < v_at
+    tie = (d2 == v_at).nonzero()[0]
+    if tie.size > hit.size:
+        # some relay ties a winner's distance (each winner ties itself): the
+        # earlier relay ranks first, so find each trial's first winner at v
+        best = won[won_d2 == v[won_trial]]
+        s = np.full(n, d2.size)
+        s[hit] = best[_run_starts(trial[best])]
+        ahead[tie] = tie < s[trial[tie]]
     outage[hit] = np.bincount(trial[ahead], minlength=n)[hit] >= k
     return outage
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:
     """Mask of the entries of the nonempty sorted ``ids`` that begin a run."""
-    return np.r_[True, ids[1:] != ids[:-1]]
+    starts = np.empty(ids.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+    return starts
 
 
 def _trial_outages(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> list[bool]:
@@ -319,12 +347,13 @@ def _run_blocks(block, args: tuple, trials: int, workers: int | None) -> list:
     """Call ``block(*args, start, stop)`` on contiguous trial ranges and
     return the partial results in range order.
 
-    The ranges split ``trials`` evenly over ``min(workers, trials)`` worker
-    processes, or run in this process when that is 1. Each trial owns its
-    stream and callers combine the parts by integer sums, so the combined
-    result does not depend on the worker count.
+    The ranges split ``trials`` evenly over ``min(workers, trials, CPUs)``
+    worker processes, where CPUs is :func:`_usable_cpus`, or run in this
+    process when that is 1. Each trial owns its stream and callers combine
+    the parts by integer sums or in range order, so the combined result does
+    not depend on the worker count.
     """
-    workers = min(_resolve_workers(workers), trials)
+    workers = min(_resolve_workers(workers), trials, _usable_cpus())
     if workers == 1:
         return [block(*args, 0, trials)]
     bounds = [(i * trials // workers, (i + 1) * trials // workers) for i in range(workers)]
@@ -416,8 +445,23 @@ class MeanCountPoint(NamedTuple):
     stderr: float
 
 
+def _qualified_blocks(cell: CellGeometry, theta_first: float, seed: int, start: int, stop: int):
+    """Yield the qualified relays of trials ``start .. stop - 1`` in blocks of
+    up to :data:`_BLOCK_TRIALS` trials: per block, the per-trial relay counts
+    and the concatenated relays' distances to the source and to the
+    destination, in input order."""
+    rng = _philox()
+    for lo in range(start, stop, _BLOCK_TRIALS):
+        fields = [
+            _qualified_field(cell, theta_first, _enter_trial(rng, seed, t))
+            for t in range(lo, min(lo + _BLOCK_TRIALS, stop))
+        ]
+        sizes = np.fromiter((radii.size for radii, _ in fields), np.intp, len(fields))
+        radii, angles = (np.concatenate(col) for col in zip(*fields))
+        yield sizes, radii, np.sqrt(sq_dists_to_dest(radii, angles, cell.dest_distance))
+
+
 def _mean_count_block(
-    observer: str,
     cell: CellGeometry,
     theta_first: float,
     grid: tuple[float, ...],
@@ -425,24 +469,29 @@ def _mean_count_block(
     start: int,
     stop: int,
 ):
+    """Sums over trials of the per-trial counts within each grid radius and
+    of their squares, shape ``(observers, radii)`` each.
+
+    A relay at distance ``d`` counts at every radius from the first grid
+    point ``>= d`` on, so a per-trial histogram of that index, accumulated
+    along the grid, gives the counts without sorting.
+    """
     grid_arr = np.asarray(grid)
-    s1 = np.zeros(grid_arr.size, dtype=np.int64)
-    s2 = np.zeros(grid_arr.size, dtype=np.int64)
-    rng = _philox()
-    for t in range(start, stop):
-        radii, angles = _qualified_field(cell, theta_first, _enter_trial(rng, seed, t))
-        if observer == "bs":
-            d = radii
-        else:
-            d = np.sqrt(sq_dists_to_dest(radii, angles, cell.dest_distance))
-        counts = np.searchsorted(np.sort(d), grid_arr, side="right").astype(np.int64)
-        s1 += counts
-        s2 += counts * counts
+    bins = grid_arr.size + 1
+    s1 = np.zeros((len(OBSERVERS), grid_arr.size), dtype=np.int64)
+    s2 = np.zeros_like(s1)
+    for sizes, *dists in _qualified_blocks(cell, theta_first, seed, start, stop):
+        offset = np.repeat(np.arange(sizes.size) * bins, sizes)
+        for i, d in enumerate(dists):
+            first = offset + np.searchsorted(grid_arr, d, side="left")
+            hist = np.bincount(first, minlength=sizes.size * bins).reshape(sizes.size, bins)
+            counts = hist[:, :-1].cumsum(axis=1)
+            s1[i] += counts.sum(axis=0)
+            s2[i] += (counts * counts).sum(axis=0)
     return s1, s2
 
 
 def empirical_mean_count(
-    observer: str,
     radii: Sequence[float],
     cell: CellGeometry,
     theta_first: float,
@@ -450,17 +499,17 @@ def empirical_mean_count(
     seed: int,
     *,
     workers: int | None = None,
-) -> list[MeanCountPoint]:
-    """Mean number of qualified relays within each radius of an observer.
+) -> dict[str, list[MeanCountPoint]]:
+    """Mean number of qualified relays within each radius of both observers.
 
-    ``observer`` is ``"bs"`` (the cell center) or ``"dest"``. For each
-    radius ``r`` of the strictly increasing grid, averages the count of
-    qualified relays at distance <= ``r`` over fresh realizations. Draw
-    order per trial: count, radii, angles, first-hop gains (no second-hop
-    draws are consumed).
+    Returns one curve per observer of :data:`OBSERVERS`, keyed by it:
+    ``"bs"`` (the cell center) and ``"dest"``. For each radius ``r`` of the
+    strictly increasing grid, averages the count of qualified relays at
+    distance <= ``r`` over fresh realizations; both curves read the same
+    realizations. Draw order per trial: count, radii, angles, first-hop
+    gains (no second-hop draws are consumed). Worker processes as in
+    :func:`estimate_outage`.
     """
-    if observer not in OBSERVERS:
-        raise ValueError(f"observer must be one of {OBSERVERS}, got {observer!r}")
     grid = tuple(float(r) for r in radii)
     if not grid:
         raise ValueError("radii grid must be nonempty")
@@ -472,42 +521,62 @@ def empirical_mean_count(
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be an integer >= 1")
     _check_theta_first(theta_first)
-    args = (observer, cell, theta_first, grid, seed)
-    parts = _run_blocks(_mean_count_block, args, trials, workers)
+    parts = _run_blocks(_mean_count_block, (cell, theta_first, grid, seed), trials, workers)
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
-    out = []
-    for i, r in enumerate(grid):
-        mean = s1[i] / trials
-        if trials > 1:
-            var = (s2[i] - s1[i] * s1[i] / trials) / (trials - 1)
-            stderr = math.sqrt(max(var, 0.0) / trials)
-        else:
-            stderr = 0.0
-        out.append(MeanCountPoint(r, float(mean), float(stderr)))
+    curves = {}
+    for o, observer in enumerate(OBSERVERS):
+        curve = []
+        for i, r in enumerate(grid):
+            mean = s1[o, i] / trials
+            if trials > 1:
+                var = (s2[o, i] - s1[o, i] * s1[o, i] / trials) / (trials - 1)
+                stderr = math.sqrt(max(var, 0.0) / trials)
+            else:
+                stderr = 0.0
+            curve.append(MeanCountPoint(r, float(mean), float(stderr)))
+        curves[observer] = curve
+    return curves
+
+
+def _kth_block(
+    cell: CellGeometry, theta_first: float, k_max: int, seed: int, start: int, stop: int
+) -> np.ndarray:
+    out = np.full((stop - start, k_max), np.inf)
+    ranks = np.arange(k_max)
+    row = 0
+    for sizes, _, d in _qualified_blocks(cell, theta_first, seed, start, stop):
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        for a, b in zip(begins.tolist(), ends.tolist()):
+            d[a:b].sort()
+        present = ranks < sizes[:, None]
+        out[row : row + sizes.size][present] = d[(begins[:, None] + ranks)[present]]
+        row += sizes.size
     return out
 
 
 def kth_nearest_qualified_distances(
-    cell: CellGeometry, theta_first: float, k_max: int, trials: int, seed: int
+    cell: CellGeometry,
+    theta_first: float,
+    k_max: int,
+    trials: int,
+    seed: int,
+    *,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Sampled distances from the destination to its k-th nearest qualified
     relay, for ``k = 1 .. k_max``.
 
     Returns an array of shape ``(trials, k_max)``; entries where fewer than
     ``k`` relays qualified are ``inf`` (the distance distribution is
-    defective). Same draw order as :func:`empirical_mean_count`.
+    defective). Same draw order as :func:`empirical_mean_count`; worker
+    processes as in :func:`estimate_outage`.
     """
     if not (isinstance(k_max, int) and k_max >= 1):
         raise ValueError("k_max must be an integer >= 1")
     if not (isinstance(trials, int) and trials >= 1):
         raise ValueError("trials must be an integer >= 1")
     _check_theta_first(theta_first)
-    out = np.full((trials, k_max), np.inf)
-    rng = _philox()
-    for t in range(trials):
-        radii, angles = _qualified_field(cell, theta_first, _enter_trial(rng, seed, t))
-        d = np.sort(np.sqrt(sq_dists_to_dest(radii, angles, cell.dest_distance)))
-        take = min(k_max, d.size)
-        out[t, :take] = d[:take]
-    return out
+    parts = _run_blocks(_kth_block, (cell, theta_first, k_max, seed), trials, workers)
+    return np.concatenate(parts)

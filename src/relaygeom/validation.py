@@ -3,7 +3,11 @@
 Each ``check_*`` function runs one criterion at its stated tolerance and
 returns a :class:`CheckResult`; :func:`run_all` executes the whole gate.
 The CLI ``validate`` subcommand and the acceptance test suite both call
-these, so there is a single source of truth for pass/fail logic.
+these, so there is a single source of truth for pass/fail logic. The
+Monte Carlo outage checks (criteria 3 and 4) each build their rows, draw
+them with :func:`~relaygeom.montecarlo.estimate_outage_grid` and judge the
+estimates; :func:`run_all` draws both checks' rows in one call, which gives
+each row the counts it gets alone, and hands each judge its share.
 
 Statistical comparisons use the null-hypothesis standard error
 ``sqrt(p0 (1 - p0) / n)`` (not the estimate's own, which degenerates at
@@ -37,6 +41,14 @@ DEFAULT_SEED = 42
 _ALPHA_3SIGMA = 0.0026997960632601866
 #: Asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level.
 _KS_CRIT_1PCT = 1.62762
+
+#: SNRs of criterion 3 and the default SNR grid of criterion 4, in dB.
+_EXACT_CSI_SNRS = (5.0, 10.0, 15.0, 20.0)
+_STAT_CSI_SNRS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+#: Appended to criterion 3's detail when :func:`run_all` draws its rows.
+_SHARED_DRAW_NOTE = (
+    "; estimates from the draw shared with stat_csi_outage_mc_vs_analytic (timed there)"
+)
 
 
 @dataclass(frozen=True)
@@ -209,23 +221,29 @@ def check_exact_csi_outage(
     """Monte Carlo outage within the 3-sigma binomial band of the
     finite-cell void probability at 5, 10, 15 and 20 dB."""
     t0 = time.perf_counter()
+    rows = _exact_csi_rows()
+    estimates = montecarlo.estimate_outage_grid(DEFAULT_CELL, rows, trials, seed, workers=workers)
+    return _judge_exact_csi(rows, estimates, t0)
+
+
+def _exact_csi_rows() -> list[tuple[str, RadioParams]]:
+    return [
+        ("exact", RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=1))
+        for snr in _EXACT_CSI_SNRS
+    ]
+
+
+def _judge_exact_csi(rows, estimates, t0: float, note: str = "") -> CheckResult:
     details = []
     passed = True
-    radios = [
-        RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=1)
-        for snr in (5.0, 10.0, 15.0, 20.0)
-    ]
-    estimates = montecarlo.estimate_outage_grid(
-        DEFAULT_CELL, [("exact", radio) for radio in radios], trials, seed, workers=workers
-    )
-    for radio, est in zip(radios, estimates):
+    for (_, radio), est in zip(rows, estimates):
         p0 = analytic.outage_exact_csi(DEFAULT_CELL, radio, "quadrature")
-        ok, zscore = binomial_consistent(est.outage_count, trials, p0)
+        ok, zscore = binomial_consistent(est.outage_count, est.trials, p0)
         passed &= ok
         details.append(
             f"{radio.snr_db:g}dB: mc={est.p_hat:.5f} analytic={p0:.5f} z={zscore:+.2f}"
         )
-    return _finish("exact_csi_outage_mc_vs_analytic", passed, "; ".join(details), t0)
+    return _finish("exact_csi_outage_mc_vs_analytic", passed, "; ".join(details) + note, t0)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +254,7 @@ def check_stat_csi_outage(
     trials: int = 100_000,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
-    snr_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+    snr_grid: tuple[float, ...] = _STAT_CSI_SNRS,
 ) -> CheckResult:
     """For k in {1, 2, 3}: Monte Carlo within max(3 sigma, 5% relative) of
     the product form (exact density) wherever the analytic outage is at
@@ -256,19 +274,26 @@ def check_stat_csi_outage(
     so a caller can tell a rank-dependence gap from any other mismatch.
     """
     t0 = time.perf_counter()
-    details = []
-    records = []
-    passed = True
-    low_snr = min(snr_grid)
-    radios = [
-        RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=k)
+    rows = _stat_csi_rows(snr_grid)
+    estimates = montecarlo.estimate_outage_grid(DEFAULT_CELL, rows, trials, seed, workers=workers)
+    return _judge_stat_csi(rows, estimates, t0)
+
+
+def _stat_csi_rows(snr_grid: tuple[float, ...]) -> list[tuple[str, RadioParams]]:
+    return [
+        ("stat", RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=k))
         for k in (1, 2, 3)
         for snr in snr_grid
     ]
-    estimates = montecarlo.estimate_outage_grid(
-        DEFAULT_CELL, [("stat", radio) for radio in radios], trials, seed, workers=workers
-    )
-    for radio, est in zip(radios, estimates):
+
+
+def _judge_stat_csi(rows, estimates, t0: float) -> CheckResult:
+    details = []
+    records = []
+    passed = True
+    low_snr = min(radio.snr_db for _, radio in rows)
+    trials = estimates[0].trials
+    for (_, radio), est in zip(rows, estimates):
         k, snr = radio.num_relays, radio.snr_db
         p0 = analytic.outage_stat(k, DEFAULT_CELL, radio, form="exact")
         in_band, zscore = binomial_consistent(est.outage_count, trials, p0)
@@ -352,7 +377,7 @@ def _ks_statistic(samples: np.ndarray, cdf_at_samples: np.ndarray, cdf_at_sup: f
 
 
 def check_fk_distribution(
-    samples: int = 10_000, seed: int = DEFAULT_SEED, k_max: int = 3
+    samples: int = 10_000, seed: int = DEFAULT_SEED, k_max: int = 3, workers: int | None = None
 ) -> CheckResult:
     """KS distance between sampled k-th-nearest-qualified-relay distances
     (destination observer, 15 dB) and the exact-form CDF must stay below the
@@ -363,7 +388,9 @@ def check_fk_distribution(
         RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
     ).theta_first
     cell = DEFAULT_CELL
-    draws = montecarlo.kth_nearest_qualified_distances(cell, theta, k_max, samples, seed)
+    draws = montecarlo.kth_nearest_qualified_distances(
+        cell, theta, k_max, samples, seed, workers=workers
+    )
     profile = analytic.MassProfile(cell, theta)
     quadratic = analytic._order_densities(
         profile.M, profile.density, profile.r, k_max, "quadratic"
@@ -410,10 +437,8 @@ def check_mean_count_curves(
         for r in grid
     ]
     an_dest = analytic.lambda_prime(np.array(grid), cell, theta)
-    emp_bs = montecarlo.empirical_mean_count("bs", grid, cell, theta, trials, seed, workers=workers)
-    emp_dest = montecarlo.empirical_mean_count(
-        "dest", grid, cell, theta, trials, seed, workers=workers
-    )
+    empirical = montecarlo.empirical_mean_count(grid, cell, theta, trials, seed, workers=workers)
+    emp_bs, emp_dest = empirical["bs"], empirical["dest"]
     passed = True
     issues = []
     for i, r in enumerate(grid):
@@ -532,14 +557,29 @@ def run_all(
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> list[CheckResult]:
-    """Run every check at the given sizes and return the results in order."""
-    return [
-        check_inner_integral(),
-        check_far_field_mean(),
-        check_exact_csi_outage(trials, seed, workers),
-        check_stat_csi_outage(trials, seed, workers),
+    """Run every check at the given sizes and return the results in order.
+
+    Criteria 3 and 4 judge the estimates of one
+    :func:`~relaygeom.montecarlo.estimate_outage_grid` call over both checks'
+    rows; each result equals its standalone check's, except that criterion
+    3's detail says where its estimates came from and the draw's time counts
+    in criterion 4's ``seconds`` only.
+    """
+    results = [check_inner_integral(), check_far_field_mean()]
+    exact_rows, stat_rows = _exact_csi_rows(), _stat_csi_rows(_STAT_CSI_SNRS)
+    t0 = time.perf_counter()
+    estimates = montecarlo.estimate_outage_grid(
+        DEFAULT_CELL, exact_rows + stat_rows, trials, seed, workers=workers
+    )
+    drawn = time.perf_counter() - t0
+    split = len(exact_rows)
+    results.append(
+        _judge_exact_csi(exact_rows, estimates[:split], time.perf_counter(), _SHARED_DRAW_NOTE)
+    )
+    results.append(_judge_stat_csi(stat_rows, estimates[split:], time.perf_counter() - drawn))
+    return results + [
         check_diversity_order(),
-        check_fk_distribution(samples, seed),
+        check_fk_distribution(samples, seed, workers=workers),
         check_mean_count_curves(mean_count_trials, seed, workers),
         check_normalization(),
         check_cli_determinism(),

@@ -78,12 +78,12 @@ def test_criterion_5_diversity_order():
 
 
 def test_criterion_6_kth_nearest_distance_ks():
-    result = _run(validation.check_fk_distribution, samples=10_000)
+    result = _run(validation.check_fk_distribution, samples=10_000, workers=WORKERS)
     assert result.passed, result.detail
 
 
 def test_criterion_7_mean_count_curves():
-    result = _run(validation.check_mean_count_curves, trials=4000)
+    result = _run(validation.check_mean_count_curves, trials=4000, workers=WORKERS)
     assert result.passed, result.detail
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestGoldenStreams:
     )
     def test_empirical_mean_counts(self, observer, at_2_5, at_5, sha, default_cell):
         grid = [0.0, 0.5, 1.0, 2.5, 5.0, 10.0, 15.0, 20.0, 25.0]
-        out = mc.empirical_mean_count(observer, grid, default_cell, 0.0948, 500, 42)
+        out = mc.empirical_mean_count(grid, default_cell, 0.0948, 500, 42)[observer]
         assert (out[3].mean, out[3].stderr) == at_2_5
         assert (out[4].mean, out[4].stderr) == at_5
         table = np.array([(p.radius, p.mean, p.stderr) for p in out])
@@ -272,6 +273,62 @@ class TestEstimateOutage:
         monkeypatch.setenv(mc.THREADS_ENV, text)
         with pytest.raises(ValueError, match=mc.THREADS_ENV):
             mc.estimate_outage("exact", default_cell, radio_15db, 10, 0)
+
+
+class TestWorkerCap:
+    """The pool never asks for more processes than this process may run on.
+    A stand-in pool records its size and runs the ranges inline, so these
+    tests start no process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                result = fn(*args)
+                return SimpleNamespace(result=lambda: result)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        return sizes
+
+    def test_flag_is_capped_at_usable_cpus(self, pools, default_cell):
+        rows = _mixed_rows((10.0, 25.0))
+        capped = mc.estimate_outage_grid(default_cell, rows, 50, 3, workers=5000)
+        assert pools == [3]
+        assert capped == mc.estimate_outage_grid(default_cell, rows, 50, 3, workers=1)
+        assert pools == [3]
+
+    def test_env_variable_is_capped(self, pools, default_cell, monkeypatch):
+        monkeypatch.setenv(mc.THREADS_ENV, "5000")
+        grid = [0.0, 5.0, 25.0]
+        kth = mc.kth_nearest_qualified_distances(default_cell, 0.2, 2, 40, 8)
+        curves = mc.empirical_mean_count(grid, default_cell, 0.2, 40, 8)
+        assert pools == [3, 3]
+        monkeypatch.delenv(mc.THREADS_ENV)
+        assert np.array_equal(kth, mc.kth_nearest_qualified_distances(default_cell, 0.2, 2, 40, 8))
+        assert curves == mc.empirical_mean_count(grid, default_cell, 0.2, 40, 8)
+
+    def test_trials_cap_below_cpus(self, pools, default_cell):
+        mc.empirical_mean_count([1.0], default_cell, 0.2, 2, 1, workers=8)
+        assert pools == [2]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        assert mc._usable_cpus() == 4
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc._usable_cpus() == 1
 
 
 def _mixed_rows(snrs=(5.0, 15.0, 25.0)):
@@ -403,41 +460,47 @@ class TestEmpiricalMeanCount:
     THETA = 0.09486832980505139
 
     def test_zero_radius_counts_nothing(self, default_cell):
-        out = mc.empirical_mean_count("bs", [0.0, 5.0], default_cell, self.THETA, 200, 1)
+        out = mc.empirical_mean_count([0.0, 5.0], default_cell, self.THETA, 200, 1)["bs"]
         assert out[0].mean == 0.0
         assert out[0].stderr == 0.0
+
+    def test_one_curve_per_observer(self, default_cell):
+        curves = mc.empirical_mean_count([0.0, 5.0, 25.0], default_cell, self.THETA, 50, 1)
+        assert tuple(curves) == mc.OBSERVERS
+        for curve in curves.values():
+            assert [p.radius for p in curve] == [0.0, 5.0, 25.0]
+        # both views count the same realizations, whole at the far edge
+        assert curves["bs"][-1] == curves["dest"][-1]
 
     def test_source_view_matches_closed_form(self, default_cell):
         from relaygeom.analytic import mean_count_from_bs
 
-        out = mc.empirical_mean_count(
-            "bs", [2.0, 5.0, 10.0, 20.0], default_cell, self.THETA, 2000, 3
-        )
-        for point in out:
+        out = mc.empirical_mean_count([2.0, 5.0, 10.0, 20.0], default_cell, self.THETA, 2000, 3)
+        for point in out["bs"]:
             ref = mean_count_from_bs(point.radius, default_cell.relay_intensity, self.THETA)
             assert abs(point.mean - ref) < 3 * point.stderr
 
     def test_worker_count_invariance(self, default_cell):
         grid = [1.0, 3.0, 9.0]
-        a = mc.empirical_mean_count("dest", grid, default_cell, self.THETA, 600, 5, workers=1)
-        b = mc.empirical_mean_count("dest", grid, default_cell, self.THETA, 600, 5, workers=2)
+        a = mc.empirical_mean_count(grid, default_cell, self.THETA, 600, 5, workers=1)
+        b = mc.empirical_mean_count(grid, default_cell, self.THETA, 600, 5, workers=2)
         assert a == b
 
     def test_validation(self, default_cell):
         with pytest.raises(ValueError):
-            mc.empirical_mean_count("side", [1.0], default_cell, self.THETA, 10, 0)
+            mc.empirical_mean_count([2.0, 1.0], default_cell, self.THETA, 10, 0)
         with pytest.raises(ValueError):
-            mc.empirical_mean_count("bs", [2.0, 1.0], default_cell, self.THETA, 10, 0)
+            mc.empirical_mean_count([1.0, 30.0], default_cell, self.THETA, 10, 0)
         with pytest.raises(ValueError):
-            mc.empirical_mean_count("bs", [1.0, 30.0], default_cell, self.THETA, 10, 0)
+            mc.empirical_mean_count([], default_cell, self.THETA, 10, 0)
         with pytest.raises(ValueError):
-            mc.empirical_mean_count("bs", [], default_cell, self.THETA, 10, 0)
+            mc.empirical_mean_count([1.0], default_cell, self.THETA, 0, 0)
 
     @pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_theta_first(self, theta, default_cell):
         # -1 would qualify every relay, NaN and inf none
         with pytest.raises(ValueError, match="theta_first"):
-            mc.empirical_mean_count("bs", [1.0], default_cell, theta, 10, 0)
+            mc.empirical_mean_count([1.0], default_cell, theta, 10, 0)
         with pytest.raises(ValueError, match="theta_first"):
             mc.kth_nearest_qualified_distances(default_cell, theta, 1, 10, 0)
 
@@ -473,8 +536,7 @@ class TestMonotoneProperties:
 
     def test_mean_count_curves_monotone_in_radius(self, default_cell):
         grid = [0.0, 2.0, 5.0, 10.0, 18.0, 25.0]
-        for observer in ("bs", "dest"):
-            curve = mc.empirical_mean_count(observer, grid, default_cell, 0.2, 400, 2)
+        for curve in mc.empirical_mean_count(grid, default_cell, 0.2, 400, 2).values():
             means = [p.mean for p in curve]
             assert all(b >= a for a, b in zip(means, means[1:]))
 
@@ -521,3 +583,20 @@ class TestKthNearestDistances:
         a = mc.kth_nearest_qualified_distances(default_cell, 0.2, 2, 50, 8)
         b = mc.kth_nearest_qualified_distances(default_cell, 0.2, 2, 50, 8)
         assert np.array_equal(a, b)
+
+    def test_worker_count_invariance(self, default_cell):
+        # 37 trials split at edges that are not multiples of the block size
+        serial = mc.kth_nearest_qualified_distances(default_cell, 0.0948, 3, 37, 42, workers=1)
+        parallel = mc.kth_nearest_qualified_distances(default_cell, 0.0948, 3, 37, 42, workers=2)
+        assert np.array_equal(serial, parallel)
+        assert serial.tobytes() == parallel.tobytes()
+
+    @pytest.mark.parametrize("trials", [1, 15, 16, 17, 40])
+    def test_rows_do_not_depend_on_blocks(self, trials, default_cell, monkeypatch):
+        runs = []
+        for block in (1, 3, 16):
+            monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
+            runs.append(mc.kth_nearest_qualified_distances(default_cell, 1.5, 4, trials, 3))
+            runs.append(mc.empirical_mean_count([0.0, 2.0, 7.5, 25.0], default_cell, 1.5, trials, 3))
+        assert all(np.array_equal(run, runs[0]) for run in runs[0::2])
+        assert all(run == runs[1] for run in runs[1::2])

@@ -1,10 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from relaygeom import validation
+# cli is imported before any test patches montecarlo, so that it binds the
+# real estimator (validation imports it on first use)
+from relaygeom import cli, montecarlo, validation
 from relaygeom.validation import _ks_statistic, binomial_consistent
 
 
@@ -92,3 +95,85 @@ class TestStatCsiRecords:
         direction_ok = all(p.p_hat >= p.product for p in points if p.k >= 2 and p.snr_db == 0.0)
         assert result.passed == (not rejected and direction_ok)
         assert result.detail.count("MISMATCH (rank-joint exact=") == len(rejected)
+
+
+class TestRunAllSharesDraws:
+    """``run_all`` judges criteria 3 and 4 on one grid draw and criterion 7 on
+    one mean-count pass; each result must be what the standalone check
+    returns, and nothing may carry over from one call to the next."""
+
+    SIZES = {"trials": 600, "samples": 300, "mean_count_trials": 200, "seed": 42}
+
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        calls = []
+        grid = montecarlo.estimate_outage_grid
+
+        def counting_grid(cell, rows, *args, **kwargs):
+            calls.append(len(rows))
+            return grid(cell, rows, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "estimate_outage_grid", counting_grid)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_equal_standalone_checks(self, workers, grid_calls):
+        results = {r.name: r for r in validation.run_all(**self.SIZES, workers=workers)}
+        assert grid_calls == [4 + 21]
+        trials, samples, mc_trials = 600, 300, 200
+        alone = [
+            validation.check_exact_csi_outage(trials, 42, workers),
+            validation.check_stat_csi_outage(trials, 42, workers),
+            validation.check_fk_distribution(samples, 42, workers=workers),
+            validation.check_mean_count_curves(mc_trials, 42, workers),
+        ]
+        assert grid_calls == [25, 4, 21]
+        for check in alone:
+            shared = results[check.name]
+            note = validation._SHARED_DRAW_NOTE if check.name.startswith("exact_csi") else ""
+            assert (shared.passed, shared.detail, shared.records) == (
+                check.passed,
+                check.detail + note,
+                check.records,
+            )
+        assert len(results["stat_csi_outage_mc_vs_analytic"].records) == 21
+        for res in results.values():
+            assert math.isfinite(res.seconds) and res.seconds >= 0
+
+    def test_one_grid_call_per_run_and_no_memo(self, grid_calls):
+        first = validation.run_all(**self.SIZES, workers=1)
+        assert grid_calls == [25]
+        second = validation.run_all(**self.SIZES, workers=1)
+        assert grid_calls == [25, 25]
+        assert [(r.passed, r.detail) for r in first] == [(r.passed, r.detail) for r in second]
+
+    def test_shared_draw_is_timed_in_criterion_4_only(self, monkeypatch):
+        grid = montecarlo.estimate_outage_grid
+
+        def slow_grid(*args, **kwargs):
+            time.sleep(0.5)
+            return grid(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "estimate_outage_grid", slow_grid)
+        results = {r.name: r for r in validation.run_all(**self.SIZES, workers=1)}
+        assert results["stat_csi_outage_mc_vs_analytic"].seconds >= 0.5
+        assert results["exact_csi_outage_mc_vs_analytic"].seconds < 0.5
+        assert results["exact_csi_outage_mc_vs_analytic"].detail.endswith(
+            validation._SHARED_DRAW_NOTE
+        )
+
+
+def test_traced_attributes_exist():
+    # perfbench's tracer wraps these by name; a missing one crashes a traced run
+    for name in (
+        "estimate_outage",
+        "trial_rng",
+        "trial_exact_csi",
+        "trial_stat_csi",
+        "sq_dists_to_dest",
+        "empirical_mean_count",
+        "kth_nearest_qualified_distances",
+    ):
+        assert callable(getattr(montecarlo, name))
+    assert callable(cli.estimate_outage)
+    assert callable(validation.exact_ranked_outage)
