@@ -464,6 +464,14 @@ class TestEmpiricalMeanCount:
         assert out[0].mean == 0.0
         assert out[0].stderr == 0.0
 
+    def test_counts_relays_at_the_radius(self, ring_field):
+        # "within r" includes distance exactly r, from either observer
+        ring_field(3.0, 8)
+        cell = CellGeometry(cell_radius=20.0, dest_distance=0.0, relay_intensity=0.5)
+        curves = mc.empirical_mean_count([0.0, 2.5, 3.0, 3.5], cell, 0.0, 20, 1)
+        for curve in curves.values():
+            assert [(p.mean, p.stderr) for p in curve] == [(0, 0), (0, 0), (8, 0), (8, 0)]
+
     def test_one_curve_per_observer(self, default_cell):
         curves = mc.empirical_mean_count([0.0, 5.0, 25.0], default_cell, self.THETA, 50, 1)
         assert tuple(curves) == mc.OBSERVERS
