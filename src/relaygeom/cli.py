@@ -44,7 +44,8 @@ from typing import ClassVar
 from . import validation
 from .analytic import F_K_FORMS, lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
 from .model import FIRST_HOP_RULES, CellGeometry, RadioParams, compute_thresholds
-from .montecarlo import OBSERVERS, STRATEGIES, THREADS_ENV, empirical_mean_count, estimate_outage_grid
+from .montecarlo import OBSERVERS, STRATEGIES, THREADS_ENV
+from .montecarlo import empirical_mean_count, estimate_outage_grid
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
 #: Documented defaults for every configuration key. These are repository

@@ -233,7 +233,7 @@ def _exact_csi_rows() -> list[tuple[str, RadioParams]]:
     ]
 
 
-def _judge_exact_csi(rows, estimates, t0: float, note: str = "") -> CheckResult:
+def _judge_exact_csi(rows, estimates, t0: float) -> CheckResult:
     details = []
     passed = True
     for (_, radio), est in zip(rows, estimates):
@@ -243,7 +243,7 @@ def _judge_exact_csi(rows, estimates, t0: float, note: str = "") -> CheckResult:
         details.append(
             f"{radio.snr_db:g}dB: mc={est.p_hat:.5f} analytic={p0:.5f} z={zscore:+.2f}"
         )
-    return _finish("exact_csi_outage_mc_vs_analytic", passed, "; ".join(details) + note, t0)
+    return _finish("exact_csi_outage_mc_vs_analytic", passed, "; ".join(details), t0)
 
 
 # ----------------------------------------------------------------------
@@ -573,9 +573,8 @@ def run_all(
     )
     drawn = time.perf_counter() - t0
     split = len(exact_rows)
-    results.append(
-        _judge_exact_csi(exact_rows, estimates[:split], time.perf_counter(), _SHARED_DRAW_NOTE)
-    )
+    exact = _judge_exact_csi(exact_rows, estimates[:split], time.perf_counter())
+    results.append(replace(exact, detail=exact.detail + _SHARED_DRAW_NOTE))
     results.append(_judge_stat_csi(stat_rows, estimates[split:], time.perf_counter() - drawn))
     return results + [
         check_diversity_order(),

@@ -601,10 +601,10 @@ class TestKthNearestDistances:
 
     @pytest.mark.parametrize("trials", [1, 15, 16, 17, 40])
     def test_rows_do_not_depend_on_blocks(self, trials, default_cell, monkeypatch):
-        runs = []
+        runs, grid = [], [0.0, 2.0, 7.5, 25.0]
         for block in (1, 3, 16):
             monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
             runs.append(mc.kth_nearest_qualified_distances(default_cell, 1.5, 4, trials, 3))
-            runs.append(mc.empirical_mean_count([0.0, 2.0, 7.5, 25.0], default_cell, 1.5, trials, 3))
+            runs.append(mc.empirical_mean_count(grid, default_cell, 1.5, trials, 3))
         assert all(np.array_equal(run, runs[0]) for run in runs[0::2])
         assert all(run == runs[1] for run in runs[1::2])
