@@ -41,11 +41,10 @@ import sys
 from dataclasses import astuple, dataclass, fields
 from typing import ClassVar
 
-from . import validation
+from . import montecarlo, validation
 from .analytic import F_K_FORMS, lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
 from .model import FIRST_HOP_RULES, CellGeometry, RadioParams, compute_thresholds
 from .montecarlo import OBSERVERS, STRATEGIES, THREADS_ENV
-from .montecarlo import empirical_mean_count, estimate_outage_grid
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
 #: Documented defaults for every configuration key. These are repository
@@ -126,9 +125,6 @@ class MeanCountRow:
     stderr_empirical: float | None
     trials: int
     error: str = ""
-
-
-CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def parse_config(
@@ -280,7 +276,8 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
 
     Every row reuses ``config.seed``, so strategies at the same SNR share
     realizations and channel draws (paired comparison); one
-    :func:`estimate_outage_grid` call draws each trial once for all rows.
+    :func:`~relaygeom.montecarlo.estimate_outage_grid` call draws each trial
+    once for all rows.
     The analytic and the Monte Carlo value of a row are computed
     independently: a side that fails leaves its columns empty and its
     message, prefixed ``analytic:`` or ``mc:``, in the ``error`` column
@@ -293,7 +290,7 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
         for k in ((1,) if strategy == "exact" else config.k_values)
     ]
     try:
-        estimates = estimate_outage_grid(
+        estimates = montecarlo.estimate_outage_grid(
             config.cell,
             mc_rows,
             config.trials,
@@ -339,7 +336,9 @@ def run_mean_count(
         RadioParams(snr_db=snr_db, target_rate=config.rate, num_relays=1)
     ).theta_first
     try:
-        empirical = empirical_mean_count(radii, cell, theta, trials, config.seed, workers=workers)
+        empirical = montecarlo.empirical_mean_count(
+            radii, cell, theta, trials, config.seed, workers=workers
+        )
     except Exception as exc:  # noqa: BLE001
         return [
             MeanCountRow(observer, r, None, None, None, trials, str(exc))

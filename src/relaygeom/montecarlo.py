@@ -4,43 +4,41 @@ Reproducibility contract
 ------------------------
 Trial ``t`` of a run seeded with ``s`` draws from its own counter-based
 stream, ``Generator(Philox(key=s, counter=[0, 0, 0, t]))``; streams of
-distinct trials never overlap and do not depend on scheduling, so estimates
-are bit-identical for any worker count. Within a trial the draw order is
-fixed: the field as drawn by :func:`relaygeom.geometry.sample_field`, which
-owns that part of the order (relay count, all radii, all angles), then
-first-hop fading gains for every relay, then second-hop gains for every
-*qualified* relay in input order.
-Both strategies consume draws identically (the statistical strategy draws
-second-hop gains even for relays it does not select), so runs that share a
-seed share realizations and channels draw for draw.
+distinct trials never overlap and do not depend on scheduling, so every
+sampler's output is bit-identical for any worker count. A sampler builds one
+generator per range of trials and moves it onto each trial's stream by
+resetting its Philox state (:func:`_enter_trial`), which :func:`trial_rng`
+uses too: the reset generator draws exactly what a fresh ``trial_rng(s, t)``
+draws.
 
-A sampler builds one generator per range of trials and moves it onto each
-trial's stream by resetting its Philox state (:func:`_enter_trial`), which
-:func:`trial_rng` uses too: the reset generator draws exactly what a fresh
-``trial_rng(s, t)`` draws.
+Every sampler draws a trial in :func:`_draw`, in one fixed order: the field
+as drawn by :func:`relaygeom.geometry.sample_field`, which owns that part of
+the order (relay count, all radii, all angles), then a first-hop fading gain
+for every relay, then a second-hop gain for every relay qualified under the
+run's loosest first-hop threshold, in input order. That union holds every
+row's qualified relays, and ``standard_exponential(n)`` returns the first
+``n`` values of ``standard_exponential(N)`` on the same stream, so a row with
+``J`` qualified relays reads exactly the gains it would draw alone: both
+strategies and every row of :func:`estimate_outage_grid` share realizations
+and channels draw for draw. The distance samplers
+(:func:`empirical_mean_count`, :func:`kth_nearest_qualified_distances`) draw
+at their one threshold and ignore the second-hop gains, the last draws of a
+trial, so trial ``t`` shows them the qualified relays the outage grid's
+loosest row sees.
 
-That per-row order is what :func:`estimate_outage_grid` reproduces for many
-rows at once. It draws each trial once: the field and first-hop gains, then
-second-hop gains for the relays qualified under the loosest row, which
-include every other row's. That is the longest prefix any row reads, and
-``standard_exponential(n)`` returns the first ``n`` values of
-``standard_exponential(N)`` on the same stream, so a row with ``J``
-qualified relays sees exactly the gains it would draw alone. Trials are
-drawn one by one and decided in blocks of up to :data:`_BLOCK_TRIALS`: the
-qualified relays of a block are concatenated and every row is decided on
-them with array operations (see :func:`_decide`). Each decision reads only
-its own trial's relays, so no count depends on the block size.
-
-The distance samplers (:func:`empirical_mean_count` and
-:func:`kth_nearest_qualified_distances`) draw the same way, one qualified
-field per trial, and work on a block's concatenated relays too: one
-distance computation per block, a sort-free count of the relays within
-each radius for both observers at once, and for the k-th nearest distances
-an in-place sort of each trial's slice of the block. Like the outage
-estimators they take ``workers`` and split the trials over worker processes
-(see :func:`_run_blocks`), with results identical for any worker count.
-
-Aggregation across trials is integer summation, which is order-independent.
+Trials are drawn one by one and handed on in blocks of up to
+:data:`_BLOCK_TRIALS` (:func:`_blocks`). A block lists the per-trial relay
+counts, then the qualified relays of its trials concatenated, grouped by
+trial in input order: source distances, squared destination distances (one
+distance computation per block), second-hop gains, and the first-hop gains
+and losses when some row is tighter than the loosest (:func:`_block`). The
+outage grid decides every row on a block with array operations
+(:func:`_decide`); the mean-count sampler counts the relays within each
+radius for both observers without sorting; the k-th nearest sampler sorts
+each trial's slice in place. Each result reads only its own trial's relays,
+so none depends on the block size. Worker processes take contiguous ranges
+of trials (:func:`_run_blocks`); parts combine by integer sums or in range
+order.
 """
 
 from __future__ import annotations
@@ -151,33 +149,6 @@ class OutageEstimate:
         return self.outage_count == 0
 
 
-def _first_hop(cell: CellGeometry, rng: np.random.Generator):
-    """Sample a relay field and a first-hop gain per relay; returns
-    ``(radii, angles, gains, 1 + radii**alpha)`` in input order.
-
-    A relay at source distance ``r`` decodes the source broadcast at
-    threshold ``theta`` iff its Exp(1) gain ``g`` satisfies
-    ``g >= theta * (1 + r**alpha)``.
-    """
-    radii, angles = sample_field(cell, rng)
-    gains = rng.standard_exponential(radii.size)
-    alpha = cell.path_loss_exponent
-    rpow = radii * radii if alpha == 2.0 else radii**alpha
-    return radii, angles, gains, 1.0 + rpow
-
-
-def _qualified_field(cell: CellGeometry, theta_first: float, rng: np.random.Generator):
-    """Sample a relay field and thin it to the relays that decoded the
-    source broadcast; returns their ``(radii, angles)`` in input order.
-
-    The survivors are an independent thinning with keep probability
-    ``exp(-theta_first (1 + r**alpha))`` at radius ``r``.
-    """
-    radii, angles, gains, loss = _first_hop(cell, rng)
-    keep = gains >= theta_first * loss
-    return radii[keep], angles[keep]
-
-
 class _Row(NamedTuple):
     """One estimator row reduced to what a trial decides it by; ``k`` is 0
     for exact knowledge and the slot count for distance ranking."""
@@ -207,33 +178,53 @@ def _draw(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> tuple:
     row: their ``(radii, angles, second-hop gains)`` in input order, plus
     their first-hop gains and losses when some row is tighter.
 
-    The loosest row's qualified set is the union of every row's, because
-    ``fl(theta * x)`` does not decrease in ``theta``; second-hop gains are
-    drawn once for that union, in input order.
+    A relay at source distance ``r`` decodes the source broadcast at
+    threshold ``theta`` iff its Exp(1) gain ``g`` satisfies
+    ``g >= theta * (1 + r**alpha)``. The loosest row's qualified set is the
+    union of every row's, because ``fl(theta * x)`` does not decrease in
+    ``theta``.
     """
-    radii, angles, gains, loss = _first_hop(cell, rng)
+    radii, angles = sample_field(cell, rng)
+    gains = rng.standard_exponential(radii.size)
+    alpha = cell.path_loss_exponent
+    loss = 1.0 + (radii * radii if alpha == 2.0 else radii**alpha)
     keep = gains >= plan.theta_min * loss
     radii = radii[keep]
     drawn = (radii, angles[keep], rng.standard_exponential(radii.size))
     return drawn + (gains[keep], loss[keep]) if plan.nested else drawn
 
 
-def _decide(cell: CellGeometry, plan: _Plan, draws: Sequence[tuple]) -> np.ndarray:
-    """Outage flags, shape ``(rows, trials)``, of a block of trials given
-    their :func:`_draw` results.
+def _block(cell: CellGeometry, draws: Sequence[tuple]) -> tuple:
+    """The :func:`_draw` results of consecutive trials as one block:
+    ``(sizes, radii, d2, g2, *first)``, the per-trial relay counts, then the
+    relays' source distances, squared destination distances and second-hop
+    gains (and first-hop gains and losses), concatenated in trial order."""
+    sizes = np.fromiter((d[0].size for d in draws), np.intp, len(draws))
+    radii, angles, *rest = (np.concatenate(col) for col in zip(*draws))
+    return (sizes, radii, sq_dists_to_dest(radii, angles, cell.dest_distance), *rest)
 
-    The trials' relays are concatenated; ``trial`` names each relay's trial.
-    A row with ``J`` qualified relays in a trial takes that trial's first
-    ``J`` second-hop gains, which are the gains it would draw on its own.
-    Exact knowledge is an outage iff no relay succeeds; distance ranking
-    as in :func:`_ranked_outages`.
+
+def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
+    """Yield trials ``start .. stop - 1`` drawn under ``plan`` as blocks of up
+    to :data:`_BLOCK_TRIALS` trials (see :func:`_block`)."""
+    rng = _philox()
+    for lo in range(start, stop, _BLOCK_TRIALS):
+        trials = range(lo, min(lo + _BLOCK_TRIALS, stop))
+        yield _block(cell, [_draw(cell, plan, _enter_trial(rng, seed, t)) for t in trials])
+
+
+def _decide(cell: CellGeometry, plan: _Plan, block: tuple) -> np.ndarray:
+    """Outage flags, shape ``(rows, trials)``, of a block of trials.
+
+    ``trial`` names each relay's trial. A row with ``J`` qualified relays in
+    a trial takes that trial's first ``J`` second-hop gains, which are the
+    gains it would draw on its own. Exact knowledge is an outage iff no
+    relay succeeds; distance ranking as in :func:`_ranked_outages`.
     """
-    n = len(draws)
-    sizes = np.fromiter((d[0].size for d in draws), np.intp, n)
-    radii, angles, g2, *first = (np.concatenate(col) for col in zip(*draws))
+    sizes, _, d2, g2, *first = block
+    n = sizes.size
     trial = np.repeat(np.arange(n), sizes)
     start = np.cumsum(sizes) - sizes
-    d2 = sq_dists_to_dest(radii, angles, cell.dest_distance)
     alpha = cell.path_loss_exponent
     loss2 = 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha))
     subsets = {plan.theta_min: (trial, d2, loss2, g2)}
@@ -301,7 +292,7 @@ def _run_starts(ids: np.ndarray) -> np.ndarray:
 
 def _trial_outages(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> list[bool]:
     """One trial decided for every row of ``plan``: whether each is an outage."""
-    return _decide(cell, plan, [_draw(cell, plan, rng)])[:, 0].tolist()
+    return _decide(cell, plan, _block(cell, [_draw(cell, plan, rng)]))[:, 0].tolist()
 
 
 def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator) -> bool:
@@ -335,11 +326,8 @@ def trial_stat_csi(
 
 def _grid_block(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int) -> list[int]:
     counts = np.zeros(len(plan.rows), dtype=np.int64)
-    rng = _philox()
-    for lo in range(start, stop, _BLOCK_TRIALS):
-        hi = min(lo + _BLOCK_TRIALS, stop)
-        draws = [_draw(cell, plan, _enter_trial(rng, seed, t)) for t in range(lo, hi)]
-        counts += _decide(cell, plan, draws).sum(axis=1)
+    for block in _blocks(cell, plan, seed, start, stop):
+        counts += _decide(cell, plan, block).sum(axis=1)
     return counts.tolist()
 
 
@@ -353,6 +341,8 @@ def _run_blocks(block, args: tuple, trials: int, workers: int | None) -> list:
     the parts by integer sums or in range order, so the combined result does
     not depend on the worker count.
     """
+    if not (isinstance(trials, int) and trials >= 1):
+        raise ValueError("trials must be an integer >= 1")
     workers = min(_resolve_workers(workers), trials, _usable_cpus())
     if workers == 1:
         return [block(*args, 0, trials)]
@@ -391,8 +381,6 @@ def estimate_outage_grid(
     row (see :func:`_draw`), so it is drawn once and decided for all rows.
     Worker processes as in :func:`estimate_outage`.
     """
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError("trials must be an integer >= 1")
     if not rows:
         raise ValueError("rows must be nonempty")
     plan = _Plan.of(_grid_row(strategy, radio, first_hop) for strategy, radio in rows)
@@ -445,29 +433,8 @@ class MeanCountPoint(NamedTuple):
     stderr: float
 
 
-def _qualified_blocks(cell: CellGeometry, theta_first: float, seed: int, start: int, stop: int):
-    """Yield the qualified relays of trials ``start .. stop - 1`` in blocks of
-    up to :data:`_BLOCK_TRIALS` trials: per block, the per-trial relay counts
-    and the concatenated relays' distances to the source and to the
-    destination, in input order."""
-    rng = _philox()
-    for lo in range(start, stop, _BLOCK_TRIALS):
-        fields = [
-            _qualified_field(cell, theta_first, _enter_trial(rng, seed, t))
-            for t in range(lo, min(lo + _BLOCK_TRIALS, stop))
-        ]
-        sizes = np.fromiter((radii.size for radii, _ in fields), np.intp, len(fields))
-        radii, angles = (np.concatenate(col) for col in zip(*fields))
-        yield sizes, radii, np.sqrt(sq_dists_to_dest(radii, angles, cell.dest_distance))
-
-
 def _mean_count_block(
-    cell: CellGeometry,
-    theta_first: float,
-    grid: tuple[float, ...],
-    seed: int,
-    start: int,
-    stop: int,
+    cell: CellGeometry, plan: _Plan, grid: tuple[float, ...], seed: int, start: int, stop: int
 ):
     """Sums over trials of the per-trial counts within each grid radius and
     of their squares, shape ``(observers, radii)`` each.
@@ -480,9 +447,9 @@ def _mean_count_block(
     bins = grid_arr.size + 1
     s1 = np.zeros((len(OBSERVERS), grid_arr.size), dtype=np.int64)
     s2 = np.zeros_like(s1)
-    for sizes, *dists in _qualified_blocks(cell, theta_first, seed, start, stop):
+    for sizes, radii, d2, _ in _blocks(cell, plan, seed, start, stop):
         offset = np.repeat(np.arange(sizes.size) * bins, sizes)
-        for i, d in enumerate(dists):
+        for i, d in enumerate((radii, np.sqrt(d2))):
             first = offset + np.searchsorted(grid_arr, d, side="left")
             hist = np.bincount(first, minlength=sizes.size * bins).reshape(sizes.size, bins)
             counts = hist[:, :-1].cumsum(axis=1)
@@ -504,48 +471,43 @@ def empirical_mean_count(
 
     Returns one curve per observer of :data:`OBSERVERS`, keyed by it:
     ``"bs"`` (the cell center) and ``"dest"``. For each radius ``r`` of the
-    strictly increasing grid, averages the count of qualified relays at
-    distance <= ``r`` over fresh realizations; both curves read the same
-    realizations. Draw order per trial: count, radii, angles, first-hop
-    gains (no second-hop draws are consumed). Worker processes as in
-    :func:`estimate_outage`.
+    strictly increasing grid in ``[0, R + r_d]``, averages the count of
+    qualified relays at distance <= ``r`` over fresh realizations; both
+    curves read the same realizations. Trials are drawn as in the module
+    docstring, at the one threshold ``theta_first``; the second-hop gains are
+    drawn and ignored. Worker processes as in :func:`estimate_outage`.
     """
     grid = tuple(float(r) for r in radii)
     if not grid:
         raise ValueError("radii grid must be nonempty")
     upper = cell.cell_radius + cell.dest_distance
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("radii must be strictly increasing")
-    if grid[0] < 0 or grid[-1] > upper * (1.0 + 1e-12):
+    # written so that NaN fails both checks
+    if not all(0.0 <= r <= upper * (1.0 + 1e-12) for r in grid):
         raise ValueError(f"radii must lie within [0, {upper}]")
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError("trials must be an integer >= 1")
+    if not all(a < b for a, b in zip(grid, grid[1:])):
+        raise ValueError("radii must be strictly increasing")
     _check_theta_first(theta_first)
-    parts = _run_blocks(_mean_count_block, (cell, theta_first, grid, seed), trials, workers)
+    plan = _Plan.of([_Row(theta_first, 0.0, 0)])
+    parts = _run_blocks(_mean_count_block, (cell, plan, grid, seed), trials, workers)
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
-    curves = {}
-    for o, observer in enumerate(OBSERVERS):
-        curve = []
-        for i, r in enumerate(grid):
-            mean = s1[o, i] / trials
-            if trials > 1:
-                var = (s2[o, i] - s1[o, i] * s1[o, i] / trials) / (trials - 1)
-                stderr = math.sqrt(max(var, 0.0) / trials)
-            else:
-                stderr = 0.0
-            curve.append(MeanCountPoint(r, float(mean), float(stderr)))
-        curves[observer] = curve
-    return curves
+    # one trial has no spread: s2 equals s1 * s1 and the variance is 0
+    var = (s2 - s1 * s1 / trials) / max(trials - 1, 1)
+    means, stderrs = (s1 / trials).tolist(), np.sqrt(np.maximum(var, 0.0) / trials).tolist()
+    return {
+        observer: [MeanCountPoint(*point) for point in zip(grid, means[o], stderrs[o])]
+        for o, observer in enumerate(OBSERVERS)
+    }
 
 
 def _kth_block(
-    cell: CellGeometry, theta_first: float, k_max: int, seed: int, start: int, stop: int
+    cell: CellGeometry, plan: _Plan, k_max: int, seed: int, start: int, stop: int
 ) -> np.ndarray:
     out = np.full((stop - start, k_max), np.inf)
     ranks = np.arange(k_max)
     row = 0
-    for sizes, _, d in _qualified_blocks(cell, theta_first, seed, start, stop):
+    for sizes, _, d2, _ in _blocks(cell, plan, seed, start, stop):
+        d = np.sqrt(d2)
         ends = np.cumsum(sizes)
         begins = ends - sizes
         for a, b in zip(begins.tolist(), ends.tolist()):
@@ -570,13 +532,14 @@ def kth_nearest_qualified_distances(
 
     Returns an array of shape ``(trials, k_max)``; entries where fewer than
     ``k`` relays qualified are ``inf`` (the distance distribution is
-    defective). Same draw order as :func:`empirical_mean_count`; worker
-    processes as in :func:`estimate_outage`.
+    defective). Trials are drawn as in :func:`empirical_mean_count`, so row
+    ``t`` lists the nearest relays that the loosest row of an outage grid at
+    threshold ``theta_first`` qualifies in trial ``t``. Worker processes as
+    in :func:`estimate_outage`.
     """
     if not (isinstance(k_max, int) and k_max >= 1):
         raise ValueError("k_max must be an integer >= 1")
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError("trials must be an integer >= 1")
     _check_theta_first(theta_first)
-    parts = _run_blocks(_kth_block, (cell, theta_first, k_max, seed), trials, workers)
+    plan = _Plan.of([_Row(theta_first, 0.0, 0)])
+    parts = _run_blocks(_kth_block, (cell, plan, k_max, seed), trials, workers)
     return np.concatenate(parts)

@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from relaygeom import cli
+from relaygeom import cli, montecarlo
 from relaygeom.cli import (
-    CSV_HEADER,
     ConfigError,
     MeanCountRow,
     SweepRow,
@@ -19,6 +18,8 @@ from relaygeom.cli import (
     write_svg,
 )
 
+
+SWEEP_HEADER = "snr_db,strategy,k,p_analytic,p_mc,stderr_mc,trials,error"
 
 #: JSON values that are not integers: bools, fractions, non-finite numbers
 #: (Python's json module reads NaN and Infinity) and non-numbers.
@@ -219,6 +220,21 @@ class TestRunOutageSweep:
         assert all(r.p_mc is not None and 0.0 <= r.p_mc <= 1.0 for r in ranked)
         assert all(math.isfinite(r.stderr_mc) for r in ranked)
 
+    def test_sweep_reaches_an_estimator_patched_after_import(self, monkeypatch):
+        # cli calls the simulator through its module, so it sees later patches
+        calls = []
+        grid = montecarlo.estimate_outage_grid
+
+        def counting_grid(cell, rows, *args, **kwargs):
+            calls.append(len(rows))
+            return grid(cell, rows, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "estimate_outage_grid", counting_grid)
+        config = parse_config(overrides={"trials": 20, "snr_grid_db": (15.0,), "k_values": (1, 2)})
+        rows = run_outage_sweep(config)
+        assert calls == [3]
+        assert [(r.strategy, r.k) for r in rows] == [("exact", 1), ("stat", 1), ("stat", 2)]
+
     def test_failed_sides_named_in_error(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("simulated failure")
@@ -231,7 +247,7 @@ class TestRunOutageSweep:
                 "k_values": (1,),
             }
         )
-        monkeypatch.setattr(cli, "estimate_outage_grid", broken)
+        monkeypatch.setattr(montecarlo, "estimate_outage_grid", broken)
         rows = run_outage_sweep(config)
         exact, ranked = rows
         assert exact.error == "mc: simulated failure"
@@ -252,7 +268,7 @@ class TestWriters:
         meta = [l for l in lines if l.startswith("#")]
         assert meta[0] == "# relaygeom outage-sweep"
         assert any(l.startswith("# seed = ") for l in meta)
-        assert lines[len(meta)] == CSV_HEADER
+        assert lines[len(meta)] == SWEEP_HEADER
         first = lines[len(meta) + 1].split(",")
         assert first[0] == "0.0000000000e+00"
         assert first[1] == "exact"
@@ -477,7 +493,7 @@ class TestMainEntry:
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.splitlines()[0] == CSV_HEADER
+        assert out.splitlines()[0] == SWEEP_HEADER
         assert ",exact,1," in out
 
     def test_mean_count_command(self, tmp_path):

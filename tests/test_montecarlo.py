@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relaygeom import montecarlo as mc
-from relaygeom.geometry import sample_field
+from relaygeom.geometry import sample_field, sq_dists_to_dest
 from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from relaygeom.quadrature import integrate_1d
 
@@ -50,10 +50,15 @@ class TestTrialRng:
                     assert np.array_equal(a, b)
 
 
+def _qualified(cell: CellGeometry, theta: float, rng) -> tuple:
+    """The radii and angles of one trial's relays qualified at ``theta``."""
+    return mc._draw(cell, mc._Plan.of([mc._Row(theta, 0.0, 0)]), rng)[:2]
+
+
 def _kept_fraction(ring_field, radius: float, theta: float, n: int, rng) -> float:
     ring_field(radius, n)
     cell = CellGeometry(cell_radius=radius + 1.0, dest_distance=0.0, relay_intensity=0.5)
-    return mc._qualified_field(cell, theta, rng)[0].size / n
+    return _qualified(cell, theta, rng)[0].size / n
 
 
 class TestFadingGain:
@@ -82,7 +87,7 @@ class TestQualifyRelays:
     def test_zero_threshold_keeps_all(self, default_cell):
         for t in range(20):
             radii, angles = sample_field(default_cell, mc.trial_rng(0, t))
-            kept_r, kept_a = mc._qualified_field(default_cell, 0.0, mc.trial_rng(0, t))
+            kept_r, kept_a = _qualified(default_cell, 0.0, mc.trial_rng(0, t))
             assert np.array_equal(kept_r, radii) and np.array_equal(kept_a, angles)
 
     @pytest.mark.parametrize("radius, theta", [(0.5, 0.5), (1.5, 0.3), (3.0, 0.1)])
@@ -103,13 +108,13 @@ class TestQualifyRelays:
             * integrate_1d(lambda r: r * np.exp(-theta * (1 + r * r)), 0.0, cell.cell_radius)
         )
         trials = 3000
-        counts = np.array([mc._qualified_field(cell, theta, rng)[0].size for _ in range(trials)])
+        counts = np.array([_qualified(cell, theta, rng)[0].size for _ in range(trials)])
         sem = counts.std(ddof=1) / math.sqrt(trials)
         assert abs(counts.mean() - oracle) < 3 * sem
 
 
 def _qualified_count(cell: CellGeometry, theta_first: float, seed: int, t: int) -> int:
-    return mc._qualified_field(cell, theta_first, mc.trial_rng(seed, t))[0].size
+    return _qualified(cell, theta_first, mc.trial_rng(seed, t))[0].size
 
 
 class TestTrials:
@@ -504,6 +509,12 @@ class TestEmpiricalMeanCount:
         with pytest.raises(ValueError):
             mc.empirical_mean_count([1.0], default_cell, self.THETA, 0, 0)
 
+    @pytest.mark.parametrize("grid", [[math.nan], [1.0, math.nan, 2.0]])
+    def test_rejects_nan_radii(self, grid, default_cell):
+        # NaN compares false both ways, so it must fail the range check itself
+        with pytest.raises(ValueError, match="radii must lie within"):
+            mc.empirical_mean_count(grid, default_cell, self.THETA, 10, 0)
+
     @pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_theta_first(self, theta, default_cell):
         # -1 would qualify every relay, NaN and inf none
@@ -598,6 +609,20 @@ class TestKthNearestDistances:
         parallel = mc.kth_nearest_qualified_distances(default_cell, 0.0948, 3, 37, 42, workers=2)
         assert np.array_equal(serial, parallel)
         assert serial.tobytes() == parallel.tobytes()
+
+    def test_rows_pair_with_the_outage_grid(self, default_cell):
+        # row t lists the nearest of the relays that the outage grid's
+        # loosest row qualifies in trial t, so the two estimators pair by trial
+        rows = _mixed_rows((10.0, 25.0))
+        plan = mc._Plan.of(mc._grid_row(s, r, "frame_rate") for s, r in rows)
+        assert plan.nested  # so the grid's draw differs in shape from the sampler's
+        k_max, seed = 4, 42
+        out = mc.kth_nearest_qualified_distances(default_cell, plan.theta_min, k_max, 40, seed)
+        for t in (0, 1, 15, 16, 17, 39):
+            radii, angles, *_ = mc._draw(default_cell, plan, mc.trial_rng(seed, t))
+            d = np.sort(np.sqrt(sq_dists_to_dest(radii, angles, default_cell.dest_distance)))
+            assert d.size >= k_max
+            assert out[t].tolist() == d[:k_max].tolist()
 
     @pytest.mark.parametrize("trials", [1, 15, 16, 17, 40])
     def test_rows_do_not_depend_on_blocks(self, trials, default_cell, monkeypatch):

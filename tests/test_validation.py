@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-# cli is imported before any test patches montecarlo, so that it binds the
-# real estimator (validation imports it on first use)
-from relaygeom import cli, montecarlo, validation  # noqa: F401 - cli, see above
+from relaygeom import montecarlo, validation
 from relaygeom.validation import _ks_statistic, binomial_consistent
 
 
@@ -103,6 +101,9 @@ class TestRunAllSharesDraws:
     returns, and nothing may carry over from one call to the next."""
 
     SIZES = {"trials": 600, "samples": 300, "mean_count_trials": 200, "seed": 42}
+    #: grid calls of one run: criteria 3 and 4 together, then criterion 9's
+    #: 9-row sweep at 1 and at 2 workers
+    RUN = [4 + 21, 9, 9]
 
     @pytest.fixture
     def grid_calls(self, monkeypatch):
@@ -119,7 +120,7 @@ class TestRunAllSharesDraws:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_results_equal_standalone_checks(self, workers, grid_calls):
         results = {r.name: r for r in validation.run_all(**self.SIZES, workers=workers)}
-        assert grid_calls == [4 + 21]
+        assert grid_calls == self.RUN
         trials, samples, mc_trials = 600, 300, 200
         alone = [
             validation.check_exact_csi_outage(trials, 42, workers),
@@ -127,7 +128,7 @@ class TestRunAllSharesDraws:
             validation.check_fk_distribution(samples, 42, workers=workers),
             validation.check_mean_count_curves(mc_trials, 42, workers),
         ]
-        assert grid_calls == [25, 4, 21]
+        assert grid_calls == self.RUN + [4, 21]
         for check in alone:
             shared = results[check.name]
             note = validation._SHARED_DRAW_NOTE if check.name.startswith("exact_csi") else ""
@@ -142,9 +143,9 @@ class TestRunAllSharesDraws:
 
     def test_one_grid_call_per_run_and_no_memo(self, grid_calls):
         first = validation.run_all(**self.SIZES, workers=1)
-        assert grid_calls == [25]
+        assert grid_calls == self.RUN
         second = validation.run_all(**self.SIZES, workers=1)
-        assert grid_calls == [25, 25]
+        assert grid_calls == self.RUN + self.RUN
         assert [(r.passed, r.detail) for r in first] == [(r.passed, r.detail) for r in second]
 
     def test_shared_draw_is_timed_in_criterion_4_only(self, monkeypatch):
