@@ -64,10 +64,15 @@ STRATEGIES = ("exact", "stat")
 OBSERVERS = ("bs", "dest")
 
 
-#: Trials decided together. The counts do not depend on it, so it is sized
-#: for memory: a block holds the qualified relays of this many trials (up to
-#: ~630 each on the default cell) and the decision's temporaries over them.
-_BLOCK_TRIALS = 16
+#: Trials decided together. No count depends on it. Below ~64 trials the
+#: decision's cost is per-call numpy overhead: on criterion 4's 25-row plan
+#: :func:`_decide` takes ~45-75 us per trial at 16, ~35-55 at 32 and ~35-50
+#: at 64 to 256 (2 vCPU). Memory grows with it: a block holds the qualified
+#: relays of this many trials (up to ~630 each on the default cell), and one
+#: decision's traced peak is ~1.9 MB at 64, ~7.7 MB at 256. Going from 16
+#: to 64 raised perfbench's peak RSS by ~4% on ``gate`` and ~5% on
+#: ``mc_outage`` (``BENCH_block64.json``).
+_BLOCK_TRIALS = 64
 
 
 def _enter_trial(rng: np.random.Generator, seed: int, trial_index: int) -> np.random.Generator:

@@ -363,7 +363,9 @@ class TestOutageGrid:
     def test_matches_one_row_calls(self, alpha, first_hop):
         cell = CellGeometry(20.0, 5.0, 0.5, path_loss_exponent=alpha)
         rows = _mixed_rows()
-        rows.insert(3, rows[5])  # a duplicate row, out of order
+        # a duplicate row, out of order: under base_rate the rows sharing a
+        # first-hop threshold are then not all adjacent
+        rows.insert(3, rows[5])
         grid = mc.estimate_outage_grid(cell, rows, 300, 17, first_hop=first_hop)
         alone = [mc.estimate_outage(s, cell, r, 300, 17, first_hop=first_hop) for s, r in rows]
         assert grid == alone
@@ -415,13 +417,15 @@ class TestOutageGrid:
         runs = [mc.estimate_outage_grid(default_cell, rows, 600, 23, workers=w) for w in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
 
-    @pytest.mark.parametrize("trials", [1, 31, 32, 33, 100])
+    @pytest.mark.parametrize("trials", [1, 31, 32, 33, 65, 100])
     def test_counts_do_not_depend_on_blocks(self, trials, default_cell, monkeypatch):
         # base_rate nests the k >= 2 rows inside the k = 1 rows; workers split
-        # the trials at edges that are not multiples of the block size
+        # the trials at edges that are not multiples of the block size, and
+        # a block of 1000 holds the whole run
         rows = _mixed_rows((10.0, 25.0))
         runs = []
-        for block, workers in ((1, 1), (7, 1), (32, 1), (7, 2), (7, 3), (32, 3)):
+        blocks = ((1, 1), (7, 1), (32, 1), (64, 1), (1000, 1), (7, 2), (64, 2), (7, 3), (32, 3))
+        for block, workers in blocks:
             monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
             runs.append(
                 mc.estimate_outage_grid(
@@ -624,10 +628,11 @@ class TestKthNearestDistances:
             assert d.size >= k_max
             assert out[t].tolist() == d[:k_max].tolist()
 
-    @pytest.mark.parametrize("trials", [1, 15, 16, 17, 40])
+    @pytest.mark.parametrize("trials", [1, 15, 16, 17, 40, 65])
     def test_rows_do_not_depend_on_blocks(self, trials, default_cell, monkeypatch):
+        # a block of 1000 holds the whole run
         runs, grid = [], [0.0, 2.0, 7.5, 25.0]
-        for block in (1, 3, 16):
+        for block in (1, 3, 16, 64, 1000):
             monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
             runs.append(mc.kth_nearest_qualified_distances(default_cell, 1.5, 4, trials, 3))
             runs.append(mc.empirical_mean_count(grid, default_cell, 1.5, trials, 3))

@@ -151,9 +151,11 @@ class TestRunAllSharesDraws:
     def test_shared_draw_is_timed_in_criterion_4_only(self, monkeypatch):
         grid = montecarlo.estimate_outage_grid
 
-        def slow_grid(*args, **kwargs):
-            time.sleep(0.5)
-            return grid(*args, **kwargs)
+        def slow_grid(cell, rows, *args, **kwargs):
+            # only the shared draw sleeps, not criterion 9's sweeps
+            if len(rows) == self.RUN[0]:
+                time.sleep(0.5)
+            return grid(cell, rows, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "estimate_outage_grid", slow_grid)
         results = {r.name: r for r in validation.run_all(**self.SIZES, workers=1)}
