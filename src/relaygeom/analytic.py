@@ -117,9 +117,9 @@ def _inner_core(
     return term1 + term2
 
 
-def inner_integral_I(r_jd: float, phi: float, r_d: float, theta: float) -> float:
+def inner_integral_I(r_jd: float, phi, r_d: float, theta: float):
     """Closed form of ``integral_0^r_jd r exp(-theta (r^2 - a r)) dr``,
-    ``a = 2 r_d cos(phi)``.
+    ``a = 2 r_d cos(phi)``, elementwise over ``phi`` (a float for a scalar).
 
     This is the radial slice, at fixed bearing ``phi`` from the destination,
     of the qualified-relay mean measure with the ``exp(-theta (1 + r_d^2))``
@@ -137,13 +137,15 @@ def inner_integral_I(r_jd: float, phi: float, r_d: float, theta: float) -> float
         raise ValueError("r_jd must be finite and >= 0")
     if not (math.isfinite(r_d) and r_d >= 0):
         raise ValueError("r_d must be finite and >= 0")
-    if not math.isfinite(phi):
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite")
     with np.errstate(invalid="ignore"):
-        value = float(_inner_core(r_jd, np.atleast_1d(float(phi)), r_d, theta, 0.0)[0])
+        value = _inner_core(r_jd, np.atleast_1d(phi), r_d, theta, 0.0)
     # The integrand is positive, so with finite inputs a NaN can only be
     # inf - inf between overflowed terms of the antiderivative.
-    return math.inf if math.isnan(value) else value
+    value[np.isnan(value)] = math.inf
+    return float(value[0]) if phi.ndim == 0 else value
 
 
 def lambda_prime(r_jd, cell: CellGeometry, theta: float):

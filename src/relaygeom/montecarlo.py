@@ -11,34 +11,38 @@ resetting its Philox state (:func:`_enter_trial`), which :func:`trial_rng`
 uses too: the reset generator draws exactly what a fresh ``trial_rng(s, t)``
 draws.
 
-Every sampler draws a trial in :func:`_draw`, in one fixed order: the field
-as drawn by :func:`relaygeom.geometry.sample_field`, which owns that part of
+Every trial is drawn in :func:`_draw`, in one fixed order: the field as
+drawn by :func:`relaygeom.geometry.sample_field`, which owns that part of
 the order (relay count, all radii, all angles), then a first-hop fading gain
 for every relay, then a second-hop gain for every relay qualified under the
-run's loosest first-hop threshold, in input order. That union holds every
-row's qualified relays, and ``standard_exponential(n)`` returns the first
-``n`` values of ``standard_exponential(N)`` on the same stream, so a row with
-``J`` qualified relays reads exactly the gains it would draw alone: both
-strategies and every row of :func:`estimate_outage_grid` share realizations
-and channels draw for draw. The distance samplers
-(:func:`empirical_mean_count`, :func:`kth_nearest_qualified_distances`) draw
-at their one threshold and ignore the second-hop gains, the last draws of a
-trial, so trial ``t`` shows them the qualified relays the outage grid's
-loosest row sees.
+pass's loosest first-hop threshold, in input order. That union holds every
+threshold's qualified relays, and ``standard_exponential(n)`` returns the
+first ``n`` values of ``standard_exponential(N)`` on the same stream, so a
+row with ``J`` qualified relays reads exactly the gains it would draw alone:
+both strategies and every row of :func:`estimate_outage_grid` share
+realizations and channels draw for draw. The distance samplers
+(:func:`empirical_mean_count`, :func:`kth_nearest_qualified_distances`)
+read only positions, which come before every gain of a trial, so trial
+``t`` shows them the qualified relays the outage grid sees at their
+threshold.
 
-Trials are drawn one by one and handed on in blocks of up to
-:data:`_BLOCK_TRIALS` (:func:`_blocks`). A block lists the per-trial relay
-counts, then the qualified relays of its trials concatenated, grouped by
-trial in input order: source distances, squared destination distances (one
-distance computation per block), second-hop gains, and the first-hop gains
-and losses when some row is tighter than the loosest (:func:`_block`). The
-outage grid decides every row on a block with array operations
-(:func:`_decide`); the mean-count sampler counts the relays within each
-radius for both observers without sorting; the k-th nearest sampler sorts
-each trial's slice in place. Each result reads only its own trial's relays,
-so none depends on the block size. Worker processes take contiguous ranges
-of trials (:func:`_run_blocks`); parts combine by integer sums or in range
-order.
+One block loop serves every sampler (:func:`run_requests`). Trials are
+drawn one by one and handed on in blocks of up to :data:`_BLOCK_TRIALS`
+(:func:`_blocks`). A block lists the per-trial relay counts, then the
+qualified relays of its trials concatenated, grouped by trial in input
+order: source distances, squared destination distances (one distance
+computation per block), second-hop gains, and the first-hop gains and
+losses when some threshold is tighter than the loosest (:func:`_block`).
+A request brings its own first-hop threshold and its own trial count: it
+reads the pass's first trials up to its count, and of each block the relays
+qualified at its threshold, thinned by the same ``gains >= theta * loss``
+test that a draw at that threshold makes. An outage grid decides every row
+on a block with array operations (:func:`_decide`); mean counts count the
+relays within each radius for both observers without sorting; k-th nearest
+distances sort each trial's slice in place. Each result reads only its own
+trial's relays, so none depends on the block size or on the other requests
+of the pass. Worker processes take contiguous ranges of trials; parts
+combine by integer sums or in range order.
 """
 
 from __future__ import annotations
@@ -113,9 +117,15 @@ def _resolve_workers(workers: int | None) -> int:
             workers = int(text) if text else 1
         except ValueError:
             workers = text
-    if not (isinstance(workers, int) and workers >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {workers!r}")
-    return workers
+    return _check_count(name, workers)
+
+
+def _check_count(name: str, value) -> int:
+    """``value`` if it is an integer >= 1, else a ``ValueError`` naming
+    ``name``. A ``bool`` is refused although Python counts it an ``int``."""
+    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _usable_cpus() -> int:
@@ -164,30 +174,30 @@ class _Row(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """The rows of one estimator run, their loosest first-hop threshold, and
-    whether some row is tighter than it."""
+    """The loosest first-hop threshold that the requests of one pass read,
+    and whether some request reads a tighter one."""
 
-    rows: tuple[_Row, ...]
     theta_min: float
     nested: bool
 
     @classmethod
-    def of(cls, rows) -> "_Plan":
-        rows = tuple(rows)
-        theta_min = min(row.theta_first for row in rows)
-        return cls(rows, theta_min, any(row.theta_first != theta_min for row in rows))
+    def of(cls, thetas) -> "_Plan":
+        thetas = tuple(thetas)
+        theta_min = min(thetas)
+        return cls(theta_min, any(theta != theta_min for theta in thetas))
 
 
 def _draw(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> tuple:
     """One trial's draws, reduced to the relays qualified under the loosest
-    row: their ``(radii, angles, second-hop gains)`` in input order, plus
-    their first-hop gains and losses when some row is tighter.
+    threshold: their ``(radii, angles, second-hop gains)`` in input order,
+    plus their first-hop gains and losses when some request reads a tighter
+    one.
 
     A relay at source distance ``r`` decodes the source broadcast at
     threshold ``theta`` iff its Exp(1) gain ``g`` satisfies
-    ``g >= theta * (1 + r**alpha)``. The loosest row's qualified set is the
-    union of every row's, because ``fl(theta * x)`` does not decrease in
-    ``theta``.
+    ``g >= theta * (1 + r**alpha)``. The loosest threshold's qualified set
+    is the union of every other's, because ``fl(theta * x)`` does not
+    decrease in ``theta``.
     """
     radii, angles = sample_field(cell, rng)
     gains = rng.standard_exponential(radii.size)
@@ -218,7 +228,30 @@ def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
         yield _block(cell, [_draw(cell, plan, _enter_trial(rng, seed, t)) for t in trials])
 
 
-def _decide(cell: CellGeometry, plan: _Plan, block: tuple) -> np.ndarray:
+def _head(block: tuple, n: int) -> tuple:
+    """The first ``n`` trials of a block."""
+    sizes = block[0]
+    if n >= sizes.size:
+        return block
+    relays = int(sizes[:n].sum())
+    return (sizes[:n], *(col[:relays] for col in block[1:]))
+
+
+def _qualified(plan: _Plan, theta_first: float, block: tuple) -> tuple:
+    """``(sizes, radii, d2)`` of the block's relays qualified at
+    ``theta_first``: all of them at the plan's loosest threshold, else those
+    whose first-hop gain passes, in the order and with the values that a
+    draw at ``theta_first`` alone gives."""
+    sizes, radii, d2, _, *first = block
+    if theta_first == plan.theta_min:
+        return sizes, radii, d2
+    gains, loss = first
+    keep = gains >= theta_first * loss
+    trial = np.repeat(np.arange(sizes.size), sizes)
+    return np.bincount(trial[keep], minlength=sizes.size), radii[keep], d2[keep]
+
+
+def _decide(cell: CellGeometry, plan: _Plan, rows: Sequence[_Row], block: tuple) -> np.ndarray:
     """Outage flags, shape ``(rows, trials)``, of a block of trials.
 
     ``trial`` names each relay's trial. A row with ``J`` qualified relays in
@@ -233,8 +266,8 @@ def _decide(cell: CellGeometry, plan: _Plan, block: tuple) -> np.ndarray:
     alpha = cell.path_loss_exponent
     loss2 = 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha))
     subsets = {plan.theta_min: (trial, d2, loss2, g2)}
-    out = np.empty((len(plan.rows), n), dtype=bool)
-    for i, (theta_first, theta_second, k) in enumerate(plan.rows):
+    out = np.empty((len(rows), n), dtype=bool)
+    for i, (theta_first, theta_second, k) in enumerate(rows):
         if theta_first not in subsets:
             gains, loss = first
             sub = (gains >= theta_first * loss).nonzero()[0]
@@ -295,9 +328,12 @@ def _run_starts(ids: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _trial_outages(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> list[bool]:
-    """One trial decided for every row of ``plan``: whether each is an outage."""
-    return _decide(cell, plan, _block(cell, [_draw(cell, plan, rng)]))[:, 0].tolist()
+def _trial_outages(
+    cell: CellGeometry, rows: Sequence[_Row], rng: np.random.Generator
+) -> list[bool]:
+    """One trial decided for every row: whether each is an outage."""
+    plan = _Plan.of(row.theta_first for row in rows)
+    return _decide(cell, plan, rows, _block(cell, [_draw(cell, plan, rng)]))[:, 0].tolist()
 
 
 def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator) -> bool:
@@ -309,7 +345,7 @@ def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.G
     across relays are independent.
     """
     row = _Row(thresholds.theta_first, thresholds.theta_second, 0)
-    return _trial_outages(cell, _Plan.of([row]), rng)[0]
+    return _trial_outages(cell, [row], rng)[0]
 
 
 def trial_stat_csi(
@@ -323,50 +359,110 @@ def trial_stat_csi(
     in advance, even when fewer relays are available. Outage iff every
     selected relay fails, vacuously when none qualified.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("k must be an integer >= 1")
-    row = _Row(thresholds.theta_first, thresholds.theta_second, k)
-    return _trial_outages(cell, _Plan.of([row]), rng)[0]
-
-
-def _grid_block(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int) -> list[int]:
-    counts = np.zeros(len(plan.rows), dtype=np.int64)
-    for block in _blocks(cell, plan, seed, start, stop):
-        counts += _decide(cell, plan, block).sum(axis=1)
-    return counts.tolist()
-
-
-def _run_blocks(block, args: tuple, trials: int, workers: int | None) -> list:
-    """Call ``block(*args, start, stop)`` on contiguous trial ranges and
-    return the partial results in range order.
-
-    The ranges split ``trials`` evenly over ``min(workers, trials, CPUs)``
-    worker processes, where CPUs is :func:`_usable_cpus`, or run in this
-    process when that is 1. Each trial owns its stream and callers combine
-    the parts by integer sums or in range order, so the combined result does
-    not depend on the worker count.
-    """
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError("trials must be an integer >= 1")
-    workers = min(_resolve_workers(workers), trials, _usable_cpus())
-    if workers == 1:
-        return [block(*args, 0, trials)]
-    bounds = [(i * trials // workers, (i + 1) * trials // workers) for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(block, *args, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futures]
+    row = _Row(thresholds.theta_first, thresholds.theta_second, _check_count("k", k))
+    return _trial_outages(cell, [row], rng)[0]
 
 
 def _grid_row(strategy: str, radio: RadioParams, first_hop: str) -> _Row:
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    k = radio.num_relays
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("k must be an integer >= 1")
+    k = _check_count("k", radio.num_relays)
     if strategy == "exact" and k != 1:
         raise ValueError("the exact-knowledge strategy is defined for num_relays == 1")
     th = compute_thresholds(radio, first_hop)
     return _Row(th.theta_first, th.theta_second, 0 if strategy == "exact" else k)
+
+
+def run_requests(requests: Sequence, seed: int, *, workers: int | None = None) -> list:
+    """Serve ``requests`` (:class:`OutageGridRequest`,
+    :class:`KthDistancesRequest`, :class:`MeanCountRequest`) on one cell
+    from one pass over trials ``0 .. max(trials) - 1``; returns one result
+    per request, in request order.
+
+    Each trial is drawn once, under the loosest first-hop threshold that any
+    request reads (:func:`_draw`), and read by every request whose
+    ``trials`` reach it, at that request's own thresholds. So each result
+    equals what the request's function returns on its own, count for count.
+
+    ``workers`` defaults to the ``RELAYGEOM_THREADS`` environment variable,
+    else 1. The trials split into contiguous ranges over ``min(workers,
+    trials, CPUs)`` worker processes, where CPUs is :func:`_usable_cpus`,
+    or run in this process when that is 1. Each trial owns its stream and
+    the parts combine by integer sums or in range order, so the results do
+    not depend on the worker count.
+    """
+    requests = tuple(requests)
+    if not requests:
+        raise ValueError("requests must be nonempty")
+    if any(request.cell != requests[0].cell for request in requests):
+        raise ValueError("requests must share one cell")
+    trials = max(request.trials for request in requests)
+    workers = min(_resolve_workers(workers), trials, _usable_cpus())
+    if workers == 1:
+        parts = [_pass(requests, seed, 0, trials)]
+    else:
+        bounds = [(i * trials // workers, (i + 1) * trials // workers) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_pass, requests, seed, lo, hi) for lo, hi in bounds]
+            parts = [f.result() for f in futures]
+    return [r.result(r.merge([part[i] for part in parts])) for i, r in enumerate(requests)]
+
+
+def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:
+    """Each request's part of trials ``start .. stop - 1``: every block is
+    drawn once and read by each request up to that request's last trial."""
+    plan = _Plan.of(theta for request in requests for theta in request.thetas)
+    parts = [[] for _ in requests]
+    lo = start
+    for block in _blocks(requests[0].cell, plan, seed, start, stop):
+        for request, part in zip(requests, parts):
+            if lo < request.trials:
+                part.append(request.read(plan, _head(block, request.trials - lo)))
+        lo += block[0].size
+    return [request.merge(part) for request, part in zip(requests, parts)]
+
+
+class OutageGridRequest:
+    """What :func:`estimate_outage_grid` computes, as a request for
+    :func:`run_requests`. ``rows`` keeps the rows as given, ``_rows`` as a
+    trial decides them."""
+
+    def __init__(
+        self,
+        cell: CellGeometry,
+        rows: Sequence[tuple[str, RadioParams]],
+        trials: int,
+        *,
+        first_hop: str = "frame_rate",
+    ):
+        if not rows:
+            raise ValueError("rows must be nonempty")
+        self.cell, self.rows = cell, tuple(rows)
+        self._rows = tuple(_grid_row(strategy, radio, first_hop) for strategy, radio in self.rows)
+        self.trials = _check_count("trials", trials)
+        self.thetas = tuple(row.theta_first for row in self._rows)
+
+    def read(self, plan: _Plan, block: tuple) -> np.ndarray:
+        return _decide(self.cell, plan, self._rows, block).sum(axis=1)
+
+    def merge(self, parts: list) -> np.ndarray:
+        return sum(parts, np.zeros(len(self.rows), dtype=np.int64))
+
+    def result(self, counts: np.ndarray) -> list[OutageEstimate]:
+        estimates = []
+        for (strategy, radio), count in zip(self.rows, counts.tolist()):
+            estimate = OutageEstimate.from_counts(count, self.trials)
+            if estimate.below_resolution:
+                log.info(
+                    "no outage in %d trials (%s, k=%d, %g dB): estimate below resolution %.1e",
+                    self.trials,
+                    strategy,
+                    radio.num_relays,
+                    radio.snr_db,
+                    1.0 / self.trials,
+                )
+            estimates.append(estimate)
+        return estimates
 
 
 def estimate_outage_grid(
@@ -384,26 +480,10 @@ def estimate_outage_grid(
     Each row's estimate equals :func:`estimate_outage` for that row alone,
     count for count: trial ``t`` draws the same field and gains for every
     row (see :func:`_draw`), so it is drawn once and decided for all rows.
-    Worker processes as in :func:`estimate_outage`.
+    Worker processes as in :func:`run_requests`.
     """
-    if not rows:
-        raise ValueError("rows must be nonempty")
-    plan = _Plan.of(_grid_row(strategy, radio, first_hop) for strategy, radio in rows)
-    parts = _run_blocks(_grid_block, (cell, plan, seed), trials, workers)
-    estimates = []
-    for i, (strategy, radio) in enumerate(rows):
-        estimate = OutageEstimate.from_counts(sum(p[i] for p in parts), trials)
-        if estimate.below_resolution:
-            log.info(
-                "no outage in %d trials (%s, k=%d, %g dB): estimate below resolution %.1e",
-                trials,
-                strategy,
-                radio.num_relays,
-                radio.snr_db,
-                1.0 / trials,
-            )
-        estimates.append(estimate)
-    return estimates
+    request = OutageGridRequest(cell, rows, trials, first_hop=first_hop)
+    return run_requests([request], seed, workers=workers)[0]
 
 
 def estimate_outage(
@@ -438,29 +518,60 @@ class MeanCountPoint(NamedTuple):
     stderr: float
 
 
-def _mean_count_block(
-    cell: CellGeometry, plan: _Plan, grid: tuple[float, ...], seed: int, start: int, stop: int
-):
-    """Sums over trials of the per-trial counts within each grid radius and
-    of their squares, shape ``(observers, radii)`` each.
+class MeanCountRequest:
+    """What :func:`empirical_mean_count` computes, as a request for
+    :func:`run_requests`."""
 
-    A relay at distance ``d`` counts at every radius from the first grid
-    point ``>= d`` on, so a per-trial histogram of that index, accumulated
-    along the grid, gives the counts without sorting.
-    """
-    grid_arr = np.asarray(grid)
-    bins = grid_arr.size + 1
-    s1 = np.zeros((len(OBSERVERS), grid_arr.size), dtype=np.int64)
-    s2 = np.zeros_like(s1)
-    for sizes, radii, d2, _ in _blocks(cell, plan, seed, start, stop):
+    def __init__(
+        self, radii: Sequence[float], cell: CellGeometry, theta_first: float, trials: int
+    ):
+        grid = tuple(float(r) for r in radii)
+        if not grid:
+            raise ValueError("radii grid must be nonempty")
+        upper = cell.cell_radius + cell.dest_distance
+        # written so that NaN fails both checks
+        if not all(0.0 <= r <= upper * (1.0 + 1e-12) for r in grid):
+            raise ValueError(f"radii must lie within [0, {upper}]")
+        if not all(a < b for a, b in zip(grid, grid[1:])):
+            raise ValueError("radii must be strictly increasing")
+        _check_theta_first(theta_first)
+        self.cell, self.grid, self.theta_first = cell, grid, theta_first
+        self.trials = _check_count("trials", trials)
+        self.thetas = (theta_first,)
+
+    def read(self, plan: _Plan, block: tuple) -> np.ndarray:
+        """Sums over the block's trials of the per-trial counts within each
+        grid radius and of their squares, shape ``(2, observers, radii)``.
+
+        A relay at distance ``d`` counts at every radius from the first grid
+        point ``>= d`` on, so a per-trial histogram of that index, accumulated
+        along the grid, gives the counts without sorting.
+        """
+        sizes, radii, d2 = _qualified(plan, self.theta_first, block)
+        grid = np.asarray(self.grid)
+        bins = grid.size + 1
         offset = np.repeat(np.arange(sizes.size) * bins, sizes)
+        sums = np.empty((2, len(OBSERVERS), grid.size), dtype=np.int64)
         for i, d in enumerate((radii, np.sqrt(d2))):
-            first = offset + np.searchsorted(grid_arr, d, side="left")
+            first = offset + np.searchsorted(grid, d, side="left")
             hist = np.bincount(first, minlength=sizes.size * bins).reshape(sizes.size, bins)
             counts = hist[:, :-1].cumsum(axis=1)
-            s1[i] += counts.sum(axis=0)
-            s2[i] += (counts * counts).sum(axis=0)
-    return s1, s2
+            sums[:, i] = counts.sum(axis=0), (counts * counts).sum(axis=0)
+        return sums
+
+    def merge(self, parts: list) -> np.ndarray:
+        return sum(parts, np.zeros((2, len(OBSERVERS), len(self.grid)), dtype=np.int64))
+
+    def result(self, sums: np.ndarray) -> dict[str, list[MeanCountPoint]]:
+        s1, s2 = sums
+        trials = self.trials
+        # one trial has no spread: s2 equals s1 * s1 and the variance is 0
+        var = (s2 - s1 * s1 / trials) / max(trials - 1, 1)
+        means, stderrs = (s1 / trials).tolist(), np.sqrt(np.maximum(var, 0.0) / trials).tolist()
+        return {
+            observer: [MeanCountPoint(*point) for point in zip(self.grid, means[o], stderrs[o])]
+            for o, observer in enumerate(OBSERVERS)
+        }
 
 
 def empirical_mean_count(
@@ -480,47 +591,43 @@ def empirical_mean_count(
     qualified relays at distance <= ``r`` over fresh realizations; both
     curves read the same realizations. Trials are drawn as in the module
     docstring, at the one threshold ``theta_first``; the second-hop gains are
-    drawn and ignored. Worker processes as in :func:`estimate_outage`.
+    drawn and ignored. Worker processes as in :func:`run_requests`.
     """
-    grid = tuple(float(r) for r in radii)
-    if not grid:
-        raise ValueError("radii grid must be nonempty")
-    upper = cell.cell_radius + cell.dest_distance
-    # written so that NaN fails both checks
-    if not all(0.0 <= r <= upper * (1.0 + 1e-12) for r in grid):
-        raise ValueError(f"radii must lie within [0, {upper}]")
-    if not all(a < b for a, b in zip(grid, grid[1:])):
-        raise ValueError("radii must be strictly increasing")
-    _check_theta_first(theta_first)
-    plan = _Plan.of([_Row(theta_first, 0.0, 0)])
-    parts = _run_blocks(_mean_count_block, (cell, plan, grid, seed), trials, workers)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    # one trial has no spread: s2 equals s1 * s1 and the variance is 0
-    var = (s2 - s1 * s1 / trials) / max(trials - 1, 1)
-    means, stderrs = (s1 / trials).tolist(), np.sqrt(np.maximum(var, 0.0) / trials).tolist()
-    return {
-        observer: [MeanCountPoint(*point) for point in zip(grid, means[o], stderrs[o])]
-        for o, observer in enumerate(OBSERVERS)
-    }
+    request = MeanCountRequest(radii, cell, theta_first, trials)
+    return run_requests([request], seed, workers=workers)[0]
 
 
-def _kth_block(
-    cell: CellGeometry, plan: _Plan, k_max: int, seed: int, start: int, stop: int
-) -> np.ndarray:
-    out = np.full((stop - start, k_max), np.inf)
-    ranks = np.arange(k_max)
-    row = 0
-    for sizes, _, d2, _ in _blocks(cell, plan, seed, start, stop):
+class KthDistancesRequest:
+    """What :func:`kth_nearest_qualified_distances` computes, as a request
+    for :func:`run_requests`."""
+
+    def __init__(self, cell: CellGeometry, theta_first: float, k_max: int, trials: int):
+        self.k_max = _check_count("k_max", k_max)
+        _check_theta_first(theta_first)
+        self.cell, self.theta_first = cell, theta_first
+        self.trials = _check_count("trials", trials)
+        self.thetas = (theta_first,)
+
+    def read(self, plan: _Plan, block: tuple) -> np.ndarray:
+        """The block's rows: each trial's ``k_max`` smallest destination
+        distances, sorted, ``inf`` past its relay count."""
+        sizes, _, d2 = _qualified(plan, self.theta_first, block)
         d = np.sqrt(d2)
         ends = np.cumsum(sizes)
         begins = ends - sizes
         for a, b in zip(begins.tolist(), ends.tolist()):
             d[a:b].sort()
+        ranks = np.arange(self.k_max)
         present = ranks < sizes[:, None]
-        out[row : row + sizes.size][present] = d[(begins[:, None] + ranks)[present]]
-        row += sizes.size
-    return out
+        out = np.full((sizes.size, self.k_max), np.inf)
+        out[present] = d[(begins[:, None] + ranks)[present]]
+        return out
+
+    def merge(self, parts: list) -> np.ndarray:
+        return np.concatenate([np.empty((0, self.k_max)), *parts])
+
+    def result(self, rows: np.ndarray) -> np.ndarray:
+        return rows
 
 
 def kth_nearest_qualified_distances(
@@ -540,11 +647,7 @@ def kth_nearest_qualified_distances(
     defective). Trials are drawn as in :func:`empirical_mean_count`, so row
     ``t`` lists the nearest relays that the loosest row of an outage grid at
     threshold ``theta_first`` qualifies in trial ``t``. Worker processes as
-    in :func:`estimate_outage`.
+    in :func:`run_requests`.
     """
-    if not (isinstance(k_max, int) and k_max >= 1):
-        raise ValueError("k_max must be an integer >= 1")
-    _check_theta_first(theta_first)
-    plan = _Plan.of([_Row(theta_first, 0.0, 0)])
-    parts = _run_blocks(_kth_block, (cell, plan, k_max, seed), trials, workers)
-    return np.concatenate(parts)
+    request = KthDistancesRequest(cell, theta_first, k_max, trials)
+    return run_requests([request], seed, workers=workers)[0]

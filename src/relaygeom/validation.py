@@ -3,11 +3,11 @@
 Each ``check_*`` function runs one criterion at its stated tolerance and
 returns a :class:`CheckResult`; :func:`run_all` executes the whole gate.
 The CLI ``validate`` subcommand and the acceptance test suite both call
-these, so there is a single source of truth for pass/fail logic. The
-Monte Carlo outage checks (criteria 3 and 4) each build their rows, draw
-them with :func:`~relaygeom.montecarlo.estimate_outage_grid` and judge the
-estimates; :func:`run_all` draws both checks' rows in one call, which gives
-each row the counts it gets alone, and hands each judge its share.
+these, so there is a single source of truth for pass/fail logic. Each
+Monte Carlo check (criteria 3, 4, 6 and 7) draws its trials and hands them
+to its judge; :func:`run_all` draws all four checks' trials in one
+:func:`~relaygeom.montecarlo.run_requests` pass, which gives each check the
+results it gets alone, and hands each judge its share.
 
 Statistical comparisons use the null-hypothesis standard error
 ``sqrt(p0 (1 - p0) / n)`` (not the estimate's own, which degenerates at
@@ -45,9 +45,10 @@ _KS_CRIT_1PCT = 1.62762
 #: SNRs of criterion 3 and the default SNR grid of criterion 4, in dB.
 _EXACT_CSI_SNRS = (5.0, 10.0, 15.0, 20.0)
 _STAT_CSI_SNRS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-#: Appended to criterion 3's detail when :func:`run_all` draws its rows.
+#: Appended to the details of criteria 3, 6 and 7 when :func:`run_all`
+#: draws their trials.
 _SHARED_DRAW_NOTE = (
-    "; estimates from the draw shared with stat_csi_outage_mc_vs_analytic (timed there)"
+    "; trials drawn in the pass shared with stat_csi_outage_mc_vs_analytic (timed there)"
 )
 
 
@@ -162,16 +163,18 @@ def check_inner_integral(tol: float = 1e-8) -> CheckResult:
     tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=512)
     worst = 0.0
     worst_at = None
+    phis = np.linspace(0.0, math.pi, 5)
+    ranges = (0.5, 2.0, 5.0, 10.0, 25.0)
     for theta in (0.01, 0.1, 1.0):
         for r_d in (0.0, 2.0, 5.0):
-            for phi in np.linspace(0.0, math.pi, 5):
-                for r_jd in (0.5, 2.0, 5.0, 10.0, 25.0):
+            closed = {r_jd: analytic.inner_integral_I(r_jd, phis, r_d, theta) for r_jd in ranges}
+            for i, phi in enumerate(phis):
+                for r_jd in ranges:
                     a = 2.0 * r_d * math.cos(phi)
-                    closed = analytic.inner_integral_I(r_jd, float(phi), r_d, theta)
                     direct = integrate_1d(
                         lambda r: r * np.exp(-theta * (r * r - a * r)), 0.0, r_jd, tight
                     )
-                    rel = abs(closed - direct) / max(abs(direct), 1e-300)
+                    rel = abs(float(closed[r_jd][i]) - direct) / max(abs(direct), 1e-300)
                     if rel > worst:
                         worst, worst_at = rel, (theta, r_d, round(float(phi), 3), r_jd)
     return _finish(
@@ -362,6 +365,13 @@ def check_diversity_order(
 # criterion 6: k-th nearest qualified distance distribution (KS)
 # ----------------------------------------------------------------------
 
+def _theta_15db() -> float:
+    """First-hop threshold of criteria 6, 7 and 8: 15 dB, one relay."""
+    return compute_thresholds(
+        RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
+    ).theta_first
+
+
 def _ks_statistic(samples: np.ndarray, cdf_at_samples: np.ndarray, cdf_at_sup: float, n: int) -> float:
     """Two-sided KS distance for a possibly defective distribution.
 
@@ -384,14 +394,15 @@ def check_fk_distribution(
     1% critical value for k in {1..3}; the quadratic-growth form's distance
     is reported alongside for comparison."""
     t0 = time.perf_counter()
-    theta = compute_thresholds(
-        RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
-    ).theta_first
-    cell = DEFAULT_CELL
     draws = montecarlo.kth_nearest_qualified_distances(
-        cell, theta, k_max, samples, seed, workers=workers
+        DEFAULT_CELL, _theta_15db(), k_max, samples, seed, workers=workers
     )
-    profile = analytic.MassProfile(cell, theta)
+    return _judge_fk(draws, t0)
+
+
+def _judge_fk(draws: np.ndarray, t0: float) -> CheckResult:
+    samples, k_max = draws.shape
+    profile = analytic.MassProfile(DEFAULT_CELL, _theta_15db())
     quadratic = analytic._order_densities(
         profile.M, profile.density, profile.r, k_max, "quadratic"
     )
@@ -426,18 +437,28 @@ def check_mean_count_curves(
     far edge, and analytic vs empirical within 3 sigma wherever the cell
     fully contains the observation disk."""
     t0 = time.perf_counter()
+    empirical = montecarlo.empirical_mean_count(
+        _mean_count_grid(), DEFAULT_CELL, _theta_15db(), trials, seed, workers=workers
+    )
+    return _judge_mean_count(empirical, trials, t0)
+
+
+def _mean_count_grid() -> list[float]:
+    """Criterion 7's radii: 0 to the far edge ``R + r_d`` in steps of 1."""
+    upper = DEFAULT_CELL.cell_radius + DEFAULT_CELL.dest_distance
+    return [i * 1.0 for i in range(int(upper) + 1)]
+
+
+def _judge_mean_count(empirical, trials: int, t0: float) -> CheckResult:
     cell = DEFAULT_CELL
-    theta = compute_thresholds(
-        RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
-    ).theta_first
+    theta = _theta_15db()
     upper = cell.cell_radius + cell.dest_distance
-    grid = [i * 1.0 for i in range(int(upper) + 1)]
+    grid = [point.radius for point in empirical["bs"]]
     an_bs = [
         analytic.mean_count_from_bs(r, cell.relay_intensity, theta, cell_radius=cell.cell_radius)
         for r in grid
     ]
     an_dest = analytic.lambda_prime(np.array(grid), cell, theta)
-    empirical = montecarlo.empirical_mean_count(grid, cell, theta, trials, seed, workers=workers)
     emp_bs, emp_dest = empirical["bs"], empirical["dest"]
     passed = True
     issues = []
@@ -496,9 +517,7 @@ def check_normalization(tol: float = 1e-6) -> CheckResult:
     reads the mass profile, the mass is the oracle :func:`_angular_mass`."""
     t0 = time.perf_counter()
     cell = DEFAULT_CELL
-    theta = compute_thresholds(
-        RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
-    ).theta_first
+    theta = _theta_15db()
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=512)
 
     worst = 0.0
@@ -559,27 +578,53 @@ def run_all(
 ) -> list[CheckResult]:
     """Run every check at the given sizes and return the results in order.
 
-    Criteria 3 and 4 judge the estimates of one
-    :func:`~relaygeom.montecarlo.estimate_outage_grid` call over both checks'
-    rows; each result equals its standalone check's, except that criterion
-    3's detail says where its estimates came from and the draw's time counts
-    in criterion 4's ``seconds`` only.
+    Criteria 3, 4, 6 and 7 judge what one
+    :func:`~relaygeom.montecarlo.run_requests` pass over
+    ``max(trials, samples, mean_count_trials)`` trials gives; each check
+    reads its own first trials. Each result equals its standalone check's,
+    except that the details of criteria 3, 6 and 7 say where their draws
+    came from and the pass's time counts in criterion 4's ``seconds`` only.
     """
     results = [check_inner_integral(), check_far_field_mean()]
+    exact, stat, fk, mean_count = _monte_carlo_checks(
+        trials, samples, mean_count_trials, seed, workers
+    )
+    return results + [
+        exact,
+        stat,
+        check_diversity_order(),
+        fk,
+        mean_count,
+        check_normalization(),
+        check_cli_determinism(),
+    ]
+
+
+def _monte_carlo_checks(
+    trials: int, samples: int, mean_count_trials: int, seed: int, workers: int | None
+) -> list[CheckResult]:
+    """Criteria 3, 4, 6 and 7 judged on one pass, as :func:`run_all` says."""
     exact_rows, stat_rows = _exact_csi_rows(), _stat_csi_rows(_STAT_CSI_SNRS)
+    theta = _theta_15db()
     t0 = time.perf_counter()
-    estimates = montecarlo.estimate_outage_grid(
-        DEFAULT_CELL, exact_rows + stat_rows, trials, seed, workers=workers
+    estimates, draws, empirical = montecarlo.run_requests(
+        [
+            montecarlo.OutageGridRequest(DEFAULT_CELL, exact_rows + stat_rows, trials),
+            montecarlo.KthDistancesRequest(DEFAULT_CELL, theta, 3, samples),
+            montecarlo.MeanCountRequest(_mean_count_grid(), DEFAULT_CELL, theta, mean_count_trials),
+        ],
+        seed,
+        workers=workers,
     )
     drawn = time.perf_counter() - t0
     split = len(exact_rows)
-    exact = _judge_exact_csi(exact_rows, estimates[:split], time.perf_counter())
-    results.append(replace(exact, detail=exact.detail + _SHARED_DRAW_NOTE))
-    results.append(_judge_stat_csi(stat_rows, estimates[split:], time.perf_counter() - drawn))
-    return results + [
-        check_diversity_order(),
-        check_fk_distribution(samples, seed, workers=workers),
-        check_mean_count_curves(mean_count_trials, seed, workers),
-        check_normalization(),
-        check_cli_determinism(),
+
+    def shared(result: CheckResult) -> CheckResult:
+        return replace(result, detail=result.detail + _SHARED_DRAW_NOTE)
+
+    return [
+        shared(_judge_exact_csi(exact_rows, estimates[:split], time.perf_counter())),
+        _judge_stat_csi(stat_rows, estimates[split:], time.perf_counter() - drawn),
+        shared(_judge_fk(draws, time.perf_counter())),
+        shared(_judge_mean_count(empirical, mean_count_trials, time.perf_counter())),
     ]

@@ -45,8 +45,22 @@ class TestInnerIntegral:
         far = analytic.inner_integral_I(1.0, math.pi, 5.0, theta)
         assert math.isfinite(far) and far > 0.0
 
+    @pytest.mark.parametrize("theta", [0.01, 1.0, 300.0])
+    def test_array_phi_equals_scalar_calls(self, theta):
+        # at theta = 300 the bearings toward the destination overflow to inf
+        # and the far ones stay finite, within one array
+        phis = np.linspace(0.0, math.pi, 7)
+        for r_jd in (0.0, 0.5, 1.0, 12.0):
+            values = analytic.inner_integral_I(r_jd, phis, 5.0, theta)
+            alone = [analytic.inner_integral_I(r_jd, float(phi), 5.0, theta) for phi in phis]
+            assert values.shape == phis.shape
+            assert np.array_equal(values, alone)
+        values = analytic.inner_integral_I(1.0, phis, 5.0, theta)
+        assert np.isinf(values).any() == (theta == 300.0)
+        assert np.isfinite(values[-1]) and values[-1] > 0.0
+
     def test_rejects_non_finite_phi(self):
-        for phi in (math.nan, math.inf):
+        for phi in (math.nan, math.inf, [0.0, math.nan]):
             with pytest.raises(ValueError, match="phi"):
                 analytic.inner_integral_I(1.0, phi, 5.0, 0.1)
 

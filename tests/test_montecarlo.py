@@ -52,7 +52,7 @@ class TestTrialRng:
 
 def _qualified(cell: CellGeometry, theta: float, rng) -> tuple:
     """The radii and angles of one trial's relays qualified at ``theta``."""
-    return mc._draw(cell, mc._Plan.of([mc._Row(theta, 0.0, 0)]), rng)[:2]
+    return mc._draw(cell, mc._Plan.of([theta]), rng)[:2]
 
 
 def _kept_fraction(ring_field, radius: float, theta: float, n: int, rng) -> float:
@@ -280,6 +280,30 @@ class TestEstimateOutage:
             mc.estimate_outage("exact", default_cell, radio_15db, 10, 0)
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("trials", lambda cell, radio: mc.estimate_outage("exact", cell, radio, True, 0)),
+        (
+            "workers",
+            lambda cell, radio: mc.estimate_outage("exact", cell, radio, 9, 0, workers=True),
+        ),
+        (
+            "k",
+            lambda cell, radio: mc.trial_stat_csi(
+                cell, compute_thresholds(radio), True, mc.trial_rng(0, 0)
+            ),
+        ),
+        ("k_max", lambda cell, radio: mc.kth_nearest_qualified_distances(cell, 0.1, True, 9, 0)),
+    ],
+    ids=["trials", "workers", "k", "k_max"],
+)
+def test_bool_count_is_refused_by_name(name, call, default_cell, radio_15db):
+    # Python counts a bool an int; no count may be one
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got True$"):
+        call(default_cell, radio_15db)
+
+
 class TestWorkerCap:
     """The pool never asks for more processes than this process may run on.
     A stand-in pool records its size and runs the ranges inline, so these
@@ -383,10 +407,10 @@ class TestOutageGrid:
             Thresholds(0.05, 0.02),
         ]
         ks = [0, 2, 1, 3]
-        plan = mc._Plan.of(mc._Row(th.theta_first, th.theta_second, k) for th, k in zip(rows, ks))
+        grid_rows = [mc._Row(th.theta_first, th.theta_second, k) for th, k in zip(rows, ks)]
         seen = set()
         for t in range(300):
-            outages = mc._trial_outages(cell, plan, mc.trial_rng(8, t))
+            outages = mc._trial_outages(cell, grid_rows, mc.trial_rng(8, t))
             alone = [
                 mc.trial_stat_csi(cell, th, k, mc.trial_rng(8, t))
                 if k
@@ -463,6 +487,39 @@ class TestOutageGrid:
                 mc.estimate_outage_grid(default_cell, [("stat", two), (strategy, radio)], 10, 0)
         with pytest.raises(ValueError):
             mc.estimate_outage_grid(default_cell, [], 10, 0)
+
+
+class TestRunRequests:
+    """One pass serves requests with their own thresholds and trial counts;
+    each result must equal its sampler's on its own."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_each_request_alone(self, workers, default_cell):
+        # the k-th nearest request is looser than every grid row and the
+        # mean-count request tighter than the loosest; the three trial counts
+        # end in different blocks and, at 2 workers, in different ranges
+        rows, grid = _mixed_rows((10.0, 25.0)), [0.0, 2.0, 7.5, 25.0]
+        kth, outage, counts = mc.run_requests(
+            [
+                mc.KthDistancesRequest(default_cell, 0.01, 3, 130),
+                mc.OutageGridRequest(default_cell, rows, 70, first_hop="base_rate"),
+                mc.MeanCountRequest(grid, default_cell, 1.5, 40),
+            ],
+            5,
+            workers=workers,
+        )
+        alone = mc.kth_nearest_qualified_distances(default_cell, 0.01, 3, 130, 5)
+        assert kth.tobytes() == alone.tobytes()
+        assert outage == mc.estimate_outage_grid(default_cell, rows, 70, 5, first_hop="base_rate")
+        assert counts == mc.empirical_mean_count(grid, default_cell, 1.5, 40, 5)
+
+    def test_rejects_no_request_and_mixed_cells(self, default_cell):
+        with pytest.raises(ValueError, match="nonempty"):
+            mc.run_requests([], 0)
+        other = CellGeometry(cell_radius=10.0, dest_distance=5.0, relay_intensity=0.5)
+        requests = [mc.KthDistancesRequest(cell, 0.1, 1, 5) for cell in (default_cell, other)]
+        with pytest.raises(ValueError, match="one cell"):
+            mc.run_requests(requests, 0)
 
 
 class TestEmpiricalMeanCount:
@@ -618,7 +675,7 @@ class TestKthNearestDistances:
         # row t lists the nearest of the relays that the outage grid's
         # loosest row qualifies in trial t, so the two estimators pair by trial
         rows = _mixed_rows((10.0, 25.0))
-        plan = mc._Plan.of(mc._grid_row(s, r, "frame_rate") for s, r in rows)
+        plan = mc._Plan.of(mc._grid_row(s, r, "frame_rate").theta_first for s, r in rows)
         assert plan.nested  # so the grid's draw differs in shape from the sampler's
         k_max, seed = 4, 42
         out = mc.kth_nearest_qualified_distances(default_cell, plan.theta_min, k_max, 40, seed)

@@ -95,73 +95,121 @@ class TestStatCsiRecords:
         assert result.detail.count("MISMATCH (rank-joint exact=") == len(rejected)
 
 
+def _kind(request) -> tuple:
+    """A request as ``(rows or kind, trials)``."""
+    if isinstance(request, montecarlo.OutageGridRequest):
+        return len(request.rows), request.trials
+    return type(request).__name__, request.trials
+
+
 class TestRunAllSharesDraws:
-    """``run_all`` judges criteria 3 and 4 on one grid draw and criterion 7 on
-    one mean-count pass; each result must be what the standalone check
-    returns, and nothing may carry over from one call to the next."""
+    """``run_all`` judges criteria 3, 4, 6 and 7 on one Monte Carlo pass;
+    each result must be what the standalone check returns, and nothing may
+    carry over from one call to the next."""
 
     SIZES = {"trials": 600, "samples": 300, "mean_count_trials": 200, "seed": 42}
-    #: grid calls of one run: criteria 3 and 4 together, then criterion 9's
-    #: 9-row sweep at 1 and at 2 workers
-    RUN = [4 + 21, 9, 9]
+    #: passes of one run: criteria 3, 4, 6 and 7 together at the run's seed,
+    #: then criterion 9's 9-row sweep at 1 and at 2 workers
+    RUN = [
+        (42, [(4 + 21, 600), ("KthDistancesRequest", 300), ("MeanCountRequest", 200)]),
+        (7, [(9, 2000)]),
+        (7, [(9, 2000)]),
+    ]
+    #: the standalone checks' passes, in the order the tests run them
+    ALONE = [
+        (42, [(4, 600)]),
+        (42, [(21, 600)]),
+        (42, [("KthDistancesRequest", 300)]),
+        (42, [("MeanCountRequest", 200)]),
+    ]
 
     @pytest.fixture
-    def grid_calls(self, monkeypatch):
+    def passes(self, monkeypatch):
         calls = []
-        grid = montecarlo.estimate_outage_grid
+        run = montecarlo.run_requests
 
-        def counting_grid(cell, rows, *args, **kwargs):
-            calls.append(len(rows))
-            return grid(cell, rows, *args, **kwargs)
+        def counting_run(requests, seed, **kwargs):
+            calls.append((seed, [_kind(r) for r in requests]))
+            return run(requests, seed, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "estimate_outage_grid", counting_grid)
+        monkeypatch.setattr(montecarlo, "run_requests", counting_run)
         return calls
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_results_equal_standalone_checks(self, workers, grid_calls):
-        results = {r.name: r for r in validation.run_all(**self.SIZES, workers=workers)}
-        assert grid_calls == self.RUN
-        trials, samples, mc_trials = 600, 300, 200
-        alone = [
+    @staticmethod
+    def _standalone(trials, samples, mean_count_trials, workers):
+        return [
             validation.check_exact_csi_outage(trials, 42, workers),
             validation.check_stat_csi_outage(trials, 42, workers),
             validation.check_fk_distribution(samples, 42, workers=workers),
-            validation.check_mean_count_curves(mc_trials, 42, workers),
+            validation.check_mean_count_curves(mean_count_trials, 42, workers),
         ]
-        assert grid_calls == self.RUN + [4, 21]
+
+    @staticmethod
+    def _assert_shared_equal_alone(shared_results, alone):
+        results = {r.name: r for r in shared_results}
         for check in alone:
             shared = results[check.name]
-            note = validation._SHARED_DRAW_NOTE if check.name.startswith("exact_csi") else ""
+            note = "" if check.name.startswith("stat_csi") else validation._SHARED_DRAW_NOTE
             assert (shared.passed, shared.detail, shared.records) == (
                 check.passed,
                 check.detail + note,
                 check.records,
             )
-        assert len(results["stat_csi_outage_mc_vs_analytic"].records) == 21
-        for res in results.values():
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_equal_standalone_checks(self, workers, passes):
+        results = validation.run_all(**self.SIZES, workers=workers)
+        assert passes == self.RUN
+        alone = self._standalone(600, 300, 200, workers)
+        assert passes == self.RUN + self.ALONE
+        self._assert_shared_equal_alone(results, alone)
+        by_name = {r.name: r for r in results}
+        assert len(by_name["stat_csi_outage_mc_vs_analytic"].records) == 21
+        for res in results:
             assert math.isfinite(res.seconds) and res.seconds >= 0
 
-    def test_one_grid_call_per_run_and_no_memo(self, grid_calls):
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"trials": 90, "samples": 200, "mean_count_trials": 60},
+            {"trials": 90, "samples": 50, "mean_count_trials": 170},
+        ],
+        ids=["samples_beyond_trials", "mean_counts_beyond_trials"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prefixes_equal_standalone_checks(self, sizes, workers, monkeypatch):
+        # each check reads its own first trials of the pass; the worker split
+        # and the block edges fall inside some check's prefix
+        alone = self._standalone(**sizes, workers=1)
+        for block in (1, 7, 64, 1000):
+            monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", block)
+            shared = validation._monte_carlo_checks(**sizes, seed=42, workers=workers)
+            self._assert_shared_equal_alone(shared, alone)
+
+    def test_one_pass_per_run_and_no_memo(self, passes):
         first = validation.run_all(**self.SIZES, workers=1)
-        assert grid_calls == self.RUN
+        assert passes == self.RUN
+        assert [seed for seed, _ in passes].count(42) == 1
         second = validation.run_all(**self.SIZES, workers=1)
-        assert grid_calls == self.RUN + self.RUN
+        assert passes == self.RUN + self.RUN
         assert [(r.passed, r.detail) for r in first] == [(r.passed, r.detail) for r in second]
 
     def test_shared_draw_is_timed_in_criterion_4_only(self, monkeypatch):
-        grid = montecarlo.estimate_outage_grid
+        run = montecarlo.run_requests
 
-        def slow_grid(cell, rows, *args, **kwargs):
-            # only the shared draw sleeps, not criterion 9's sweeps
-            if len(rows) == self.RUN[0]:
+        def slow_run(requests, seed, **kwargs):
+            # only the shared pass sleeps, not criterion 9's sweeps
+            if seed == self.SIZES["seed"]:
                 time.sleep(0.5)
-            return grid(cell, rows, *args, **kwargs)
+            return run(requests, seed, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "estimate_outage_grid", slow_grid)
+        monkeypatch.setattr(montecarlo, "run_requests", slow_run)
         results = {r.name: r for r in validation.run_all(**self.SIZES, workers=1)}
         assert results["stat_csi_outage_mc_vs_analytic"].seconds >= 0.5
-        assert results["exact_csi_outage_mc_vs_analytic"].seconds < 0.5
-        assert results["exact_csi_outage_mc_vs_analytic"].detail.endswith(
-            validation._SHARED_DRAW_NOTE
-        )
-
+        for name in (
+            "exact_csi_outage_mc_vs_analytic",
+            "kth_nearest_distance_ks",
+            "mean_count_curves",
+        ):
+            assert results[name].seconds < 0.5
+            assert results[name].detail.endswith(validation._SHARED_DRAW_NOTE)
