@@ -423,6 +423,13 @@ def _order_densities(mass, density, r, k: int, form: str, weight=1.0) -> list:
     return out
 
 
+def _check_rank(name: str, value) -> None:
+    """A ``ValueError`` naming ``name`` unless ``value`` is an integer >= 1.
+    A ``bool`` is refused although Python counts it an ``int``."""
+    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
 def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact"):
     """Density of the distance from the destination to the k-th nearest
     qualified relay, elementwise over ``r_jd``, from one :class:`MassProfile`.
@@ -446,8 +453,7 @@ def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact")
         the tail. Kept selectable so the two variants can be compared
         against simulation.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("k must be an integer >= 1")
+    _check_rank("k", k)
     r_jd = np.asarray(r_jd, dtype=float)
     if not np.all(r_jd > 0):
         raise ValueError("r_jd must be > 0 (both variants are densities in the open half-line)")
@@ -462,8 +468,7 @@ def kth_nearest_cdf(x: float, k: int, cell: CellGeometry, theta: float) -> float
 
     ``1 - exp(-M(x)) * sum_{i<k} M(x)^i / i!`` with ``M = lambda_prime``.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("k must be an integer >= 1")
+    _check_rank("k", k)
     if x <= 0.0:
         return 0.0
     return poisson_tail(lambda_prime(x, cell, theta), k)
@@ -503,8 +508,7 @@ def p_fail_jth(j: int, cell: CellGeometry, thresholds: Thresholds, form: str = "
     1e-9 are clamped with a warning; the ``"quadratic"`` density is not a
     probability law, so it can get there.
     """
-    if not (isinstance(j, int) and j >= 1):
-        raise ValueError("j must be an integer >= 1")
+    _check_rank("j", j)
     profile = MassProfile(cell, thresholds.theta_first)
     return _p_fail_ranks(profile, j, thresholds.theta_second, form)[j - 1]
 
@@ -530,8 +534,7 @@ def outage_stat(
     :func:`exact_ranked_outage` gives the outage without the independence
     assumption.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("k must be an integer >= 1")
+    _check_rank("k", k)
     thresholds = compute_thresholds(replace(radio, num_relays=k), first_hop)
     profile = MassProfile(cell, thresholds.theta_first)
     return math.prod(_p_fail_ranks(profile, k, thresholds.theta_second, form))

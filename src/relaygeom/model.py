@@ -77,7 +77,10 @@ class RadioParams:
             raise ValueError("snr_db must be finite")
         if not (math.isfinite(self.target_rate) and self.target_rate > 0):
             raise ValueError("target_rate must be finite and > 0")
-        if not (isinstance(self.num_relays, int) and self.num_relays >= 1):
+        # a bool is refused although Python counts it an int
+        if isinstance(self.num_relays, bool) or not (
+            isinstance(self.num_relays, int) and self.num_relays >= 1
+        ):
             raise ValueError("num_relays must be an integer >= 1")
 
 

@@ -1,18 +1,19 @@
 """End-to-end consistency checks pairing the closed forms with Monte Carlo.
 
-Each ``check_*`` function runs one criterion at its stated tolerance and
-returns a :class:`CheckResult`; :func:`run_all` executes the whole gate.
-The CLI ``validate`` subcommand and the acceptance test suite both call
-these, so there is a single source of truth for pass/fail logic. Each
-Monte Carlo check (criteria 3, 4, 6 and 7) draws its trials and hands them
-to its judge; :func:`run_all` draws all four checks' trials in one
-:func:`~relaygeom.montecarlo.run_requests` pass, which gives each check the
-results it gets alone, and hands each judge its share.
+Each ``check_*`` function judges one criterion at its stated tolerance and
+returns a :class:`CheckResult`; a check takes results, never a seed,
+worker count, grid or tolerance. :func:`run_all` runs the whole gate, and
+both the CLI ``validate`` subcommand and the acceptance test suite call it,
+so there is a single source of truth for pass/fail logic. The Monte Carlo
+checks (criteria 3, 4, 6 and 7) draw nothing: :func:`run_all` draws their
+trials in one :func:`~relaygeom.montecarlo.run_requests` pass, the only
+Monte Carlo call in this module, and hands each check its results.
 
 Statistical comparisons use the null-hypothesis standard error
 ``sqrt(p0 (1 - p0) / n)`` (not the estimate's own, which degenerates at
-observed rates of 0 or 1) and fall back to an exact binomial central region
-at the matching confidence when the normal approximation is unsound.
+observed rates of 0 or 1) at 3 sigma, and fall back to an exact binomial
+central region at the matching confidence when the normal approximation is
+unsound.
 """
 
 from __future__ import annotations
@@ -42,11 +43,28 @@ _ALPHA_3SIGMA = 0.0026997960632601866
 #: Asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level.
 _KS_CRIT_1PCT = 1.62762
 
-#: SNRs of criterion 3 and the default SNR grid of criterion 4, in dB.
-_EXACT_CSI_SNRS = (5.0, 10.0, 15.0, 20.0)
-_STAT_CSI_SNRS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-#: Appended to the details of criteria 3, 6 and 7 when :func:`run_all`
-#: draws their trials.
+#: Rows of criterion 3 (exact CSI at 5-20 dB) and of criterion 4 (stat
+#: CSI, k = 1..3, at 0-30 dB): the Monte Carlo estimates these checks judge
+#: are for these rows, in this order.
+_EXACT_CSI_ROWS = tuple(
+    ("exact", RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=1))
+    for snr in (5.0, 10.0, 15.0, 20.0)
+)
+_STAT_CSI_ROWS = tuple(
+    ("stat", RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=k))
+    for k in (1, 2, 3)
+    for snr in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+)
+#: First-hop threshold of criteria 6, 7 and 8: 15 dB, one relay.
+THETA_15DB = compute_thresholds(
+    RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
+).theta_first
+#: Criterion 7's radii: 0 to the far edge ``R + r_d`` in steps of 1.
+_MEAN_COUNT_RADII = tuple(
+    float(i) for i in range(int(DEFAULT_CELL.cell_radius + DEFAULT_CELL.dest_distance) + 1)
+)
+#: Appended by :func:`run_all` to the details of criteria 3, 6 and 7, whose
+#: trials its pass draws and criterion 4's ``seconds`` time.
 _SHARED_DRAW_NOTE = (
     "; trials drawn in the pass shared with stat_csi_outage_mc_vs_analytic (timed there)"
 )
@@ -112,14 +130,14 @@ def _binom_logpmf(i: int, n: int, p: float) -> float:
     )
 
 
-def binomial_consistent(count: int, n: int, p0: float, z: float = 3.0) -> tuple[bool, float]:
-    """Is an observed success count consistent with rate ``p0`` at z sigma?
+def binomial_consistent(count: int, n: int, p0: float) -> tuple[bool, float]:
+    """Is an observed success count consistent with rate ``p0`` at 3 sigma?
 
     Returns ``(ok, zscore)`` where ``zscore`` uses the null standard error.
     When ``n p0 (1 - p0) < 25`` the normal band is unreliable, so the
     decision switches to the exact binomial two-sided test at the tail mass
-    matching ``z`` (for ``z = 3``, 0.27%): reject iff the tail at or beyond
-    the observation is rarer than half that mass.
+    of a 3-sigma band, 0.27%: reject iff the tail at or beyond the
+    observation is rarer than half that mass.
     """
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
@@ -129,7 +147,7 @@ def binomial_consistent(count: int, n: int, p0: float, z: float = 3.0) -> tuple[
     else:
         zscore = 0.0 if count == n * p0 else math.inf
     if var >= 25.0:
-        return abs(count - n * p0) <= z * math.sqrt(var), zscore
+        return abs(count - n * p0) <= 3.0 * math.sqrt(var), zscore
     if p0 == 0.0:
         return count == 0, zscore
     if p0 == 1.0:
@@ -138,7 +156,6 @@ def binomial_consistent(count: int, n: int, p0: float, z: float = 3.0) -> tuple[
     # (var < 25 and p0 <= 1/2 imply a mean below 50).
     if p0 > 0.5:
         count, p0 = n - count, 1.0 - p0
-    alpha = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))) if z != 3.0 else _ALPHA_3SIGMA
     mean = n * p0
     if count <= mean:
         tail = sum(math.exp(_binom_logpmf(i, n, p0)) for i in range(count + 1))
@@ -149,17 +166,18 @@ def binomial_consistent(count: int, n: int, p0: float, z: float = 3.0) -> tuple[
             tail += term
             if i > mean and term < 1e-18:
                 break
-    return tail >= alpha / 2.0, zscore
+    return tail >= _ALPHA_3SIGMA / 2.0, zscore
 
 
 # ----------------------------------------------------------------------
 # criterion 1: the closed inner integral against direct quadrature
 # ----------------------------------------------------------------------
 
-def check_inner_integral(tol: float = 1e-8) -> CheckResult:
+def check_inner_integral() -> CheckResult:
     """Closed radial integral vs adaptive quadrature of its integrand over a
     theta/offset/bearing/range grid; relative error must stay below 1e-8."""
     t0 = time.perf_counter()
+    tol = 1e-8
     tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=512)
     worst = 0.0
     worst_at = None
@@ -218,28 +236,17 @@ def check_far_field_mean() -> CheckResult:
 # criterion 3: exact-knowledge outage, Monte Carlo vs void probability
 # ----------------------------------------------------------------------
 
-def check_exact_csi_outage(
-    trials: int = 100_000, seed: int = DEFAULT_SEED, workers: int | None = None
-) -> CheckResult:
+def check_exact_csi_outage(estimates: list[montecarlo.OutageEstimate]) -> CheckResult:
     """Monte Carlo outage within the 3-sigma binomial band of the
-    finite-cell void probability at 5, 10, 15 and 20 dB."""
+    finite-cell void probability at 5, 10, 15 and 20 dB.
+
+    ``estimates`` are the Monte Carlo estimates of ``_EXACT_CSI_ROWS``, in
+    order, on :data:`DEFAULT_CELL`.
+    """
     t0 = time.perf_counter()
-    rows = _exact_csi_rows()
-    estimates = montecarlo.estimate_outage_grid(DEFAULT_CELL, rows, trials, seed, workers=workers)
-    return _judge_exact_csi(rows, estimates, t0)
-
-
-def _exact_csi_rows() -> list[tuple[str, RadioParams]]:
-    return [
-        ("exact", RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=1))
-        for snr in _EXACT_CSI_SNRS
-    ]
-
-
-def _judge_exact_csi(rows, estimates, t0: float) -> CheckResult:
     details = []
     passed = True
-    for (_, radio), est in zip(rows, estimates):
+    for (_, radio), est in zip(_EXACT_CSI_ROWS, estimates, strict=True):
         p0 = analytic.outage_exact_csi(DEFAULT_CELL, radio, "quadrature")
         ok, zscore = binomial_consistent(est.outage_count, est.trials, p0)
         passed &= ok
@@ -253,12 +260,7 @@ def _judge_exact_csi(rows, estimates, t0: float) -> CheckResult:
 # criterion 4: ranked-selection outage, Monte Carlo vs product form
 # ----------------------------------------------------------------------
 
-def check_stat_csi_outage(
-    trials: int = 100_000,
-    seed: int = DEFAULT_SEED,
-    workers: int | None = None,
-    snr_grid: tuple[float, ...] = _STAT_CSI_SNRS,
-) -> CheckResult:
+def check_stat_csi_outage(estimates: list[montecarlo.OutageEstimate]) -> CheckResult:
     """For k in {1, 2, 3}: Monte Carlo within max(3 sigma, 5% relative) of
     the product form (exact density) wherever the analytic outage is at
     least 1e-3; at the lowest SNR the fixed-frame protocol (slots may stay
@@ -273,30 +275,18 @@ def check_stat_csi_outage(
     the simulation is the faithful side. The check is kept at its stated
     tolerance rather than loosened to hide that gap.
 
-    The result carries one :class:`OutagePoint` per (k, SNR) in ``records``,
-    so a caller can tell a rank-dependence gap from any other mismatch.
+    ``estimates`` are the Monte Carlo estimates of ``_STAT_CSI_ROWS``, in
+    order, on :data:`DEFAULT_CELL`. The result carries one
+    :class:`OutagePoint` per (k, SNR) in ``records``, so a caller can tell a
+    rank-dependence gap from any other mismatch.
     """
     t0 = time.perf_counter()
-    rows = _stat_csi_rows(snr_grid)
-    estimates = montecarlo.estimate_outage_grid(DEFAULT_CELL, rows, trials, seed, workers=workers)
-    return _judge_stat_csi(rows, estimates, t0)
-
-
-def _stat_csi_rows(snr_grid: tuple[float, ...]) -> list[tuple[str, RadioParams]]:
-    return [
-        ("stat", RadioParams(snr_db=snr, target_rate=DEFAULT_RATE, num_relays=k))
-        for k in (1, 2, 3)
-        for snr in snr_grid
-    ]
-
-
-def _judge_stat_csi(rows, estimates, t0: float) -> CheckResult:
     details = []
     records = []
     passed = True
-    low_snr = min(radio.snr_db for _, radio in rows)
+    low_snr = min(radio.snr_db for _, radio in _STAT_CSI_ROWS)
     trials = estimates[0].trials
-    for (_, radio), est in zip(rows, estimates):
+    for (_, radio), est in zip(_STAT_CSI_ROWS, estimates, strict=True):
         k, snr = radio.num_relays, radio.snr_db
         p0 = analytic.outage_stat(k, DEFAULT_CELL, radio, form="exact")
         in_band, zscore = binomial_consistent(est.outage_count, trials, p0)
@@ -330,13 +320,12 @@ def _judge_stat_csi(rows, estimates, t0: float) -> CheckResult:
 # criterion 5: high-SNR slopes (diversity order)
 # ----------------------------------------------------------------------
 
-def check_diversity_order(
-    snr_grid: tuple[float, ...] = (20.0, 22.5, 25.0, 27.5, 30.0)
-) -> CheckResult:
+def check_diversity_order() -> CheckResult:
     """On the analytic curves, the ranked-selection k=1 slope of
-    log10(outage) per decade of SNR must be -1 +- 0.15; the
+    log10(outage) per decade of SNR must be -1 +- 0.15 over 20-30 dB; the
     exact-knowledge slope must be strictly steeper on the same grid."""
     t0 = time.perf_counter()
+    snr_grid = (20.0, 22.5, 25.0, 27.5, 30.0)
     decades = np.array(snr_grid) / 10.0
     p_stat = [
         analytic.outage_stat(
@@ -365,13 +354,6 @@ def check_diversity_order(
 # criterion 6: k-th nearest qualified distance distribution (KS)
 # ----------------------------------------------------------------------
 
-def _theta_15db() -> float:
-    """First-hop threshold of criteria 6, 7 and 8: 15 dB, one relay."""
-    return compute_thresholds(
-        RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
-    ).theta_first
-
-
 def _ks_statistic(samples: np.ndarray, cdf_at_samples: np.ndarray, cdf_at_sup: float, n: int) -> float:
     """Two-sided KS distance for a possibly defective distribution.
 
@@ -386,23 +368,20 @@ def _ks_statistic(samples: np.ndarray, cdf_at_samples: np.ndarray, cdf_at_sup: f
     return max(d_hi, d_lo, abs(cdf_at_sup - m / n))
 
 
-def check_fk_distribution(
-    samples: int = 10_000, seed: int = DEFAULT_SEED, k_max: int = 3, workers: int | None = None
-) -> CheckResult:
+def check_fk_distribution(draws: np.ndarray) -> CheckResult:
     """KS distance between sampled k-th-nearest-qualified-relay distances
     (destination observer, 15 dB) and the exact-form CDF must stay below the
-    1% critical value for k in {1..3}; the quadratic-growth form's distance
-    is reported alongside for comparison."""
+    1% critical value for every sampled rank k; the quadratic-growth form's
+    distance is reported alongside for comparison.
+
+    ``draws`` is a ``(samples, k_max)`` array of distances, ``inf`` where a
+    trial has fewer than k qualified relays, as
+    :func:`~relaygeom.montecarlo.kth_nearest_qualified_distances` samples
+    them on :data:`DEFAULT_CELL` at :data:`THETA_15DB`.
+    """
     t0 = time.perf_counter()
-    draws = montecarlo.kth_nearest_qualified_distances(
-        DEFAULT_CELL, _theta_15db(), k_max, samples, seed, workers=workers
-    )
-    return _judge_fk(draws, t0)
-
-
-def _judge_fk(draws: np.ndarray, t0: float) -> CheckResult:
     samples, k_max = draws.shape
-    profile = analytic.MassProfile(DEFAULT_CELL, _theta_15db())
+    profile = analytic.MassProfile(DEFAULT_CELL, THETA_15DB)
     quadratic = analytic._order_densities(
         profile.M, profile.density, profile.r, k_max, "quadratic"
     )
@@ -429,29 +408,20 @@ def _judge_fk(draws: np.ndarray, t0: float) -> CheckResult:
 # criterion 7: mean-count curves from both observers
 # ----------------------------------------------------------------------
 
-def check_mean_count_curves(
-    trials: int = 4000, seed: int = DEFAULT_SEED, workers: int | None = None
-) -> CheckResult:
+def check_mean_count_curves(empirical: dict, trials: int) -> CheckResult:
     """Destination-view mean-count curve below the source-view curve out to
     the destination offset, the two views within 2% of each other at the
     far edge, and analytic vs empirical within 3 sigma wherever the cell
-    fully contains the observation disk."""
+    fully contains the observation disk.
+
+    ``empirical`` holds both observers' curves over ``_MEAN_COUNT_RADII``
+    on :data:`DEFAULT_CELL` at :data:`THETA_15DB`, as
+    :func:`~relaygeom.montecarlo.empirical_mean_count` returns them, and
+    ``trials`` is the number of realizations they average.
+    """
     t0 = time.perf_counter()
-    empirical = montecarlo.empirical_mean_count(
-        _mean_count_grid(), DEFAULT_CELL, _theta_15db(), trials, seed, workers=workers
-    )
-    return _judge_mean_count(empirical, trials, t0)
-
-
-def _mean_count_grid() -> list[float]:
-    """Criterion 7's radii: 0 to the far edge ``R + r_d`` in steps of 1."""
-    upper = DEFAULT_CELL.cell_radius + DEFAULT_CELL.dest_distance
-    return [i * 1.0 for i in range(int(upper) + 1)]
-
-
-def _judge_mean_count(empirical, trials: int, t0: float) -> CheckResult:
     cell = DEFAULT_CELL
-    theta = _theta_15db()
+    theta = THETA_15DB
     upper = cell.cell_radius + cell.dest_distance
     grid = [point.radius for point in empirical["bs"]]
     an_bs = [
@@ -511,13 +481,14 @@ def _angular_mass(r_jd: float, cell: CellGeometry, theta: float) -> float:
     return max(2.0 * cell.relay_intensity * val, 0.0)
 
 
-def check_normalization(tol: float = 1e-6) -> CheckResult:
+def check_normalization() -> CheckResult:
     """The exact nearest-distance density integrated to x must equal
     1 - exp(-mass(x)) within 1e-6 at x = 1, 5 and the far edge; the density
     reads the mass profile, the mass is the oracle :func:`_angular_mass`."""
     t0 = time.perf_counter()
+    tol = 1e-6
     cell = DEFAULT_CELL
-    theta = _theta_15db()
+    theta = THETA_15DB
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=512)
 
     worst = 0.0
@@ -537,8 +508,8 @@ def check_normalization(tol: float = 1e-6) -> CheckResult:
 # criterion 9: byte-identical CSV across worker counts
 # ----------------------------------------------------------------------
 
-def check_cli_determinism(trials: int = 2000, seed: int = 7) -> CheckResult:
-    """Two full outage-sweep runs with the same seed, one with ``--workers 1``
+def check_cli_determinism() -> CheckResult:
+    """Two 2000-trial outage-sweep runs at seed 7, one with ``--workers 1``
     and one with ``--workers 2``, must write byte-identical CSVs."""
     from . import cli  # deferred: cli imports this module for `validate`
 
@@ -548,8 +519,8 @@ def check_cli_determinism(trials: int = 2000, seed: int = 7) -> CheckResult:
         cfg_path = os.path.join(tmp, "cfg.json")
         with open(cfg_path, "w", encoding="utf-8") as fh:
             fh.write(
-                '{"trials": %d, "seed": %d, "snr_grid_db": [5, 15, 25], '
-                '"k_values": [1, 2], "strategies": ["exact", "stat"]}' % (trials, seed)
+                '{"trials": 2000, "seed": 7, "snr_grid_db": [5, 15, 25], '
+                '"k_values": [1, 2], "strategies": ["exact", "stat"]}'
             )
         for workers in ("1", "2"):
             out = os.path.join(tmp, f"sweep_{workers}.csv")
@@ -576,14 +547,15 @@ def run_all(
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> list[CheckResult]:
-    """Run every check at the given sizes and return the results in order.
+    """Run every check and return the results in criterion order.
 
-    Criteria 3, 4, 6 and 7 judge what one
-    :func:`~relaygeom.montecarlo.run_requests` pass over
-    ``max(trials, samples, mean_count_trials)`` trials gives; each check
-    reads its own first trials. Each result equals its standalone check's,
-    except that the details of criteria 3, 6 and 7 say where their draws
-    came from and the pass's time counts in criterion 4's ``seconds`` only.
+    One :func:`~relaygeom.montecarlo.run_requests` pass at ``seed`` over
+    ``max(trials, samples, mean_count_trials)`` trials draws what criteria
+    3, 4, 6 and 7 judge: criteria 3 and 4 read its first ``trials`` trials,
+    criterion 6 its first ``samples`` and criterion 7 its first
+    ``mean_count_trials``. The pass is timed in criterion 4's ``seconds``
+    only, and the details of criteria 3, 6 and 7 say so. ``workers`` sets
+    the pass's worker processes; no result depends on it.
     """
     results = [check_inner_integral(), check_far_field_mean()]
     exact, stat, fk, mean_count = _monte_carlo_checks(
@@ -604,27 +576,26 @@ def _monte_carlo_checks(
     trials: int, samples: int, mean_count_trials: int, seed: int, workers: int | None
 ) -> list[CheckResult]:
     """Criteria 3, 4, 6 and 7 judged on one pass, as :func:`run_all` says."""
-    exact_rows, stat_rows = _exact_csi_rows(), _stat_csi_rows(_STAT_CSI_SNRS)
-    theta = _theta_15db()
     t0 = time.perf_counter()
     estimates, draws, empirical = montecarlo.run_requests(
         [
-            montecarlo.OutageGridRequest(DEFAULT_CELL, exact_rows + stat_rows, trials),
-            montecarlo.KthDistancesRequest(DEFAULT_CELL, theta, 3, samples),
-            montecarlo.MeanCountRequest(_mean_count_grid(), DEFAULT_CELL, theta, mean_count_trials),
+            montecarlo.OutageGridRequest(DEFAULT_CELL, _EXACT_CSI_ROWS + _STAT_CSI_ROWS, trials),
+            montecarlo.KthDistancesRequest(DEFAULT_CELL, THETA_15DB, 3, samples),
+            montecarlo.MeanCountRequest(_MEAN_COUNT_RADII, DEFAULT_CELL, THETA_15DB, mean_count_trials),
         ],
         seed,
         workers=workers,
     )
     drawn = time.perf_counter() - t0
-    split = len(exact_rows)
+    split = len(_EXACT_CSI_ROWS)
+    stat = check_stat_csi_outage(estimates[split:])
 
     def shared(result: CheckResult) -> CheckResult:
         return replace(result, detail=result.detail + _SHARED_DRAW_NOTE)
 
     return [
-        shared(_judge_exact_csi(exact_rows, estimates[:split], time.perf_counter())),
-        _judge_stat_csi(stat_rows, estimates[split:], time.perf_counter() - drawn),
-        shared(_judge_fk(draws, time.perf_counter())),
-        shared(_judge_mean_count(empirical, mean_count_trials, time.perf_counter())),
+        shared(check_exact_csi_outage(estimates[:split])),
+        replace(stat, seconds=stat.seconds + drawn),
+        shared(check_fk_distribution(draws)),
+        shared(check_mean_count_curves(empirical, mean_count_trials)),
     ]

@@ -516,3 +516,20 @@ class TestMeanCountFromBs:
             analytic.mean_count_from_bs(-1.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             analytic.mean_count_from_bs(1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("k", lambda cell, radio: analytic.f_k_pdf(1.0, True, cell, 0.1)),
+        ("k", lambda cell, radio: analytic.kth_nearest_cdf(1.0, True, cell, 0.1)),
+        ("j", lambda cell, radio: analytic.p_fail_jth(True, cell, compute_thresholds(radio))),
+        ("k", lambda cell, radio: analytic.outage_stat(True, cell, radio)),
+        ("num_relays", lambda cell, radio: analytic.exact_ranked_outage(True, cell, radio)),
+    ],
+    ids=["f_k_pdf", "kth_nearest_cdf", "p_fail_jth", "outage_stat", "exact_ranked_outage"],
+)
+def test_rank_refuses_bool(name, call, default_cell, radio_15db):
+    # Python counts True an int; taken as a rank it would silently mean 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        call(default_cell, radio_15db)

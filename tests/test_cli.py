@@ -1,12 +1,14 @@
 import json
 import math
+import re
 import shlex
+import time
 import xml.dom.minidom
 from pathlib import Path
 
 import pytest
 
-from relaygeom import cli, montecarlo
+from relaygeom import cli, montecarlo, validation
 from relaygeom.cli import (
     ConfigError,
     MeanCountRow,
@@ -524,6 +526,28 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert rc == 0
         assert "KS(exact)" in out and "KS(quadratic)" in out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fk_check_judges_as_the_gate(self, workers, capsys):
+        # same cell, threshold, seed and check as criterion 6 inside run_all
+        rc = cli.main(["fk-check", "--samples", "300", "--seed", "42", "--workers", str(workers)])
+        out = capsys.readouterr().out
+        status, detail = re.fullmatch(r"(\[\w+\]) \S+ \([\d.]+s\): (.*)\n", out).groups()
+        gate = validation._monte_carlo_checks(50, 300, 50, 42, workers)[2]
+        assert gate.name == "kth_nearest_distance_ks"
+        assert detail == gate.detail.removesuffix(validation._SHARED_DRAW_NOTE)
+        assert (status, rc) == (("[PASS]", 0) if gate.passed else ("[FAIL]", 2))
+
+    def test_fk_check_time_covers_sampling(self, capsys, monkeypatch):
+        sample = montecarlo.kth_nearest_qualified_distances
+
+        def slow_sample(*args, **kwargs):
+            time.sleep(0.3)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "kth_nearest_qualified_distances", slow_sample)
+        assert cli.main(["fk-check", "--samples", "300"]) == 0
+        assert float(re.search(r"\(([\d.]+)s\)", capsys.readouterr().out).group(1)) >= 0.3
 
 
 def _readme_commands() -> list[list[str]]:

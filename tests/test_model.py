@@ -111,6 +111,7 @@ def test_cell_mean_relay_count():
         dict(snr_db=10.0, target_rate=-1.0),
         dict(snr_db=10.0, target_rate=1.0, num_relays=0),
         dict(snr_db=10.0, target_rate=1.0, num_relays=1.5),
+        dict(snr_db=10.0, target_rate=1.0, num_relays=True),
     ],
 )
 def test_radio_params_invariants(kwargs):

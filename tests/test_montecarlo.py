@@ -494,24 +494,29 @@ class TestRunRequests:
     each result must equal its sampler's on its own."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_each_request_alone(self, workers, default_cell):
+    def test_equals_each_request_alone(self, workers, default_cell, monkeypatch):
         # the k-th nearest request is looser than every grid row and the
         # mean-count request tighter than the loosest; the three trial counts
-        # end in different blocks and, at 2 workers, in different ranges
+        # end in different blocks and, at 2 workers, in different ranges,
+        # and each block size puts the block edges elsewhere in the prefixes
         rows, grid = _mixed_rows((10.0, 25.0)), [0.0, 2.0, 7.5, 25.0]
-        kth, outage, counts = mc.run_requests(
-            [
-                mc.KthDistancesRequest(default_cell, 0.01, 3, 130),
-                mc.OutageGridRequest(default_cell, rows, 70, first_hop="base_rate"),
-                mc.MeanCountRequest(grid, default_cell, 1.5, 40),
-            ],
-            5,
-            workers=workers,
-        )
-        alone = mc.kth_nearest_qualified_distances(default_cell, 0.01, 3, 130, 5)
-        assert kth.tobytes() == alone.tobytes()
-        assert outage == mc.estimate_outage_grid(default_cell, rows, 70, 5, first_hop="base_rate")
-        assert counts == mc.empirical_mean_count(grid, default_cell, 1.5, 40, 5)
+        kth_alone = mc.kth_nearest_qualified_distances(default_cell, 0.01, 3, 130, 5)
+        outage_alone = mc.estimate_outage_grid(default_cell, rows, 70, 5, first_hop="base_rate")
+        counts_alone = mc.empirical_mean_count(grid, default_cell, 1.5, 40, 5)
+        for block in (1, 7, 64, 1000):
+            monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
+            kth, outage, counts = mc.run_requests(
+                [
+                    mc.KthDistancesRequest(default_cell, 0.01, 3, 130),
+                    mc.OutageGridRequest(default_cell, rows, 70, first_hop="base_rate"),
+                    mc.MeanCountRequest(grid, default_cell, 1.5, 40),
+                ],
+                5,
+                workers=workers,
+            )
+            assert kth.tobytes() == kth_alone.tobytes(), block
+            assert outage == outage_alone, block
+            assert counts == counts_alone, block
 
     def test_rejects_no_request_and_mixed_cells(self, default_cell):
         with pytest.raises(ValueError, match="nonempty"):

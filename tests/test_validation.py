@@ -70,8 +70,8 @@ class TestKsStatistic:
 
 class TestStatCsiRecords:
     def test_records_cover_grid_and_explain_verdict(self, monkeypatch):
-        # the wrapper records where the check asks for the rank-joint diagnostic
-        grid, trials = (0.0, 25.0), 4000
+        # the check records where it asks for the rank-joint diagnostic
+        grid, trials = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0), 4000
         joint_calls = []
         full = validation.exact_ranked_outage
 
@@ -80,7 +80,10 @@ class TestStatCsiRecords:
             return full(k, cell, radio)
 
         monkeypatch.setattr(validation, "exact_ranked_outage", recording_joint)
-        result = validation.check_stat_csi_outage(trials=trials, seed=42, workers=1, snr_grid=grid)
+        estimates = montecarlo.estimate_outage_grid(
+            validation.DEFAULT_CELL, validation._STAT_CSI_ROWS, trials, 42, workers=1
+        )
+        result = validation.check_stat_csi_outage(estimates)
         points = result.records
         assert [(p.k, p.snr_db) for p in points] == [(k, s) for k in (1, 2, 3) for s in grid]
         assert all(p.trials == trials and p.p_hat == p.outage_count / trials for p in points)
@@ -104,8 +107,8 @@ def _kind(request) -> tuple:
 
 class TestRunAllSharesDraws:
     """``run_all`` judges criteria 3, 4, 6 and 7 on one Monte Carlo pass;
-    each result must be what the standalone check returns, and nothing may
-    carry over from one call to the next."""
+    each result must be the check applied to its sampler's results on their
+    own, and nothing may carry over from one call to the next."""
 
     SIZES = {"trials": 600, "samples": 300, "mean_count_trials": 200, "seed": 42}
     #: passes of one run: criteria 3, 4, 6 and 7 together at the run's seed,
@@ -114,13 +117,6 @@ class TestRunAllSharesDraws:
         (42, [(4 + 21, 600), ("KthDistancesRequest", 300), ("MeanCountRequest", 200)]),
         (7, [(9, 2000)]),
         (7, [(9, 2000)]),
-    ]
-    #: the standalone checks' passes, in the order the tests run them
-    ALONE = [
-        (42, [(4, 600)]),
-        (42, [(21, 600)]),
-        (42, [("KthDistancesRequest", 300)]),
-        (42, [("MeanCountRequest", 200)]),
     ]
 
     @pytest.fixture
@@ -135,18 +131,29 @@ class TestRunAllSharesDraws:
         monkeypatch.setattr(montecarlo, "run_requests", counting_run)
         return calls
 
-    @staticmethod
-    def _standalone(trials, samples, mean_count_trials, workers):
-        return [
-            validation.check_exact_csi_outage(trials, 42, workers),
-            validation.check_stat_csi_outage(trials, 42, workers),
-            validation.check_fk_distribution(samples, 42, workers=workers),
-            validation.check_mean_count_curves(mean_count_trials, 42, workers),
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_equal_standalone_checks(self, workers, passes):
+        results = {r.name: r for r in validation.run_all(**self.SIZES, workers=workers)}
+        assert passes == self.RUN
+        cell, theta = validation.DEFAULT_CELL, validation.THETA_15DB
+        exact_rows, stat_rows = validation._EXACT_CSI_ROWS, validation._STAT_CSI_ROWS
+        alone = [
+            validation.check_exact_csi_outage(
+                montecarlo.estimate_outage_grid(cell, exact_rows, 600, 42, workers=workers)
+            ),
+            validation.check_stat_csi_outage(
+                montecarlo.estimate_outage_grid(cell, stat_rows, 600, 42, workers=workers)
+            ),
+            validation.check_fk_distribution(
+                montecarlo.kth_nearest_qualified_distances(cell, theta, 3, 300, 42, workers=workers)
+            ),
+            validation.check_mean_count_curves(
+                montecarlo.empirical_mean_count(
+                    validation._MEAN_COUNT_RADII, cell, theta, 200, 42, workers=workers
+                ),
+                200,
+            ),
         ]
-
-    @staticmethod
-    def _assert_shared_equal_alone(shared_results, alone):
-        results = {r.name: r for r in shared_results}
         for check in alone:
             shared = results[check.name]
             note = "" if check.name.startswith("stat_csi") else validation._SHARED_DRAW_NOTE
@@ -155,36 +162,9 @@ class TestRunAllSharesDraws:
                 check.detail + note,
                 check.records,
             )
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_results_equal_standalone_checks(self, workers, passes):
-        results = validation.run_all(**self.SIZES, workers=workers)
-        assert passes == self.RUN
-        alone = self._standalone(600, 300, 200, workers)
-        assert passes == self.RUN + self.ALONE
-        self._assert_shared_equal_alone(results, alone)
-        by_name = {r.name: r for r in results}
-        assert len(by_name["stat_csi_outage_mc_vs_analytic"].records) == 21
-        for res in results:
+        assert len(results["stat_csi_outage_mc_vs_analytic"].records) == 21
+        for res in results.values():
             assert math.isfinite(res.seconds) and res.seconds >= 0
-
-    @pytest.mark.parametrize(
-        "sizes",
-        [
-            {"trials": 90, "samples": 200, "mean_count_trials": 60},
-            {"trials": 90, "samples": 50, "mean_count_trials": 170},
-        ],
-        ids=["samples_beyond_trials", "mean_counts_beyond_trials"],
-    )
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_prefixes_equal_standalone_checks(self, sizes, workers, monkeypatch):
-        # each check reads its own first trials of the pass; the worker split
-        # and the block edges fall inside some check's prefix
-        alone = self._standalone(**sizes, workers=1)
-        for block in (1, 7, 64, 1000):
-            monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", block)
-            shared = validation._monte_carlo_checks(**sizes, seed=42, workers=workers)
-            self._assert_shared_equal_alone(shared, alone)
 
     def test_one_pass_per_run_and_no_memo(self, passes):
         first = validation.run_all(**self.SIZES, workers=1)
