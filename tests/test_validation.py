@@ -131,29 +131,35 @@ class TestRunAllSharesDraws:
         monkeypatch.setattr(montecarlo, "run_requests", counting_run)
         return calls
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_results_equal_standalone_checks(self, workers, passes):
-        results = {r.name: r for r in validation.run_all(**self.SIZES, workers=workers)}
-        assert passes == self.RUN
+    @staticmethod
+    def _standalone(trials, samples, mean_count_trials, workers):
+        """Criteria 3, 4, 6 and 7, each judged on its own sampler's run at seed 42."""
         cell, theta = validation.DEFAULT_CELL, validation.THETA_15DB
-        exact_rows, stat_rows = validation._EXACT_CSI_ROWS, validation._STAT_CSI_ROWS
-        alone = [
+        return [
             validation.check_exact_csi_outage(
-                montecarlo.estimate_outage_grid(cell, exact_rows, 600, 42, workers=workers)
+                montecarlo.estimate_outage_grid(
+                    cell, validation._EXACT_CSI_ROWS, trials, 42, workers=workers
+                )
             ),
             validation.check_stat_csi_outage(
-                montecarlo.estimate_outage_grid(cell, stat_rows, 600, 42, workers=workers)
+                montecarlo.estimate_outage_grid(
+                    cell, validation._STAT_CSI_ROWS, trials, 42, workers=workers
+                )
             ),
             validation.check_fk_distribution(
-                montecarlo.kth_nearest_qualified_distances(cell, theta, 3, 300, 42, workers=workers)
+                montecarlo.kth_nearest_qualified_distances(cell, theta, 3, samples, 42, workers=workers)
             ),
             validation.check_mean_count_curves(
                 montecarlo.empirical_mean_count(
-                    validation._MEAN_COUNT_RADII, cell, theta, 200, 42, workers=workers
+                    validation._MEAN_COUNT_RADII, cell, theta, mean_count_trials, 42, workers=workers
                 ),
-                200,
+                mean_count_trials,
             ),
         ]
+
+    @staticmethod
+    def _assert_shared_equal_alone(shared_results, alone):
+        results = {r.name: r for r in shared_results}
         for check in alone:
             shared = results[check.name]
             note = "" if check.name.startswith("stat_csi") else validation._SHARED_DRAW_NOTE
@@ -162,9 +168,34 @@ class TestRunAllSharesDraws:
                 check.detail + note,
                 check.records,
             )
-        assert len(results["stat_csi_outage_mc_vs_analytic"].records) == 21
-        for res in results.values():
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_equal_standalone_checks(self, workers, passes):
+        results = validation.run_all(**self.SIZES, workers=workers)
+        assert passes == self.RUN
+        self._assert_shared_equal_alone(results, self._standalone(600, 300, 200, workers))
+        by_name = {r.name: r for r in results}
+        assert len(by_name["stat_csi_outage_mc_vs_analytic"].records) == 21
+        for res in results:
             assert math.isfinite(res.seconds) and res.seconds >= 0
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"trials": 90, "samples": 200, "mean_count_trials": 60},
+            {"trials": 90, "samples": 50, "mean_count_trials": 170},
+        ],
+        ids=["samples_beyond_trials", "mean_counts_beyond_trials"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prefixes_equal_standalone_checks(self, sizes, workers, monkeypatch):
+        # each check reads its own first trials of the pass; the worker split
+        # and the block edges fall inside some check's prefix
+        alone = self._standalone(**sizes, workers=1)
+        for block in (1, 7, 64, 1000):
+            monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", block)
+            shared = validation._monte_carlo_checks(**sizes, seed=42, workers=workers)
+            self._assert_shared_equal_alone(shared, alone)
 
     def test_one_pass_per_run_and_no_memo(self, passes):
         first = validation.run_all(**self.SIZES, workers=1)
