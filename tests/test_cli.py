@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from relaygeom import cli, montecarlo, validation
+from relaygeom import analytic, cli, montecarlo, validation
 from relaygeom.cli import (
     ConfigError,
     MeanCountRow,
@@ -360,6 +361,47 @@ class TestMeanCountCommand:
         assert beyond.analytic == at_edge.analytic
         assert beyond.empirical == at_edge.empirical
         assert abs(beyond.empirical - beyond.analytic) < 3 * beyond.stderr_empirical
+
+
+class TestMeanCountGolden:
+    """The mean-count numbers pinned bit for bit: both analytic curves over
+    the default 0..25 grid at 15 dB (as ``float.hex``) and the command's
+    stdout. A refactor of the mean-count path keeps them."""
+
+    GRID = [float(r) for r in range(26)]
+    BS = (
+        "0x0.0p+0 0x1.5cea9f7a6ed59p+0 0x1.30573bb093e5ep+2 0x1.14b50bd437091p+3 "
+        "0x1.7845c6d25e3f1p+3 0x1.b4eb5ab6ece6cp+3 0x1.d20d1ae551cbcp+3 0x1.dd468a6451cb2p+3 "
+        "0x1.e0c7249e1fd2ep+3 0x1.e1ab10c66e195p+3 0x1.e1da741fdd6e9p+3 0x1.e1e288acb465fp+3 "
+        "0x1.e1e3aa815437fp+3 0x1.e1e3cbec1324ep+3 0x1.e1e3cf189d56ap+3 0x1.e1e3cf583e6d0p+3 "
+        "0x1.e1e3cf5c5ac88p+3 0x1.e1e3cf5c92e6cp+3 0x1.e1e3cf5c955f6p+3 0x1.e1e3cf5c95766p+3 "
+        "0x1.e1e3cf5c95771p+3 0x1.e1e3cf5c95771p+3 0x1.e1e3cf5c95771p+3 0x1.e1e3cf5c95771p+3 "
+        "0x1.e1e3cf5c95771p+3 0x1.e1e3cf5c95771p+3"
+    ).split()
+    DEST = (
+        "0x0.0p+0 0x1.226cebddc548dp-3 0x1.51fa74e7c2916p-1 0x1.c472b9ce1ee45p+0 "
+        "0x1.cefb2f37f4e5bp+1 0x1.86eb14dbcbe4ep+2 0x1.1ad491b656e32p+3 0x1.69303ef461e44p+3 "
+        "0x1.a2e447bebb0a1p+3 0x1.c5dd83fe64928p+3 0x1.d7570bc43aef5p+3 0x1.de8bdd58c04bap+3 "
+        "0x1.e1004a7384021p+3 0x1.e1b13a8f4e4a0p+3 0x1.e1da6cb658bb7p+3 0x1.e1e25bdf37690p+3 "
+        "0x1.e1e39f8ecea11p+3 0x1.e1e3ca3f3ab5ap+3 0x1.e1e3cee831892p+3 0x1.e1e3cf53fe52ep+3 "
+        "0x1.e1e3cf5c0ec3dp+3 0x1.e1e3cf5c8e9edp+3 0x1.e1e3cf5c952d2p+3 0x1.e1e3cf5c95746p+3 "
+        "0x1.e1e3cf5c9576ep+3 0x1.e1e3cf5c9576fp+3"
+    ).split()
+
+    def test_analytic_curves(self):
+        cell, theta = validation.DEFAULT_CELL, validation.THETA_15DB
+        bs = [
+            analytic.mean_count_from_bs(r, cell.relay_intensity, theta, cell_radius=cell.cell_radius)
+            for r in self.GRID
+        ]
+        dest = [analytic.lambda_prime(r, cell, theta) for r in self.GRID]
+        assert [float(v).hex() for v in bs] == self.BS
+        assert [float(v).hex() for v in dest] == self.DEST
+
+    def test_command_stdout(self, capsys):
+        assert cli.main(["mean-count", "--trials", "200", "--radius-step", "5"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "03cd435695684193774cc76c5511d117f5e000bc9277d790f1afe53348416317"
 
 
 class TestMainEntry:
