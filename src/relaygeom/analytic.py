@@ -21,6 +21,8 @@ measure seen either from the source or from the displaced destination:
 * ``lambda_q_*`` / ``outage_exact_csi`` -- mean number of relays connected
   to both endpoints and the void-probability outage of selection under full
   channel knowledge.
+* ``mean_count_from_bs`` -- the source-view mean measure, closed since the
+  thinned field is isotropic about the source; the twin of ``lambda_prime``.
 
 All closed forms assume ``path_loss_exponent == 2`` (they complete a square
 in the radial coordinate) and reject other exponents. ``theta == 0`` is
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
+from .model import CellGeometry, RadioParams, Thresholds, check_count, compute_thresholds
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate_1d
 from .specials import erfcx, i0e
 
@@ -423,13 +425,6 @@ def _order_densities(mass, density, r, k: int, form: str, weight=1.0) -> list:
     return out
 
 
-def _check_rank(name: str, value) -> None:
-    """A ``ValueError`` naming ``name`` unless ``value`` is an integer >= 1.
-    A ``bool`` is refused although Python counts it an ``int``."""
-    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1")
-
-
 def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact"):
     """Density of the distance from the destination to the k-th nearest
     qualified relay, elementwise over ``r_jd``, from one :class:`MassProfile`.
@@ -453,7 +448,7 @@ def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact")
         the tail. Kept selectable so the two variants can be compared
         against simulation.
     """
-    _check_rank("k", k)
+    check_count("k", k)
     r_jd = np.asarray(r_jd, dtype=float)
     if not np.all(r_jd > 0):
         raise ValueError("r_jd must be > 0 (both variants are densities in the open half-line)")
@@ -468,7 +463,7 @@ def kth_nearest_cdf(x: float, k: int, cell: CellGeometry, theta: float) -> float
 
     ``1 - exp(-M(x)) * sum_{i<k} M(x)^i / i!`` with ``M = lambda_prime``.
     """
-    _check_rank("k", k)
+    check_count("k", k)
     if x <= 0.0:
         return 0.0
     return poisson_tail(lambda_prime(x, cell, theta), k)
@@ -508,7 +503,7 @@ def p_fail_jth(j: int, cell: CellGeometry, thresholds: Thresholds, form: str = "
     1e-9 are clamped with a warning; the ``"quadratic"`` density is not a
     probability law, so it can get there.
     """
-    _check_rank("j", j)
+    check_count("j", j)
     profile = MassProfile(cell, thresholds.theta_first)
     return _p_fail_ranks(profile, j, thresholds.theta_second, form)[j - 1]
 
@@ -534,7 +529,7 @@ def outage_stat(
     :func:`exact_ranked_outage` gives the outage without the independence
     assumption.
     """
-    _check_rank("k", k)
+    check_count("k", k)
     thresholds = compute_thresholds(replace(radio, num_relays=k), first_hop)
     profile = MassProfile(cell, thresholds.theta_first)
     return math.prod(_p_fail_ranks(profile, k, thresholds.theta_second, form))
@@ -672,29 +667,25 @@ def outage_exact_csi(
     return math.exp(-mass)
 
 
-def mean_count_from_bs(
-    r: float, relay_intensity: float, theta: float, cell_radius: float = math.inf
-) -> float:
-    """Expected number of qualified relays within ``r`` of the source.
+def mean_count_from_bs(r, cell: CellGeometry, theta: float):
+    """Expected number of qualified relays within ``r`` of the source,
+    elementwise over ``r`` (a float for a scalar); the twin of
+    :func:`lambda_prime`, which counts from the destination.
 
     Seen from the source the thinned field is isotropic and the mean measure
     is closed: ``pi lam / theta * exp(-theta) * (1 - exp(-theta rho^2))``
-    with ``rho = min(r, cell_radius)``, since no relay lies outside the cell
-    (the default ``inf`` counts over the whole plane). Assumes
-    squared-distance attenuation (the ``path_loss_exponent == 2`` regime of
-    the closed forms). Coincides with :func:`lambda_prime` when the
-    destination sits at the source.
+    with ``rho = min(r, cell_radius)``, since no relay lies outside the cell.
+    Coincides with :func:`lambda_prime` when the destination sits at the
+    source.
     """
+    _require_alpha_two(cell, "mean_count_from_bs")
     _require_positive_theta(theta)
-    if not (math.isfinite(r) and r >= 0):
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise ValueError("r must be finite and >= 0")
-    if not relay_intensity > 0:
-        raise ValueError("relay_intensity must be > 0")
-    rho = min(r, cell_radius)
-    return (
-        math.pi
-        * relay_intensity
-        / theta
-        * math.exp(-theta)
-        * (1.0 - math.exp(-theta * rho * rho))
-    )
+    scale = math.pi * cell.relay_intensity / theta * math.exp(-theta)
+    # math.exp per element: np.exp differs from it in the last bit
+    rho = np.minimum(r, cell.cell_radius)
+    inside = np.array([1.0 - math.exp(-theta * x * x) for x in rho.ravel().tolist()])
+    mass = scale * inside.reshape(r.shape)
+    return float(mass) if mass.ndim == 0 else mass

@@ -272,17 +272,28 @@ def _path(value, key: str) -> str | None:
     return value
 
 
+def _side(name: str, compute):
+    """``(compute(), [])``, or ``(None, ["name: message"])`` when it raises.
+
+    The per-side error rule of both sweeps: the analytic and the Monte Carlo
+    side of a row are computed independently, a side that fails leaves its
+    columns empty, and the ``error`` column names it (``analytic: ...``,
+    ``mc: ...``, joined by ``; ``).
+    """
+    try:
+        return compute(), []
+    except Exception as exc:  # noqa: BLE001 - a failed side never discards the other
+        return None, [f"{name}: {exc}"]
+
+
 def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepRow]:
     """Run the sweep: one row per (snr, strategy, k), in that order.
 
     Every row reuses ``config.seed``, so strategies at the same SNR share
     realizations and channel draws (paired comparison); one
     :func:`~relaygeom.montecarlo.estimate_outage_grid` call draws each trial
-    once for all rows.
-    The analytic and the Monte Carlo value of a row are computed
-    independently: a side that fails leaves its columns empty and its
-    message, prefixed ``analytic:`` or ``mc:``, in the ``error`` column
-    (both joined by ``; ``), and the sweep continues.
+    once for all rows. A failed side is recorded per row by the rule of
+    :func:`_side`, and the sweep continues.
     """
     mc_rows = [
         (strategy, RadioParams(snr_db=snr, target_rate=config.rate, num_relays=k))
@@ -290,30 +301,26 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
         for strategy in config.strategies
         for k in ((1,) if strategy == "exact" else config.k_values)
     ]
-    try:
-        estimates = montecarlo.estimate_outage_grid(
+    estimates, mc_errors = _side(
+        "mc",
+        lambda: montecarlo.estimate_outage_grid(
             config.cell,
             mc_rows,
             config.trials,
             config.seed,
             first_hop=config.first_hop_threshold,
             workers=workers,
-        )
-        mc_errors = []
-    except Exception as exc:  # noqa: BLE001 - per-row error contract
-        estimates, mc_errors = [None] * len(mc_rows), [f"mc: {exc}"]
+        ),
+    )
     rows: list[SweepRow] = []
-    for (strategy, radio), est in zip(mc_rows, estimates):
+    for (strategy, radio), est in zip(mc_rows, estimates or [None] * len(mc_rows)):
         k = radio.num_relays
-        p_an = None
-        errors = []
-        try:
-            if strategy == "exact":
-                p_an = outage_exact_csi(config.cell, radio, "quadrature")
-            else:
-                p_an = outage_stat(k, config.cell, radio, config.fk_form, config.first_hop_threshold)
-        except Exception as exc:  # noqa: BLE001 - per-row error contract
-            errors.append(f"analytic: {exc}")
+        p_an, errors = _side(
+            "analytic",
+            lambda: outage_exact_csi(config.cell, radio, "quadrature")
+            if strategy == "exact"
+            else outage_stat(k, config.cell, radio, config.fk_form, config.first_hop_threshold),
+        )
         p_mc, stderr = (None, None) if est is None else (est.p_hat, est.stderr)
         error = "; ".join(errors + mc_errors)
         rows.append(SweepRow(radio.snr_db, strategy, k, p_an, p_mc, stderr, config.trials, error))
@@ -330,37 +337,29 @@ def run_mean_count(
     averaged over the same ``config.trials`` realizations.
 
     The qualification threshold is the single-relay one at ``snr_db`` and
-    ``config.rate``. Rows are ordered by observer ("bs" first), then radius.
+    ``config.rate``. One Monte Carlo pass serves both observers, and each
+    observer's analytic curve is one call (:func:`mean_count_from_bs` or
+    :func:`lambda_prime`). A failed side is recorded by the rule of
+    :func:`_side`. Rows are ordered by observer ("bs" first), then radius.
     """
-    cell, lam, trials = config.cell, config.cell.relay_intensity, config.trials
+    cell, trials = config.cell, config.trials
     theta = compute_thresholds(
         RadioParams(snr_db=snr_db, target_rate=config.rate, num_relays=1)
     ).theta_first
-    try:
-        empirical = montecarlo.empirical_mean_count(
-            radii, cell, theta, trials, config.seed, workers=workers
-        )
-    except Exception as exc:  # noqa: BLE001
-        return [
-            MeanCountRow(observer, r, None, None, None, trials, str(exc))
-            for observer in OBSERVERS
-            for r in radii
-        ]
+    curves, mc_errors = _side(
+        "mc",
+        lambda: montecarlo.empirical_mean_count(radii, cell, theta, trials, config.seed, workers=workers),
+    )
     rows: list[MeanCountRow] = []
     for observer in OBSERVERS:
-        for point in empirical[observer]:
-            try:
-                if observer == "bs":
-                    an = mean_count_from_bs(point.radius, lam, theta, cell_radius=cell.cell_radius)
-                else:
-                    an = lambda_prime(point.radius, cell, theta)
-                rows.append(
-                    MeanCountRow(observer, point.radius, an, point.mean, point.stderr, trials)
-                )
-            except Exception as exc:  # noqa: BLE001
-                rows.append(
-                    MeanCountRow(observer, point.radius, None, point.mean, point.stderr, trials, str(exc))
-                )
+        count = mean_count_from_bs if observer == "bs" else lambda_prime
+        values, errors = _side("analytic", lambda: count(radii, cell, theta).tolist())
+        error = "; ".join(errors + mc_errors)
+        for i, r in enumerate(radii):
+            an = None if values is None else values[i]
+            point = None if curves is None else curves[observer][i]
+            mean, stderr = (None, None) if point is None else (point.mean, point.stderr)
+            rows.append(MeanCountRow(observer, float(r), an, mean, stderr, trials, error))
     return rows
 
 

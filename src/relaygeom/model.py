@@ -1,4 +1,5 @@
-"""Scenario parameters and decoding-threshold arithmetic.
+"""Scenario parameters, decoding-threshold arithmetic and the argument
+guards (:func:`check_count`, :func:`check_threshold`) every module shares.
 
 Everything downstream (closed forms and Monte Carlo alike) sees the radio
 link only through two dimensionless thresholds: a fading-plus-path-loss
@@ -14,6 +15,21 @@ from dataclasses import dataclass
 
 #: Accepted first-hop threshold rules, see :func:`compute_thresholds`.
 FIRST_HOP_RULES = ("frame_rate", "base_rate")
+
+
+def check_count(name: str, value) -> int:
+    """``value`` if it is an integer >= 1, else a ``ValueError`` naming
+    ``name``. A ``bool`` is refused although Python counts it an ``int``."""
+    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def check_threshold(name: str, value: float) -> float:
+    """``value`` if it is finite and >= 0, else a ``ValueError`` naming ``name``."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -77,11 +93,7 @@ class RadioParams:
             raise ValueError("snr_db must be finite")
         if not (math.isfinite(self.target_rate) and self.target_rate > 0):
             raise ValueError("target_rate must be finite and > 0")
-        # a bool is refused although Python counts it an int
-        if isinstance(self.num_relays, bool) or not (
-            isinstance(self.num_relays, int) and self.num_relays >= 1
-        ):
-            raise ValueError("num_relays must be an integer >= 1")
+        check_count("num_relays", self.num_relays)
 
 
 @dataclass(frozen=True)
@@ -97,10 +109,8 @@ class Thresholds:
     theta_second: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta_first) and self.theta_first >= 0):
-            raise ValueError("theta_first must be finite and >= 0")
-        if not (math.isfinite(self.theta_second) and self.theta_second >= 0):
-            raise ValueError("theta_second must be finite and >= 0")
+        check_threshold("theta_first", self.theta_first)
+        check_threshold("theta_second", self.theta_second)
 
 
 def snr_db_to_linear(snr_db: float) -> float:

@@ -58,6 +58,7 @@ import numpy as np
 
 from .geometry import sample_field, sq_dists_to_dest
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
+from .model import check_count, check_threshold
 
 log = logging.getLogger(__name__)
 
@@ -117,15 +118,7 @@ def _resolve_workers(workers: int | None) -> int:
             workers = int(text) if text else 1
         except ValueError:
             workers = text
-    return _check_count(name, workers)
-
-
-def _check_count(name: str, value) -> int:
-    """``value`` if it is an integer >= 1, else a ``ValueError`` naming
-    ``name``. A ``bool`` is refused although Python counts it an ``int``."""
-    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
+    return check_count(name, workers)
 
 
 def _usable_cpus() -> int:
@@ -134,11 +127,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _check_theta_first(theta_first: float) -> None:
-    if not (math.isfinite(theta_first) and theta_first >= 0):
-        raise ValueError(f"theta_first must be finite and >= 0, got {theta_first!r}")
 
 
 @dataclass(frozen=True)
@@ -359,14 +347,14 @@ def trial_stat_csi(
     in advance, even when fewer relays are available. Outage iff every
     selected relay fails, vacuously when none qualified.
     """
-    row = _Row(thresholds.theta_first, thresholds.theta_second, _check_count("k", k))
+    row = _Row(thresholds.theta_first, thresholds.theta_second, check_count("k", k))
     return _trial_outages(cell, [row], rng)[0]
 
 
 def _grid_row(strategy: str, radio: RadioParams, first_hop: str) -> _Row:
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    k = _check_count("k", radio.num_relays)
+    k = radio.num_relays
     if strategy == "exact" and k != 1:
         raise ValueError("the exact-knowledge strategy is defined for num_relays == 1")
     th = compute_thresholds(radio, first_hop)
@@ -439,7 +427,7 @@ class OutageGridRequest:
             raise ValueError("rows must be nonempty")
         self.cell, self.rows = cell, tuple(rows)
         self._rows = tuple(_grid_row(strategy, radio, first_hop) for strategy, radio in self.rows)
-        self.trials = _check_count("trials", trials)
+        self.trials = check_count("trials", trials)
         self.thetas = tuple(row.theta_first for row in self._rows)
 
     def read(self, plan: _Plan, block: tuple) -> np.ndarray:
@@ -511,11 +499,13 @@ def estimate_outage(
 
 
 class MeanCountPoint(NamedTuple):
-    """One radius of an empirical mean-count curve."""
+    """One radius of an empirical mean-count curve, averaged over ``trials``
+    realizations."""
 
     radius: float
     mean: float
     stderr: float
+    trials: int
 
 
 class MeanCountRequest:
@@ -534,9 +524,9 @@ class MeanCountRequest:
             raise ValueError(f"radii must lie within [0, {upper}]")
         if not all(a < b for a, b in zip(grid, grid[1:])):
             raise ValueError("radii must be strictly increasing")
-        _check_theta_first(theta_first)
+        check_threshold("theta_first", theta_first)
         self.cell, self.grid, self.theta_first = cell, grid, theta_first
-        self.trials = _check_count("trials", trials)
+        self.trials = check_count("trials", trials)
         self.thetas = (theta_first,)
 
     def read(self, plan: _Plan, block: tuple) -> np.ndarray:
@@ -569,7 +559,10 @@ class MeanCountRequest:
         var = (s2 - s1 * s1 / trials) / max(trials - 1, 1)
         means, stderrs = (s1 / trials).tolist(), np.sqrt(np.maximum(var, 0.0) / trials).tolist()
         return {
-            observer: [MeanCountPoint(*point) for point in zip(self.grid, means[o], stderrs[o])]
+            observer: [
+                MeanCountPoint(r, mean, stderr, trials)
+                for r, mean, stderr in zip(self.grid, means[o], stderrs[o])
+            ]
             for o, observer in enumerate(OBSERVERS)
         }
 
@@ -602,10 +595,10 @@ class KthDistancesRequest:
     for :func:`run_requests`."""
 
     def __init__(self, cell: CellGeometry, theta_first: float, k_max: int, trials: int):
-        self.k_max = _check_count("k_max", k_max)
-        _check_theta_first(theta_first)
+        self.k_max = check_count("k_max", k_max)
+        check_threshold("theta_first", theta_first)
         self.cell, self.theta_first = cell, theta_first
-        self.trials = _check_count("trials", trials)
+        self.trials = check_count("trials", trials)
         self.thetas = (theta_first,)
 
     def read(self, plan: _Plan, block: tuple) -> np.ndarray:

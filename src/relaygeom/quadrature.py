@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .model import check_count
+
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights; the
 # embedded 7-point Gauss rule uses the odd-indexed abscissae.
 _XGK = np.array(
@@ -75,8 +77,7 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be finite and > 0")
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
             raise ValueError("rel_tol must be finite and > 0")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
-            raise ValueError("max_subdivisions must be an integer >= 1")
+        check_count("max_subdivisions", self.max_subdivisions)
 
 
 DEFAULT_SPEC = QuadratureSpec()

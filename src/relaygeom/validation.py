@@ -408,7 +408,7 @@ def check_fk_distribution(draws: np.ndarray) -> CheckResult:
 # criterion 7: mean-count curves from both observers
 # ----------------------------------------------------------------------
 
-def check_mean_count_curves(empirical: dict, trials: int) -> CheckResult:
+def check_mean_count_curves(empirical: dict) -> CheckResult:
     """Destination-view mean-count curve below the source-view curve out to
     the destination offset, the two views within 2% of each other at the
     far edge, and analytic vs empirical within 3 sigma wherever the cell
@@ -416,20 +416,17 @@ def check_mean_count_curves(empirical: dict, trials: int) -> CheckResult:
 
     ``empirical`` holds both observers' curves over ``_MEAN_COUNT_RADII``
     on :data:`DEFAULT_CELL` at :data:`THETA_15DB`, as
-    :func:`~relaygeom.montecarlo.empirical_mean_count` returns them, and
-    ``trials`` is the number of realizations they average.
+    :func:`~relaygeom.montecarlo.empirical_mean_count` returns them; each
+    point carries the number of realizations it averages.
     """
     t0 = time.perf_counter()
     cell = DEFAULT_CELL
     theta = THETA_15DB
     upper = cell.cell_radius + cell.dest_distance
-    grid = [point.radius for point in empirical["bs"]]
-    an_bs = [
-        analytic.mean_count_from_bs(r, cell.relay_intensity, theta, cell_radius=cell.cell_radius)
-        for r in grid
-    ]
-    an_dest = analytic.lambda_prime(np.array(grid), cell, theta)
     emp_bs, emp_dest = empirical["bs"], empirical["dest"]
+    grid = [point.radius for point in emp_bs]
+    an_bs = analytic.mean_count_from_bs(grid, cell, theta)
+    an_dest = analytic.lambda_prime(grid, cell, theta)
     passed = True
     issues = []
     for i, r in enumerate(grid):
@@ -454,8 +451,9 @@ def check_mean_count_curves(empirical: dict, trials: int) -> CheckResult:
         passed = False
         issues.append(f"curves differ at far edge: analytic {conv_an:.4f}, empirical {conv_emp:.4f}")
     detail = (
-        f"grid 0..{upper:g} step 1, trials={trials}; far-edge gap analytic {conv_an:.2e}, "
-        f"empirical {conv_emp:.2e}" + ("; " + "; ".join(issues) if issues else "")
+        f"grid 0..{upper:g} step 1, trials={emp_bs[0].trials}; "
+        f"far-edge gap analytic {conv_an:.2e}, empirical {conv_emp:.2e}"
+        + ("; " + "; ".join(issues) if issues else "")
     )
     return _finish("mean_count_curves", passed, detail, t0)
 
@@ -597,5 +595,5 @@ def _monte_carlo_checks(
         shared(check_exact_csi_outage(estimates[:split])),
         replace(stat, seconds=stat.seconds + drawn),
         shared(check_fk_distribution(draws)),
-        shared(check_mean_count_curves(empirical, mean_count_trials)),
+        shared(check_mean_count_curves(empirical)),
     ]

@@ -103,7 +103,7 @@ class TestLambdaPrime:
         # the destination sits in a thinner part of the qualified field
         theta = 0.09486832980505139
         for r in (1.0, 2.0, 5.0, 10.0, 25.0):
-            bs_view = analytic.mean_count_from_bs(r, default_cell.relay_intensity, theta)
+            bs_view = analytic.mean_count_from_bs(r, default_cell, theta)
             dest_view = analytic.lambda_prime(r, default_cell, theta)
             assert dest_view <= bs_view + 1e-9
 
@@ -490,32 +490,52 @@ class TestOutageExact:
 
 
 class TestMeanCountFromBs:
-    def test_zero_radius(self):
-        assert analytic.mean_count_from_bs(0.0, 0.5, 0.1) == 0.0
+    def test_zero_radius(self, default_cell):
+        assert analytic.mean_count_from_bs(0.0, default_cell, 0.1) == 0.0
 
     def test_saturates_to_total_mass(self):
+        # exp(-theta R^2) is 0 in double precision: the cell holds the plane total
         theta = 0.09
-        assert analytic.mean_count_from_bs(1e4, 0.5, theta) == total_qualified_mass(0.5, theta)
+        cell = CellGeometry(cell_radius=100.0, dest_distance=5.0, relay_intensity=0.5)
+        assert analytic.mean_count_from_bs(1e4, cell, theta) == total_qualified_mass(0.5, theta)
 
     def test_matches_lambda_prime_when_centered(self):
         cell = CellGeometry(cell_radius=20.0, dest_distance=0.0, relay_intensity=0.5)
         for r in (0.5, 3.0, 11.0, 20.0):
-            assert analytic.mean_count_from_bs(r, 0.5, 0.2) == pytest.approx(
+            assert analytic.mean_count_from_bs(r, cell, 0.2) == pytest.approx(
                 analytic.lambda_prime(r, cell, 0.2), rel=1e-9, abs=1e-12
             )
 
     def test_counts_only_inside_the_cell(self):
         theta = 0.2
-        at_edge = analytic.mean_count_from_bs(3.0, 0.5, theta, cell_radius=3.0)
-        assert analytic.mean_count_from_bs(5.0, 0.5, theta, cell_radius=3.0) == at_edge
-        assert at_edge == analytic.mean_count_from_bs(3.0, 0.5, theta)
-        assert at_edge < analytic.mean_count_from_bs(5.0, 0.5, theta)
+        small = CellGeometry(cell_radius=3.0, dest_distance=1.0, relay_intensity=0.5)
+        large = CellGeometry(cell_radius=20.0, dest_distance=1.0, relay_intensity=0.5)
+        at_edge = analytic.mean_count_from_bs(3.0, small, theta)
+        assert analytic.mean_count_from_bs(5.0, small, theta) == at_edge
+        assert at_edge == analytic.mean_count_from_bs(3.0, large, theta)
+        assert at_edge < analytic.mean_count_from_bs(5.0, large, theta)
 
-    def test_validation(self):
+    def test_array_matches_scalar_calls(self, default_cell):
+        radii = [0.0, 0.1, 2.5, 19.9, 20.0, 25.0]
+        for theta in (0.003, 0.09486832980505139, 3.0):
+            curve = analytic.mean_count_from_bs(radii, default_cell, theta)
+            assert isinstance(curve, np.ndarray) and curve.shape == (len(radii),)
+            scalars = [analytic.mean_count_from_bs(r, default_cell, theta) for r in radii]
+            assert [float(v).hex() for v in curve] == [v.hex() for v in scalars]
+
+    def test_validation(self, default_cell):
         with pytest.raises(ValueError):
-            analytic.mean_count_from_bs(-1.0, 0.5, 0.1)
+            analytic.mean_count_from_bs(-1.0, default_cell, 0.1)
         with pytest.raises(ValueError):
-            analytic.mean_count_from_bs(1.0, 0.5, 0.0)
+            analytic.mean_count_from_bs([1.0, math.nan], default_cell, 0.1)
+        with pytest.raises(ValueError):
+            analytic.mean_count_from_bs(1.0, default_cell, 0.0)
+
+    def test_refuses_other_path_loss_exponents(self):
+        # the closed form completes a square in r, as every closed form here does
+        cell = CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5, path_loss_exponent=3.0)
+        with pytest.raises(ValueError, match="path_loss_exponent == 2"):
+            analytic.mean_count_from_bs(5.0, cell, 0.1)
 
 
 @pytest.mark.parametrize(

@@ -363,6 +363,48 @@ class TestMeanCountCommand:
         assert abs(beyond.empirical - beyond.analytic) < 3 * beyond.stderr_empirical
 
 
+    def test_one_profile_per_run(self, monkeypatch):
+        built = []
+
+        class CountingProfile(analytic.MassProfile):
+            def __post_init__(self):
+                built.append(self.theta)
+                super().__post_init__()
+
+        monkeypatch.setattr(analytic, "MassProfile", CountingProfile)
+        config = parse_config(overrides={"trials": 2})
+        rows = run_mean_count(config, [0.1 * i for i in range(251)], snr_db=15.0)
+        assert len(rows) == 502 and not any(r.error for r in rows)
+        assert len(built) == 1
+
+    @staticmethod
+    def _command_rows(argv, capsys):
+        code = cli.main(["mean-count", "--trials", "50", "--radius-step", "5", *argv])
+        header, *lines = capsys.readouterr().out.splitlines()
+        return code, [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+    def test_failed_simulation_keeps_the_analytic_columns(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("pool died")
+
+        monkeypatch.setattr(montecarlo, "empirical_mean_count", broken)
+        code, rows = self._command_rows([], capsys)
+        assert code == 2 and len(rows) == 12
+        for row in rows:
+            assert row["error"] == "mc: pool died"
+            assert row["analytic"] and not row["empirical"] and not row["stderr_empirical"]
+
+    def test_refused_closed_form_keeps_the_empirical_columns(self, capsys):
+        # both closed forms assume alpha = 2; the simulation takes any exponent
+        code, rows = self._command_rows(["--path-loss-exponent", "3"], capsys)
+        assert code == 2 and [row["observer"] for row in rows] == ["bs"] * 6 + ["dest"] * 6
+        for row in rows:
+            assert row["error"].startswith("analytic: ")
+            assert "path_loss_exponent == 2" in row["error"]
+            assert not row["analytic"] and row["empirical"] and row["stderr_empirical"]
+        assert float(rows[1]["empirical"]) > 0.0  # r = 5 about the source
+
+
 class TestMeanCountGolden:
     """The mean-count numbers pinned bit for bit: both analytic curves over
     the default 0..25 grid at 15 dB (as ``float.hex``) and the command's
@@ -390,11 +432,8 @@ class TestMeanCountGolden:
 
     def test_analytic_curves(self):
         cell, theta = validation.DEFAULT_CELL, validation.THETA_15DB
-        bs = [
-            analytic.mean_count_from_bs(r, cell.relay_intensity, theta, cell_radius=cell.cell_radius)
-            for r in self.GRID
-        ]
-        dest = [analytic.lambda_prime(r, cell, theta) for r in self.GRID]
+        bs = analytic.mean_count_from_bs(self.GRID, cell, theta)
+        dest = analytic.lambda_prime(self.GRID, cell, theta)
         assert [float(v).hex() for v in bs] == self.BS
         assert [float(v).hex() for v in dest] == self.DEST
 

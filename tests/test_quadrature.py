@@ -90,3 +90,9 @@ def test_spec_validation():
         QuadratureSpec(max_subdivisions=0)
     assert DEFAULT_SPEC.rel_tol == 1e-9
     assert DEFAULT_SPEC.abs_tol == 1e-12
+
+
+def test_spec_refuses_bool_subdivisions():
+    # Python counts True an int; as a budget it would silently mean 1
+    with pytest.raises(ValueError, match="^max_subdivisions must be an integer >= 1, got True$"):
+        QuadratureSpec(max_subdivisions=True)

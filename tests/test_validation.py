@@ -68,6 +68,15 @@ class TestKsStatistic:
         assert d == pytest.approx(0.5, abs=0.02)
 
 
+class TestMeanCountCurves:
+    def test_detail_reads_the_trials_from_the_curves(self):
+        empirical = montecarlo.empirical_mean_count(
+            validation._MEAN_COUNT_RADII, validation.DEFAULT_CELL, validation.THETA_15DB, 200, 42
+        )
+        result = validation.check_mean_count_curves(empirical)
+        assert result.detail.startswith("grid 0..25 step 1, trials=200; ")
+
+
 class TestStatCsiRecords:
     def test_records_cover_grid_and_explain_verdict(self, monkeypatch):
         # the check records where it asks for the rank-joint diagnostic
@@ -152,8 +161,7 @@ class TestRunAllSharesDraws:
             validation.check_mean_count_curves(
                 montecarlo.empirical_mean_count(
                     validation._MEAN_COUNT_RADII, cell, theta, mean_count_trials, 42, workers=workers
-                ),
-                mean_count_trials,
+                )
             ),
         ]
 
