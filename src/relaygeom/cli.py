@@ -275,10 +275,10 @@ def _path(value, key: str) -> str | None:
 def _side(name: str, compute):
     """``(compute(), [])``, or ``(None, ["name: message"])`` when it raises.
 
-    The per-side error rule of both sweeps: the analytic and the Monte Carlo
-    side of a row are computed independently, a side that fails leaves its
-    columns empty, and the ``error`` column names it (``analytic: ...``,
-    ``mc: ...``, joined by ``; ``).
+    The per-side error rule of ``outage-sweep`` and ``mean-count`` rows: the
+    analytic and the Monte Carlo side are computed independently, a side
+    that fails leaves its columns empty, and the ``error`` column names it
+    (``analytic: ...``, ``mc: ...``, joined by ``; ``).
     """
     try:
         return compute(), []

@@ -559,10 +559,7 @@ class MeanCountRequest:
         var = (s2 - s1 * s1 / trials) / max(trials - 1, 1)
         means, stderrs = (s1 / trials).tolist(), np.sqrt(np.maximum(var, 0.0) / trials).tolist()
         return {
-            observer: [
-                MeanCountPoint(r, mean, stderr, trials)
-                for r, mean, stderr in zip(self.grid, means[o], stderrs[o])
-            ]
+            observer: [MeanCountPoint(*point, trials) for point in zip(self.grid, means[o], stderrs[o])]
             for o, observer in enumerate(OBSERVERS)
         }
 

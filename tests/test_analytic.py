@@ -531,11 +531,10 @@ class TestMeanCountFromBs:
         with pytest.raises(ValueError):
             analytic.mean_count_from_bs(1.0, default_cell, 0.0)
 
-    def test_refuses_other_path_loss_exponents(self):
+    def test_refuses_other_path_loss_exponents(self, default_cell):
         # the closed form completes a square in r, as every closed form here does
-        cell = CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5, path_loss_exponent=3.0)
         with pytest.raises(ValueError, match="path_loss_exponent == 2"):
-            analytic.mean_count_from_bs(5.0, cell, 0.1)
+            analytic.mean_count_from_bs(5.0, replace(default_cell, path_loss_exponent=3.0), 0.1)
 
 
 @pytest.mark.parametrize(

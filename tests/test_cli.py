@@ -362,7 +362,6 @@ class TestMeanCountCommand:
         assert beyond.empirical == at_edge.empirical
         assert abs(beyond.empirical - beyond.analytic) < 3 * beyond.stderr_empirical
 
-
     def test_one_profile_per_run(self, monkeypatch):
         built = []
 
