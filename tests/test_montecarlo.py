@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from relaygeom import montecarlo as mc
+from relaygeom import validation
 from relaygeom.geometry import sample_field, sq_dists_to_dest
 from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from relaygeom.quadrature import integrate_1d
@@ -524,6 +525,45 @@ class TestRunRequests:
         requests = [mc.KthDistancesRequest(cell, 0.1, 1, 5) for cell in (default_cell, other)]
         with pytest.raises(ValueError, match="one cell"):
             mc.run_requests(requests, 0)
+
+
+class TestRunRequestsGolden:
+    """``run_all``'s one pass at reduced sizes, pinned bit for bit: the
+    outage counts of criteria 3 and 4, criterion 6's k-th distance rows and
+    criterion 7's mean-count curves. A refactor of the block loop, the
+    thinning or the decision keeps them."""
+
+    COUNTS = [
+        2000, 1935, 256, 0, 2000, 2000, 1944, 838, 132, 40, 6, 2000, 2000,
+        2000, 1937, 571, 36, 1, 2000, 2000, 2000, 2000, 1837, 260, 2,
+    ]
+    SHA = {
+        "counts": "4497ba0f350eed68c2c046bb3f22770bad71f7563a1eb52496a98ad0f0854f93",
+        "kth": "0c4ea4c803b8f9eacb19bd4194951110954feeda5735dc9c301a23024da99201",
+        "curves": "9fcbe3b9f59dbb5da6296e2ba8181b43c9251d18eb82ffe5840c2cea17a56313",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gate_pass(self, workers):
+        cell, theta = validation.DEFAULT_CELL, validation.THETA_15DB
+        estimates, kth, curves = mc.run_requests(
+            [
+                mc.OutageGridRequest(cell, validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS, 2000),
+                mc.KthDistancesRequest(cell, theta, 3, 1000),
+                mc.MeanCountRequest(validation._MEAN_COUNT_RADII, cell, theta, 700),
+            ],
+            42,
+            workers=workers,
+        )
+        counts = np.array([e.outage_count for e in estimates], dtype=np.int64)
+        table = np.array([point for o in mc.OBSERVERS for point in curves[o]], dtype=float)
+        assert counts.tolist() == self.COUNTS
+        assert kth.shape == (1000, 3)
+        digests = {
+            name: hashlib.sha256(arr.tobytes()).hexdigest()
+            for name, arr in (("counts", counts), ("kth", kth), ("curves", table))
+        }
+        assert digests == self.SHA
 
 
 class TestEmpiricalMeanCount:
