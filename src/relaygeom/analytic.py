@@ -156,14 +156,22 @@ def lambda_prime(r_jd, cell: CellGeometry, theta: float):
 
     ``lam * exp(-theta (1 + r_d^2)) * integral_0^2pi I(r_jd, phi) dphi``,
     read from one :class:`MassProfile` per call, so it keeps its relative
-    accuracy where the mass is tiny (low SNR). The qualified field is
-    treated as extending beyond the cell edge, so this is exact for
-    ``r_jd <= cell_radius - dest_distance`` and a slight overcount closer to
-    the rim.
+    accuracy where the mass is tiny (low SNR).
+
+    The profile integrates over whole circles about the destination, as if
+    the qualified field extended beyond the cell edge. So this is exact for
+    ``r_jd <= cell_radius - dest_distance``, and past that it overcounts by
+    at most the qualified mass outside the cell, ``pi lam exp(-theta (1 +
+    R^2)) / theta``. Until the circles are clipped to the cell, a
+    ``ValueError`` naming the cell edge refuses every call with such an
+    ``r_jd`` where that mass exceeds the profile's own error budget
+    ``max(1e-10, 1e-8 M(r_jd))``; :func:`f_k_pdf` and
+    :func:`kth_nearest_cdf` inherit the refusal.
 
     Zero at 0, non-decreasing in ``r_jd`` and bounded by the total qualified
     mass ``pi lam exp(-theta) / theta``.
     """
+    _require_alpha_two(cell, "lambda_prime")
     upper = cell.cell_radius + cell.dest_distance
     r_jd = np.asarray(r_jd, dtype=float)
     # the profile clips its argument to [0, R + r_d]
@@ -172,6 +180,13 @@ def lambda_prime(r_jd, cell: CellGeometry, theta: float):
     profile = MassProfile(cell, theta)
     mass = np.maximum(profile.cumulative_at(profile.density, r_jd), 0.0)
     mass = np.where(r_jd > 0.0, mass, 0.0)
+    inside = max(cell.cell_radius - cell.dest_distance, 0.0)
+    outside = math.pi * cell.relay_intensity * math.exp(-theta * (1.0 + cell.cell_radius**2)) / theta
+    if np.any((r_jd > inside) & (outside > np.maximum(_PROFILE_ABS_TOL, _PROFILE_REL_TOL * mass))):
+        raise ValueError(
+            f"lambda_prime is unclipped at the cell edge: circles past r_jd = {inside:g} leave "
+            f"the cell and the qualified mass outside it ({outside:.3e}) exceeds the error budget"
+        )
     return float(mass) if mass.ndim == 0 else mass
 
 
@@ -448,6 +463,7 @@ def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact")
         the tail. Kept selectable so the two variants can be compared
         against simulation.
     """
+    _require_alpha_two(cell, "f_k_pdf")
     check_count("k", k)
     r_jd = np.asarray(r_jd, dtype=float)
     if not np.all(r_jd > 0):
@@ -463,6 +479,7 @@ def kth_nearest_cdf(x: float, k: int, cell: CellGeometry, theta: float) -> float
 
     ``1 - exp(-M(x)) * sum_{i<k} M(x)^i / i!`` with ``M = lambda_prime``.
     """
+    _require_alpha_two(cell, "kth_nearest_cdf")
     check_count("k", k)
     if x <= 0.0:
         return 0.0
@@ -503,6 +520,7 @@ def p_fail_jth(j: int, cell: CellGeometry, thresholds: Thresholds, form: str = "
     1e-9 are clamped with a warning; the ``"quadratic"`` density is not a
     probability law, so it can get there.
     """
+    _require_alpha_two(cell, "p_fail_jth")
     check_count("j", j)
     profile = MassProfile(cell, thresholds.theta_first)
     return _p_fail_ranks(profile, j, thresholds.theta_second, form)[j - 1]
@@ -529,6 +547,7 @@ def outage_stat(
     :func:`exact_ranked_outage` gives the outage without the independence
     assumption.
     """
+    _require_alpha_two(cell, "outage_stat")
     check_count("k", k)
     thresholds = compute_thresholds(replace(radio, num_relays=k), first_hop)
     profile = MassProfile(cell, thresholds.theta_first)
@@ -559,6 +578,7 @@ def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float
     accuracy at both ends. This is the independent yardstick for how much
     the product form :func:`outage_stat` loses to rank dependence.
     """
+    _require_alpha_two(cell, "exact_ranked_outage")
     thresholds = compute_thresholds(replace(radio, num_relays=k))
     theta2 = thresholds.theta_second
     profile = MassProfile(cell, thresholds.theta_first)

@@ -36,7 +36,6 @@ import argparse
 import json
 import math
 import numbers
-import os
 import sys
 import time
 from dataclasses import astuple, dataclass, fields, replace
@@ -48,15 +47,15 @@ from .model import FIRST_HOP_RULES, CellGeometry, RadioParams, compute_threshold
 from .montecarlo import OBSERVERS, STRATEGIES, THREADS_ENV
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
+_CELL_KEYS = ("cell_radius", "dest_distance", "relay_intensity", "path_loss_exponent")
+
 #: Documented defaults for every configuration key. These are repository
 #: choices for a desk-scale scenario, not values with any outside authority;
-#: they are echoed into the CSV metadata comments of each artifact.
+#: they are echoed into the CSV metadata comments of each artifact. The cell
+#: and the rate are the gate's (:data:`relaygeom.validation.DEFAULT_CELL`).
 DEFAULTS: dict = {
-    "cell_radius": 20.0,
-    "dest_distance": 5.0,
-    "relay_intensity": 0.5,
-    "path_loss_exponent": 2.0,
-    "rate": 1.0,
+    **{key: getattr(validation.DEFAULT_CELL, key) for key in _CELL_KEYS},
+    "rate": validation.DEFAULT_RATE,
     "snr_grid_db": tuple(0.0 + 2.5 * i for i in range(13)),  # 0 .. 30 dB
     "strategies": ("exact", "stat"),
     "k_values": (1, 2, 3),
@@ -68,13 +67,14 @@ DEFAULTS: dict = {
     "svg": None,
 }
 
-_CELL_KEYS = ("cell_radius", "dest_distance", "relay_intensity", "path_loss_exponent")
-
 #: Per configuration command: the defaults :func:`parse_config` starts from
-#: and the keys that get a flag. ``mean-count`` runs 4000 trials by default.
+#: and the keys that get a flag. ``mean-count`` runs criterion 7's trials.
 _COMMAND_SETTINGS = {
     "outage-sweep": (DEFAULTS, tuple(DEFAULTS)),
-    "mean-count": ({**DEFAULTS, "trials": 4000}, _CELL_KEYS + ("rate", "trials", "seed", "csv")),
+    "mean-count": (
+        {**DEFAULTS, "trials": validation.MEAN_COUNT_TRIALS},
+        _CELL_KEYS + ("rate", "trials", "seed", "csv"),
+    ),
 }
 
 
@@ -375,18 +375,19 @@ def _field(value) -> str:
     return "%.10e" % value
 
 
-def _csv_lines(rows: list, config: SweepConfig | None) -> list[str]:
+def _csv_lines(rows: list, config: SweepConfig | None, settings: dict | None = None) -> list[str]:
     if not rows:
         raise ValueError("refusing to write CSV without rows")
     kind = type(rows[0])
+    if config is not None and not settings:  # an outage sweep's own settings
+        settings = {"fk_form": config.fk_form, "first_hop_threshold": config.first_hop_threshold}
     lines = [] if config is None else [
         f"# relaygeom {kind.command}",
         *(f"# {key} = {_field(getattr(config.cell, key))}" for key in _CELL_KEYS),
         f"# rate = {_field(config.rate)}",
         f"# trials = {config.trials}",
         f"# seed = {config.seed}",
-        f"# fk_form = {config.fk_form}",
-        f"# first_hop_threshold = {config.first_hop_threshold}",
+        *(f"# {key} = {_field(value)}" for key, value in settings.items()),
     ]
     lines.append(",".join(f.name for f in fields(kind)))
     lines.extend(",".join(map(_field, astuple(r))) for r in rows)
@@ -402,22 +403,28 @@ def _write_lines(lines: list[str], path: str) -> None:
 
 
 def write_csv(
-    rows: list[SweepRow] | list[MeanCountRow], path: str, config: SweepConfig | None = None
+    rows: list[SweepRow] | list[MeanCountRow],
+    path: str,
+    config: SweepConfig | None = None,
+    settings: dict | None = None,
 ) -> None:
     """Write sweep or mean-count rows as CSV: the row's field names as the
     header, %.10e floats, LF endings.
 
     Byte-reproducible for identical rows; refuses empty input (no file is
-    created). Metadata comment lines carry the configuration when given.
+    created). Metadata comment lines carry the configuration when given,
+    then the command's own ``settings`` (``mean-count``: its ``snr_db`` and
+    ``radius_step``), by default an outage sweep's ``fk_form`` and
+    ``first_hop_threshold``.
     """
-    _write_lines(_csv_lines(rows, config), path)
+    _write_lines(_csv_lines(rows, config, settings), path)
 
 
-def _emit(rows: list, config: SweepConfig) -> int:
-    """Send rows to ``config.csv`` (with metadata) or to stdout (without);
-    the exit code is 2 when some row recorded an error."""
+def _emit(rows: list, config: SweepConfig, settings: dict | None = None) -> int:
+    """Send rows to ``config.csv`` (with metadata, see :func:`write_csv`) or
+    to stdout (without); the exit code is 2 when some row recorded an error."""
     if config.csv:
-        write_csv(rows, config.csv, config)
+        write_csv(rows, config.csv, config, settings)
     else:
         print("\n".join(_csv_lines(rows, None)))
     return 0 if all(not r.error for r in rows) else 2
@@ -556,16 +563,16 @@ _COMMAND_FLAGS = {
         "workers": _WORKERS,
     },
     "validate": {
-        "trials": (_count, 100_000, "Monte Carlo trials of criteria 3 and 4"),
-        "samples": (_count, 10_000, "sampled distances of criterion 6"),
-        "mean-count-trials": (_count, 4000, "realizations of criterion 7"),
+        "trials": (_count, validation.TRIALS, "Monte Carlo trials of criteria 3 and 4"),
+        "samples": (_count, validation.SAMPLES, "sampled distances of criterion 6"),
+        "mean-count-trials": (_count, validation.MEAN_COUNT_TRIALS, "realizations of criterion 7"),
         "seed": (_integer, validation.DEFAULT_SEED, "seed of every Monte Carlo check"),
         "workers": _WORKERS,
     },
     "fk-check": {
-        "samples": (_count, 10_000, "sampled distances"),
+        "samples": (_count, validation.SAMPLES, "sampled distances"),
         "seed": (_integer, validation.DEFAULT_SEED, "sampling seed"),
-        "k-max": (_count, 3, "largest rank k"),
+        "k-max": (_count, validation.K_MAX, "largest rank k"),
         "workers": _WORKERS,
     },
 }
@@ -574,13 +581,18 @@ _COMMAND_FLAGS = {
 def _read_flags(args: argparse.Namespace) -> None:
     """Replace the text of each of the command's non-configuration flags by
     its checked value, or by its default when the flag is not given. An
-    absent ``--workers`` reads ``$RELAYGEOM_THREADS`` by the same rule."""
+    absent ``--workers`` takes ``$RELAYGEOM_THREADS`` as the library reads
+    it (:func:`~relaygeom.montecarlo.workers_from_env`); a refused value is
+    a configuration error."""
     for name, (reader, default, _) in _COMMAND_FLAGS[args.command].items():
-        dest, key = name.replace("-", "_"), "--" + name
+        dest = name.replace("-", "_")
         text = getattr(args, dest)
-        if text is None and name == "workers" and os.environ.get(THREADS_ENV):
-            key, text = "$" + THREADS_ENV, os.environ[THREADS_ENV]
-        setattr(args, dest, default if text is None else reader(_literal(text), key))
+        setattr(args, dest, default if text is None else reader(_literal(text), "--" + name))
+    if args.workers is None:
+        try:
+            args.workers = montecarlo.workers_from_env()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -589,13 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Outage analysis of opportunistic relaying over a Poisson relay field",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "outage-sweep": "analytic + Monte Carlo outage over an SNR grid",
-        "mean-count": "qualified-relay mean-count curves, both observers",
-        "validate": "run the full consistency gate",
-        "fk-check": "k-th nearest distance law vs sampled distances",
-    }
-    for command, text in commands.items():
+    for command, (_, text) in _COMMANDS.items():
         p_cmd = sub.add_parser(command, help=text)
         if command in _COMMAND_SETTINGS:
             _add_config_flags(p_cmd, command)
@@ -619,17 +625,14 @@ def _cmd_mean_count(args: argparse.Namespace) -> int:
     step = args.radius_step
     upper = config.cell.cell_radius + config.cell.dest_distance
     radii = [i * step for i in range(int(math.floor(upper / step)) + 1)]
-    return _emit(run_mean_count(config, radii, snr_db=args.snr_db, workers=args.workers), config)
+    rows = run_mean_count(config, radii, snr_db=args.snr_db, workers=args.workers)
+    return _emit(rows, config, {"snr_db": args.snr_db, "radius_step": step})
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    results = validation.run_all(
-        trials=args.trials,
-        samples=args.samples,
-        mean_count_trials=args.mean_count_trials,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    # validate's flags are run_all's keyword arguments, one for one
+    flags = [name.replace("-", "_") for name in _COMMAND_FLAGS["validate"]]
+    results = validation.run_all(**{flag: getattr(args, flag) for flag in flags})
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 2
@@ -647,17 +650,20 @@ def _cmd_fk_check(args: argparse.Namespace) -> int:
     return 0 if result.passed else 2
 
 
+#: Each subcommand's handler and help line.
+_COMMANDS = {
+    "outage-sweep": (_cmd_outage_sweep, "analytic + Monte Carlo outage over an SNR grid"),
+    "mean-count": (_cmd_mean_count, "qualified-relay mean-count curves, both observers"),
+    "validate": (_cmd_validate, "run the full consistency gate"),
+    "fk-check": (_cmd_fk_check, "k-th nearest distance law vs sampled distances"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "outage-sweep": _cmd_outage_sweep,
-        "mean-count": _cmd_mean_count,
-        "validate": _cmd_validate,
-        "fk-check": _cmd_fk_check,
-    }
     try:
         _read_flags(args)
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -30,13 +30,15 @@ One block loop serves every sampler (:func:`run_requests`). Trials are
 drawn one by one and handed on in blocks of up to :data:`_BLOCK_TRIALS`
 (:func:`_blocks`). A block lists the per-trial relay counts, then the
 qualified relays of its trials concatenated, grouped by trial in input
-order: source distances, squared destination distances (one distance
-computation per block), second-hop gains, and the first-hop gains and
-losses when some threshold is tighter than the loosest (:func:`_block`).
+order: trial indices, source distances, squared destination distances (one
+distance computation per block), second-hop gains, and the first-hop gains
+and losses when some threshold is tighter than the loosest (:func:`_block`).
 A request brings its own first-hop threshold and its own trial count: it
 reads the pass's first trials up to its count, and of each block the relays
-qualified at its threshold, thinned by the same ``gains >= theta * loss``
-test that a draw at that threshold makes. An outage grid decides every row
+qualified at its threshold. One function, :func:`_qualified`, thins a block
+to a threshold, by the same ``gains >= theta * loss`` test that a draw at
+that threshold makes, and hands each kept relay the second-hop gain that
+draw would give it. An outage grid decides every row
 on a block with array operations (:func:`_decide`); mean counts count the
 relays within each radius for both observers without sorting; k-th nearest
 distances sort each trial's slice in place. Each result reads only its own
@@ -110,15 +112,18 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return _enter_trial(_philox(), seed, trial_index)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    name = "workers"
-    if workers is None:
-        name, text = THREADS_ENV, os.environ.get(THREADS_ENV)
-        try:
-            workers = int(text) if text else 1
-        except ValueError:
-            workers = text
-    return check_count(name, workers)
+def workers_from_env() -> int | None:
+    """The worker count that ``$RELAYGEOM_THREADS`` sets, or ``None`` when
+    it is unset or empty. The text is read by ``int()``, so ``" 2"`` and
+    ``"+2"`` pass, while ``"2.0"``, ``"1e0"``, ``"true"`` and counts below
+    1 raise a ``ValueError`` naming the variable. The one reader of the
+    variable: the samplers and the command line both call it."""
+    text = os.environ.get(THREADS_ENV)
+    try:
+        workers = int(text) if text else None
+    except ValueError:
+        workers = text
+    return None if workers is None else check_count("$" + THREADS_ENV, workers)
 
 
 def _usable_cpus() -> int:
@@ -199,12 +204,14 @@ def _draw(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> tuple:
 
 def _block(cell: CellGeometry, draws: Sequence[tuple]) -> tuple:
     """The :func:`_draw` results of consecutive trials as one block:
-    ``(sizes, radii, d2, g2, *first)``, the per-trial relay counts, then the
-    relays' source distances, squared destination distances and second-hop
-    gains (and first-hop gains and losses), concatenated in trial order."""
+    ``(sizes, trial, radii, d2, g2, *first)``, the per-trial relay counts,
+    then per relay its trial's index in the block, its source distance,
+    squared destination distance and second-hop gain (and first-hop gain
+    and loss), concatenated in trial order."""
     sizes = np.fromiter((d[0].size for d in draws), np.intp, len(draws))
     radii, angles, *rest = (np.concatenate(col) for col in zip(*draws))
-    return (sizes, radii, sq_dists_to_dest(radii, angles, cell.dest_distance), *rest)
+    trial = np.repeat(np.arange(sizes.size), sizes)
+    return (sizes, trial, radii, sq_dists_to_dest(radii, angles, cell.dest_distance), *rest)
 
 
 def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
@@ -226,48 +233,44 @@ def _head(block: tuple, n: int) -> tuple:
 
 
 def _qualified(plan: _Plan, theta_first: float, block: tuple) -> tuple:
-    """``(sizes, radii, d2)`` of the block's relays qualified at
-    ``theta_first``: all of them at the plan's loosest threshold, else those
-    whose first-hop gain passes, in the order and with the values that a
-    draw at ``theta_first`` alone gives."""
-    sizes, radii, d2, _, *first = block
+    """The block's relays qualified at ``theta_first``, as a block without
+    the first-hop columns, ``(sizes, trial, radii, d2, g2)``, in the order
+    and with the values that a draw at ``theta_first`` alone gives: all of
+    them at the plan's loosest threshold, else those whose first-hop gain
+    passes the test of :func:`_draw`. A trial's j-th qualified relay takes
+    that trial's j-th second-hop gain, which is the gain it would draw on
+    its own."""
+    sizes, trial, radii, d2, g2, *first = block
     if theta_first == plan.theta_min:
-        return sizes, radii, d2
+        return sizes, trial, radii, d2, g2
     gains, loss = first
-    keep = gains >= theta_first * loss
-    trial = np.repeat(np.arange(sizes.size), sizes)
-    return np.bincount(trial[keep], minlength=sizes.size), radii[keep], d2[keep]
+    keep = (gains >= theta_first * loss).nonzero()[0]
+    tid = trial[keep]
+    counts = np.bincount(tid, minlength=sizes.size)
+    shift = (np.cumsum(sizes) - sizes) - (np.cumsum(counts) - counts)
+    return counts, tid, radii[keep], d2[keep], g2[np.arange(keep.size) + shift[tid]]
 
 
 def _decide(cell: CellGeometry, plan: _Plan, rows: Sequence[_Row], block: tuple) -> np.ndarray:
     """Outage flags, shape ``(rows, trials)``, of a block of trials.
 
-    ``trial`` names each relay's trial. A row with ``J`` qualified relays in
-    a trial takes that trial's first ``J`` second-hop gains, which are the
-    gains it would draw on its own. Exact knowledge is an outage iff no
-    relay succeeds; distance ranking as in :func:`_ranked_outages`.
+    A row reads the block's relays qualified at its first-hop threshold
+    (:func:`_qualified`, one view per threshold). Exact knowledge is an
+    outage iff no relay succeeds; distance ranking as in
+    :func:`_ranked_outages`.
     """
-    sizes, _, d2, g2, *first = block
-    n = sizes.size
-    trial = np.repeat(np.arange(n), sizes)
-    start = np.cumsum(sizes) - sizes
+    n = block[0].size
     alpha = cell.path_loss_exponent
-    loss2 = 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha))
-    subsets = {plan.theta_min: (trial, d2, loss2, g2)}
+    views = {}
     out = np.empty((len(rows), n), dtype=bool)
     for i, (theta_first, theta_second, k) in enumerate(rows):
-        if theta_first not in subsets:
-            gains, loss = first
-            sub = (gains >= theta_first * loss).nonzero()[0]
-            tid = trial[sub]
-            counts = np.bincount(tid, minlength=n)
-            # the row's j-th relay of a trial reads that trial's j-th gain
-            shift = start - (np.cumsum(counts) - counts)
-            subsets[theta_first] = (tid, d2[sub], loss2[sub], g2[np.arange(sub.size) + shift[tid]])
-        tid, row_d2, row_loss2, row_g2 = subsets[theta_first]
-        succ = row_g2 >= theta_second * row_loss2
+        if theta_first not in views:
+            _, tid, _, d2, g2 = _qualified(plan, theta_first, block)
+            views[theta_first] = tid, d2, 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha)), g2
+        tid, d2, loss2, g2 = views[theta_first]
+        succ = g2 >= theta_second * loss2
         if k:
-            out[i] = _ranked_outages(row_d2, succ, tid, n, k)
+            out[i] = _ranked_outages(d2, succ, tid, n, k)
         else:
             out[i] = np.bincount(tid[succ], minlength=n) == 0
     return out
@@ -385,7 +388,8 @@ def run_requests(requests: Sequence, seed: int, *, workers: int | None = None) -
     if any(request.cell != requests[0].cell for request in requests):
         raise ValueError("requests must share one cell")
     trials = max(request.trials for request in requests)
-    workers = min(_resolve_workers(workers), trials, _usable_cpus())
+    workers = workers_from_env() or 1 if workers is None else check_count("workers", workers)
+    workers = min(workers, trials, _usable_cpus())
     if workers == 1:
         parts = [_pass(requests, seed, 0, trials)]
     else:
@@ -537,10 +541,10 @@ class MeanCountRequest:
         point ``>= d`` on, so a per-trial histogram of that index, accumulated
         along the grid, gives the counts without sorting.
         """
-        sizes, radii, d2 = _qualified(plan, self.theta_first, block)
+        sizes, trial, radii, d2, _ = _qualified(plan, self.theta_first, block)
         grid = np.asarray(self.grid)
         bins = grid.size + 1
-        offset = np.repeat(np.arange(sizes.size) * bins, sizes)
+        offset = trial * bins
         sums = np.empty((2, len(OBSERVERS), grid.size), dtype=np.int64)
         for i, d in enumerate((radii, np.sqrt(d2))):
             first = offset + np.searchsorted(grid, d, side="left")
@@ -601,7 +605,7 @@ class KthDistancesRequest:
     def read(self, plan: _Plan, block: tuple) -> np.ndarray:
         """The block's rows: each trial's ``k_max`` smallest destination
         distances, sorted, ``inf`` past its relay count."""
-        sizes, _, d2 = _qualified(plan, self.theta_first, block)
+        sizes, _, _, d2, _ = _qualified(plan, self.theta_first, block)
         d = np.sqrt(d2)
         ends = np.cumsum(sizes)
         begins = ends - sizes

@@ -12,9 +12,10 @@ arrays. erfcx(x) = exp(x^2) erfc(x) uses two regimes, split at |x| = 2:
   evaluated backward from a fixed depth of 72, which is converged to double
   precision for every x >= 2.
 
-erfcx is accurate to ~1e-13 relative for x >= 0; for x < 0 it grows like
-``2 exp(x^2)`` and overflows to inf near x = -26.6, which is the honest
-double-precision answer.
+Both regimes run once, on |x|; a negative entry is then reflected,
+``erfcx(-a) = 2 exp(a^2) - erfcx(a)``. erfcx is accurate to ~1e-13
+relative for x >= 0; for x < 0 it grows like ``2 exp(x^2)`` and overflows
+to inf near x = -26.6, which is the honest double-precision answer.
 
 i0e(x) = exp(-|x|) I0(x) is the Cephes Chebyshev expansion in two branches,
 split at |x| = 8: a 30-term series in ``x/2 - 2`` below, and a 25-term
@@ -68,27 +69,19 @@ def _as_array(x) -> tuple[np.ndarray, bool]:
 def erfcx(x):
     """Scaled complementary error function ``exp(x^2) * erfc(x)``, elementwise."""
     arr, scalar = _as_array(x)
-    out = np.empty_like(arr)
-    hi = arr >= _SPLIT
-    neg = arr < 0.0
-    mid = ~(hi | neg)
+    a = np.abs(arr)
+    out = np.empty_like(a)
+    hi = a >= _SPLIT
+    lo = ~hi  # NaN lands here and stays NaN
     if hi.any():
-        out[hi] = _erfcx_cf(arr[hi])
-    if mid.any():
-        a = arr[mid]
-        out[mid] = np.exp(a * a) * (1.0 - _erf_series(a))
+        out[hi] = _erfcx_cf(a[hi])
+    if lo.any():
+        out[lo] = np.exp(a[lo] * a[lo]) * (1.0 - _erf_series(a[lo]))
+    neg = arr < 0.0
     if neg.any():
-        a = -arr[neg]
         # erfcx(-a) = 2 exp(a^2) - erfcx(a); may overflow to inf for a > ~26.6
-        deep = a >= _SPLIT
-        pos = np.empty_like(a)
-        if deep.any():
-            pos[deep] = _erfcx_cf(a[deep])
-        if (~deep).any():
-            am = a[~deep]
-            pos[~deep] = np.exp(am * am) * (1.0 - _erf_series(am))
         with np.errstate(over="ignore"):
-            out[neg] = 2.0 * np.exp(a * a) - pos
+            out[neg] = 2.0 * np.exp(a[neg] * a[neg]) - out[neg]
     return float(out[0]) if scalar else out
 
 

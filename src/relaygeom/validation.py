@@ -31,12 +31,20 @@ from .analytic import exact_ranked_outage
 from .model import CellGeometry, RadioParams, compute_thresholds
 from .quadrature import QuadratureSpec, integrate_1d
 
-#: Scenario used by the desk-scale checks (same as the CLI defaults).
+#: Scenario used by the desk-scale checks; the CLI's defaults read it.
 DEFAULT_CELL = CellGeometry(
     cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5, path_loss_exponent=2.0
 )
 DEFAULT_RATE = 1.0
 DEFAULT_SEED = 42
+#: The gate's sizes at :func:`run_all`'s defaults: Monte Carlo trials of
+#: criteria 3 and 4, criterion 6's sampled distances at ranks 1..``K_MAX``
+#: and criterion 7's realizations. ``relaygeom validate``, ``fk-check`` and
+#: ``mean-count`` default to them.
+TRIALS = 100_000
+SAMPLES = 10_000
+K_MAX = 3
+MEAN_COUNT_TRIALS = 4000
 
 #: Two-sided tail mass of a 3-sigma normal band.
 _ALPHA_3SIGMA = 0.0026997960632601866
@@ -539,9 +547,9 @@ def check_cli_determinism() -> CheckResult:
 
 
 def run_all(
-    trials: int = 100_000,
-    samples: int = 10_000,
-    mean_count_trials: int = 4000,
+    trials: int = TRIALS,
+    samples: int = SAMPLES,
+    mean_count_trials: int = MEAN_COUNT_TRIALS,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
 ) -> list[CheckResult]:
@@ -578,7 +586,7 @@ def _monte_carlo_checks(
     estimates, draws, empirical = montecarlo.run_requests(
         [
             montecarlo.OutageGridRequest(DEFAULT_CELL, _EXACT_CSI_ROWS + _STAT_CSI_ROWS, trials),
-            montecarlo.KthDistancesRequest(DEFAULT_CELL, THETA_15DB, 3, samples),
+            montecarlo.KthDistancesRequest(DEFAULT_CELL, THETA_15DB, K_MAX, samples),
             montecarlo.MeanCountRequest(_MEAN_COUNT_RADII, DEFAULT_CELL, THETA_15DB, mean_count_trials),
         ],
         seed,

@@ -552,3 +552,71 @@ def test_rank_refuses_bool(name, call, default_cell, radio_15db):
     # Python counts True an int; taken as a rank it would silently mean 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
         call(default_cell, radio_15db)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("lambda_prime", lambda cell, radio: analytic.lambda_prime(1.0, cell, 0.1)),
+        ("f_k_pdf", lambda cell, radio: analytic.f_k_pdf(1.0, 1, cell, 0.1)),
+        ("kth_nearest_cdf", lambda cell, radio: analytic.kth_nearest_cdf(1.0, 1, cell, 0.1)),
+        ("p_fail_jth", lambda cell, radio: analytic.p_fail_jth(1, cell, compute_thresholds(radio))),
+        ("outage_stat", lambda cell, radio: analytic.outage_stat(1, cell, radio)),
+        ("exact_ranked_outage", lambda cell, radio: analytic.exact_ranked_outage(1, cell, radio)),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_profile_readers_refuse_other_exponents_by_name(name, call, default_cell, radio_15db):
+    # each public reader of the mass profile names itself, not the profile
+    cell = replace(default_cell, path_loss_exponent=3.0)
+    with pytest.raises(ValueError, match=f"^{name} requires path_loss_exponent == 2, got 3.0$"):
+        call(cell, radio_15db)
+
+
+class TestUnclippedRim:
+    """The profile counts qualified relays outside the cell on circles that
+    cross its edge; the destination-view mass refuses where that mass
+    exceeds the profile's error budget."""
+
+    @staticmethod
+    def theta(snr_db: float) -> float:
+        return compute_thresholds(RadioParams(snr_db=snr_db, target_rate=1.0)).theta_first
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cell, theta, r: analytic.lambda_prime(r, cell, theta),
+            lambda cell, theta, r: analytic.f_k_pdf(r, 2, cell, theta),
+            lambda cell, theta, r: analytic.kth_nearest_cdf(r, 2, cell, theta),
+        ],
+        ids=["lambda_prime", "f_k_pdf", "kth_nearest_cdf"],
+    )
+    @pytest.mark.parametrize(
+        "cell, radius",
+        [
+            (CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5), 16.0),
+            (CellGeometry(cell_radius=10.0, dest_distance=15.0, relay_intensity=0.5), 5.0),
+        ],
+        ids=["default", "dest_outside"],
+    )
+    def test_refused_at_30db(self, call, cell, radius):
+        with pytest.raises(ValueError, match="^lambda_prime is unclipped at the cell edge"):
+            call(cell, self.theta(30.0), radius)
+
+    def test_refusal_only_past_the_inner_radius(self, default_cell):
+        theta = self.theta(30.0)
+        inner = analytic.lambda_prime([0.0, 5.0, 15.0], default_cell, theta)
+        assert inner[0] == 0.0 and np.all(np.diff(inner) > 0.0)
+        with pytest.raises(ValueError, match="r_jd = 15 "):
+            analytic.lambda_prime([0.0, 5.0, 15.5], default_cell, theta)
+        # the destination outside the cell: only M(0) is free of the rim
+        rim = CellGeometry(cell_radius=10.0, dest_distance=15.0, relay_intensity=0.5)
+        assert analytic.lambda_prime(0.0, rim, theta) == 0.0
+
+    def test_outside_mass_within_budget_passes(self, default_cell):
+        # the outside mass is 5.0e-16 at 15 dB, 3.1e-4 at 20 dB
+        grid = np.linspace(0.0, 25.0, 26)
+        mass = analytic.lambda_prime(grid, default_cell, self.theta(15.0))
+        assert mass[0] == 0.0 and mass[-1] > 14.0
+        with pytest.raises(ValueError, match="3.122e-04"):
+            analytic.lambda_prime(grid, default_cell, self.theta(20.0))

@@ -20,6 +20,7 @@ from relaygeom.cli import (
     write_csv,
     write_svg,
 )
+from relaygeom.model import RadioParams
 
 
 SWEEP_HEADER = "snr_db,strategy,k,p_analytic,p_mc,stderr_mc,trials,error"
@@ -404,6 +405,26 @@ class TestMeanCountCommand:
         assert float(rows[1]["empirical"]) > 0.0  # r = 5 about the source
 
 
+    def test_rim_refuses_the_destination_curve(self, capsys):
+        # at 30 dB the qualified mass outside the cell (157) would inflate
+        # every dest circle that crosses the rim; that curve is refused
+        code, rows = self._command_rows(["--snr-db", "30"], capsys)
+        assert code == 2 and [row["observer"] for row in rows] == ["bs"] * 6 + ["dest"] * 6
+        for row in rows[:6]:
+            assert row["analytic"] and row["empirical"] and not row["error"]
+        for row in rows[6:]:
+            assert row["error"].startswith("analytic: lambda_prime is unclipped at the cell edge")
+            assert not row["analytic"] and row["empirical"]
+
+    def test_csv_records_snr_and_radius_step(self, tmp_path):
+        out = tmp_path / "mean.csv"
+        argv = ["--trials", "5", "--radius-step", "12.5", "--snr-db", "17.5", "--csv", str(out)]
+        assert cli.main(["mean-count", *argv]) == 0
+        meta = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert meta[-2:] == ["# snr_db = 1.7500000000e+01", "# radius_step = 1.2500000000e+01"]
+        assert not any(line.startswith(("# fk_form", "# first_hop")) for line in meta)
+
+
 class TestMeanCountGolden:
     """The mean-count numbers pinned bit for bit: both analytic curves over
     the default 0..25 grid at 15 dB (as ``float.hex``) and the command's
@@ -515,6 +536,38 @@ class TestMainEntry:
         monkeypatch.setenv(cli.THREADS_ENV, text)
         assert cli.main(argv) == 1
         assert f"configuration error: ${cli.THREADS_ENV} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, accepted",
+        [("2", True), (" 2", True), ("+2", True), ("2.0", False), ("1e0", False),
+         ("0", False), ("abc", False), ("true", False)],
+    )
+    def test_threads_variable_one_rule(self, text, accepted, monkeypatch, capsys):
+        # the library and the command line read the variable alike; one
+        # trial keeps both runs in this process
+        monkeypatch.setenv(cli.THREADS_ENV, text)
+        cell, radio = validation.DEFAULT_CELL, RadioParams(snr_db=10.0, target_rate=1.0)
+        try:
+            montecarlo.estimate_outage("exact", cell, radio, 1, 0)
+            library = True
+        except ValueError as exc:
+            assert f"${cli.THREADS_ENV} must be" in str(exc)
+            library = False
+        argv = ["outage-sweep", "--trials", "1", "--snr-grid-db", "10", "--strategies", "exact"]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert (library, code == 0) == (accepted, accepted)
+        if not accepted:
+            assert code == 1 and f"configuration error: ${cli.THREADS_ENV} must be" in err
+
+    def test_defaults_are_the_gate_scenario(self):
+        config = parse_config()
+        assert (config.cell, config.rate) == (validation.DEFAULT_CELL, validation.DEFAULT_RATE)
+        flags = {name: default for name, (_, default, _) in cli._COMMAND_FLAGS["validate"].items()}
+        sizes = (validation.TRIALS, validation.SAMPLES, validation.MEAN_COUNT_TRIALS)
+        assert (flags["trials"], flags["samples"], flags["mean-count-trials"]) == sizes
+        fk = cli._COMMAND_FLAGS["fk-check"]
+        assert (fk["samples"][1], fk["k-max"][1]) == (validation.SAMPLES, validation.K_MAX)
 
     def test_workers_flag_then_threads_variable(self, monkeypatch):
         seen = {}

@@ -527,6 +527,24 @@ class TestRunRequests:
             mc.run_requests(requests, 0)
 
 
+class TestQualifiedView:
+    def test_equals_the_draw_at_each_threshold(self, default_cell):
+        # every first-hop threshold of criteria 3 and 4's 25-row plan: the
+        # view thinned from the plan's block is the block a draw at that
+        # threshold alone gives, column for column, second-hop gains included
+        rows = validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS
+        thetas = sorted({mc._grid_row(s, r, "frame_rate").theta_first for s, r in rows})
+        plan = mc._Plan.of(thetas)
+        assert len(rows) == 25 and len(thetas) == 21 and plan.nested
+        (block,) = mc._blocks(default_cell, plan, 9, 40, 57)
+        for theta in thetas:
+            (alone,) = mc._blocks(default_cell, mc._Plan.of([theta]), 9, 40, 57)
+            view = mc._qualified(plan, theta, block)
+            assert len(view) == len(alone) == 5, theta
+            for got, want in zip(view, alone):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), theta
+
+
 class TestRunRequestsGolden:
     """``run_all``'s one pass at reduced sizes, pinned bit for bit: the
     outage counts of criteria 3 and 4, criterion 6's k-th distance rows and

@@ -59,6 +59,37 @@ def test_array_and_scalar_interfaces():
     assert isinstance(erfcx(-0.3), float)
 
 
+#: erfcx bit for bit at negative, zero and positive arguments, on both sides
+#: of the split at |x| = 2 and at the special values, as ``float.hex``.
+ERFCX_PINNED = {
+    -26.0: "0x1.32f288d4422dap+976",
+    -5.0: "0x1.0c3d39209549cp+37",
+    -2.0: "0x1.b3c37c70be791p+6",
+    -1.999: "0x1.b2051d055da94p+6",
+    -0.5: "0x1.f3cde5a30aa92p+0",
+    -1e-300: "0x1.0000000000000p+0",
+    -0.0: "0x1.0000000000000p+0",
+    1e-300: "0x1.0000000000000p+0",
+    0.5: "0x1.3b3bc3c98b0f3p-1",
+    1.999: "0x1.05a27380d9545p-2",
+    2.0: "0x1.058671b52c776p-2",
+    5.0: "0x1.c57239e943d1ap-4",
+    30.0: "0x1.33f3abfd60d70p-6",
+    1e5: "0x1.7a9f084b432a8p-18",
+    math.inf: "0x0.0p+0",
+    -math.inf: "inf",
+    math.nan: "nan",
+}
+
+
+def test_erfcx_pinned_values():
+    # -0.0 == 0.0 as a dict key, so +0.0 is checked on its own
+    xs = [*ERFCX_PINNED, 0.0]
+    want = [*ERFCX_PINNED.values(), "0x1.0000000000000p+0"]
+    assert [float(v).hex() for v in erfcx(np.array(xs))] == want
+    assert [erfcx(x).hex() for x in xs] == want
+
+
 class TestI0e:
     def test_matches_scipy_on_both_branches(self):
         xs = np.concatenate(
