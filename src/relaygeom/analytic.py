@@ -160,7 +160,7 @@ def lambda_prime(r_jd, cell: CellGeometry, theta: float):
 
     The profile integrates over whole circles about the destination, as if
     the qualified field extended beyond the cell edge. So this is exact for
-    ``r_jd <= cell_radius - dest_distance``, and past that it overcounts by
+    ``r_jd <= cell.inner_radius``, and past that it overcounts by
     at most the qualified mass outside the cell, ``pi lam exp(-theta (1 +
     R^2)) / theta``. Until the circles are clipped to the cell, a
     ``ValueError`` naming the cell edge refuses every call with such an
@@ -180,7 +180,7 @@ def lambda_prime(r_jd, cell: CellGeometry, theta: float):
     profile = MassProfile(cell, theta)
     mass = np.maximum(profile.cumulative_at(profile.density, r_jd), 0.0)
     mass = np.where(r_jd > 0.0, mass, 0.0)
-    inside = max(cell.cell_radius - cell.dest_distance, 0.0)
+    inside = cell.inner_radius
     outside = math.pi * cell.relay_intensity * math.exp(-theta * (1.0 + cell.cell_radius**2)) / theta
     if np.any((r_jd > inside) & (outside > np.maximum(_PROFILE_ABS_TOL, _PROFILE_REL_TOL * mass))):
         raise ValueError(
@@ -190,32 +190,9 @@ def lambda_prime(r_jd, cell: CellGeometry, theta: float):
     return float(mass) if mass.ndim == 0 else mass
 
 
-def _mass_density(r: np.ndarray, cell: CellGeometry, theta: float) -> np.ndarray:
-    """``dM/dr`` at distances ``r`` from the destination, vectorized.
-
-    The angular integral of the qualified intensity over the circle of
-    radius ``r`` about the destination is ``2 pi I0(2 theta r_d r)``
-    (Abramowitz & Stegun 9.6.16), so
-
-        dM/dr = 2 pi lam r exp(-theta (1 + (r - r_d)^2)) i0e(2 theta r_d r)
-
-    with the scaled Bessel function ``i0e``; the exponent is nonpositive,
-    so nothing overflows at any theta.
-    """
-    r_d = cell.dest_distance
-    d = r - r_d
-    return (
-        2.0
-        * math.pi
-        * cell.relay_intensity
-        * r
-        * np.exp(-theta * (1.0 + d * d))
-        * i0e(2.0 * theta * r_d * r)
-    )
-
-
-def lambda_prime_derivative(r_jd: float, cell: CellGeometry, theta: float) -> float:
-    """Radial derivative of :func:`lambda_prime`.
+def lambda_prime_derivative(r_jd, cell: CellGeometry, theta: float):
+    """Radial derivative of :func:`lambda_prime`, elementwise over ``r_jd``
+    (a float for a scalar); :class:`MassProfile` samples its density here.
 
     Equals ``r_jd`` times the qualified intensity integrated over the circle
     of radius ``r_jd`` about the destination:
@@ -223,26 +200,43 @@ def lambda_prime_derivative(r_jd: float, cell: CellGeometry, theta: float) -> fl
         r_jd * lam * integral_0^2pi exp(-theta (1 + r_d^2 + r_jd^2
                                         - 2 r_d r_jd cos(phi))) dphi
 
-    which is closed: ``2 pi lam r_jd exp(-theta (1 + (r_jd - r_d)^2))
-    i0e(2 theta r_d r_jd)``.
+    The angular integral is ``2 pi I0(2 theta r_d r_jd)`` (Abramowitz &
+    Stegun 9.6.16), so it is closed: ``2 pi lam r_jd exp(-theta (1 + (r_jd -
+    r_d)^2)) i0e(2 theta r_d r_jd)`` with the scaled Bessel function
+    ``i0e``; the exponent is nonpositive, so nothing overflows at any theta.
     """
     _require_alpha_two(cell, "lambda_prime_derivative")
     _require_positive_theta(theta)
-    if not (math.isfinite(r_jd) and r_jd >= 0):
+    r = np.asarray(r_jd, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise ValueError("r_jd must be finite and >= 0")
-    return float(_mass_density(np.array([float(r_jd)]), cell, theta)[0])
+    r_d = cell.dest_distance
+    d = r - r_d
+    out = (
+        2.0
+        * math.pi
+        * cell.relay_intensity
+        * r
+        * np.exp(-theta * (1.0 + d * d))
+        * i0e(2.0 * theta * r_d * r)
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def _poisson_ladder(x, k: int) -> list:
+    """``x^j / j!`` for ``j = 0 .. k - 1``, elementwise over ``x``, each term
+    from the one before: ``t_0 = 1``, ``t_j = t_(j-1) x / j``."""
+    terms = [np.ones_like(x)]
+    for j in range(1, k):
+        terms.append(terms[-1] * x / j)
+    return terms
 
 
 def poisson_tail(mass, k: int):
     """``P(N >= k)`` for ``N`` Poisson with mean ``mass``, elementwise:
     ``1 - exp(-mass) * sum_{i<k} mass^i / i!``."""
     mass = np.asarray(mass, dtype=float)
-    term = np.ones_like(mass)
-    head = np.ones_like(mass)
-    for i in range(1, k):
-        term = term * mass / i
-        head = head + term
-    out = 1.0 - np.exp(-mass) * head
+    out = 1.0 - np.exp(-mass) * sum(_poisson_ladder(mass, k))
     return float(out) if out.ndim == 0 else out
 
 
@@ -410,7 +404,7 @@ def _profile_panels(edges: np.ndarray, cell: CellGeometry, theta: float):
     """Nodes (panels x ``_CHEB_N``), half-widths and ``dM/dr`` on ``edges``."""
     half = np.diff(edges) / 2.0
     r = (edges[:-1] + half)[:, None] + half[:, None] * _CHEB_NODES
-    return r, half, _mass_density(r, cell, theta)
+    return r, half, lambda_prime_derivative(r, cell, theta)
 
 
 def _offsets(f: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -432,12 +426,8 @@ def _order_densities(mass, density, r, k: int, form: str, weight=1.0) -> list:
     (see :func:`f_k_pdf`), elementwise over the sample points."""
     if form not in F_K_FORMS:
         raise ValueError(f"form must be one of {F_K_FORMS}, got {form!r}")
-    term = weight * np.exp(-mass) * (density if form == "exact" else 2.0 * mass / r)
-    out = [term]
-    for j in range(1, k):
-        term = term * mass / j
-        out.append(term)
-    return out
+    head = weight * np.exp(-mass) * (density if form == "exact" else 2.0 * mass / r)
+    return [head * term for term in _poisson_ladder(mass, k)]
 
 
 def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact"):
@@ -469,21 +459,21 @@ def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact")
     if not np.all(r_jd > 0):
         raise ValueError("r_jd must be > 0 (both variants are densities in the open half-line)")
     mass = lambda_prime(r_jd, cell, theta)
-    out = _order_densities(mass, _mass_density(r_jd, cell, theta), r_jd, k, form)[-1]
+    out = _order_densities(mass, lambda_prime_derivative(r_jd, cell, theta), r_jd, k, form)[-1]
     return float(out) if out.ndim == 0 else out
 
 
-def kth_nearest_cdf(x: float, k: int, cell: CellGeometry, theta: float) -> float:
+def kth_nearest_cdf(x, k: int, cell: CellGeometry, theta: float):
     """Probability of at least ``k`` qualified relays within ``x`` of the
-    destination; the CDF matching ``f_k_pdf(form="exact")``.
+    destination, elementwise over ``x`` (a float for a scalar); the CDF
+    matching ``f_k_pdf(form="exact")``.
 
-    ``1 - exp(-M(x)) * sum_{i<k} M(x)^i / i!`` with ``M = lambda_prime``.
+    ``1 - exp(-M(x)) * sum_{i<k} M(x)^i / i!`` with ``M = lambda_prime``,
+    0 for ``x <= 0``.
     """
     _require_alpha_two(cell, "kth_nearest_cdf")
     check_count("k", k)
-    if x <= 0.0:
-        return 0.0
-    return poisson_tail(lambda_prime(x, cell, theta), k)
+    return poisson_tail(lambda_prime(np.maximum(x, 0.0), cell, theta), k)
 
 
 def _p_fail_ranks(profile: MassProfile, k: int, theta_second: float, form: str) -> list[float]:
@@ -586,16 +576,11 @@ def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float
     fail = -np.expm1(-theta2 * (1.0 + r * r))
     g = profile.cumulative(fail * profile.density)
     g_inf = profile.total(fail * profile.density)
-    # after the loop: term = G^(k-1)/(k-1)!, partial = sum_{j<k} G^j/j!
-    term = np.ones_like(g)
-    partial = np.ones_like(g)
-    for j in range(1, k):
-        term = term * g / j
-        partial = partial + term
+    ladder = _poisson_ladder(g, k)  # G^j / j! for j < k
     decay = np.exp(-profile.M) * profile.density
-    head = math.exp(-profile.total_mass) * sum(g_inf**j / math.factorial(j) for j in range(k))
-    outage = head + profile.total(fail * decay * term)
-    success = profile.total(np.exp(-theta2 * (1.0 + r * r)) * decay * partial)
+    head = math.exp(-profile.total_mass) * float(sum(_poisson_ladder(g_inf, k)))
+    outage = head + profile.total(fail * decay * ladder[-1])
+    success = profile.total(np.exp(-theta2 * (1.0 + r * r)) * decay * sum(ladder))
     return outage / (outage + success)
 
 

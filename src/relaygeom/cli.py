@@ -340,7 +340,10 @@ def run_mean_count(
     ``config.rate``. One Monte Carlo pass serves both observers, and each
     observer's analytic curve is one call (:func:`mean_count_from_bs` or
     :func:`lambda_prime`). A failed side is recorded by the rule of
-    :func:`_side`. Rows are ordered by observer ("bs" first), then radius.
+    :func:`_side`; when an analytic call is refused, a second call on the
+    radii up to ``cell.inner_radius``, whose circles stay inside the cell,
+    gives those rows their values, and only the other rows carry the error.
+    Rows are ordered by observer ("bs" first), then radius.
     """
     cell, trials = config.cell, config.trials
     theta = compute_thresholds(
@@ -354,11 +357,16 @@ def run_mean_count(
     for observer in OBSERVERS:
         count = mean_count_from_bs if observer == "bs" else lambda_prime
         values, errors = _side("analytic", lambda: count(radii, cell, theta).tolist())
-        error = "; ".join(errors + mc_errors)
+        if errors:  # a refusal at the cell edge leaves the radii inside it their values
+            inside = [r for r in radii if r <= cell.inner_radius]
+            kept, _ = _side("analytic", lambda: iter(count(inside, cell, theta).tolist()))
+            if kept is not None:
+                values = [next(kept) if r <= cell.inner_radius else None for r in radii]
         for i, r in enumerate(radii):
             an = None if values is None else values[i]
             point = None if curves is None else curves[observer][i]
             mean, stderr = (None, None) if point is None else (point.mean, point.stderr)
+            error = "; ".join((errors if an is None else []) + mc_errors)
             rows.append(MeanCountRow(observer, float(r), an, mean, stderr, trials, error))
     return rows
 

@@ -69,6 +69,12 @@ class CellGeometry:
             raise ValueError("path_loss_exponent must be finite and >= 2")
 
     @property
+    def inner_radius(self) -> float:
+        """``max(cell_radius - dest_distance, 0)``: every circle about the
+        destination up to this radius lies inside the cell."""
+        return max(self.cell_radius - self.dest_distance, 0.0)
+
+    @property
     def mean_relay_count(self) -> float:
         """Expected number of candidate relays in the cell."""
         return self.relay_intensity * math.pi * self.cell_radius**2

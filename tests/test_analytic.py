@@ -179,6 +179,19 @@ class TestLambdaPrimeDerivative:
             closed = analytic.lambda_prime_derivative(r, default_cell, theta)
             assert closed == pytest.approx(oracle, rel=1e-12, abs=1e-300)
 
+    def test_array_matches_scalar_calls(self, default_cell):
+        rs = np.array([[0.0, 0.3, 2.0], [5.0, 11.0, 25.0]])
+        for theta in (0.003, 0.2, 30.0):
+            batch = analytic.lambda_prime_derivative(rs, default_cell, theta)
+            assert isinstance(batch, np.ndarray) and batch.shape == rs.shape
+            scalars = [analytic.lambda_prime_derivative(float(r), default_cell, theta) for r in rs.ravel()]
+            assert [float(v).hex() for v in batch.ravel()] == [v.hex() for v in scalars]
+
+    def test_array_validation(self, default_cell):
+        for bad in ([1.0, -0.5], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="r_jd must be finite and >= 0"):
+                analytic.lambda_prime_derivative(bad, default_cell, 0.1)
+
 
 class TestMassProfile:
     @pytest.mark.parametrize("theta", [0.003, 0.0949, 0.3, 3.0])
@@ -303,6 +316,16 @@ class TestFkPdf:
         assert batch.shape == rs.shape
         for r, val in zip(rs, batch):
             assert analytic.f_k_pdf(float(r), 3, default_cell, 0.2, form) == val
+
+    def test_cdf_array_matches_scalar_calls(self, default_cell):
+        xs = np.array([-1.0, 0.0, 0.3, 2.0, 5.0, 11.0, 25.0])
+        for k in (1, 3):
+            batch = analytic.kth_nearest_cdf(xs, k, default_cell, 0.2)
+            assert isinstance(batch, np.ndarray) and batch.shape == xs.shape
+            scalars = [analytic.kth_nearest_cdf(float(x), k, default_cell, 0.2) for x in xs]
+            assert all(isinstance(v, float) for v in scalars)
+            assert [float(v).hex() for v in batch] == [v.hex() for v in scalars]
+            assert batch[0] == batch[1] == 0.0
 
     def test_rejects_distances_past_the_far_edge(self, default_cell):
         # the mass profile clips its argument to [0, R + r_d]; the callers may not

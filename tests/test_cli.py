@@ -20,7 +20,7 @@ from relaygeom.cli import (
     write_csv,
     write_svg,
 )
-from relaygeom.model import RadioParams
+from relaygeom.model import RadioParams, compute_thresholds
 
 
 SWEEP_HEADER = "snr_db,strategy,k,p_analytic,p_mc,stderr_mc,trials,error"
@@ -407,14 +407,33 @@ class TestMeanCountCommand:
 
     def test_rim_refuses_the_destination_curve(self, capsys):
         # at 30 dB the qualified mass outside the cell (157) would inflate
-        # every dest circle that crosses the rim; that curve is refused
+        # every dest circle that crosses the rim; those rows are refused, and
+        # the circles up to R - r_d = 15, inside the cell, keep their values
         code, rows = self._command_rows(["--snr-db", "30"], capsys)
         assert code == 2 and [row["observer"] for row in rows] == ["bs"] * 6 + ["dest"] * 6
-        for row in rows[:6]:
+        for row in rows[:10]:
             assert row["analytic"] and row["empirical"] and not row["error"]
-        for row in rows[6:]:
+        for row in rows[10:]:
             assert row["error"].startswith("analytic: lambda_prime is unclipped at the cell edge")
             assert not row["analytic"] and row["empirical"]
+        assert [float(row["radius"]) for row in rows[10:]] == [20.0, 25.0]
+        theta = compute_thresholds(RadioParams(snr_db=30.0, target_rate=1.0)).theta_first
+        inside = analytic.lambda_prime([0.0, 5.0, 10.0, 15.0], validation.DEFAULT_CELL, theta)
+        assert [row["analytic"] for row in rows[6:10]] == ["%.10e" % v for v in inside]
+
+    def test_rim_refusal_is_per_radius_in_any_order(self):
+        # the simulation refuses a descending grid; the analytic side goes per radius
+        config = parse_config(overrides={"trials": 2})
+        rows = run_mean_count(config, [20.0, 5.0, 0.0], snr_db=30.0)
+        refused = [(r.observer, r.radius, r.analytic is None, "analytic:" in r.error) for r in rows]
+        assert refused == [
+            ("bs", 20.0, False, False),
+            ("bs", 5.0, False, False),
+            ("bs", 0.0, False, False),
+            ("dest", 20.0, True, True),
+            ("dest", 5.0, False, False),
+            ("dest", 0.0, False, False),
+        ]
 
     def test_csv_records_snr_and_radius_step(self, tmp_path):
         out = tmp_path / "mean.csv"

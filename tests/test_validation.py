@@ -76,6 +76,21 @@ class TestMeanCountCurves:
         result = validation.check_mean_count_curves(empirical)
         assert result.detail.startswith("grid 0..25 step 1, trials=200; ")
 
+    def test_rejects_a_destination_point_past_the_inner_radius(self):
+        # r = 20 lies past R - r_d = 15, where the circle leaves the cell;
+        # the analytic curve is exact there at 15 dB and the point is judged
+        empirical = montecarlo.empirical_mean_count(
+            validation._MEAN_COUNT_RADII, validation.DEFAULT_CELL, validation.THETA_15DB, 200, 42
+        )
+        assert validation.check_mean_count_curves(empirical).passed
+        point = empirical["dest"][20]
+        assert point.radius == 20.0
+        off = point._replace(mean=point.mean + 10.0 * point.stderr)
+        empirical["dest"] = [*empirical["dest"][:20], off, *empirical["dest"][21:]]
+        result = validation.check_mean_count_curves(empirical)
+        assert not result.passed
+        assert "dest at r=20: " in result.detail
+
 
 class TestStatCsiRecords:
     def test_records_cover_grid_and_explain_verdict(self, monkeypatch):
