@@ -80,74 +80,61 @@ def _inner_core(
             (erf(a sqrt(theta)/2) - erf(a sqrt(theta)/2 - sqrt(theta) r_jd)) ]
 
     The erf difference is computed through erfcx with analytic exponent
-    recombination so that no digits are lost when both arguments are large,
-    and so that ``log_scale = -theta (1 + r_d^2)`` keeps every exponent
-    nonpositive (no overflow for any theta).
+    recombination so that no digits are lost when both arguments are large.
+    Every exponent is at most ``log_scale + theta r_d^2``, so the callers of
+    :func:`_disk_mass`, whose ``log_scale`` lies below ``-theta r_d^2``,
+    keep them nonpositive: nothing overflows at any theta.
     """
     a = 2.0 * r_d * np.cos(phi)
     s = math.sqrt(theta)
     alf = 0.5 * a * s
     u = alf - s * r_jd
-    with np.errstate(over="ignore"):
-        big_a = math.exp(log_scale) if log_scale <= 709.0 else math.inf
-        # exp(log_scale) - exp(log_scale + x) with x = -theta (r^2 - a r), as
-        # -+exp(log_scale + max(x, 0)) * expm1(-|x|): expm1 keeps the digits
-        # as theta -> 0, and folding max(x, 0) into the exponent avoids an
-        # underflowed exp(log_scale) times an overflowed expm1(x) at large theta
-        x = -theta * (r_jd * r_jd - a * r_jd)
-        term1 = (
-            np.where(x > 0.0, 1.0, -1.0)
-            * np.exp(log_scale + np.maximum(x, 0.0))
-            * np.expm1(-np.abs(x))
-            / (2.0 * theta)
-        )
-        e0 = log_scale + alf * alf  # = log_scale + theta a^2 / 4
-        eu = np.exp(e0 - u * u)
-        cx_u = erfcx(np.abs(u))
-        cx_a = erfcx(np.abs(alf))
-        # exp(e0) * (erfc(u) - erfc(alf)); note exp(e0 - alf^2) == big_a exactly.
-        core = np.where(
-            u >= 0.0,
-            eu * cx_u - big_a * cx_a,
-            np.where(
-                alf >= 0.0,
-                2.0 * np.exp(e0) - eu * cx_u - big_a * cx_a,
-                big_a * cx_a - eu * cx_u,
-            ),
-        )
-        term2 = np.sqrt(np.pi / theta) * 0.25 * a * core
+    big_a = math.exp(log_scale)
+    # exp(log_scale) - exp(log_scale + x) with x = -theta (r^2 - a r), as
+    # -+exp(log_scale + max(x, 0)) * expm1(-|x|): expm1 keeps the digits
+    # as theta -> 0, and folding max(x, 0) into the exponent avoids an
+    # underflowed exp(log_scale) times an overflowed expm1(x) at large theta
+    x = -theta * (r_jd * r_jd - a * r_jd)
+    term1 = (
+        np.where(x > 0.0, 1.0, -1.0)
+        * np.exp(log_scale + np.maximum(x, 0.0))
+        * np.expm1(-np.abs(x))
+        / (2.0 * theta)
+    )
+    e0 = log_scale + alf * alf  # = log_scale + theta a^2 / 4
+    eu = np.exp(e0 - u * u)
+    cx_u = erfcx(np.abs(u))
+    cx_a = erfcx(np.abs(alf))
+    # exp(e0) * (erfc(u) - erfc(alf)); exp(e0 - alf^2) is big_a up to rounding.
+    core = np.where(
+        u >= 0.0,
+        eu * cx_u - big_a * cx_a,
+        np.where(
+            alf >= 0.0,
+            2.0 * np.exp(e0) - eu * cx_u - big_a * cx_a,
+            big_a * cx_a - eu * cx_u,
+        ),
+    )
+    term2 = np.sqrt(np.pi / theta) * 0.25 * a * core
     return term1 + term2
 
 
-def inner_integral_I(r_jd: float, phi, r_d: float, theta: float):
-    """Closed form of ``integral_0^r_jd r exp(-theta (r^2 - a r)) dr``,
-    ``a = 2 r_d cos(phi)``, elementwise over ``phi`` (a float for a scalar).
+def _disk_mass(lam, rho, offset, theta, log_scale, spec: QuadratureSpec) -> float:
+    """``lam * 2 * integral_0^pi _inner_core(rho, phi, offset, theta, log_scale) dphi``.
 
-    This is the radial slice, at fixed bearing ``phi`` from the destination,
-    of the qualified-relay mean measure with the ``exp(-theta (1 + r_d^2))``
-    prefactor left out. Matches direct quadrature of the integrand to
-    relative error well below 1e-8 over the supported range. For very large
-    ``theta * r_d^2`` (exponent above ~709) the unscaled value exceeds the
-    double range and the result is ``inf``; :func:`lambda_q_quadrature` avoids
-    that regime by folding the prefactor into the exponents.
-
-    ``theta == 0`` is rejected; in that limit the integral is just
-    ``r_jd^2 / 2``.
+    The mass of the intensity ``lam exp(log_scale - theta (r^2 - 2 offset r
+    cos(phi)))`` over the disk of radius ``rho`` about the polar origin; it
+    is even in the bearing ``phi``, so [0, pi] is integrated (adaptively,
+    under ``spec``) and doubled. ``lam`` stays outside the integral, so the
+    quadrature's absolute tolerance does not scale with the density.
+    :func:`lambda_q_quadrature` (alpha = 2) and the gate's mass oracle
+    ``validation._angular_mass`` are its callers.
     """
-    _require_positive_theta(theta)
-    if not (math.isfinite(r_jd) and r_jd >= 0):
-        raise ValueError("r_jd must be finite and >= 0")
-    if not (math.isfinite(r_d) and r_d >= 0):
-        raise ValueError("r_d must be finite and >= 0")
-    phi = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi must be finite")
-    with np.errstate(invalid="ignore"):
-        value = _inner_core(r_jd, np.atleast_1d(phi), r_d, theta, 0.0)
-    # The integrand is positive, so with finite inputs a NaN can only be
-    # inf - inf between overflowed terms of the antiderivative.
-    value[np.isnan(value)] = math.inf
-    return float(value[0]) if phi.ndim == 0 else value
+
+    def slices(phis: np.ndarray) -> np.ndarray:
+        return _inner_core(rho, phis, offset, theta, log_scale)
+
+    return lam * 2.0 * integrate_1d(slices, 0.0, math.pi, spec)
 
 
 def lambda_prime(r_jd, cell: CellGeometry, theta: float):
@@ -172,7 +159,7 @@ def lambda_prime(r_jd, cell: CellGeometry, theta: float):
     mass ``pi lam exp(-theta) / theta``.
     """
     _require_alpha_two(cell, "lambda_prime")
-    upper = cell.cell_radius + cell.dest_distance
+    upper = cell.outer_radius
     r_jd = np.asarray(r_jd, dtype=float)
     # the profile clips its argument to [0, R + r_d]
     if not np.all((r_jd >= 0.0) & (r_jd <= upper * (1.0 + 1e-12))):
@@ -330,7 +317,7 @@ class MassProfile:
         cell, theta = self.cell, self.theta
         _require_alpha_two(cell, "MassProfile")
         _require_positive_theta(theta)
-        upper = cell.cell_radius + cell.dest_distance
+        upper = cell.outer_radius
         peaks = cell.dest_distance + _PEAK_OFFSETS / math.sqrt(theta)
         uniform = np.linspace(0.0, upper, _UNIFORM_PANELS + 1)
         first = _sorted_unique(np.concatenate([uniform, peaks[(peaks > 0) & (peaks < upper)]]))
@@ -612,9 +599,9 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
     quadrature on [0, pi], doubled, of the radial integral per angle. Unlike
     the closed form this supports any ``path_loss_exponent >= 2``. For
     exponent 2 the radial integral is closed: the exponent is
-    ``-theta (2 + r_d^2) - 2 theta (r^2 - r_d cos(phi) r)``, the closed inner
-    integral at ``(2 theta, r_d / 2)``. Other exponents integrate it
-    adaptively.
+    ``-theta (2 + r_d^2) - 2 theta (r^2 - r_d cos(phi) r)``, so this is
+    :func:`_disk_mass` at ``(2 theta, r_d / 2)`` with that scale. Other
+    exponents integrate it adaptively.
     """
     _require_positive_theta(theta)
     lam = cell.relay_intensity
@@ -623,11 +610,7 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
     alpha = cell.path_loss_exponent
     if alpha == 2.0:
         scale = -theta * (2.0 + r_d * r_d)
-
-        def closed(phis: np.ndarray) -> np.ndarray:
-            return lam * _inner_core(big_r, phis, 0.5 * r_d, 2.0 * theta, scale)
-
-        return 2.0 * integrate_1d(closed, 0.0, math.pi, DEFAULT_SPEC)
+        return _disk_mass(lam, big_r, 0.5 * r_d, 2.0 * theta, scale, DEFAULT_SPEC)
     half = 0.5 * alpha
 
     def radial(phi: float) -> float:

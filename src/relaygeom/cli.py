@@ -631,8 +631,7 @@ def _cmd_outage_sweep(args: argparse.Namespace) -> int:
 def _cmd_mean_count(args: argparse.Namespace) -> int:
     config = _config(args)
     step = args.radius_step
-    upper = config.cell.cell_radius + config.cell.dest_distance
-    radii = [i * step for i in range(int(math.floor(upper / step)) + 1)]
+    radii = [i * step for i in range(int(math.floor(config.cell.outer_radius / step)) + 1)]
     rows = run_mean_count(config, radii, snr_db=args.snr_db, workers=args.workers)
     return _emit(rows, config, {"snr_db": args.snr_db, "radius_step": step})
 

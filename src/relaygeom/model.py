@@ -75,6 +75,12 @@ class CellGeometry:
         return max(self.cell_radius - self.dest_distance, 0.0)
 
     @property
+    def outer_radius(self) -> float:
+        """``cell_radius + dest_distance``: no point of the cell lies farther
+        than this from the destination."""
+        return self.cell_radius + self.dest_distance
+
+    @property
     def mean_relay_count(self) -> float:
         """Expected number of candidate relays in the cell."""
         return self.relay_intensity * math.pi * self.cell_radius**2

@@ -522,7 +522,7 @@ class MeanCountRequest:
         grid = tuple(float(r) for r in radii)
         if not grid:
             raise ValueError("radii grid must be nonempty")
-        upper = cell.cell_radius + cell.dest_distance
+        upper = cell.outer_radius
         # written so that NaN fails both checks
         if not all(0.0 <= r <= upper * (1.0 + 1e-12) for r in grid):
             raise ValueError(f"radii must lie within [0, {upper}]")

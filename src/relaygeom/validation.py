@@ -68,9 +68,7 @@ THETA_15DB = compute_thresholds(
     RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
 ).theta_first
 #: Criterion 7's radii: 0 to the far edge ``R + r_d`` in steps of 1.
-_MEAN_COUNT_RADII = tuple(
-    float(i) for i in range(int(DEFAULT_CELL.cell_radius + DEFAULT_CELL.dest_distance) + 1)
-)
+_MEAN_COUNT_RADII = tuple(float(i) for i in range(int(DEFAULT_CELL.outer_radius) + 1))
 #: Appended by :func:`run_all` to the details of criteria 3, 6 and 7, whose
 #: trials its pass draws and criterion 4's ``seconds`` time.
 _SHARED_DRAW_NOTE = (
@@ -178,12 +176,18 @@ def binomial_consistent(count: int, n: int, p0: float) -> tuple[bool, float]:
 
 
 # ----------------------------------------------------------------------
-# criterion 1: the closed inner integral against direct quadrature
+# criterion 1: the scaled radial slice against direct quadrature
 # ----------------------------------------------------------------------
 
 def check_inner_integral() -> CheckResult:
-    """Closed radial integral vs adaptive quadrature of its integrand over a
-    theta/offset/bearing/range grid; relative error must stay below 1e-8."""
+    """The scaled closed radial slice ``analytic._inner_core`` vs
+    ``exp(log_scale)`` times adaptive quadrature of its unscaled integrand,
+    at both slices :func:`~relaygeom.analytic._disk_mass` integrates, over a
+    theta/offset/bearing/range grid: ``"mass"``, the slice ``(theta, r_d)``
+    at scale ``-theta (1 + r_d^2)`` (:func:`_angular_mass`), and
+    ``"lambda_q"``, the slice ``(2 theta, r_d / 2)`` at scale ``-theta (2 +
+    r_d^2)`` (:func:`~relaygeom.analytic.lambda_q_quadrature`). The relative
+    error must stay below 1e-8."""
     t0 = time.perf_counter()
     tol = 1e-8
     tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=512)
@@ -193,20 +197,24 @@ def check_inner_integral() -> CheckResult:
     ranges = (0.5, 2.0, 5.0, 10.0, 25.0)
     for theta in (0.01, 0.1, 1.0):
         for r_d in (0.0, 2.0, 5.0):
-            closed = {r_jd: analytic.inner_integral_I(r_jd, phis, r_d, theta) for r_jd in ranges}
-            for i, phi in enumerate(phis):
+            for family, th, off, scale in (
+                ("mass", theta, r_d, -theta * (1.0 + r_d * r_d)),
+                ("lambda_q", 2.0 * theta, 0.5 * r_d, -theta * (2.0 + r_d * r_d)),
+            ):
                 for r_jd in ranges:
-                    a = 2.0 * r_d * math.cos(phi)
-                    direct = integrate_1d(
-                        lambda r: r * np.exp(-theta * (r * r - a * r)), 0.0, r_jd, tight
-                    )
-                    rel = abs(float(closed[r_jd][i]) - direct) / max(abs(direct), 1e-300)
-                    if rel > worst:
-                        worst, worst_at = rel, (theta, r_d, round(float(phi), 3), r_jd)
+                    closed = analytic._inner_core(r_jd, phis, off, th, scale)
+                    for phi, value in zip(phis, closed):
+                        a = 2.0 * off * math.cos(phi)
+                        direct = math.exp(scale) * integrate_1d(
+                            lambda r: r * np.exp(-th * (r * r - a * r)), 0.0, r_jd, tight
+                        )
+                        rel = abs(float(value) - direct) / max(abs(direct), 1e-300)
+                        if rel > worst:
+                            worst, worst_at = rel, (family, theta, r_d, round(float(phi), 3), r_jd)
     return _finish(
         "inner_integral_closed_form",
         worst <= tol,
-        f"worst relative error {worst:.2e} at (theta, r_d, phi, r_jd) = {worst_at} (tol {tol:.0e})",
+        f"worst relative error {worst:.2e} at (slice, theta, r_d, phi, r_jd) = {worst_at} (tol {tol:.0e})",
         t0,
     )
 
@@ -396,7 +404,7 @@ def check_fk_distribution(draws: np.ndarray) -> CheckResult:
     crit = _KS_CRIT_1PCT / math.sqrt(samples)
     details = [f"critical value {crit:.5f} (1% level, n={samples})"]
     passed = True
-    upper = DEFAULT_CELL.cell_radius + DEFAULT_CELL.dest_distance
+    upper = DEFAULT_CELL.outer_radius
     for k in range(1, k_max + 1):
         finite = np.sort(draws[:, k - 1][np.isfinite(draws[:, k - 1])])
         # the exact-form CDF at the samples and at the far edge
@@ -430,7 +438,6 @@ def check_mean_count_curves(empirical: dict) -> CheckResult:
     t0 = time.perf_counter()
     cell = DEFAULT_CELL
     theta = THETA_15DB
-    upper = cell.cell_radius + cell.dest_distance
     emp_bs, emp_dest = empirical["bs"], empirical["dest"]
     grid = [point.radius for point in emp_bs]
     an_bs = analytic.mean_count_from_bs(grid, cell, theta)
@@ -458,7 +465,7 @@ def check_mean_count_curves(empirical: dict) -> CheckResult:
         passed = False
         issues.append(f"curves differ at far edge: analytic {conv_an:.4f}, empirical {conv_emp:.4f}")
     detail = (
-        f"grid 0..{upper:g} step 1, trials={emp_bs[0].trials}; "
+        f"grid 0..{cell.outer_radius:g} step 1, trials={emp_bs[0].trials}; "
         f"far-edge gap analytic {conv_an:.2e}, empirical {conv_emp:.2e}"
         + ("; " + "; ".join(issues) if issues else "")
     )
@@ -472,18 +479,15 @@ def check_mean_count_curves(empirical: dict) -> CheckResult:
 def _angular_mass(r_jd: float, cell: CellGeometry, theta: float) -> float:
     """Oracle for the destination-view mean measure ``M(r_jd)``, independent
     of :class:`~relaygeom.analytic.MassProfile`: the closed radial slice
-    :func:`~relaygeom.analytic.inner_integral_I` (its scaled core, so nothing
-    overflows) integrated adaptively over the bearing on [0, pi], doubled.
-    Its absolute tolerance of 1e-13 costs relative accuracy at low SNR.
+    about the destination integrated adaptively over the bearing
+    (:func:`~relaygeom.analytic._disk_mass`, at the scale ``-theta (1 +
+    r_d^2)`` that keeps every exponent nonpositive). Its absolute tolerance
+    of 1e-13 costs relative accuracy at low SNR.
     """
     r_d = cell.dest_distance
     scale = -theta * (1.0 + r_d * r_d)
-
-    def integrand(phis: np.ndarray) -> np.ndarray:
-        return analytic._inner_core(r_jd, phis, r_d, theta, scale)
-
-    val = integrate_1d(integrand, 0.0, math.pi, analytic._INNER_SPEC)
-    return max(2.0 * cell.relay_intensity * val, 0.0)
+    mass = analytic._disk_mass(cell.relay_intensity, r_jd, r_d, theta, scale, analytic._INNER_SPEC)
+    return max(mass, 0.0)
 
 
 def check_normalization() -> CheckResult:
@@ -497,7 +501,7 @@ def check_normalization() -> CheckResult:
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=512)
 
     worst = 0.0
-    for x in (1.0, 5.0, cell.cell_radius + cell.dest_distance):
+    for x in (1.0, 5.0, cell.outer_radius):
         integral = integrate_1d(lambda rs: analytic.f_k_pdf(rs, 1, cell, theta), 0.0, x, spec)
         target = 1.0 - math.exp(-_angular_mass(x, cell, theta))
         worst = max(worst, abs(integral - target))

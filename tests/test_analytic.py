@@ -15,62 +15,71 @@ def total_qualified_mass(lam: float, theta: float) -> float:
     return math.pi * lam / theta * math.exp(-theta)
 
 
+def slice_families(theta: float, r_d: float) -> dict:
+    """The ``(offset, theta, log_scale)`` slices ``analytic._disk_mass``
+    integrates: the mass oracle's about the destination and
+    ``lambda_q_quadrature``'s about the source."""
+    return {
+        "mass": (r_d, theta, -theta * (1.0 + r_d * r_d)),
+        "lambda_q": (0.5 * r_d, 2.0 * theta, -theta * (2.0 + r_d * r_d)),
+    }
+
+
 class TestInnerIntegral:
     def test_empty_range(self):
-        assert analytic.inner_integral_I(0.0, 1.0, 5.0, 0.3) == 0.0
+        phis = np.linspace(0.0, math.pi, 7)
+        for offset, theta, scale in slice_families(0.3, 5.0).values():
+            values = analytic._inner_core(0.0, phis, offset, theta, scale)
+            # exactly 0 up to the rounding of exp(scale + alf^2 - alf^2)
+            assert np.all(np.abs(values) <= 1e-15 * math.exp(scale))
+            mass = analytic._disk_mass(0.5, 0.0, offset, theta, scale, analytic._INNER_SPEC)
+            assert abs(mass) <= 1e-15
 
     def test_centered_observer_reduction(self):
-        # at r_d = 0 the closed form collapses to (1 - exp(-theta r^2)) / (2 theta)
-        val = analytic.inner_integral_I(2.0, 0.9, 0.0, 0.1)
-        assert val == pytest.approx(1.6483997698218034, abs=1e-9)
-        assert val == pytest.approx(1.64840, abs=1e-5)
+        # at r_d = 0 the slice collapses to exp(scale) (1 - exp(-theta r^2)) / (2 theta)
+        for offset, theta, scale in slice_families(0.1, 0.0).values():
+            val = float(analytic._inner_core(2.0, np.array([0.9]), offset, theta, scale)[0])
+            closed = math.exp(scale) * -math.expm1(-4.0 * theta) / (2.0 * theta)
+            assert val == pytest.approx(closed, rel=1e-14)
+        # the mass family integrated over the bearing: the source-view mean count
+        cell = CellGeometry(cell_radius=20.0, dest_distance=0.0, relay_intensity=0.5)
+        offset, theta, scale = slice_families(0.1, 0.0)["mass"]
+        mass = analytic._disk_mass(0.5, 2.0, offset, theta, scale, analytic._INNER_SPEC)
+        assert mass == pytest.approx(analytic.mean_count_from_bs(2.0, cell, 0.1), rel=1e-12)
 
     @pytest.mark.parametrize("theta", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("r_d", [0.0, 2.0, 5.0])
     def test_matches_quadrature(self, theta, r_d):
-        for phi in (0.0, 1.1, math.pi / 2, 2.7, math.pi):
-            for r_jd in (0.5, 3.0, 12.0):
-                a = 2.0 * r_d * math.cos(phi)
-                direct = integrate_1d(
-                    lambda r: r * np.exp(-theta * (r * r - a * r)), 0.0, r_jd, TIGHT
-                )
-                closed = analytic.inner_integral_I(r_jd, phi, r_d, theta)
-                assert closed == pytest.approx(direct, rel=1e-10, abs=1e-300)
+        for offset, th, scale in slice_families(theta, r_d).values():
+            for phi in (0.0, 1.1, math.pi / 2, 2.7, math.pi):
+                for r_jd in (0.5, 3.0, 12.0):
+                    a = 2.0 * offset * math.cos(phi)
+                    direct = math.exp(scale) * integrate_1d(
+                        lambda r: r * np.exp(-th * (r * r - a * r)), 0.0, r_jd, TIGHT
+                    )
+                    closed = float(analytic._inner_core(r_jd, np.array([phi]), offset, th, scale)[0])
+                    assert closed == pytest.approx(direct, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("theta", [300.0, 1e4])
-    def test_overflow_is_inf(self, theta):
-        # exponent theta (a r - r^2) = 2700 at theta = 300: past the double range
-        assert analytic.inner_integral_I(1.0, 0.0, 5.0, theta) == math.inf
-        # no overflow on the far side of the destination
-        far = analytic.inner_integral_I(1.0, math.pi, 5.0, theta)
-        assert math.isfinite(far) and far > 0.0
+    def test_production_scales_stay_finite(self, theta):
+        # unscaled, the slice toward the destination is exp(2700) at theta = 300;
+        # folded into the exponents, the scales of both callers keep them <= 0
+        phis = np.linspace(0.0, math.pi, 7)
+        with np.errstate(over="raise", invalid="raise"):
+            for offset, th, scale in slice_families(theta, 5.0).values():
+                for r_jd in (0.5, 1.0, 12.0):
+                    values = analytic._inner_core(r_jd, phis, offset, th, scale)
+                    assert np.all(np.isfinite(values) & (values >= 0.0))
 
     @pytest.mark.parametrize("theta", [0.01, 1.0, 300.0])
     def test_array_phi_equals_scalar_calls(self, theta):
-        # at theta = 300 the bearings toward the destination overflow to inf
-        # and the far ones stay finite, within one array
         phis = np.linspace(0.0, math.pi, 7)
-        for r_jd in (0.0, 0.5, 1.0, 12.0):
-            values = analytic.inner_integral_I(r_jd, phis, 5.0, theta)
-            alone = [analytic.inner_integral_I(r_jd, float(phi), 5.0, theta) for phi in phis]
-            assert values.shape == phis.shape
-            assert np.array_equal(values, alone)
-        values = analytic.inner_integral_I(1.0, phis, 5.0, theta)
-        assert np.isinf(values).any() == (theta == 300.0)
-        assert np.isfinite(values[-1]) and values[-1] > 0.0
-
-    def test_rejects_non_finite_phi(self):
-        for phi in (math.nan, math.inf, [0.0, math.nan]):
-            with pytest.raises(ValueError, match="phi"):
-                analytic.inner_integral_I(1.0, phi, 5.0, 0.1)
-
-    def test_rejects_zero_theta(self):
-        with pytest.raises(ValueError):
-            analytic.inner_integral_I(1.0, 0.0, 5.0, 0.0)
-
-    def test_rejects_negative_range(self):
-        with pytest.raises(ValueError):
-            analytic.inner_integral_I(-1.0, 0.0, 5.0, 0.1)
+        for offset, th, scale in slice_families(theta, 5.0).values():
+            for r_jd in (0.0, 0.5, 1.0, 12.0):
+                values = analytic._inner_core(r_jd, phis, offset, th, scale)
+                alone = [analytic._inner_core(r_jd, phis[i : i + 1], offset, th, scale)[0] for i in range(phis.size)]
+                assert values.shape == phis.shape
+                assert np.array_equal(values, alone)
 
 
 class TestLambdaPrime:

@@ -98,6 +98,23 @@ def test_cell_geometry_invariants(kwargs):
         CellGeometry(**kwargs)
 
 
+@pytest.mark.parametrize(("big_r", "r_d"), [(20.0, 5.0), (10.0, 15.0), (5.0, 0.0)])
+def test_cell_radii_about_the_destination(big_r, r_d):
+    # circles about the destination up to inner_radius lie inside the cell;
+    # outer_radius reaches the farthest point of the rim
+    cell = CellGeometry(cell_radius=big_r, dest_distance=r_d, relay_intensity=0.5)
+    assert cell.inner_radius == max(big_r - r_d, 0.0)
+    assert cell.outer_radius == big_r + r_d
+    rim = [i * math.pi / 180.0 for i in range(360)]
+    dists = [math.hypot(big_r * math.cos(t) - r_d, big_r * math.sin(t)) for t in rim]
+    assert max(dists) == pytest.approx(cell.outer_radius, rel=1e-12)
+    if r_d <= big_r:
+        assert min(dists) == pytest.approx(cell.inner_radius, rel=1e-12)
+    for name in ("inner_radius", "outer_radius"):
+        with pytest.raises(AttributeError):
+            setattr(cell, name, 1.0)
+
+
 def test_cell_mean_relay_count():
     cell = CellGeometry(cell_radius=10.0, dest_distance=0.0, relay_intensity=0.5)
     assert cell.mean_relay_count == pytest.approx(0.5 * math.pi * 100.0)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relaygeom import montecarlo, validation
+from relaygeom import analytic, montecarlo, validation
+from relaygeom.model import CellGeometry
 from relaygeom.validation import _ks_statistic, binomial_consistent
 
 
@@ -66,6 +67,53 @@ class TestKsStatistic:
         n = 100
         d = _ks_statistic(samples, samples, 1.0, n)
         assert d == pytest.approx(0.5, abs=0.02)
+
+
+class TestInnerIntegralCheck:
+    """Criterion 1 checks ``analytic._inner_core`` at the scales that
+    ``lambda_q_quadrature`` and the mass oracle ``_angular_mass`` run."""
+
+    @staticmethod
+    def _slices(monkeypatch, run) -> set:
+        seen = set()
+        core = analytic._inner_core
+
+        def recording(r_jd, phi, r_d, theta, log_scale):
+            seen.add((r_d, theta, log_scale))
+            return core(r_jd, phi, r_d, theta, log_scale)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analytic, "_inner_core", recording)
+            run()
+        return seen
+
+    def test_covers_the_slices_its_callers_run(self, monkeypatch):
+        checked = self._slices(monkeypatch, validation.check_inner_integral)
+
+        def callers():
+            for r_d in (0.0, 2.0, 5.0):
+                cell = CellGeometry(cell_radius=20.0, dest_distance=r_d, relay_intensity=0.5)
+                for theta in (0.01, 0.1, 1.0):
+                    analytic.lambda_q_quadrature(cell, theta)
+                    validation._angular_mass(10.0, cell, theta)
+
+        production = self._slices(monkeypatch, callers)
+        assert len(production) == 18
+        assert production <= checked
+
+    def test_fails_when_a_scaled_slice_is_off(self, monkeypatch):
+        # wrong by 1e-6 relative only away from log_scale = 0, the one scale
+        # the unscaled public wrapper used to reach
+        core = analytic._inner_core
+
+        def skewed(r_jd, phi, r_d, theta, log_scale):
+            value = core(r_jd, phi, r_d, theta, log_scale)
+            return value * (1.0 + 1e-6) if log_scale != 0.0 else value
+
+        monkeypatch.setattr(analytic, "_inner_core", skewed)
+        result = validation.check_inner_integral()
+        assert not result.passed
+        assert "worst relative error 1.00e-06" in result.detail
 
 
 class TestMeanCountCurves:
