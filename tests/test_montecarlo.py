@@ -545,6 +545,47 @@ class TestQualifiedView:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), theta
 
 
+#: Cells for the block pins: one where most trials draw no relay
+#: (lambda pi R^2 = 0.31), a destination outside the cell at alpha = 2.5, and
+#: the default cell at alpha = 3.
+_BLOCK_CELLS = {
+    "sparse": CellGeometry(cell_radius=1.0, dest_distance=0.5, relay_intensity=0.31 / math.pi),
+    "rim": CellGeometry(cell_radius=10.0, dest_distance=15.0, relay_intensity=0.5, path_loss_exponent=2.5),
+    "alpha3": CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5, path_loss_exponent=3.0),
+}
+#: A flat plan, a nested one and one under which no relay qualifies.
+_BLOCK_PLANS = (
+    mc._Plan.of([0.0949]),
+    mc._Plan.of([0.01, 0.3, 3.0]),
+    mc._Plan.of([50.0]),
+)
+
+
+class TestBlocksGolden:
+    """Every column of ``_blocks``, values and dtypes, for trials 3 .. 138 at
+    seed 5, under three plans and three block sizes, pinned bit for bit. A
+    change of how a block is drawn keeps them."""
+
+    SHA = {
+        "sparse": "7515116c48157760abebb3ad510d10fd111ff4b1e56700cb125180b5a2a683fd",
+        "rim": "3713993023d4c01338ee6a12820a06349ba25ace5671d3acd9ad8cd1feb8f7fe",
+        "alpha3": "b3e7373043064229603c7aa41e1ec1a9955c6fec0205cf9363379f781d1b80d7",
+    }
+
+    @pytest.mark.parametrize("name", sorted(_BLOCK_CELLS))
+    def test_columns(self, name, monkeypatch):
+        digest = hashlib.sha256()
+        for plan in _BLOCK_PLANS:
+            for size in (1, 7, 64):
+                monkeypatch.setattr(mc, "_BLOCK_TRIALS", size)
+                for block in mc._blocks(_BLOCK_CELLS[name], plan, 5, 3, 139):
+                    assert len(block) == (7 if plan.nested else 5)
+                    for col in block:
+                        digest.update(col.dtype.str.encode())
+                        digest.update(col.tobytes())
+        assert digest.hexdigest() == self.SHA[name]
+
+
 class TestRunRequestsGolden:
     """``run_all``'s one pass at reduced sizes, pinned bit for bit: the
     outage counts of criteria 3 and 4, criterion 6's k-th distance rows and
