@@ -5,34 +5,42 @@ Reproducibility contract
 Trial ``t`` of a run seeded with ``s`` draws from its own counter-based
 stream, ``Generator(Philox(key=s, counter=[0, 0, 0, t]))``; streams of
 distinct trials never overlap and do not depend on scheduling, so every
-sampler's output is bit-identical for any worker count. A sampler builds one
-generator per range of trials and moves it onto each trial's stream by
-resetting its Philox state (:func:`_enter_trial`), which :func:`trial_rng`
-uses too: the reset generator draws exactly what a fresh ``trial_rng(s, t)``
-draws.
+sampler's output is bit-identical for any worker count. A sampler keeps a
+pool of generators, one per trial of a block, and moves each onto its
+trial's stream by resetting its Philox state (:func:`_enter_trial`), which
+:func:`trial_rng` uses too: the reset generator draws exactly what a fresh
+``trial_rng(s, t)`` draws.
 
-Every trial is drawn in :func:`_draw`, in one fixed order: the field as
-drawn by :func:`relaygeom.geometry.sample_field`, which owns that part of
-the order (relay count, all radii, all angles), then a first-hop fading gain
-for every relay, then a second-hop gain for every relay qualified under the
-pass's loosest first-hop threshold, in input order. That union holds every
-threshold's qualified relays, and ``standard_exponential(n)`` returns the
-first ``n`` values of ``standard_exponential(N)`` on the same stream, so a
-row with ``J`` qualified relays reads exactly the gains it would draw alone:
-both strategies and every row of :func:`estimate_outage_grid` share
-realizations and channels draw for draw. The distance samplers
+Every trial draws on its own stream in one fixed order: the field as drawn
+by :func:`relaygeom.geometry.sample_fields`, which owns that part of the
+order (relay count, all radius variates, all angle variates), then a
+first-hop fading gain for every relay, then a second-hop gain for every
+relay qualified under the pass's loosest first-hop threshold, in input
+order. That union holds every threshold's qualified relays, and
+``standard_exponential(n)`` returns the first ``n`` values of
+``standard_exponential(N)`` on the same stream, so a row with ``J``
+qualified relays reads exactly the gains it would draw alone: both
+strategies and every row of :func:`estimate_outage_grid` share realizations
+and channels draw for draw. The distance samplers
 (:func:`empirical_mean_count`, :func:`kth_nearest_qualified_distances`)
 read only positions, which come before every gain of a trial, so trial
 ``t`` shows them the qualified relays the outage grid sees at their
 threshold.
 
 One block loop serves every sampler (:func:`run_requests`). Trials are
-drawn one by one and handed on in blocks of up to :data:`_BLOCK_TRIALS`
-(:func:`_blocks`). A block lists the per-trial relay counts, then the
-qualified relays of its trials concatenated, grouped by trial in input
-order: trial indices, source distances, squared destination distances (one
-distance computation per block), second-hop gains, and the first-hop gains
-and losses when some threshold is tighter than the loosest (:func:`_block`).
+drawn and handed on in blocks of up to :data:`_BLOCK_TRIALS`
+(:func:`_blocks`), each trial on a generator of its own, so a block is
+drawn in two phases (:func:`_draw_block`). Per trial run only the stream
+calls, each writing into the block's buffers: the count, the radius and
+angle variates, the first-hop gains and, once the block knows which relays
+qualify, the second-hop gains. Per block runs everything else: radii and
+angles from the variates (angles of qualified relays only), path losses,
+the first-hop test, trial indices, compaction and one destination-distance
+computation. A block lists the per-trial relay counts, then the qualified
+relays of its trials concatenated, grouped by trial in input order: trial
+indices, source distances, squared destination distances, second-hop
+gains, and the first-hop gains and losses when some threshold is tighter
+than the loosest.
 A request brings its own first-hop threshold and its own trial count: it
 reads the pass's first trials up to its count, and of each block the relays
 qualified at its threshold. One function, :func:`_qualified`, thins a block
@@ -58,7 +66,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import sample_field, sq_dists_to_dest
+from .geometry import sample_fields, sq_dists_to_dest
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from .model import check_count, check_threshold
 
@@ -74,11 +82,14 @@ OBSERVERS = ("bs", "dest")
 #: Trials decided together. No count depends on it. Below ~64 trials the
 #: decision's cost is per-call numpy overhead: on criterion 4's 25-row plan
 #: :func:`_decide` takes ~45-75 us per trial at 16, ~35-55 at 32 and ~35-50
-#: at 64 to 256 (2 vCPU). Memory grows with it: a block holds the qualified
-#: relays of this many trials (up to ~630 each on the default cell), and one
-#: decision's traced peak is ~1.9 MB at 64, ~7.7 MB at 256. Going from 16
-#: to 64 raised perfbench's peak RSS by ~4% on ``gate`` and ~5% on
-#: ``mc_outage`` (``BENCH_block64.json``).
+#: at 64 to 256 (2 vCPU). Memory grows with it. While a block is drawn it
+#: holds whole fields, ~64 * lambda*pi*R^2 relays by 4 doubles (radius,
+#: angle, first-hop gain and loss), about 1.3 MB on the default cell; once
+#: drawn it holds the qualified relays of this many trials (up to ~630 each
+#: on the default cell), and one decision's traced peak is ~1.9 MB at 64,
+#: ~7.7 MB at 256.
+#: Going from 16 to 64 raised perfbench's peak RSS by ~4% on ``gate`` and
+#: ~5% on ``mc_outage`` (``BENCH_block64.json``).
 _BLOCK_TRIALS = 64
 
 
@@ -180,11 +191,28 @@ class _Plan(NamedTuple):
         return cls(theta_min, any(theta != theta_min for theta in thetas))
 
 
-def _draw(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> tuple:
-    """One trial's draws, reduced to the relays qualified under the loosest
-    threshold: their ``(radii, angles, second-hop gains)`` in input order,
-    plus their first-hop gains and losses when some request reads a tighter
-    one.
+def _fill(draw, gens: Sequence[np.random.Generator], ends: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` trial by trial: trial ``i``'s slice, which ends at
+    ``ends[i]``, by ``draw(gens[i], out=...)`` on that trial's generator."""
+    begin = 0
+    for rng, end in zip(gens, ends.tolist()):
+        draw(rng, out=out[begin:end])
+        begin = end
+
+
+def _draw_block(cell: CellGeometry, plan: _Plan, gens: Sequence[np.random.Generator]) -> tuple:
+    """The trials drawn on ``gens``, one generator per trial, as one block
+    ``(sizes, trial, radii, d2, g2, *first)``: the per-trial counts of
+    relays qualified under the plan's loosest threshold, then per such relay
+    its trial's index in the block, its source distance, squared
+    destination distance and second-hop gain, plus its first-hop gain and
+    loss when some request reads a tighter threshold; grouped by trial, in
+    input order.
+
+    Each generator draws its trial's field (:func:`sample_fields`), then a
+    first-hop gain per relay, then a second-hop gain per qualified relay.
+    Only these draws run per trial; the rest runs once for the block, and
+    nothing that spans every drawn relay outlives the call.
 
     A relay at source distance ``r`` decodes the source broadcast at
     threshold ``theta`` iff its Exp(1) gain ``g`` satisfies
@@ -192,35 +220,38 @@ def _draw(cell: CellGeometry, plan: _Plan, rng: np.random.Generator) -> tuple:
     is the union of every other's, because ``fl(theta * x)`` does not
     decrease in ``theta``.
     """
-    radii, angles = sample_field(cell, rng)
-    gains = rng.standard_exponential(radii.size)
+    draw_exp = np.random.Generator.standard_exponential
+    # One allocation holds the block's fields, gains and losses. As four
+    # arrays, they went back to the system at each block's end and were
+    # faulted in again at the next: ~370 minor page faults per 64-trial
+    # block on the default cell when few relays qualify, which cost the
+    # block draw its gain on ``mc_outage``.
+    ends, (radii, turns, gains, loss) = sample_fields(cell, gens, marks=2)
+    _fill(draw_exp, gens, ends, gains)
     alpha = cell.path_loss_exponent
-    loss = 1.0 + (radii * radii if alpha == 2.0 else radii**alpha)
-    keep = gains >= plan.theta_min * loss
+    if alpha == 2.0:
+        np.multiply(radii, radii, out=loss)
+    else:
+        np.power(radii, alpha, out=loss)
+    loss += 1.0
+    keep = (gains >= plan.theta_min * loss).nonzero()[0]
+    kept_ends = keep.searchsorted(ends)
+    g2 = np.empty(keep.size)
+    _fill(draw_exp, gens, kept_ends, g2)
     radii = radii[keep]
-    drawn = (radii, angles[keep], rng.standard_exponential(radii.size))
-    return drawn + (gains[keep], loss[keep]) if plan.nested else drawn
-
-
-def _block(cell: CellGeometry, draws: Sequence[tuple]) -> tuple:
-    """The :func:`_draw` results of consecutive trials as one block:
-    ``(sizes, trial, radii, d2, g2, *first)``, the per-trial relay counts,
-    then per relay its trial's index in the block, its source distance,
-    squared destination distance and second-hop gain (and first-hop gain
-    and loss), concatenated in trial order."""
-    sizes = np.fromiter((d[0].size for d in draws), np.intp, len(draws))
-    radii, angles, *rest = (np.concatenate(col) for col in zip(*draws))
-    trial = np.repeat(np.arange(sizes.size), sizes)
-    return (sizes, trial, radii, sq_dists_to_dest(radii, angles, cell.dest_distance), *rest)
+    d2 = sq_dists_to_dest(radii, 2.0 * math.pi * turns[keep], cell.dest_distance)
+    block = (np.diff(kept_ends, prepend=0), ends.searchsorted(keep, side="right"), radii, d2, g2)
+    return block + (gains[keep], loss[keep]) if plan.nested else block
 
 
 def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
     """Yield trials ``start .. stop - 1`` drawn under ``plan`` as blocks of up
-    to :data:`_BLOCK_TRIALS` trials (see :func:`_block`)."""
-    rng = _philox()
+    to :data:`_BLOCK_TRIALS` trials (see :func:`_draw_block`), each trial on
+    a generator of the pool moved onto its stream."""
+    pool = [_philox() for _ in range(min(_BLOCK_TRIALS, stop - start))]
     for lo in range(start, stop, _BLOCK_TRIALS):
         trials = range(lo, min(lo + _BLOCK_TRIALS, stop))
-        yield _block(cell, [_draw(cell, plan, _enter_trial(rng, seed, t)) for t in trials])
+        yield _draw_block(cell, plan, [_enter_trial(g, seed, t) for g, t in zip(pool, trials)])
 
 
 def _head(block: tuple, n: int) -> tuple:
@@ -237,7 +268,7 @@ def _qualified(plan: _Plan, theta_first: float, block: tuple) -> tuple:
     the first-hop columns, ``(sizes, trial, radii, d2, g2)``, in the order
     and with the values that a draw at ``theta_first`` alone gives: all of
     them at the plan's loosest threshold, else those whose first-hop gain
-    passes the test of :func:`_draw`. A trial's j-th qualified relay takes
+    passes the test of :func:`_draw_block`. A trial's j-th qualified relay takes
     that trial's j-th second-hop gain, which is the gain it would draw on
     its own."""
     sizes, trial, radii, d2, g2, *first = block
@@ -324,7 +355,7 @@ def _trial_outages(
 ) -> list[bool]:
     """One trial decided for every row: whether each is an outage."""
     plan = _Plan.of(row.theta_first for row in rows)
-    return _decide(cell, plan, rows, _block(cell, [_draw(cell, plan, rng)]))[:, 0].tolist()
+    return _decide(cell, plan, rows, _draw_block(cell, plan, [rng]))[:, 0].tolist()
 
 
 def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator) -> bool:
@@ -371,7 +402,7 @@ def run_requests(requests: Sequence, seed: int, *, workers: int | None = None) -
     per request, in request order.
 
     Each trial is drawn once, under the loosest first-hop threshold that any
-    request reads (:func:`_draw`), and read by every request whose
+    request reads (:func:`_draw_block`), and read by every request whose
     ``trials`` reach it, at that request's own thresholds. So each result
     equals what the request's function returns on its own, count for count.
 
@@ -471,7 +502,7 @@ def estimate_outage_grid(
 
     Each row's estimate equals :func:`estimate_outage` for that row alone,
     count for count: trial ``t`` draws the same field and gains for every
-    row (see :func:`_draw`), so it is drawn once and decided for all rows.
+    row (see :func:`_draw_block`), so it is drawn once and decided for all rows.
     Worker processes as in :func:`run_requests`.
     """
     request = OutageGridRequest(cell, rows, trials, first_hop=first_hop)

@@ -24,12 +24,17 @@ def rng() -> np.random.Generator:
 def ring_field(monkeypatch):
     """``ring_field(radius, n)`` makes the simulator draw, in place of a
     Poisson field, ``n`` relays evenly spaced on one circle about the cell
-    center. Only the field is replaced: gains still come from the trial's
-    stream."""
+    center, for every trial of a block. Only the field is replaced: it draws
+    nothing, and gains still come from each trial's stream."""
 
     def install(radius: float, n: int) -> None:
-        angles = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        field = lambda cell, rng: (np.full(n, radius), angles.copy())  # noqa: E731
-        monkeypatch.setattr(montecarlo, "sample_field", field)
+        turns = np.linspace(0.0, 1.0, n, endpoint=False)
+
+        def fields(cell, rngs, marks=0):
+            rows = np.empty((2 + marks, n * len(rngs)))
+            rows[0], rows[1] = radius, np.tile(turns, len(rngs))
+            return n * np.arange(1, len(rngs) + 1), rows
+
+        monkeypatch.setattr(montecarlo, "sample_fields", fields)
 
     return install

@@ -52,8 +52,9 @@ class TestTrialRng:
 
 
 def _qualified(cell: CellGeometry, theta: float, rng) -> tuple:
-    """The radii and angles of one trial's relays qualified at ``theta``."""
-    return mc._draw(cell, mc._Plan.of([theta]), rng)[:2]
+    """The source distances and squared destination distances of one trial's
+    relays qualified at ``theta``."""
+    return mc._draw_block(cell, mc._Plan.of([theta]), [rng])[2:4]
 
 
 def _kept_fraction(ring_field, radius: float, theta: float, n: int, rng) -> float:
@@ -88,8 +89,9 @@ class TestQualifyRelays:
     def test_zero_threshold_keeps_all(self, default_cell):
         for t in range(20):
             radii, angles = sample_field(default_cell, mc.trial_rng(0, t))
-            kept_r, kept_a = _qualified(default_cell, 0.0, mc.trial_rng(0, t))
-            assert np.array_equal(kept_r, radii) and np.array_equal(kept_a, angles)
+            kept_r, kept_d2 = _qualified(default_cell, 0.0, mc.trial_rng(0, t))
+            d2 = sq_dists_to_dest(radii, angles, default_cell.dest_distance)
+            assert np.array_equal(kept_r, radii) and np.array_equal(kept_d2, d2)
 
     @pytest.mark.parametrize("radius, theta", [(0.5, 0.5), (1.5, 0.3), (3.0, 0.1)])
     def test_keep_probability_at_fixed_radius(self, radius, theta, ring_field, rng):
@@ -586,6 +588,56 @@ class TestBlocksGolden:
         assert digest.hexdigest() == self.SHA[name]
 
 
+def _replay_trial(cell: CellGeometry, plan, seed: int, t: int) -> tuple[int, list]:
+    """Trial ``t`` drawn by hand on a fresh ``trial_rng(seed, t)`` in the
+    documented order: the relay count ``n``, ``random(n)`` radius variates,
+    ``random(n)`` angle variates, ``standard_exponential(n)`` first-hop
+    gains, then ``standard_exponential(J)`` for the ``J`` relays qualified
+    under the plan's loosest threshold. Returns ``n`` and the trial's block
+    columns after the trial index."""
+    rng = mc.trial_rng(seed, t)
+    n = rng.poisson(cell.mean_relay_count)
+    radii = cell.cell_radius * np.sqrt(rng.random(n))
+    angles = 2.0 * math.pi * rng.random(n)
+    gains = rng.standard_exponential(n)
+    alpha = cell.path_loss_exponent
+    loss = 1.0 + (radii * radii if alpha == 2.0 else radii**alpha)
+    keep = gains >= plan.theta_min * loss
+    g2 = rng.standard_exponential(int(keep.sum()))
+    d2 = sq_dists_to_dest(radii[keep], angles[keep], cell.dest_distance)
+    first = [gains[keep], loss[keep]] if plan.nested else []
+    return n, [radii[keep], d2, g2, *first]
+
+
+class TestBlockReplay:
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize("name", sorted(_BLOCK_CELLS))
+    def test_each_trial_is_its_own_stream(self, name, size, monkeypatch):
+        # trials 3 .. 138: the first and last blocks start and end mid-way
+        # through the block size's multiples
+        cell, seed = _BLOCK_CELLS[name], 5
+        monkeypatch.setattr(mc, "_BLOCK_TRIALS", size)
+        shapes = set()
+        for plan in _BLOCK_PLANS:
+            t = 3
+            for sizes, trial, *cols in mc._blocks(cell, plan, seed, 3, 139):
+                assert trial.tolist() == np.repeat(np.arange(sizes.size), sizes).tolist()
+                assert len(cols) == (5 if plan.nested else 3)
+                ends = np.cumsum(sizes).tolist()
+                for i, end in enumerate(ends):
+                    n, want = _replay_trial(cell, plan, seed, t)
+                    begin = end - sizes[i]
+                    for got, col in zip(want, cols, strict=True):
+                        assert col[begin:end].tobytes() == got.tobytes(), (plan, t)
+                    shapes.add((n > 0, sizes[i] > 0, plan.nested))
+                    t += 1
+            assert t == 139
+        # trials with no relay (sparse cell), with relays of which none
+        # qualifies, and with qualified relays under the nested plan
+        want = {"sparse": {(False, False, False)}, "rim": set(), "alpha3": set()}[name]
+        assert want | {(True, False, False), (True, True, True)} <= shapes
+
+
 class TestRunRequestsGolden:
     """``run_all``'s one pass at reduced sizes, pinned bit for bit: the
     outage counts of criteria 3 and 4, criterion 6's k-th distance rows and
@@ -783,8 +835,8 @@ class TestKthNearestDistances:
         k_max, seed = 4, 42
         out = mc.kth_nearest_qualified_distances(default_cell, plan.theta_min, k_max, 40, seed)
         for t in (0, 1, 15, 16, 17, 39):
-            radii, angles, *_ = mc._draw(default_cell, plan, mc.trial_rng(seed, t))
-            d = np.sort(np.sqrt(sq_dists_to_dest(radii, angles, default_cell.dest_distance)))
+            d2 = mc._draw_block(default_cell, plan, [mc.trial_rng(seed, t)])[3]
+            d = np.sort(np.sqrt(d2))
             assert d.size >= k_max
             assert out[t].tolist() == d[:k_max].tolist()
 
