@@ -41,7 +41,7 @@ def sample_fields(
     """
     mean = cell.mean_relay_count
     ends = np.cumsum(np.fromiter((rng.poisson(mean) for rng in rngs), np.intp, len(rngs)))
-    rows = np.empty((2 + marks, ends[-1] if ends.size else 0))
+    rows = np.empty((2 + marks, ends[-1]))
     radii, turns = rows[:2]
     begin = 0
     for rng, end in zip(rngs, ends.tolist()):

@@ -87,9 +87,9 @@ OBSERVERS = ("bs", "dest")
 #: angle, first-hop gain and loss), about 1.3 MB on the default cell; once
 #: drawn it holds the qualified relays of this many trials (up to ~630 each
 #: on the default cell), and one decision's traced peak is ~1.9 MB at 64,
-#: ~7.7 MB at 256.
-#: Going from 16 to 64 raised perfbench's peak RSS by ~4% on ``gate`` and
-#: ~5% on ``mc_outage`` (``BENCH_block64.json``).
+#: ~7.7 MB at 256. Going from 16 to 64 raised perfbench's peak RSS by ~4% on
+#: ``gate`` and ~5% on ``mc_outage`` (``BENCH_block64.json``); drawing whole
+#: blocks raised it by another ~3.5% on both (``BENCH_blockdraw.json``).
 _BLOCK_TRIALS = 64
 
 
@@ -221,11 +221,11 @@ def _draw_block(cell: CellGeometry, plan: _Plan, gens: Sequence[np.random.Genera
     decrease in ``theta``.
     """
     draw_exp = np.random.Generator.standard_exponential
-    # One allocation holds the block's fields, gains and losses. As four
-    # arrays, they went back to the system at each block's end and were
-    # faulted in again at the next: ~370 minor page faults per 64-trial
-    # block on the default cell when few relays qualify, which cost the
-    # block draw its gain on ``mc_outage``.
+    # One allocation holds the block's fields, gains and losses: as four
+    # arrays, the allocator hands them back to the system at each block's
+    # end and faults them in again at the next, ~370 minor page faults per
+    # 64-trial block on the default cell when few relays qualify, which
+    # cancels the gain of drawing by block on ``mc_outage``.
     ends, (radii, turns, gains, loss) = sample_fields(cell, gens, marks=2)
     _fill(draw_exp, gens, ends, gains)
     alpha = cell.path_loss_exponent
