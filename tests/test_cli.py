@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -700,6 +701,73 @@ class TestMainEntry:
         monkeypatch.setattr(montecarlo, "kth_nearest_qualified_distances", slow_sample)
         assert cli.main(["fk-check", "--samples", "300"]) == 0
         assert float(re.search(r"\(([\d.]+)s\)", capsys.readouterr().out).group(1)) >= 0.3
+
+
+_WORKERS_HELP = "worker processes (default: $RELAYGEOM_THREADS or 1); results do not depend on it"
+_CELL_FLAGS = [
+    ("--config", "JSON configuration file"),
+    ("--cell-radius", "default: 20.0"),
+    ("--dest-distance", "default: 5.0"),
+    ("--relay-intensity", "default: 0.5"),
+    ("--path-loss-exponent", "default: 2.0"),
+    ("--rate", "default: 1.0"),
+]
+
+
+def test_command_surface():
+    # every subcommand's help line, then each option and its help line, in order
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    surface = {
+        name: [helps[name]]
+        + [
+            (" ".join(a.option_strings), a.help)
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in sub.choices.items()
+    }
+    assert list(surface) == ["outage-sweep", "mean-count", "validate", "fk-check"]
+    assert surface["outage-sweep"] == [
+        "analytic + Monte Carlo outage over an SNR grid",
+        *_CELL_FLAGS,
+        ("--snr-grid-db", "default: 0.0,2.5,5.0,7.5,10.0,12.5,15.0,17.5,20.0,22.5,25.0,27.5,30.0"),
+        ("--strategies", "default: exact,stat"),
+        ("--k-values", "default: 1,2,3"),
+        ("--trials", "default: 100000"),
+        ("--seed", "default: 42"),
+        ("--fk-form", "default: exact"),
+        ("--first-hop-threshold", "default: frame_rate"),
+        ("--csv", "default: None"),
+        ("--svg", "default: None"),
+        ("--workers", _WORKERS_HELP),
+    ]
+    assert surface["mean-count"] == [
+        "qualified-relay mean-count curves, both observers",
+        *_CELL_FLAGS,
+        ("--trials", "default: 4000"),
+        ("--seed", "default: 42"),
+        ("--csv", "default: None"),
+        ("--snr-db", "operating SNR (default: 15.0)"),
+        ("--radius-step", "radius grid step (default: 1.0)"),
+        ("--workers", _WORKERS_HELP),
+    ]
+    assert surface["validate"] == [
+        "run the full consistency gate",
+        ("--trials", "Monte Carlo trials of criteria 3 and 4 (default: 100000)"),
+        ("--samples", "sampled distances of criterion 6 (default: 10000)"),
+        ("--mean-count-trials", "realizations of criterion 7 (default: 4000)"),
+        ("--seed", "seed of every Monte Carlo check (default: 42)"),
+        ("--workers", _WORKERS_HELP),
+    ]
+    assert surface["fk-check"] == [
+        "k-th nearest distance law vs sampled distances",
+        ("--samples", "sampled distances (default: 10000)"),
+        ("--seed", "sampling seed (default: 42)"),
+        ("--k-max", "largest rank k (default: 3)"),
+        ("--workers", _WORKERS_HELP),
+    ]
 
 
 def _readme_commands() -> list[list[str]]:
