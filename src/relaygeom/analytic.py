@@ -503,6 +503,16 @@ def p_fail_jth(j: int, cell: CellGeometry, thresholds: Thresholds, form: str = "
     return _p_fail_ranks(profile, j, thresholds.theta_second, form)[j - 1]
 
 
+def _ranked_profile(what: str, k: int, cell: CellGeometry, radio: RadioParams, first_hop: str):
+    """The first-hop :class:`MassProfile` and ``theta_second`` of a ``k``-relay
+    frame (``radio.num_relays`` overridden by ``k``), after the guards that
+    both ranked outages share; ``what`` names the caller in their errors."""
+    _require_alpha_two(cell, what)
+    check_count("k", k)
+    thresholds = compute_thresholds(replace(radio, num_relays=k), first_hop)
+    return MassProfile(cell, thresholds.theta_first), thresholds.theta_second
+
+
 def outage_stat(
     k: int,
     cell: CellGeometry,
@@ -524,11 +534,8 @@ def outage_stat(
     :func:`exact_ranked_outage` gives the outage without the independence
     assumption.
     """
-    _require_alpha_two(cell, "outage_stat")
-    check_count("k", k)
-    thresholds = compute_thresholds(replace(radio, num_relays=k), first_hop)
-    profile = MassProfile(cell, thresholds.theta_first)
-    return math.prod(_p_fail_ranks(profile, k, thresholds.theta_second, form))
+    profile, theta2 = _ranked_profile("outage_stat", k, cell, radio, first_hop)
+    return math.prod(_p_fail_ranks(profile, k, theta2, form))
 
 
 def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float:
@@ -555,10 +562,7 @@ def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float
     accuracy at both ends. This is the independent yardstick for how much
     the product form :func:`outage_stat` loses to rank dependence.
     """
-    _require_alpha_two(cell, "exact_ranked_outage")
-    thresholds = compute_thresholds(replace(radio, num_relays=k))
-    theta2 = thresholds.theta_second
-    profile = MassProfile(cell, thresholds.theta_first)
+    profile, theta2 = _ranked_profile("exact_ranked_outage", k, cell, radio, "frame_rate")
     r = profile.r
     fail = -np.expm1(-theta2 * (1.0 + r * r))
     g = profile.cumulative(fail * profile.density)

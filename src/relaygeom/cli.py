@@ -19,9 +19,10 @@ Every configuration key is listed once, in :data:`DEFAULTS`, and the first
 two subcommands get one flag per key they read. :func:`parse_config` is the
 only reader and checker of settings: a flag's text means what the same text
 means in the JSON file (``--trials 1e5`` passes, ``--trials 1.5`` does not).
-The flags that are not configuration keys (``--workers``, ``validate``'s
-sizes and seed, ...) are listed in :data:`_COMMAND_FLAGS` and read by the
-same rules, so a malformed value is a configuration error naming the flag.
+The flags that are not configuration keys (``validate``'s sizes and seed,
+...) are listed in :data:`_COMMAND_FLAGS`; every command also takes
+``--workers``. They are read by the same rules, so a malformed value is a
+configuration error naming the flag.
 Both row types are written by :func:`write_csv`, headed by their field names.
 
 Exit codes: 0 success, 1 configuration error (a malformed setting, from a
@@ -57,7 +58,7 @@ DEFAULTS: dict = {
     **{key: getattr(validation.DEFAULT_CELL, key) for key in _CELL_KEYS},
     "rate": validation.DEFAULT_RATE,
     "snr_grid_db": tuple(0.0 + 2.5 * i for i in range(13)),  # 0 .. 30 dB
-    "strategies": ("exact", "stat"),
+    "strategies": STRATEGIES,
     "k_values": (1, 2, 3),
     "trials": 100_000,
     "seed": 42,
@@ -158,9 +159,7 @@ def parse_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    rate = _number(data["rate"], "rate")
-    if not rate > 0:
-        raise ConfigError("rate must be > 0")
+    rate = _positive(data["rate"], "rate")
 
     grid = tuple(_listed(data, "snr_grid_db", _number))
     if not grid:
@@ -317,7 +316,7 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
         k = radio.num_relays
         p_an, errors = _side(
             "analytic",
-            lambda: outage_exact_csi(config.cell, radio, "quadrature")
+            lambda: outage_exact_csi(config.cell, radio)
             if strategy == "exact"
             else outage_stat(k, config.cell, radio, config.fk_form, config.first_hop_threshold),
         )
@@ -330,7 +329,7 @@ def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[Sw
 def run_mean_count(
     config: SweepConfig,
     radii: list[float],
-    snr_db: float = 15.0,
+    snr_db: float,
     workers: int | None = None,
 ) -> list[MeanCountRow]:
     """Mean-count curves from both observers over a radius grid, both
@@ -555,33 +554,29 @@ def _config(args: argparse.Namespace) -> SweepConfig:
     return parse_config(args.config, overrides, defaults)
 
 
-_WORKERS = (
-    _count, None, f"worker processes (default: ${THREADS_ENV} or 1); results do not depend on it"
-)
+_WORKERS_HELP = f"worker processes (default: ${THREADS_ENV} or 1); results do not depend on it"
 
-#: Per command, the flags that are not configuration keys: name -> (reader,
-#: default, help). Each flag's text is read as JSON (see :func:`_literal`)
-#: and checked by the reader :func:`parse_config` uses for settings, so a
-#: malformed value is a :class:`ConfigError` naming the flag.
+#: Per command, the flags that are neither configuration keys nor
+#: ``--workers``, which every command takes: name -> (reader, default, help).
+#: Each flag's text is read as JSON (see :func:`_literal`) and checked by the
+#: reader :func:`parse_config` uses for settings, so a malformed value is a
+#: :class:`ConfigError` naming the flag.
 _COMMAND_FLAGS = {
-    "outage-sweep": {"workers": _WORKERS},
+    "outage-sweep": {},
     "mean-count": {
-        "snr-db": (_number, 15.0, "operating SNR"),
+        "snr-db": (_number, validation.OPERATING_SNR_DB, "operating SNR"),
         "radius-step": (_positive, 1.0, "radius grid step"),
-        "workers": _WORKERS,
     },
     "validate": {
         "trials": (_count, validation.TRIALS, "Monte Carlo trials of criteria 3 and 4"),
         "samples": (_count, validation.SAMPLES, "sampled distances of criterion 6"),
         "mean-count-trials": (_count, validation.MEAN_COUNT_TRIALS, "realizations of criterion 7"),
         "seed": (_integer, validation.DEFAULT_SEED, "seed of every Monte Carlo check"),
-        "workers": _WORKERS,
     },
     "fk-check": {
         "samples": (_count, validation.SAMPLES, "sampled distances"),
         "seed": (_integer, validation.DEFAULT_SEED, "sampling seed"),
         "k-max": (_count, validation.K_MAX, "largest rank k"),
-        "workers": _WORKERS,
     },
 }
 
@@ -596,11 +591,11 @@ def _read_flags(args: argparse.Namespace) -> None:
         dest = name.replace("-", "_")
         text = getattr(args, dest)
         setattr(args, dest, default if text is None else reader(_literal(text), "--" + name))
-    if args.workers is None:
-        try:
-            args.workers = montecarlo.workers_from_env()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:  # a ConfigError from _count passes through with its message
+        text = args.workers
+        args.workers = montecarlo.workers_from_env() if text is None else _count(_literal(text), "--workers")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -614,8 +609,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if command in _COMMAND_SETTINGS:
             _add_config_flags(p_cmd, command)
         for name, (_, default, hint) in _COMMAND_FLAGS[command].items():
-            shown = "" if default is None else f" (default: {default})"
-            p_cmd.add_argument("--" + name, help=hint + shown)
+            p_cmd.add_argument("--" + name, help=f"{hint} (default: {default})")
+        p_cmd.add_argument("--workers", help=_WORKERS_HELP)
     return parser
 
 
@@ -639,7 +634,7 @@ def _cmd_mean_count(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     # validate's flags are run_all's keyword arguments, one for one
     flags = [name.replace("-", "_") for name in _COMMAND_FLAGS["validate"]]
-    results = validation.run_all(**{flag: getattr(args, flag) for flag in flags})
+    results = validation.run_all(**{flag: getattr(args, flag) for flag in flags}, workers=args.workers)
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 2

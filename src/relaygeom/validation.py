@@ -63,9 +63,11 @@ _STAT_CSI_ROWS = tuple(
     for k in (1, 2, 3)
     for snr in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 )
-#: First-hop threshold of criteria 6, 7 and 8: 15 dB, one relay.
+#: Operating point of criteria 6, 7 and 8; ``mean-count`` defaults to it.
+OPERATING_SNR_DB = 15.0
+#: First-hop threshold of criteria 6, 7 and 8: the operating point, one relay.
 THETA_15DB = compute_thresholds(
-    RadioParams(snr_db=15.0, target_rate=DEFAULT_RATE, num_relays=1)
+    RadioParams(snr_db=OPERATING_SNR_DB, target_rate=DEFAULT_RATE, num_relays=1)
 ).theta_first
 #: Criterion 7's radii: 0 to the far edge ``R + r_d`` in steps of 1.
 _MEAN_COUNT_RADII = tuple(float(i) for i in range(int(DEFAULT_CELL.outer_radius) + 1))
@@ -263,7 +265,7 @@ def check_exact_csi_outage(estimates: list[montecarlo.OutageEstimate]) -> CheckR
     details = []
     passed = True
     for (_, radio), est in zip(_EXACT_CSI_ROWS, estimates, strict=True):
-        p0 = analytic.outage_exact_csi(DEFAULT_CELL, radio, "quadrature")
+        p0 = analytic.outage_exact_csi(DEFAULT_CELL, radio)
         ok, zscore = binomial_consistent(est.outage_count, est.trials, p0)
         passed &= ok
         details.append(
@@ -350,9 +352,7 @@ def check_diversity_order() -> CheckResult:
         for s in snr_grid
     ]
     p_exact = [
-        analytic.outage_exact_csi(
-            DEFAULT_CELL, RadioParams(snr_db=s, target_rate=DEFAULT_RATE, num_relays=1), "quadrature"
-        )
+        analytic.outage_exact_csi(DEFAULT_CELL, RadioParams(snr_db=s, target_rate=DEFAULT_RATE, num_relays=1))
         for s in snr_grid
     ]
     slope_stat = float(np.polyfit(decades, np.log10(p_stat), 1)[0])

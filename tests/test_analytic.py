@@ -576,7 +576,7 @@ class TestMeanCountFromBs:
         ("k", lambda cell, radio: analytic.kth_nearest_cdf(1.0, True, cell, 0.1)),
         ("j", lambda cell, radio: analytic.p_fail_jth(True, cell, compute_thresholds(radio))),
         ("k", lambda cell, radio: analytic.outage_stat(True, cell, radio)),
-        ("num_relays", lambda cell, radio: analytic.exact_ranked_outage(True, cell, radio)),
+        ("k", lambda cell, radio: analytic.exact_ranked_outage(True, cell, radio)),
     ],
     ids=["f_k_pdf", "kth_nearest_cdf", "p_fail_jth", "outage_stat", "exact_ranked_outage"],
 )
@@ -584,6 +584,14 @@ def test_rank_refuses_bool(name, call, default_cell, radio_15db):
     # Python counts True an int; taken as a rank it would silently mean 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
         call(default_cell, radio_15db)
+
+
+@pytest.mark.parametrize("outage", [analytic.outage_stat, analytic.exact_ranked_outage], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("k", [0, 2.0])
+def test_ranked_outages_name_the_rank(outage, k, default_cell, radio_15db):
+    # both ranked outages guard k themselves, before it becomes the frame's num_relays
+    with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
+        outage(k, default_cell, radio_15db)
 
 
 @pytest.mark.parametrize(
