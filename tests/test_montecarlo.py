@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -636,6 +637,22 @@ class TestBlockReplay:
         # qualifies, and with qualified relays under the nested plan
         want = {"sparse": {(False, False, False)}, "rim": set(), "alpha3": set()}[name]
         assert want | {(True, False, False), (True, True, True)} <= shapes
+
+
+def test_pass_releases_each_block_before_the_next_draw(monkeypatch, default_cell, radio_15db):
+    # a block is ~1 MB on the default cell; holding the previous one while the
+    # next is drawn raises the peak memory of every Monte Carlo pass
+    draw, alive, live = mc._draw_block, [], []
+
+    def tracked(*args):
+        live.append(sum(ref() is not None for ref in alive))
+        block = draw(*args)
+        alive.append(weakref.ref(block[1]))  # the trial-id column
+        return block
+
+    monkeypatch.setattr(mc, "_draw_block", tracked)
+    mc.estimate_outage("stat", default_cell, radio_15db, 300, 9, workers=1)
+    assert live == [0] * 5
 
 
 class TestRunRequestsGolden:
