@@ -1,0 +1,18 @@
+"""``tools/mc_memory.py`` end to end: one body at 50 trials per row."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "mc_memory.py"
+
+
+def test_one_body_prints_one_json_line():
+    argv = [sys.executable, str(_TOOL), "--bodies", "1", "--trials", "50"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stdout
+    [line] = out.splitlines()
+    record = json.loads(line)
+    assert (record["bodies"], record["rows"], record["trials"]) == (1, 28, 50)
+    assert record["wall_s_median"] > 0 and record["peak_rss_mb"] > 0
+    assert record["minor_faults_per_body"] >= 0
