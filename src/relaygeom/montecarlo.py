@@ -442,7 +442,7 @@ def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:
             if lo < request.trials:
                 part.append(request.read(plan, _head(block, request.trials - lo)))
         lo += block[0].size
-        del block  # released before the next block is drawn
+        del block  # freed before the next draw; held, it adds a block to the peak memory
     return [request.merge(part) for request, part in zip(requests, parts)]
 
 
