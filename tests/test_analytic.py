@@ -491,6 +491,26 @@ class TestLambdaQ:
 
 
 class TestOutageExact:
+    #: The finite-cell curve on the default cell at 0-30 dB, as ``float.hex``.
+    PINNED = {
+        0.0: "0x1.0000000000000p+0",
+        5.0: "0x1.ffffe283cca6ep-1",
+        10.0: "0x1.eefd12d637e65p-1",
+        15.0: "0x1.f99f0fa186e94p-4",
+        20.0: "0x1.7797f455c46d0p-25",
+        25.0: "0x1.038d62bb2be5fp-104",
+        30.0: "0x1.1bf37ddf470a8p-326",
+    }
+
+    def test_pinned_curve(self, default_cell):
+        got = {
+            snr: analytic.outage_exact_csi(
+                default_cell, RadioParams(snr_db=snr, target_rate=1.0, num_relays=1)
+            ).hex()
+            for snr in self.PINNED
+        }
+        assert got == self.PINNED
+
     def test_void_probability_reference(self, default_cell):
         # snr such that the decoding threshold is exactly 0.1
         radio = RadioParams(snr_db=10 * math.log10(30.0), target_rate=1.0, num_relays=1)

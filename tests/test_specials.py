@@ -90,6 +90,34 @@ def test_erfcx_pinned_values():
     assert [erfcx(x).hex() for x in xs] == want
 
 
+#: i0e bit for bit on both sides of the split at |x| = 8 and at the special
+#: values, as ``float.hex``.
+I0E_PINNED = {
+    0.0: "0x1.0000000000000p+0",
+    0.5: "0x1.4a42101eb0f46p-1",
+    -0.5: "0x1.4a42101eb0f46p-1",
+    3.0: "0x1.f1aa2b7054e7ap-3",
+    float(np.nextafter(8.0, 0.0)): "0x1.25bf8fe241e6ap-3",
+    8.0: "0x1.25bf8fe241e6ap-3",
+    float(np.nextafter(8.0, 9.0)): "0x1.25bf8fe241e6ap-3",
+    30.0: "0x1.2b9b157f9e6a2p-4",
+    1e5: "0x1.4ab6626c55b41p-10",
+    math.inf: "0x0.0p+0",
+    -math.inf: "0x0.0p+0",
+    math.nan: "nan",
+}
+
+
+def test_i0e_pinned_values():
+    xs, want = list(I0E_PINNED), list(I0E_PINNED.values())
+    assert [float(v).hex() for v in i0e(np.array(xs))] == want
+    assert [i0e(x).hex() for x in xs] == want
+    # a 2-D array that mixes both branches, the shape MassProfile passes
+    grid = i0e(np.array(xs).reshape(3, 4))
+    assert grid.shape == (3, 4)
+    assert [float(v).hex() for v in grid.ravel()] == want
+
+
 class TestI0e:
     def test_matches_scipy_on_both_branches(self):
         xs = np.concatenate(
