@@ -80,7 +80,8 @@ def _inner_core(
             (erf(a sqrt(theta)/2) - erf(a sqrt(theta)/2 - sqrt(theta) r_jd)) ]
 
     The erf difference is computed through erfcx with analytic exponent
-    recombination so that no digits are lost when both arguments are large.
+    recombination so that no digits are lost when both arguments are large;
+    one erfcx call takes both arguments, ``|u|`` and ``|alf|``, stacked.
     Every exponent is at most ``log_scale + theta r_d^2``, so the callers of
     :func:`_disk_mass`, whose ``log_scale`` lies below ``-theta r_d^2``,
     keep them nonpositive: nothing overflows at any theta.
@@ -103,8 +104,7 @@ def _inner_core(
     )
     e0 = log_scale + alf * alf  # = log_scale + theta a^2 / 4
     eu = np.exp(e0 - u * u)
-    cx_u = erfcx(np.abs(u))
-    cx_a = erfcx(np.abs(alf))
+    cx_u, cx_a = erfcx(np.abs(np.stack([u, alf])))
     # exp(e0) * (erfc(u) - erfc(alf)); exp(e0 - alf^2) is big_a up to rounding.
     core = np.where(
         u >= 0.0,
@@ -289,7 +289,9 @@ class MassProfile:
     sqrt(theta)`` for ``m`` in ``_PEAK_OFFSETS``, which resolve the
     intensity peak at any theta; and the radii where a first pass reaches
     the mass levels ``_MASS_LEVELS``, which resolve the ``exp(-M) M^j``
-    factors of the order statistics however dense the field is.
+    factors of the order statistics however dense the field is. The refined
+    pass evaluates ``dM/dr`` only on the first-pass panels that those radii
+    split; every other panel keeps its nodes and its first-pass values.
 
     Every integral taken on the profile (``M`` itself, :meth:`cumulative`,
     :meth:`total`, :meth:`cumulative_at`) carries an error estimate: the
@@ -297,6 +299,8 @@ class MassProfile:
     panel's interpolant, i.e. the gap to a lower-order rule on the same
     panels. Past abs 1e-10 or rel 1e-8 it raises :class:`QuadratureError`
     with the estimate and the bound. ``error`` holds the estimate for ``M``.
+    Each integral computes its panel offsets once; :meth:`total` also takes
+    a stack of functions and integrates them in one pass.
 
     ``r``, ``density`` and ``M`` are read-only arrays of shape (panels,
     ``_CHEB_N``), ascending in ``r``; functions to integrate are sampled on
@@ -322,53 +326,52 @@ class MassProfile:
         uniform = np.linspace(0.0, upper, _UNIFORM_PANELS + 1)
         first = _sorted_unique(np.concatenate([uniform, peaks[(peaks > 0) & (peaks < upper)]]))
         r, half, density = _profile_panels(first, cell, theta)
-        mass = _cumulative(density, half).ravel()
+        mass = _cumulative(density, half, _offsets(density, half)).ravel()
         at_level = np.searchsorted(mass, _MASS_LEVELS)
         edges = _sorted_unique(np.concatenate([first, r.ravel()[at_level[at_level < mass.size]]]))
-        r, half, density = _profile_panels(edges, cell, theta)
-        mass = _cumulative(density, half)
-        for arr in (edges, r, half, density, mass):
-            arr.setflags(write=False)
-        for name, value in (
-            ("edges", edges),
-            ("r", r),
-            ("_half", half),
-            ("density", density),
-            ("M", mass),
-        ):
+        r, half, density = _profile_panels(edges, cell, theta, (first, density))
+        for name, value in (("edges", edges), ("r", r), ("_half", half), ("density", density)):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "error", self._check(density))
-        object.__setattr__(self, "total_mass", float(_offsets(density, half)[-1]))
+        offsets, error = self._check(density)
+        mass = _cumulative(density, half, offsets)
+        mass.setflags(write=False)
+        object.__setattr__(self, "M", mass)
+        object.__setattr__(self, "error", error)
+        object.__setattr__(self, "total_mass", float(offsets[-1]))
 
-    def _check(self, f: np.ndarray) -> float:
-        """Error estimate of the integral of ``f``; raises past the budget."""
-        tail = np.abs(np.einsum("pj,kj->pk", f, _CHEB_TO_COEF[-_CHEB_TAIL:])).sum(axis=1)
-        err = float(np.dot(self._half, tail))
-        total = float(_offsets(f, self._half)[-1])
-        bound = max(_PROFILE_ABS_TOL, _PROFILE_REL_TOL * abs(total))
-        if not err <= bound:
-            raise QuadratureError(
-                f"mass profile at theta={self.theta!r} misses its error budget "
-                f"(estimate {total!r}, error bound {err:.3e} > {bound:.3e})",
-                total,
-                err,
-            )
-        return err
+    def _check(self, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """Offsets (:func:`_offsets`) of ``f`` and the error estimate of its
+        integral; raises past the budget. A stack of samples ``f`` (leading
+        axes) gives stacked offsets and the largest estimate."""
+        tail = np.abs(np.einsum("...pj,kj->...pk", f, _CHEB_TO_COEF[-_CHEB_TAIL:])).sum(axis=-1)
+        errors = np.reshape(tail @ self._half, -1).tolist()
+        offsets = _offsets(f, self._half)
+        for total, err in zip(offsets[..., -1].ravel().tolist(), errors):
+            bound = max(_PROFILE_ABS_TOL, _PROFILE_REL_TOL * abs(total))
+            if not err <= bound:
+                raise QuadratureError(
+                    f"mass profile at theta={self.theta!r} misses its error budget "
+                    f"(estimate {total!r}, error bound {err:.3e} > {bound:.3e})",
+                    total,
+                    err,
+                )
+        return offsets, max(errors)
 
-    def total(self, f: np.ndarray) -> float:
-        """``integral_0^(R + r_d) f(r) dr`` for ``f`` sampled on ``r``."""
-        self._check(f)
-        return float(_offsets(f, self._half)[-1])
+    def total(self, f: np.ndarray) -> float | np.ndarray:
+        """``integral_0^(R + r_d) f(r) dr`` for ``f`` sampled on ``r``; for a
+        stack of samples (leading axes), an array of one integral each."""
+        total = self._check(f)[0][..., -1]
+        return float(total) if total.ndim == 0 else total
 
     def cumulative(self, f: np.ndarray) -> np.ndarray:
         """``integral_0^r f`` at every node ``r``, for ``f`` sampled on ``r``."""
-        self._check(f)
-        return _cumulative(f, self._half)
+        return _cumulative(f, self._half, self._check(f)[0])
 
     def cumulative_at(self, f: np.ndarray, x) -> np.ndarray:
         """``integral_0^x f`` at arbitrary ``x`` in [0, R + r_d], from the
         per-panel Chebyshev antiderivative of ``f`` sampled on ``r``."""
-        self._check(f)
+        offsets = self._check(f)[0]
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self._half) - 1)
         t = np.clip((x - self.edges[idx]) / self._half[idx] - 1.0, -1.0, 1.0)
@@ -378,7 +381,7 @@ class MassProfile:
         for k in range(_CHEB_N, 0, -1):
             b1, b2 = coef[idx, k] + 2.0 * t * b1 - b2, b1
         series = coef[idx, 0] + t * b1 - b2
-        return _offsets(f, self._half)[idx] + self._half[idx] * series
+        return offsets[idx] + self._half[idx] * series
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -387,34 +390,51 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate([[True], x[1:] > x[:-1]])]
 
 
-def _profile_panels(edges: np.ndarray, cell: CellGeometry, theta: float):
-    """Nodes (panels x ``_CHEB_N``), half-widths and ``dM/dr`` on ``edges``."""
+def _profile_panels(edges: np.ndarray, cell: CellGeometry, theta: float, known=None):
+    """Nodes (panels x ``_CHEB_N``), half-widths and ``dM/dr`` on ``edges``.
+
+    ``known`` is ``(edges, density)`` of an earlier pass: a panel of it that
+    survives whole has the same nodes, so its density is copied, and
+    ``dM/dr`` is evaluated only on the panels that new edges split."""
     half = np.diff(edges) / 2.0
     r = (edges[:-1] + half)[:, None] + half[:, None] * _CHEB_NODES
-    return r, half, lambda_prime_derivative(r, cell, theta)
+    if known is None:
+        return r, half, lambda_prime_derivative(r, cell, theta)
+    old_edges, old_density = known
+    at = np.searchsorted(old_edges, edges)
+    kept = old_edges[at] == edges
+    whole = kept[:-1] & kept[1:]
+    density = np.empty_like(r)
+    density[whole] = old_density[at[:-1][whole]]
+    if not whole.all():
+        density[~whole] = lambda_prime_derivative(r[~whole], cell, theta)
+    return r, half, density
 
 
 def _offsets(f: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Integral of node values ``f`` up to each panel edge, from 0 to the
-    whole range (length panels + 1)."""
-    return np.concatenate([[0.0], np.cumsum(half * np.einsum("pj,j->p", f, _CHEB_WEIGHTS))])
+    whole range (length panels + 1, along the last axis of a stack)."""
+    steps = np.cumsum(half * np.einsum("...pj,j->...p", f, _CHEB_WEIGHTS), axis=-1)
+    return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
 
 
-def _cumulative(f: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Per-panel spectral cumulative integral of node values ``f``."""
+def _cumulative(f: np.ndarray, half: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-panel spectral cumulative integral of node values ``f`` with
+    ``offsets = _offsets(f, half)``."""
     within = np.einsum("pj,kj->pk", f, _CHEB_CUMULATIVE)
-    return _offsets(f, half)[:-1, None] + half[:, None] * within
+    return offsets[:-1, None] + half[:, None] * within
 
 
-def _order_densities(mass, density, r, k: int, form: str, weight=1.0) -> list:
+def _order_densities(mass, density, r, k: int, form: str, weight=1.0) -> np.ndarray:
     """``weight * exp(-M) M^(j-1) / (j-1)!`` times ``dM/dr`` (``form="exact"``)
     or ``2 M / r`` (``"quadratic"``), for ``j = 1 .. k``: the densities of the
     distances to the j-th nearest points of a process with mean measure ``M``
-    (see :func:`f_k_pdf`), elementwise over the sample points."""
+    (see :func:`f_k_pdf`), elementwise over the sample points and stacked
+    along a leading axis of length ``k``."""
     if form not in F_K_FORMS:
         raise ValueError(f"form must be one of {F_K_FORMS}, got {form!r}")
     head = weight * np.exp(-mass) * (density if form == "exact" else 2.0 * mass / r)
-    return [head * term for term in _poisson_ladder(mass, k)]
+    return head * np.stack(_poisson_ladder(mass, k))
 
 
 def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact"):
@@ -469,8 +489,8 @@ def _p_fail_ranks(profile: MassProfile, k: int, theta_second: float, form: str) 
     success = np.exp(-theta_second * (1.0 + r * r))  # at the destination
     densities = _order_densities(profile.M, profile.density, r, k, form, weight=success)
     out = []
-    for j, term in enumerate(densities, start=1):
-        p = 1.0 - profile.total(term)
+    for j, total in enumerate(profile.total(densities).tolist(), start=1):
+        p = 1.0 - total
         if p < -1e-9 or p > 1.0 + 1e-9:
             warnings.warn(
                 f"p_fail_jth(j={j}) outside [0, 1] by more than quadrature noise: {p!r}; clamping",
@@ -565,13 +585,16 @@ def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float
     profile, theta2 = _ranked_profile("exact_ranked_outage", k, cell, radio, "frame_rate")
     r = profile.r
     fail = -np.expm1(-theta2 * (1.0 + r * r))
-    g = profile.cumulative(fail * profile.density)
-    g_inf = profile.total(fail * profile.density)
+    weighted = fail * profile.density
+    offsets = profile._check(weighted)[0]  # one check for G at the nodes and G_inf
+    g, g_inf = _cumulative(weighted, profile._half, offsets), float(offsets[-1])
     ladder = _poisson_ladder(g, k)  # G^j / j! for j < k
     decay = np.exp(-profile.M) * profile.density
     head = math.exp(-profile.total_mass) * float(sum(_poisson_ladder(g_inf, k)))
-    outage = head + profile.total(fail * decay * ladder[-1])
-    success = profile.total(np.exp(-theta2 * (1.0 + r * r)) * decay * sum(ladder))
+    tail, success = profile.total(
+        np.stack([fail * decay * ladder[-1], np.exp(-theta2 * (1.0 + r * r)) * decay * sum(ladder)])
+    ).tolist()
+    outage = head + tail
     return outage / (outage + success)
 
 

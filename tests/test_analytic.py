@@ -9,6 +9,12 @@ from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thres
 from relaygeom.quadrature import QuadratureError, QuadratureSpec, integrate_1d
 
 TIGHT = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=1024)
+#: The three cells of ``tests/golden_order_statistics.json``.
+GOLDEN_CELLS = [
+    CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5),
+    CellGeometry(cell_radius=100.0, dest_distance=30.0, relay_intensity=5.0),
+    CellGeometry(cell_radius=5.0, dest_distance=2.0, relay_intensity=2.0),
+]
 
 
 def total_qualified_mass(lam: float, theta: float) -> float:
@@ -271,6 +277,35 @@ class TestMassProfile:
             analytic.MassProfile(default_cell, 0.0)
         with pytest.raises(ValueError):
             analytic.MassProfile(replace(default_cell, path_loss_exponent=3.0), 0.1)
+
+    @pytest.mark.parametrize("theta", [1e-4, 3e-3, 0.0949, 1.0, 30.0])
+    @pytest.mark.parametrize("cell", GOLDEN_CELLS)
+    def test_reused_density_as_from_scratch(self, cell, theta):
+        # the refined pass copies dM/dr on the panels that the first pass
+        # sampled; every node still holds the closed form's value
+        prof = analytic.MassProfile(cell, theta)
+        density = analytic.lambda_prime_derivative(prof.r, cell, theta)
+        assert np.array_equal(prof.density, density)
+        assert np.array_equal(prof.M, prof.cumulative(density))
+        assert prof.total_mass == prof.total(density)
+
+    @pytest.mark.parametrize("theta", [1e-4, 3e-3, 0.0949, 1.0, 30.0])
+    @pytest.mark.parametrize("cell", GOLDEN_CELLS)
+    def test_stacked_totals_match_one_at_a_time(self, cell, theta):
+        prof = analytic.MassProfile(cell, theta)
+        success = np.exp(-theta * (1.0 + prof.r * prof.r))
+        terms = analytic._order_densities(prof.M, prof.density, prof.r, 3, "exact", success)
+        assert prof.total(terms).tolist() == [prof.total(term) for term in terms]
+
+    def test_stacked_total_raises_for_any_unresolved_member(self, default_cell):
+        prof = analytic.MassProfile(default_cell, 0.1)
+        step = (prof.r > 3.3).astype(float)
+        with pytest.raises(QuadratureError) as alone:
+            prof.total(step)
+        with pytest.raises(QuadratureError) as stacked:
+            prof.total(np.stack([prof.density, step]))
+        assert stacked.value.estimate == alone.value.estimate
+        assert stacked.value.error == pytest.approx(alone.value.error, rel=1e-12)
 
 
 class TestFkPdf:
@@ -680,3 +715,37 @@ class TestUnclippedRim:
         assert mass[0] == 0.0 and mass[-1] > 14.0
         with pytest.raises(ValueError, match="3.122e-04"):
             analytic.lambda_prime(grid, default_cell, self.theta(20.0))
+
+
+class TestCallCounts:
+    """Deterministic tallies of the calls the analytic path makes."""
+
+    def test_profiles_evaluate_only_new_nodes(self, monkeypatch, default_cell):
+        # the 12 outage_stat thresholds of perfbench's analytic_curves body;
+        # re-evaluating every refined panel took 14,400 nodes
+        nodes = []
+        exact = analytic.lambda_prime_derivative
+
+        def counted(r, cell, theta):
+            nodes.append(np.size(r))
+            return exact(r, cell, theta)
+
+        monkeypatch.setattr(analytic, "lambda_prime_derivative", counted)
+        for snr in (0.0, 10.0, 20.0, 30.0):
+            for k in (1, 2, 3):
+                radio = RadioParams(snr_db=snr, target_rate=1.0, num_relays=k)
+                analytic.outage_stat(k, default_cell, radio)
+        assert sum(nodes) == 9168
+
+    def test_inner_core_makes_one_erfcx_call(self, monkeypatch):
+        sizes = []
+        exact = analytic.erfcx
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return exact(x)
+
+        monkeypatch.setattr(analytic, "erfcx", counted)
+        phi = np.linspace(0.0, math.pi, 33)
+        analytic._inner_core(3.0, phi, 5.0, 0.1, -2.6)
+        assert sizes == [2 * phi.size]

@@ -118,6 +118,14 @@ def test_i0e_pinned_values():
     assert [float(v).hex() for v in grid.ravel()] == want
 
 
+def test_erfcx_stacked_rows_match_row_calls():
+    rows = np.stack([np.linspace(-3.0, 30.0, 67), np.geomspace(1e-3, 1e3, 67)])
+    both = erfcx(rows)
+    assert both.shape == rows.shape
+    for row, got in zip(rows, both):
+        assert np.array_equal(got, erfcx(row))
+
+
 class TestI0e:
     def test_matches_scipy_on_both_branches(self):
         xs = np.concatenate(
@@ -140,6 +148,15 @@ class TestI0e:
     @given(x=st.floats(0.0, 1e5))
     def test_even(self, x):
         assert i0e(-x) == i0e(x)
+
+    def test_mixed_branches_match_each_branch_alone(self):
+        # (panels, 24), the shape MassProfile passes, straddling the split
+        xs = np.geomspace(1e-3, 700.0, 30 * 24).reshape(30, 24)
+        small = xs <= 8.0
+        mixed = i0e(xs)
+        assert small.any() and not small.all()
+        assert np.array_equal(mixed[small], i0e(xs[small]))
+        assert np.array_equal(mixed[~small], i0e(xs[~small]))
 
     def test_scalar_and_array_interfaces(self):
         assert isinstance(i0e(3.0), float)
