@@ -13,9 +13,9 @@ arrays. erfcx(x) = exp(x^2) erfc(x) uses two regimes, split at |x| = 2:
   precision for every x >= 2.
 
 Both regimes run once, on |x|, their loops in place; a negative entry is
-then reflected, ``erfcx(-a) = 2 exp(a^2) - erfcx(a)``. erfcx is accurate to ~1e-13
-relative for x >= 0; for x < 0 it grows like ``2 exp(x^2)`` and overflows
-to inf near x = -26.6, which is the honest double-precision answer.
+then reflected, ``erfcx(-a) = 2 exp(a^2) - erfcx(a)``. erfcx is accurate to
+~1e-13 relative for x >= 0; for x < 0 it grows like ``2 exp(x^2)`` and
+overflows to inf near x = -26.6, which is the honest double-precision answer.
 
 i0e(x) = exp(-|x|) I0(x) is the Cephes Chebyshev expansion in two branches,
 split at |x| = 8: a 30-term series in ``x/2 - 2`` below, and a 25-term
