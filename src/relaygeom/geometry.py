@@ -17,7 +17,10 @@ from .model import CellGeometry
 
 
 def sample_fields(
-    cell: CellGeometry, rngs: Sequence[np.random.Generator], marks: int = 0
+    cell: CellGeometry,
+    rngs: Sequence[np.random.Generator],
+    marks: int = 0,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample one homogeneous Poisson relay field over the cell per generator
     of ``rngs``, concatenated in generator order.
@@ -34,6 +37,12 @@ def sample_fields(
     and ``turns`` uniform on [0, 1). Angles are left in turns so that a
     caller converts only those it keeps.
 
+    ``rows`` is a view of the head of ``out``, a 1-D float64 buffer, when
+    ``out`` holds at least ``(2 + marks) * ends[-1]`` values, and a new
+    array otherwise. A caller that draws many blocks into one buffer keeps
+    the allocator from handing the memory back to the system and faulting
+    it in again at each draw.
+
     Draw order, on each field's own generator: one Poisson count, then all
     radius variates, then all angle variates. The Monte Carlo
     reproducibility contract rests on this order. Only the draws run per
@@ -41,7 +50,12 @@ def sample_fields(
     """
     mean = cell.mean_relay_count
     ends = np.cumsum(np.fromiter((rng.poisson(mean) for rng in rngs), np.intp, len(rngs)))
-    rows = np.empty((2 + marks, ends[-1]))
+    n = int(ends[-1]) if ends.size else 0
+    size = (2 + marks) * n
+    if out is not None and out.size >= size:
+        rows = out[:size].reshape(2 + marks, n)
+    else:
+        rows = np.empty((2 + marks, n))
     radii, turns = rows[:2]
     begin = 0
     for rng, end in zip(rngs, ends.tolist()):
@@ -64,7 +78,14 @@ def sq_dists_to_dest(radii: np.ndarray, angles: np.ndarray, dest_distance: float
     """Squared distances to the destination at ``(dest_distance, 0)``.
 
     Law of cosines, ``r^2 + r_d^2 - 2 r r_d cos(angle)``, clipped at 0
-    against rounding. Squared distances suffice for ranking.
+    against rounding. Squared distances suffice for ranking. ``radii`` and
+    ``angles`` are parallel arrays and are left as they are.
     """
-    d2 = radii * radii + dest_distance * dest_distance - 2.0 * dest_distance * radii * np.cos(angles)
-    return np.maximum(d2, 0.0)
+    # the formula's operations in its own order, in two new arrays
+    cross = np.cos(angles)
+    d2 = (2.0 * dest_distance) * radii
+    cross *= d2
+    np.multiply(radii, radii, out=d2)
+    d2 += dest_distance * dest_distance
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)

@@ -43,11 +43,12 @@ gains, and the first-hop gains and losses when some threshold is tighter
 than the loosest.
 A request brings its own first-hop threshold and its own trial count: it
 reads the pass's first trials up to its count, and of each block the relays
-qualified at its threshold. One function, :func:`_qualified`, thins a block
+qualified at its threshold. One function, :func:`_thin`, thins a block
 to a threshold, by the same ``gains >= theta * loss`` test that a draw at
 that threshold makes, and hands each kept relay the second-hop gain that
-draw would give it. An outage grid decides every row
-on a block with array operations (:func:`_decide`); mean counts count the
+draw would give it; a view at a looser threshold thins the same way, since
+it holds every relay that a tighter one keeps. An outage grid decides every
+row on a block with array operations (:func:`_decide`); mean counts count the
 relays within each radius for both observers without sorting; k-th nearest
 distances sort each trial's slice in place. Each result reads only its own
 trial's relays, so none depends on the block size or on the other requests
@@ -84,7 +85,8 @@ OBSERVERS = ("bs", "dest")
 #: :func:`_decide` takes ~45-75 us per trial at 16, ~35-55 at 32 and ~35-50
 #: at 64 to 256 (2 vCPU). Memory grows with it. While a block is drawn it
 #: holds whole fields, ~64 * lambda*pi*R^2 relays by 4 doubles (radius,
-#: angle, first-hop gain and loss), about 1.3 MB on the default cell; once
+#: angle, first-hop gain and loss), about 1.3 MB on the default cell, in the
+#: one field buffer that :func:`_blocks` keeps for its blocks; once
 #: drawn it holds the qualified relays of this many trials (up to ~630 each
 #: on the default cell), and one decision's traced peak is ~1.9 MB at 64,
 #: ~7.7 MB at 256. Going from 16 to 64 raised perfbench's peak RSS by ~4% on
@@ -200,7 +202,12 @@ def _fill(draw, gens: Sequence[np.random.Generator], ends: np.ndarray, out: np.n
         begin = end
 
 
-def _draw_block(cell: CellGeometry, plan: _Plan, gens: Sequence[np.random.Generator]) -> tuple:
+def _draw_block(
+    cell: CellGeometry,
+    plan: _Plan,
+    gens: Sequence[np.random.Generator],
+    field_buf: np.ndarray | None = None,
+) -> tuple:
     """The trials drawn on ``gens``, one generator per trial, as one block
     ``(sizes, trial, radii, d2, g2, *first)``: the per-trial counts of
     relays qualified under the plan's loosest threshold, then per such relay
@@ -212,7 +219,10 @@ def _draw_block(cell: CellGeometry, plan: _Plan, gens: Sequence[np.random.Genera
     Each generator draws its trial's field (:func:`sample_fields`), then a
     first-hop gain per relay, then a second-hop gain per qualified relay.
     Only these draws run per trial; the rest runs once for the block, and
-    nothing that spans every drawn relay outlives the call.
+    nothing that spans every drawn relay outlives the call but the field
+    buffer ``field_buf``: when given, a 1-D array that the fields are drawn
+    into if they fit (:func:`sample_fields`). Every column of the block is
+    an array of its own, so none of them is a view of the buffer.
 
     A relay at source distance ``r`` decodes the source broadcast at
     threshold ``theta`` iff its Exp(1) gain ``g`` satisfies
@@ -221,12 +231,13 @@ def _draw_block(cell: CellGeometry, plan: _Plan, gens: Sequence[np.random.Genera
     decrease in ``theta``.
     """
     draw_exp = np.random.Generator.standard_exponential
-    # One allocation holds the block's fields, gains and losses: as four
-    # arrays, the allocator hands them back to the system at each block's
-    # end and faults them in again at the next, ~370 minor page faults per
-    # 64-trial block on the default cell when few relays qualify, which
-    # cancels the gain of drawing by block on ``mc_outage``.
-    ends, (radii, turns, gains, loss) = sample_fields(cell, gens, marks=2)
+    # The block's fields, gains and losses share one buffer, which
+    # ``_blocks`` reuses for its blocks. Allocated per block, the ~1.3 MB
+    # (default cell) can go back to the system at each block's end and be
+    # faulted in again at the next draw, as the allocator's heap history
+    # decides: 19,400 minor page faults per ``tools/mc_memory.py`` body
+    # against 641 with the buffer.
+    ends, (radii, turns, gains, loss) = sample_fields(cell, gens, marks=2, out=field_buf)
     _fill(draw_exp, gens, ends, gains)
     alpha = cell.path_loss_exponent
     if alpha == 2.0:
@@ -238,8 +249,9 @@ def _draw_block(cell: CellGeometry, plan: _Plan, gens: Sequence[np.random.Genera
     kept_ends = keep.searchsorted(ends)
     g2 = np.empty(keep.size)
     _fill(draw_exp, gens, kept_ends, g2)
-    radii = radii[keep]
-    d2 = sq_dists_to_dest(radii, 2.0 * math.pi * turns[keep], cell.dest_distance)
+    radii, angles = radii[keep], turns[keep]
+    angles *= 2.0 * math.pi
+    d2 = sq_dists_to_dest(radii, angles, cell.dest_distance)
     block = (np.diff(kept_ends, prepend=0), ends.searchsorted(keep, side="right"), radii, d2, g2)
     return block + (gains[keep], loss[keep]) if plan.nested else block
 
@@ -247,11 +259,28 @@ def _draw_block(cell: CellGeometry, plan: _Plan, gens: Sequence[np.random.Genera
 def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
     """Yield trials ``start .. stop - 1`` drawn under ``plan`` as blocks of up
     to :data:`_BLOCK_TRIALS` trials (see :func:`_draw_block`), each trial on
-    a generator of the pool moved onto its stream."""
+    a generator of the pool moved onto its stream.
+
+    The fields of every block but the first are drawn into one buffer, with
+    room for the 4 rows (:func:`_draw_block`) of up to 5 standard deviations
+    (plus 5) more relays than a block's Poisson mean; a block with more,
+    fewer than one in a million, draws into an array of its own. The first
+    block draws into an array of its own, freed before the buffer is made:
+    glibc maps every allocation above its mmap threshold (128 KiB until a
+    larger mapped block is freed) and unmaps it on release, so a buffer
+    made up front left that threshold low for the whole pass and the
+    columns of every block were faulted in afresh (60,113-69,554 minor
+    faults against 1,692-15,365 in the first gate-size pass of a fresh
+    process, as the heap layout decides)."""
     pool = [_philox() for _ in range(min(_BLOCK_TRIALS, stop - start))]
+    mean = len(pool) * cell.mean_relay_count
+    field_buf = None
     for lo in range(start, stop, _BLOCK_TRIALS):
         trials = range(lo, min(lo + _BLOCK_TRIALS, stop))
-        yield _draw_block(cell, plan, [_enter_trial(g, seed, t) for g, t in zip(pool, trials)])
+        gens = [_enter_trial(g, seed, t) for g, t in zip(pool, trials)]
+        yield _draw_block(cell, plan, gens, field_buf)
+        if field_buf is None:
+            field_buf = np.empty(4 * math.ceil(mean + 5.0 * math.sqrt(mean) + 5.0))
 
 
 def _head(block: tuple, n: int) -> tuple:
@@ -268,42 +297,59 @@ def _qualified(plan: _Plan, theta_first: float, block: tuple) -> tuple:
     the first-hop columns, ``(sizes, trial, radii, d2, g2)``, in the order
     and with the values that a draw at ``theta_first`` alone gives: all of
     them at the plan's loosest threshold, else those whose first-hop gain
-    passes the test of :func:`_draw_block`. A trial's j-th qualified relay takes
-    that trial's j-th second-hop gain, which is the gain it would draw on
-    its own."""
-    sizes, trial, radii, d2, g2, *first = block
+    passes the test of :func:`_draw_block` (:func:`_thin`)."""
     if theta_first == plan.theta_min:
-        return sizes, trial, radii, d2, g2
-    gains, loss = first
+        return block[:5]
+    return _thin(block, block, theta_first)[:5]
+
+
+def _thin(block: tuple, view: tuple, theta_first: float) -> tuple:
+    """The relays of ``view`` whose first-hop gain passes the test of
+    :func:`_draw_block` at ``theta_first``, as a view ``(sizes, trial,
+    radii, d2, g2, gains, loss)`` of the nested ``block``. ``view`` is the
+    block itself or a view of it at a threshold not above ``theta_first``,
+    so it holds every relay that passes. A trial's j-th qualified relay
+    takes the block's j-th second-hop gain of that trial, which is the gain
+    it would draw on its own."""
+    sizes, g2 = block[0], block[4]
+    _, trial, radii, d2, _, gains, loss = view
     keep = (gains >= theta_first * loss).nonzero()[0]
     tid = trial[keep]
     counts = np.bincount(tid, minlength=sizes.size)
     shift = (np.cumsum(sizes) - sizes) - (np.cumsum(counts) - counts)
-    return counts, tid, radii[keep], d2[keep], g2[np.arange(keep.size) + shift[tid]]
+    g2 = g2[np.arange(keep.size) + shift[tid]]
+    return counts, tid, radii[keep], d2[keep], g2, gains[keep], loss[keep]
 
 
 def _decide(cell: CellGeometry, plan: _Plan, rows: Sequence[_Row], block: tuple) -> np.ndarray:
     """Outage flags, shape ``(rows, trials)``, of a block of trials.
 
-    A row reads the block's relays qualified at its first-hop threshold
-    (:func:`_qualified`, one view per threshold). Exact knowledge is an
-    outage iff no relay succeeds; distance ranking as in
+    A row reads the block's relays qualified at its first-hop threshold,
+    one view per threshold. The thresholds are visited from the loosest up,
+    each view thinned from the one before (:func:`_thin`), so a tight
+    threshold tests only the relays that passed the looser ones. Exact
+    knowledge is an outage iff no relay succeeds; distance ranking as in
     :func:`_ranked_outages`.
     """
     n = block[0].size
     alpha = cell.path_loss_exponent
-    views = {}
+    by_theta = {}
+    for i, row in enumerate(rows):
+        by_theta.setdefault(row.theta_first, []).append(i)
     out = np.empty((len(rows), n), dtype=bool)
-    for i, (theta_first, theta_second, k) in enumerate(rows):
-        if theta_first not in views:
-            _, tid, _, d2, g2 = _qualified(plan, theta_first, block)
-            views[theta_first] = tid, d2, 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha)), g2
-        tid, d2, loss2, g2 = views[theta_first]
-        succ = g2 >= theta_second * loss2
-        if k:
-            out[i] = _ranked_outages(d2, succ, tid, n, k)
-        else:
-            out[i] = np.bincount(tid[succ], minlength=n) == 0
+    view = block
+    for theta_first in sorted(by_theta):
+        if theta_first != plan.theta_min:
+            view = _thin(block, view, theta_first)
+        _, tid, _, d2, g2, *_ = view
+        loss2 = 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha))
+        for i in by_theta[theta_first]:
+            _, theta_second, k = rows[i]
+            succ = g2 >= theta_second * loss2
+            if k:
+                out[i] = _ranked_outages(d2, succ, tid, n, k)
+            else:
+                out[i] = np.bincount(tid[succ], minlength=n) == 0
     return out
 
 
@@ -442,7 +488,10 @@ def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:
             if lo < request.trials:
                 part.append(request.read(plan, _head(block, request.trials - lo)))
         lo += block[0].size
-        del block  # freed before the next draw; held, it adds a block to the peak memory
+        # the block's columns are arrays of their own, not views of the
+        # field buffer: freed before the next draw; held, they add a block
+        # to the peak memory
+        del block
     return [request.merge(part) for request, part in zip(requests, parts)]
 
 

@@ -25,12 +25,13 @@ def ring_field(monkeypatch):
     """``ring_field(radius, n)`` makes the simulator draw, in place of a
     Poisson field, ``n`` relays evenly spaced on one circle about the cell
     center, for every trial of a block. Only the field is replaced: it draws
-    nothing, and gains still come from each trial's stream."""
+    nothing, ignores the field buffer ``out``, and gains still come from
+    each trial's stream."""
 
     def install(radius: float, n: int) -> None:
         turns = np.linspace(0.0, 1.0, n, endpoint=False)
 
-        def fields(cell, rngs, marks=0):
+        def fields(cell, rngs, marks=0, out=None):
             rows = np.empty((2 + marks, n * len(rngs)))
             rows[0], rows[1] = radius, np.tile(turns, len(rngs))
             return n * np.arange(1, len(rngs) + 1), rows

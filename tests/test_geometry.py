@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relaygeom import montecarlo as mc
-from relaygeom.geometry import sample_field, sq_dists_to_dest
+from relaygeom.geometry import sample_field, sample_fields, sq_dists_to_dest
 from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 
 
@@ -125,6 +125,27 @@ class TestSamplePpp:
         assert np.all((angles >= 0.0) & (angles < 2 * math.pi))
 
 
+class TestSampleFields:
+    def test_no_generators_draw_no_field(self, default_cell):
+        ends, rows = sample_fields(default_cell, [], marks=2)
+        assert ends.shape == (0,) and rows.shape == (4, 0)
+
+    def test_rows_sit_at_the_head_of_a_buffer_they_fit(self, default_cell):
+        def draw(out=None):
+            rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+            return sample_fields(default_cell, rngs, marks=1, out=out)
+
+        ends, want = draw()
+        buf = np.empty(want.size + 5)
+        for out, shared in ((buf, True), (buf[: want.size], True), (buf[: want.size - 1], False)):
+            got_ends, got = draw(out)
+            assert got_ends.tolist() == ends.tolist() and got.shape == want.shape
+            assert np.shares_memory(got, out) == shared
+            assert got[:2].tobytes() == want[:2].tobytes()  # row 2 is the caller's
+            if shared:
+                assert got.__array_interface__["data"][0] == out.__array_interface__["data"][0]
+
+
 def _dist(points, r_d: float) -> np.ndarray:
     radii, angles = (np.array(c, dtype=float).reshape(-1) for c in zip(*points))
     return np.sqrt(sq_dists_to_dest(radii, angles, r_d))
@@ -153,6 +174,18 @@ class TestDistToDest:
     def test_collinear_opposite(self):
         got = _dist([(2.0, math.pi), (0.0, math.pi), (7.5, math.pi)], 5.0)
         assert np.allclose(got, [7.0, 5.0, 12.5], rtol=0, atol=1e-12)
+
+    def test_law_of_cosines_in_its_written_order(self, rng):
+        # bit for bit the expression r^2 + r_d^2 - 2 r_d r cos(angle), clipped
+        # at 0, evaluated left to right; the inputs are left as they were
+        radii = 25.0 * np.sqrt(rng.random(100_000))
+        angles = 2.0 * math.pi * rng.random(100_000)
+        radii[:3], angles[:3] = 5.0, 0.0  # on the destination
+        copies = radii.copy(), angles.copy()
+        r_d = 5.0
+        want = np.maximum(radii * radii + r_d * r_d - 2.0 * r_d * radii * np.cos(angles), 0.0)
+        assert sq_dists_to_dest(radii, angles, r_d).tobytes() == want.tobytes()
+        assert radii.tobytes() == copies[0].tobytes() and angles.tobytes() == copies[1].tobytes()
 
     @given(points=_POINTS, r_d=st.floats(0, 50))
     def test_reflection_symmetry(self, points, r_d):

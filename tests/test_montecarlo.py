@@ -548,6 +548,20 @@ class TestQualifiedView:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), theta
 
 
+    def test_each_view_thins_from_the_looser_one(self, default_cell):
+        # criteria 3 and 4's thresholds, loosest first: thinning the view
+        # at the threshold before gives the view thinned from the block
+        rows = validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS
+        thetas = sorted({mc._grid_row(s, r, "frame_rate").theta_first for s, r in rows})
+        plan = mc._Plan.of(thetas)
+        (block,) = mc._blocks(default_cell, plan, 9, 40, 104)
+        view = block
+        for theta in thetas[1:]:
+            view = mc._thin(block, view, theta)
+            for got, want in zip(view, mc._thin(block, block, theta), strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), theta
+
+
 #: Cells for the block pins: one where most trials draw no relay
 #: (lambda pi R^2 = 0.31), a destination outside the cell at alpha = 2.5, and
 #: the default cell at alpha = 3.
@@ -653,6 +667,64 @@ def test_pass_releases_each_block_before_the_next_draw(monkeypatch, default_cell
     monkeypatch.setattr(mc, "_draw_block", tracked)
     mc.estimate_outage("stat", default_cell, radio_15db, 300, 9, workers=1)
     assert live == [0] * 5
+
+
+def _recorded_fields(monkeypatch) -> list:
+    """The field rows of every ``sample_fields`` call the simulator makes
+    from here on, in call order."""
+    sample, rows = mc.sample_fields, []
+
+    def recorded(*args, **kwargs):
+        ends, fields = sample(*args, **kwargs)
+        rows.append(fields)
+        return ends, fields
+
+    monkeypatch.setattr(mc, "sample_fields", recorded)
+    return rows
+
+
+class TestFieldBuffer:
+    """One ``_blocks`` call draws the fields of every block after the first
+    into one buffer, and hands on blocks that do not depend on it."""
+
+    PLAN = mc._Plan.of([0.01, 0.3])
+
+    def test_every_block_after_the_first_draws_into_one_buffer(self, monkeypatch, default_cell):
+        fields = _recorded_fields(monkeypatch)
+        for _ in mc._blocks(default_cell, self.PLAN, 7, 0, 300):
+            pass
+        assert len(fields) == 5
+        assert not np.shares_memory(fields[0], fields[1])
+        assert all(np.shares_memory(a, b) for a, b in zip(fields[1:], fields[2:]))
+
+    def test_no_block_is_a_view_of_the_buffer(self, monkeypatch, default_cell):
+        fields = _recorded_fields(monkeypatch)
+        listed = list(mc._blocks(default_cell, self.PLAN, 7, 0, 300))
+        # each block copied before the next is drawn
+        blocks = mc._blocks(default_cell, self.PLAN, 7, 0, 300)
+        one_at_a_time = [[col.copy() for col in block] for block in blocks]
+        assert len(listed) == len(one_at_a_time) == 5
+        for block, copies in zip(listed, one_at_a_time):
+            assert len(block) == len(copies) == 7
+            for col, copy in zip(block, copies):
+                assert col.dtype == copy.dtype and col.tobytes() == copy.tobytes()
+                assert not any(np.shares_memory(col, rows) for rows in fields)
+
+    def test_fields_that_do_not_fit_draw_into_their_own_array(self, monkeypatch, default_cell):
+        want = list(mc._blocks(default_cell, self.PLAN, 7, 0, 300))
+        sample = mc.sample_fields
+
+        def small_buffer(*args, out, **kwargs):
+            return sample(*args, out=None if out is None else out[:100], **kwargs)
+
+        monkeypatch.setattr(mc, "sample_fields", small_buffer)
+        fields = _recorded_fields(monkeypatch)
+        got = list(mc._blocks(default_cell, self.PLAN, 7, 0, 300))
+        assert len(fields) == 5
+        assert not any(np.shares_memory(a, b) for a, b in zip(fields, fields[1:]))
+        for block, copies in zip(got, want, strict=True):
+            for col, copy in zip(block, copies, strict=True):
+                assert col.dtype == copy.dtype and col.tobytes() == copy.tobytes()
 
 
 class TestRunRequestsGolden:

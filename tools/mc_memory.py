@@ -1,17 +1,27 @@
-"""Wall time, peak RSS and minor page faults of the Monte Carlo outage body.
+"""Wall time, peak RSS and minor page faults of a Monte Carlo body.
 
-One body is the shape of perfbench's ``mc_outage`` workload: one
-``montecarlo.estimate_outage`` call per row, on one worker, on the default
-cell at rate 1, for exact CSI and for statistical CSI with k = 1, 2, 3 at
-0, 5, ..., 30 dB (28 rows). Row ``i`` uses seed ``i``. The body runs
-``--bodies`` times in this process, on this checkout's ``src``. The output
-is one JSON line: the median wall time of a body, the process's peak RSS
-(``ru_maxrss``) in MB and the median number of minor page faults per body
-(``ru_minflt``). The allocator's reuse of freed memory shows in the faults,
-which perfbench does not record. Standard library and numpy only; Linux
-reports ``ru_maxrss`` in KiB.
+The default body, ``outage``, is the shape of perfbench's ``mc_outage``
+workload: one ``montecarlo.estimate_outage`` call per row, on one worker, on
+the default cell at rate 1, for exact CSI and for statistical CSI with
+k = 1, 2, 3 at 0, 5, ..., 30 dB (28 rows), ``--trials`` (default 1000)
+trials per row. Row ``i`` uses seed ``i``.
 
-Usage: ``python tools/mc_memory.py [--bodies N] [--trials T]``
+The ``gate_pass`` body is the Monte Carlo pass of ``validation.run_all``:
+one serial ``montecarlo.run_requests`` call at seed 42 with its three
+requests, the 25-row outage grid of criteria 3 and 4 at ``--trials``
+(default 10000) trials, criterion 6's k-th distances at two fifths and
+criterion 7's mean counts at a tenth of that (4000 and 1000 at the
+default, the sizes of perfbench's ``gate``). ``rows`` counts the grid's
+rows.
+
+The body runs ``--bodies`` times in this process, on this checkout's
+``src``. The output is one JSON line: the median wall time of a body, the
+process's peak RSS (``ru_maxrss``) in MB and the median number of minor
+page faults per body (``ru_minflt``). The allocator's reuse of freed memory
+shows in the faults, which perfbench does not record. Standard library and
+numpy only; Linux reports ``ru_maxrss`` in KiB.
+
+Usage: ``python tools/mc_memory.py [--body outage|gate_pass] [--bodies N] [--trials T]``
 """
 
 from __future__ import annotations
@@ -27,8 +37,8 @@ from pathlib import Path
 SNR_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 
-def measure(bodies: int, trials: int) -> dict:
-    """Run ``bodies`` bodies of ``trials`` trials per row; see the module text."""
+def _outage_body(trials: int):
+    """The rows of the ``outage`` body and the body itself."""
     from relaygeom import montecarlo, validation
     from relaygeom.model import RadioParams
 
@@ -37,12 +47,40 @@ def measure(bodies: int, trials: int) -> dict:
         for snr in SNR_DB
         for strategy, k in (("exact", 1), ("stat", 1), ("stat", 2), ("stat", 3))
     ]
+
+    def body() -> None:
+        for i, (strategy, radio) in enumerate(rows):
+            montecarlo.estimate_outage(strategy, validation.DEFAULT_CELL, radio, trials, i, workers=1)
+
+    return rows, body
+
+
+def _gate_pass_body(trials: int):
+    """The grid rows of the ``gate_pass`` body and the body itself."""
+    from relaygeom import montecarlo, validation
+
+    cell, theta = validation.DEFAULT_CELL, validation.THETA_15DB
+    rows = validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS
+    requests = [
+        montecarlo.OutageGridRequest(cell, rows, trials),
+        montecarlo.KthDistancesRequest(cell, theta, validation.K_MAX, max(1, 2 * trials // 5)),
+        montecarlo.MeanCountRequest(validation._MEAN_COUNT_RADII, cell, theta, max(1, trials // 10)),
+    ]
+    return rows, lambda: montecarlo.run_requests(requests, 42, workers=1)
+
+
+#: Each body's builder and its default trial count.
+BODIES = {"outage": (_outage_body, 1000), "gate_pass": (_gate_pass_body, 10000)}
+
+
+def measure(bodies: int, trials: int, body: str = "outage") -> dict:
+    """Run ``bodies`` runs of ``body`` at ``trials`` trials; see the module text."""
+    rows, run = BODIES[body][0](trials)
     walls, faults = [], []
     for _ in range(bodies):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        for i, (strategy, radio) in enumerate(rows):
-            montecarlo.estimate_outage(strategy, validation.DEFAULT_CELL, radio, trials, i, workers=1)
+        run()
         walls.append(time.perf_counter() - t0)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     return {
@@ -57,13 +95,17 @@ def measure(bodies: int, trials: int) -> dict:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--body", choices=sorted(BODIES), default="outage", help="body to run (default: outage)")
     parser.add_argument("--bodies", type=int, default=5, help="bodies to run (default: 5)")
-    parser.add_argument("--trials", type=int, default=1000, help="trials per row (default: 1000)")
+    parser.add_argument(
+        "--trials", type=int, help="trials per row (default: 1000 for outage, 10000 for gate_pass)"
+    )
     args = parser.parse_args(argv)
-    if args.bodies < 1 or args.trials < 1:
+    trials = BODIES[args.body][1] if args.trials is None else args.trials
+    if args.bodies < 1 or trials < 1:
         parser.error("--bodies and --trials must be >= 1")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    print(json.dumps(measure(args.bodies, args.trials)))
+    print(json.dumps(measure(args.bodies, trials, args.body)))
     return 0
 
 
