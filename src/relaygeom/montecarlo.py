@@ -53,7 +53,9 @@ relays within each radius for both observers without sorting; k-th nearest
 distances sort each trial's slice in place. Each result reads only its own
 trial's relays, so none depends on the block size or on the other requests
 of the pass. Worker processes take contiguous ranges of trials; parts
-combine by integer sums or in range order.
+combine by integer sums or in range order; :func:`running_requests` forks
+them before its caller's ``with`` block runs, so the caller can work while
+they draw.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -252,7 +255,8 @@ def _draw_block(
     radii, angles = radii[keep], turns[keep]
     angles *= 2.0 * math.pi
     d2 = sq_dists_to_dest(radii, angles, cell.dest_distance)
-    block = (np.diff(kept_ends, prepend=0), ends.searchsorted(keep, side="right"), radii, d2, g2)
+    sizes = np.diff(kept_ends, prepend=0)
+    block = (sizes, np.repeat(np.arange(sizes.size), sizes), radii, d2, g2)
     return block + (gains[keep], loss[keep]) if plan.nested else block
 
 
@@ -329,19 +333,22 @@ def _decide(cell: CellGeometry, plan: _Plan, rows: Sequence[_Row], block: tuple)
     each view thinned from the one before (:func:`_thin`), so a tight
     threshold tests only the relays that passed the looser ones. Exact
     knowledge is an outage iff no relay succeeds; distance ranking as in
-    :func:`_ranked_outages`.
+    :func:`_ranked_outages`. Once a view is empty, so is every tighter one:
+    its rows and all later ones are outages in every trial.
     """
     n = block[0].size
     alpha = cell.path_loss_exponent
     by_theta = {}
     for i, row in enumerate(rows):
         by_theta.setdefault(row.theta_first, []).append(i)
-    out = np.empty((len(rows), n), dtype=bool)
+    out = np.ones((len(rows), n), dtype=bool)
     view = block
     for theta_first in sorted(by_theta):
         if theta_first != plan.theta_min:
             view = _thin(block, view, theta_first)
         _, tid, _, d2, g2, *_ = view
+        if tid.size == 0:
+            break
         loss2 = 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha))
         for i in by_theta[theta_first]:
             _, theta_second, k = rows[i]
@@ -451,13 +458,28 @@ def run_requests(requests: Sequence, seed: int, *, workers: int | None = None) -
     request reads (:func:`_draw_block`), and read by every request whose
     ``trials`` reach it, at that request's own thresholds. So each result
     equals what the request's function returns on its own, count for count.
+    Worker processes as in :func:`running_requests`, which runs the pass.
+    """
+    with running_requests(requests, seed, workers=workers) as results:
+        return results()
+
+
+@contextmanager
+def running_requests(requests: Sequence, seed: int, *, workers: int | None = None):
+    """Start the pass of :func:`run_requests` and yield ``results()``, which
+    waits for it and returns what :func:`run_requests` returns.
 
     ``workers`` defaults to the ``RELAYGEOM_THREADS`` environment variable,
     else 1. The trials split into contiguous ranges over ``min(workers,
-    trials, CPUs)`` worker processes, where CPUs is :func:`_usable_cpus`,
-    or run in this process when that is 1. Each trial owns its stream and
-    the parts combine by integer sums or in range order, so the results do
-    not depend on the worker count.
+    trials, CPUs)`` worker processes, where CPUs is :func:`_usable_cpus`.
+    The ranges are submitted, and the workers forked, before the body of the
+    ``with`` block runs, so the caller can work while they draw; with one
+    worker the pass runs in this process when ``results()`` is called. On
+    leaving the block, normally or by an exception, the pool shuts down with
+    any pending range cancelled, after its running ranges end, so no worker
+    outlives the block. Each trial owns its stream and the parts combine by
+    integer sums or in range order, so the results do not depend on the
+    worker count.
     """
     requests = tuple(requests)
     if not requests:
@@ -467,14 +489,20 @@ def run_requests(requests: Sequence, seed: int, *, workers: int | None = None) -
     trials = max(request.trials for request in requests)
     workers = workers_from_env() or 1 if workers is None else check_count("workers", workers)
     workers = min(workers, trials, _usable_cpus())
+
+    def merged(parts: list) -> list:
+        return [r.result(r.merge([part[i] for part in parts])) for i, r in enumerate(requests)]
+
     if workers == 1:
-        parts = [_pass(requests, seed, 0, trials)]
-    else:
-        bounds = [(i * trials // workers, (i + 1) * trials // workers) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_pass, requests, seed, lo, hi) for lo, hi in bounds]
-            parts = [f.result() for f in futures]
-    return [r.result(r.merge([part[i] for part in parts])) for i, r in enumerate(requests)]
+        yield lambda: merged([_pass(requests, seed, 0, trials)])
+        return
+    bounds = [(i * trials // workers, (i + 1) * trials // workers) for i in range(workers)]
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(_pass, requests, seed, lo, hi) for lo, hi in bounds]
+        yield lambda: merged([f.result() for f in futures])
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:

@@ -6,8 +6,11 @@ worker count, grid or tolerance. :func:`run_all` runs the whole gate, and
 both the CLI ``validate`` subcommand and the acceptance test suite call it,
 so there is a single source of truth for pass/fail logic. The Monte Carlo
 checks (criteria 3, 4, 6 and 7) draw nothing: :func:`run_all` draws their
-trials in one :func:`~relaygeom.montecarlo.run_requests` pass, the only
-Monte Carlo call in this module, and hands each check its results.
+trials in one :func:`~relaygeom.montecarlo.running_requests` pass and hands
+each check its results. That pass is this module's one Monte Carlo call
+outside criterion 9, whose sweeps run the command line. While its workers
+draw, :func:`run_all` runs criteria 1, 2, 5 and 8 and criterion 9's
+one-worker sweep in this process.
 
 Statistical comparisons use the null-hypothesis standard error
 ``sqrt(p0 (1 - p0) / n)`` (not the estimate's own, which degenerates at
@@ -22,7 +25,9 @@ import math
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -517,13 +522,21 @@ def check_normalization() -> CheckResult:
 # criterion 9: byte-identical CSV across worker counts
 # ----------------------------------------------------------------------
 
-def check_cli_determinism() -> CheckResult:
-    """Two 2000-trial outage-sweep runs at seed 7, one with ``--workers 1``
-    and one with ``--workers 2``, must write byte-identical CSVs."""
+class Sweep(NamedTuple):
+    """One of criterion 9's sweeps (:func:`_cli_sweep`): its worker count,
+    the CSV it wrote or, when it failed, its exit code, and its seconds."""
+
+    workers: int
+    output: bytes | int
+    seconds: float
+
+
+def _cli_sweep(workers: int) -> Sweep:
+    """Criterion 9's 2000-trial, 9-row ``outage-sweep`` at seed 7, run
+    through ``cli.main`` with ``--workers`` set to ``workers``."""
     from . import cli  # deferred: cli imports this module for `validate`
 
     t0 = time.perf_counter()
-    outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "cfg.json")
         with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -531,21 +544,29 @@ def check_cli_determinism() -> CheckResult:
                 '{"trials": 2000, "seed": 7, "snr_grid_db": [5, 15, 25], '
                 '"k_values": [1, 2], "strategies": ["exact", "stat"]}'
             )
-        for workers in ("1", "2"):
-            out = os.path.join(tmp, f"sweep_{workers}.csv")
-            rc = cli.main(["outage-sweep", "--config", cfg_path, "--csv", out, "--workers", workers])
-            if rc != 0:
-                return _finish(
-                    "cli_determinism", False, f"sweep exited with code {rc} at {workers} workers", t0
-                )
+        out = os.path.join(tmp, "sweep.csv")
+        output = cli.main(["outage-sweep", "--config", cfg_path, "--csv", out, "--workers", str(workers)])
+        if output == 0:
             with open(out, "rb") as fh:
-                outputs.append(fh.read())
-    same = outputs[0] == outputs[1]
-    return _finish(
+                output = fh.read()
+    return Sweep(workers, output, time.perf_counter() - t0)
+
+
+def check_cli_determinism(one: Sweep, two: Sweep) -> CheckResult:
+    """Criterion 9's sweeps (:func:`_cli_sweep`), ``one`` with ``--workers
+    1`` and ``two`` with ``--workers 2``, must write byte-identical CSVs.
+    The result's ``seconds`` are the two sweeps' own."""
+    seconds = one.seconds + two.seconds
+    for sweep in (one, two):
+        if isinstance(sweep.output, int):
+            detail = f"sweep exited with code {sweep.output} at {sweep.workers} workers"
+            return CheckResult("cli_determinism", False, detail, seconds)
+    same = one.output == two.output
+    return CheckResult(
         "cli_determinism",
         same,
-        f"{len(outputs[0])} bytes, 1 vs 2 workers: {'identical' if same else 'DIFFER'}",
-        t0,
+        f"{len(one.output)} bytes, {one.workers} vs {two.workers} workers: {'identical' if same else 'DIFFER'}",
+        seconds,
     )
 
 
@@ -558,53 +579,60 @@ def run_all(
 ) -> list[CheckResult]:
     """Run every check and return the results in criterion order.
 
-    One :func:`~relaygeom.montecarlo.run_requests` pass at ``seed`` over
-    ``max(trials, samples, mean_count_trials)`` trials draws what criteria
-    3, 4, 6 and 7 judge: criteria 3 and 4 read its first ``trials`` trials,
-    criterion 6 its first ``samples`` and criterion 7 its first
-    ``mean_count_trials``. The pass is timed in criterion 4's ``seconds``
-    only, and the details of criteria 3, 6 and 7 say so. ``workers`` sets
-    the pass's worker processes; no result depends on it.
+    One :func:`~relaygeom.montecarlo.running_requests` pass at ``seed``
+    over ``max(trials, samples, mean_count_trials)`` trials draws what
+    criteria 3, 4, 6 and 7 judge: criteria 3 and 4 read its first ``trials``
+    trials, criterion 6 its first ``samples`` and criterion 7 its first
+    ``mean_count_trials``. ``workers`` sets the pass's worker processes; no
+    result depends on it. While they draw, this process runs criteria 1, 2,
+    5 and 8 and criterion 9's one-worker sweep. Criterion 9's two-worker
+    sweep runs after the pass's pool has shut down, since forking beside the
+    pool's manager thread is unsafe.
+
+    Each check keeps its own seconds. The pass is timed in criterion 4's
+    only, from opening it to reading its results, and the details of
+    criteria 3, 6 and 7 say so. That span holds the checks run while the
+    workers draw, so the seconds of a run no longer add up to its wall
+    time.
     """
-    results = [check_inner_integral(), check_far_field_mean()]
-    exact, stat, fk, mean_count = _monte_carlo_checks(
-        trials, samples, mean_count_trials, seed, workers
-    )
-    return results + [
-        exact,
-        stat,
-        check_diversity_order(),
-        fk,
-        mean_count,
-        check_normalization(),
-        check_cli_determinism(),
-    ]
+    with _monte_carlo_checks(trials, samples, mean_count_trials, seed, workers) as judge:
+        inner, far_field = check_inner_integral(), check_far_field_mean()
+        slopes, normalization = check_diversity_order(), check_normalization()
+        one_worker = _cli_sweep(1)
+        exact, stat, fk, mean_count = judge()
+    determinism = check_cli_determinism(one_worker, _cli_sweep(2))
+    return [inner, far_field, exact, stat, slopes, fk, mean_count, normalization, determinism]
 
 
+@contextmanager
 def _monte_carlo_checks(
     trials: int, samples: int, mean_count_trials: int, seed: int, workers: int | None
-) -> list[CheckResult]:
-    """Criteria 3, 4, 6 and 7 judged on one pass, as :func:`run_all` says."""
+):
+    """Start the pass of :func:`run_all` and yield ``judge()``, which waits
+    for it and returns criteria 3, 4, 6 and 7 judged on it, as
+    :func:`run_all` says; the workers draw until the block ends."""
     t0 = time.perf_counter()
-    estimates, draws, empirical = montecarlo.run_requests(
-        [
-            montecarlo.OutageGridRequest(DEFAULT_CELL, _EXACT_CSI_ROWS + _STAT_CSI_ROWS, trials),
-            montecarlo.KthDistancesRequest(DEFAULT_CELL, THETA_15DB, K_MAX, samples),
-            montecarlo.MeanCountRequest(_MEAN_COUNT_RADII, DEFAULT_CELL, THETA_15DB, mean_count_trials),
-        ],
-        seed,
-        workers=workers,
-    )
-    drawn = time.perf_counter() - t0
-    split = len(_EXACT_CSI_ROWS)
-    stat = check_stat_csi_outage(estimates[split:])
-
-    def shared(result: CheckResult) -> CheckResult:
-        return replace(result, detail=result.detail + _SHARED_DRAW_NOTE)
-
-    return [
-        shared(check_exact_csi_outage(estimates[:split])),
-        replace(stat, seconds=stat.seconds + drawn),
-        shared(check_fk_distribution(draws)),
-        shared(check_mean_count_curves(empirical)),
+    requests = [
+        montecarlo.OutageGridRequest(DEFAULT_CELL, _EXACT_CSI_ROWS + _STAT_CSI_ROWS, trials),
+        montecarlo.KthDistancesRequest(DEFAULT_CELL, THETA_15DB, K_MAX, samples),
+        montecarlo.MeanCountRequest(_MEAN_COUNT_RADII, DEFAULT_CELL, THETA_15DB, mean_count_trials),
     ]
+    with montecarlo.running_requests(requests, seed, workers=workers) as results:
+
+        def judge() -> list[CheckResult]:
+            estimates, draws, empirical = results()
+            drawn = time.perf_counter() - t0
+            split = len(_EXACT_CSI_ROWS)
+            stat = check_stat_csi_outage(estimates[split:])
+
+            def shared(result: CheckResult) -> CheckResult:
+                return replace(result, detail=result.detail + _SHARED_DRAW_NOTE)
+
+            return [
+                shared(check_exact_csi_outage(estimates[:split])),
+                replace(stat, seconds=stat.seconds + drawn),
+                shared(check_fk_distribution(draws)),
+                shared(check_mean_count_curves(empirical)),
+            ]
+
+        yield judge

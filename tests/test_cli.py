@@ -686,7 +686,8 @@ class TestMainEntry:
         rc = cli.main(["fk-check", "--samples", "300", "--seed", "42", "--workers", str(workers)])
         out = capsys.readouterr().out
         status, detail = re.fullmatch(r"(\[\w+\]) \S+ \([\d.]+s\): (.*)\n", out).groups()
-        gate = validation._monte_carlo_checks(50, 300, 50, 42, workers)[2]
+        with validation._monte_carlo_checks(50, 300, 50, 42, workers) as judge:
+            gate = judge()[2]
         assert gate.name == "kth_nearest_distance_ks"
         assert detail == gate.detail.removesuffix(validation._SHARED_DRAW_NOTE)
         assert (status, rc) == (("[PASS]", 0) if gate.passed else ("[FAIL]", 2))

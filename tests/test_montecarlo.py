@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 import weakref
 from types import SimpleNamespace
 
@@ -321,11 +322,8 @@ class TestWorkerCap:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures=False):
+                pass
 
             def submit(self, fn, *args):
                 result = fn(*args)
@@ -528,6 +526,60 @@ class TestRunRequests:
         requests = [mc.KthDistancesRequest(cell, 0.1, 1, 5) for cell in (default_cell, other)]
         with pytest.raises(ValueError, match="one cell"):
             mc.run_requests(requests, 0)
+
+
+class TestRunningRequests:
+    """The pass as a ``with`` block: its workers draw while the block runs,
+    and none outlives it."""
+
+    @staticmethod
+    def _requests(cell):
+        return [
+            mc.OutageGridRequest(cell, _mixed_rows((10.0, 25.0)), 70),
+            mc.KthDistancesRequest(cell, 0.01, 3, 130),
+            mc.MeanCountRequest([0.0, 7.5, 25.0], cell, 1.5, 40),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_equal_run_requests(self, workers, default_cell):
+        alone = mc.run_requests(self._requests(default_cell), 5, workers=workers)
+        with mc.running_requests(self._requests(default_cell), 5, workers=workers) as results:
+            outage, kth, counts = results()
+        assert outage == alone[0]
+        assert kth.tobytes() == alone[1].tobytes()
+        assert counts == alone[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_body_error_propagates_and_no_worker_outlives_it(self, workers, default_cell):
+        with pytest.raises(RuntimeError, match="in the block"):
+            with mc.running_requests(self._requests(default_cell), 5, workers=workers):
+                raise RuntimeError("in the block")
+        assert multiprocessing.active_children() == []
+
+
+class TestEmptyViews:
+    def test_no_thinning_or_ranking_after_a_view_empties(self, monkeypatch, default_cell):
+        # criteria 3 and 4's 25 rows on 64 trials: the tightest first-hop
+        # thresholds keep no relay, and a view tighter than an empty one is
+        # empty too, so neither it nor its rows cost a numpy call
+        thin, ranked, empty = mc._thin, mc._ranked_outages, []
+
+        def counting_thin(block, view, theta_first):
+            assert not empty, "_thin called after a view emptied"
+            out = thin(block, view, theta_first)
+            if out[1].size == 0:
+                empty.append(theta_first)
+            return out
+
+        def counting_ranked(d2, succ, trial, n, k):
+            assert not empty and d2.size, "_ranked_outages called on an empty view"
+            return ranked(d2, succ, trial, n, k)
+
+        monkeypatch.setattr(mc, "_thin", counting_thin)
+        monkeypatch.setattr(mc, "_ranked_outages", counting_ranked)
+        rows = validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS
+        mc.estimate_outage_grid(default_cell, rows, 64, 42, workers=1)
+        assert len(empty) == 1
 
 
 class TestQualifiedView:

@@ -1,11 +1,14 @@
+import contextlib
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from relaygeom import analytic, montecarlo, validation
+from relaygeom import analytic, cli, montecarlo, validation
 from relaygeom.model import CellGeometry
 from relaygeom.validation import _ks_statistic, binomial_consistent
 
@@ -194,13 +197,13 @@ class TestRunAllSharesDraws:
     @pytest.fixture
     def passes(self, monkeypatch):
         calls = []
-        run = montecarlo.run_requests
+        running = montecarlo.running_requests
 
-        def counting_run(requests, seed, **kwargs):
+        def counting_running(requests, seed, **kwargs):
             calls.append((seed, [_kind(r) for r in requests]))
-            return run(requests, seed, **kwargs)
+            return running(requests, seed, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "run_requests", counting_run)
+        monkeypatch.setattr(montecarlo, "running_requests", counting_running)
         return calls
 
     @staticmethod
@@ -265,8 +268,8 @@ class TestRunAllSharesDraws:
         alone = self._standalone(**sizes, workers=1)
         for block in (1, 7, 64, 1000):
             monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", block)
-            shared = validation._monte_carlo_checks(**sizes, seed=42, workers=workers)
-            self._assert_shared_equal_alone(shared, alone)
+            with validation._monte_carlo_checks(**sizes, seed=42, workers=workers) as judge:
+                self._assert_shared_equal_alone(judge(), alone)
 
     def test_one_pass_per_run_and_no_memo(self, passes):
         first = validation.run_all(**self.SIZES, workers=1)
@@ -277,15 +280,21 @@ class TestRunAllSharesDraws:
         assert [(r.passed, r.detail) for r in first] == [(r.passed, r.detail) for r in second]
 
     def test_shared_draw_is_timed_in_criterion_4_only(self, monkeypatch):
-        run = montecarlo.run_requests
+        running = montecarlo.running_requests
 
-        def slow_run(requests, seed, **kwargs):
-            # only the shared pass sleeps, not criterion 9's sweeps
-            if seed == self.SIZES["seed"]:
-                time.sleep(0.5)
-            return run(requests, seed, **kwargs)
+        @contextlib.contextmanager
+        def slow_running(requests, seed, **kwargs):
+            with running(requests, seed, **kwargs) as results:
 
-        monkeypatch.setattr(montecarlo, "run_requests", slow_run)
+                def slow_results():
+                    # only the shared pass sleeps, not criterion 9's sweeps
+                    if seed == self.SIZES["seed"]:
+                        time.sleep(0.5)
+                    return results()
+
+                yield slow_results
+
+        monkeypatch.setattr(montecarlo, "running_requests", slow_running)
         results = {r.name: r for r in validation.run_all(**self.SIZES, workers=1)}
         assert results["stat_csi_outage_mc_vs_analytic"].seconds >= 0.5
         for name in (
@@ -295,3 +304,75 @@ class TestRunAllSharesDraws:
         ):
             assert results[name].seconds < 0.5
             assert results[name].detail.endswith(validation._SHARED_DRAW_NOTE)
+
+
+class TestPassWindow:
+    """``run_all`` runs its serial checks while the pass's workers draw."""
+
+    SIZES = TestRunAllSharesDraws.SIZES
+
+    def test_serial_checks_run_while_the_workers_draw(self, monkeypatch):
+        events = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                events.append("submit")
+                return super().submit(*args, **kwargs)
+
+        inner, running = validation.check_inner_integral, montecarlo.running_requests
+
+        def spy_inner():
+            events.append("criterion 1 starts")
+            result = inner()
+            events.append("criterion 1 ends")
+            return result
+
+        @contextlib.contextmanager
+        def spy_running(requests, seed, **kwargs):
+            with running(requests, seed, **kwargs) as results:
+
+                def read():
+                    events.append(f"results of seed {seed} read")
+                    return results()
+
+                yield read
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(validation, "check_inner_integral", spy_inner)
+        monkeypatch.setattr(montecarlo, "running_requests", spy_running)
+        validation.run_all(**self.SIZES, workers=2)
+        # criterion 9's sweeps at seed 7: one worker in the window, then two
+        assert events == [
+            "submit",
+            "submit",
+            "criterion 1 starts",
+            "criterion 1 ends",
+            "results of seed 7 read",
+            "results of seed 42 read",
+            "submit",
+            "submit",
+            "results of seed 7 read",
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_worker_outlives_a_check_that_raises(self, workers, monkeypatch):
+        def broken():
+            raise RuntimeError("criterion 8 broke")
+
+        monkeypatch.setattr(validation, "check_normalization", broken)
+        with pytest.raises(RuntimeError, match="criterion 8 broke"):
+            validation.run_all(**self.SIZES, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_sweep_names_its_worker_count(self, failing, monkeypatch):
+        main = cli.main
+
+        def flaky_main(argv):
+            return 2 if argv[-2:] == ["--workers", str(failing)] else main(argv)
+
+        monkeypatch.setattr(cli, "main", flaky_main)
+        result = validation.check_cli_determinism(validation._cli_sweep(1), validation._cli_sweep(2))
+        assert result.line().startswith("[FAIL] cli_determinism")
+        assert result.detail == f"sweep exited with code 2 at {failing} workers"
