@@ -11,12 +11,13 @@ trial's stream by resetting its Philox state (:func:`_enter_trial`), which
 :func:`trial_rng` uses too: the reset generator draws exactly what a fresh
 ``trial_rng(s, t)`` draws.
 
-Every trial draws on its own stream in one fixed order: the field as drawn
-by :func:`relaygeom.geometry.sample_fields`, which owns that part of the
-order (relay count, all radius variates, all angle variates), then a
-first-hop fading gain for every relay, then a second-hop gain for every
-relay qualified under the pass's loosest first-hop threshold, in input
-order. That union holds every threshold's qualified relays, and
+Every trial draws on its own stream in one fixed order: the Poisson relay
+count, then a radius variate for every relay, then an angle variate for
+every relay, then a first-hop fading gain for every relay, then a
+second-hop gain for every relay qualified under the pass's loosest
+first-hop threshold, in input order. This is the one statement of the
+order; the reproducibility contract and every golden stream rest on it.
+That union holds every threshold's qualified relays, and
 ``standard_exponential(n)`` returns the first ``n`` values of
 ``standard_exponential(N)`` on the same stream, so a row with ``J``
 qualified relays reads exactly the gains it would draw alone: both
@@ -31,16 +32,16 @@ One block loop serves every sampler (:func:`run_requests`). Trials are
 drawn and handed on in blocks of up to :data:`_BLOCK_TRIALS`
 (:func:`_blocks`), each trial on a generator of its own, so a block is
 drawn in two phases (:func:`_draw_block`). Per trial run only the stream
-calls, each writing into the block's buffers: the count, the radius and
-angle variates, the first-hop gains and, once the block knows which relays
-qualify, the second-hop gains. Per block runs everything else: radii and
-angles from the variates (angles of qualified relays only), path losses,
-the first-hop test, trial indices, compaction and one destination-distance
-computation. A block lists the per-trial relay counts, then the qualified
-relays of its trials concatenated, grouped by trial in input order: trial
-indices, source distances, squared destination distances, second-hop
-gains, and the first-hop gains and losses when some threshold is tighter
-than the loosest.
+calls, in the order above, each writing into the block's buffers: first
+everything up to the first-hop gains (:func:`_draw_fields`), then, once
+the block knows which relays qualify, the second-hop gains. Per block runs
+everything else: radii and angles from the variates (angles of qualified
+relays only), path losses, the first-hop test, trial indices, compaction
+and one destination-distance computation. A block lists the per-trial
+relay counts, then the qualified relays of its trials concatenated,
+grouped by trial in input order: trial indices, source distances, squared
+destination distances, second-hop gains, and the first-hop gains and
+losses when some threshold is tighter than the loosest.
 A request brings its own first-hop threshold and its own trial count: it
 reads the pass's first trials up to its count, and of each block the relays
 qualified at its threshold. One function, :func:`_thin`, thins a block
@@ -70,7 +71,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import sample_fields, sq_dists_to_dest
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from .model import check_count, check_threshold
 
@@ -196,13 +196,65 @@ class _Plan(NamedTuple):
         return cls(theta_min, any(theta != theta_min for theta in thetas))
 
 
-def _fill(draw, gens: Sequence[np.random.Generator], ends: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` trial by trial: trial ``i``'s slice, which ends at
-    ``ends[i]``, by ``draw(gens[i], out=...)`` on that trial's generator."""
+def _draw_fields(
+    cell: CellGeometry, gens: Sequence[np.random.Generator], out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase one of :func:`_draw_block`: per generator of ``gens``, one
+    trial's draws in the module docstring's order up to its first-hop gains
+    (a homogeneous Poisson relay field over the cell and an Exp(1) gain per
+    relay), concatenated in generator order.
+
+    Returns ``(ends, rows)``: trial ``i`` holds the relays from
+    ``ends[i - 1]`` (0 for the first) up to ``ends[i]``, and ``rows`` has
+    four rows of one column per relay: source distances, angles in turns
+    (the angle is ``2 * pi * turns``), first-hop gains, and a row left
+    unset for the caller's path losses. The count is Poisson with
+    mean ``cell.mean_relay_count``; given the count, positions are i.i.d.
+    uniform over the disk: radius ``R * sqrt(u)`` with ``u`` uniform on
+    [0, 1) (the square root compensates for the growth of area with radius)
+    and ``turns`` uniform on [0, 1). Angles stay in turns so that the
+    caller converts only those it keeps. Only the draws run per trial; the
+    square roots and scalings run once for all of them.
+
+    ``rows`` is a view of the head of ``out``, a 1-D float64 buffer, when
+    ``out`` holds at least ``4 * ends[-1]`` values, and a new array
+    otherwise.
+    """
+    mean = cell.mean_relay_count
+    ends = np.cumsum(np.fromiter((rng.poisson(mean) for rng in gens), np.intp, len(gens)))
+    n = int(ends[-1]) if ends.size else 0
+    if out is not None and out.size >= 4 * n:
+        rows = out[: 4 * n].reshape(4, n)
+    else:
+        rows = np.empty((4, n))
+    radii, turns, gains = rows[:3]
     begin = 0
     for rng, end in zip(gens, ends.tolist()):
-        draw(rng, out=out[begin:end])
+        rng.random(out=radii[begin:end])
+        rng.random(out=turns[begin:end])
+        rng.standard_exponential(out=gains[begin:end])
         begin = end
+    np.sqrt(radii, out=radii)
+    radii *= cell.cell_radius
+    return ends, rows
+
+
+def sq_dists_to_dest(radii: np.ndarray, angles: np.ndarray, dest_distance: float) -> np.ndarray:
+    """Squared distances from relays at polar ``(radii, angles)`` about the
+    cell center to the destination at ``(dest_distance, 0)``.
+
+    Law of cosines, ``r^2 + r_d^2 - 2 r r_d cos(angle)``, clipped at 0
+    against rounding. Squared distances suffice for ranking. ``radii`` and
+    ``angles`` are parallel arrays and are left as they are.
+    """
+    # the formula's operations in its own order, in two new arrays
+    cross = np.cos(angles)
+    d2 = (2.0 * dest_distance) * radii
+    cross *= d2
+    np.multiply(radii, radii, out=d2)
+    d2 += dest_distance * dest_distance
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _draw_block(
@@ -219,13 +271,13 @@ def _draw_block(
     loss when some request reads a tighter threshold; grouped by trial, in
     input order.
 
-    Each generator draws its trial's field (:func:`sample_fields`), then a
-    first-hop gain per relay, then a second-hop gain per qualified relay.
-    Only these draws run per trial; the rest runs once for the block, and
-    nothing that spans every drawn relay outlives the call but the field
-    buffer ``field_buf``: when given, a 1-D array that the fields are drawn
-    into if they fit (:func:`sample_fields`). Every column of the block is
-    an array of its own, so none of them is a view of the buffer.
+    Each generator draws its trial in the module docstring's order: the
+    field and first-hop gains (:func:`_draw_fields`), then a second-hop
+    gain per qualified relay. Only these draws run per trial; the rest runs
+    once for the block, and nothing that spans every drawn relay outlives
+    the call but the field buffer ``field_buf``: when given, a 1-D array
+    that the fields are drawn into if they fit. Every column of the block
+    is an array of its own, so none of them is a view of the buffer.
 
     A relay at source distance ``r`` decodes the source broadcast at
     threshold ``theta`` iff its Exp(1) gain ``g`` satisfies
@@ -233,15 +285,13 @@ def _draw_block(
     is the union of every other's, because ``fl(theta * x)`` does not
     decrease in ``theta``.
     """
-    draw_exp = np.random.Generator.standard_exponential
     # The block's fields, gains and losses share one buffer, which
     # ``_blocks`` reuses for its blocks. Allocated per block, the ~1.3 MB
     # (default cell) can go back to the system at each block's end and be
     # faulted in again at the next draw, as the allocator's heap history
     # decides: 19,400 minor page faults per ``tools/mc_memory.py`` body
     # against 641 with the buffer.
-    ends, (radii, turns, gains, loss) = sample_fields(cell, gens, marks=2, out=field_buf)
-    _fill(draw_exp, gens, ends, gains)
+    ends, (radii, turns, gains, loss) = _draw_fields(cell, gens, out=field_buf)
     alpha = cell.path_loss_exponent
     if alpha == 2.0:
         np.multiply(radii, radii, out=loss)
@@ -251,9 +301,14 @@ def _draw_block(
     keep = (gains >= plan.theta_min * loss).nonzero()[0]
     kept_ends = keep.searchsorted(ends)
     g2 = np.empty(keep.size)
-    _fill(draw_exp, gens, kept_ends, g2)
+    begin = 0
+    for rng, end in zip(gens, kept_ends.tolist()):
+        rng.standard_exponential(out=g2[begin:end])
+        begin = end
     radii, angles = radii[keep], turns[keep]
     angles *= 2.0 * math.pi
+    # looked up as a module global on each call, so a profiler that wraps
+    # the name times every distance computation
     d2 = sq_dists_to_dest(radii, angles, cell.dest_distance)
     sizes = np.diff(kept_ends, prepend=0)
     block = (sizes, np.repeat(np.arange(sizes.size), sizes), radii, d2, g2)
@@ -266,7 +321,7 @@ def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
     a generator of the pool moved onto its stream.
 
     The fields of every block but the first are drawn into one buffer, with
-    room for the 4 rows (:func:`_draw_block`) of up to 5 standard deviations
+    room for the 4 rows (:func:`_draw_fields`) of up to 5 standard deviations
     (plus 5) more relays than a block's Poisson mean; a block with more,
     fewer than one in a million, draws into an array of its own. The first
     block draws into an array of its own, freed before the buffer is made:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,22 +22,33 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+def sample_field(cell: CellGeometry, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's field as the simulator draws it on ``rng``, as parallel
+    arrays ``(radii, angles)`` with angles in [0, 2*pi). The draw takes the
+    trial's first-hop gains from ``rng`` too."""
+    _, (radii, turns, _, _) = montecarlo._draw_fields(cell, [rng])
+    return radii, 2.0 * math.pi * turns
+
+
 @pytest.fixture
 def ring_field(monkeypatch):
     """``ring_field(radius, n)`` makes the simulator draw, in place of a
     Poisson field, ``n`` relays evenly spaced on one circle about the cell
     center, for every trial of a block. Only the field is replaced: it draws
-    nothing, ignores the field buffer ``out``, and gains still come from
-    each trial's stream."""
+    no count, radius or angle, ignores the field buffer ``out``, and draws
+    each trial's first-hop gains from that trial's own generator, as the
+    simulator does."""
 
     def install(radius: float, n: int) -> None:
         turns = np.linspace(0.0, 1.0, n, endpoint=False)
 
-        def fields(cell, rngs, marks=0, out=None):
-            rows = np.empty((2 + marks, n * len(rngs)))
+        def fields(cell, rngs, out=None):
+            rows = np.empty((4, n * len(rngs)))
             rows[0], rows[1] = radius, np.tile(turns, len(rngs))
+            for i, rng in enumerate(rngs):
+                rng.standard_exponential(out=rows[2, i * n : (i + 1) * n])
             return n * np.arange(1, len(rngs) + 1), rows
 
-        monkeypatch.setattr(montecarlo, "sample_fields", fields)
+        monkeypatch.setattr(montecarlo, "_draw_fields", fields)
 
     return install

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import sample_field
 from relaygeom import montecarlo as mc
-from relaygeom.geometry import sample_field, sample_fields, sq_dists_to_dest
+from relaygeom.montecarlo import sq_dists_to_dest
 from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 
 
@@ -127,13 +128,13 @@ class TestSamplePpp:
 
 class TestSampleFields:
     def test_no_generators_draw_no_field(self, default_cell):
-        ends, rows = sample_fields(default_cell, [], marks=2)
+        ends, rows = mc._draw_fields(default_cell, [])
         assert ends.shape == (0,) and rows.shape == (4, 0)
 
     def test_rows_sit_at_the_head_of_a_buffer_they_fit(self, default_cell):
         def draw(out=None):
             rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
-            return sample_fields(default_cell, rngs, marks=1, out=out)
+            return mc._draw_fields(default_cell, rngs, out=out)
 
         ends, want = draw()
         buf = np.empty(want.size + 5)
@@ -141,7 +142,7 @@ class TestSampleFields:
             got_ends, got = draw(out)
             assert got_ends.tolist() == ends.tolist() and got.shape == want.shape
             assert np.shares_memory(got, out) == shared
-            assert got[:2].tobytes() == want[:2].tobytes()  # row 2 is the caller's
+            assert got[:2].tobytes() == want[:2].tobytes()  # the field rows
             if shared:
                 assert got.__array_interface__["data"][0] == out.__array_interface__["data"][0]
 

@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import sample_field
 from relaygeom import montecarlo as mc
 from relaygeom import validation
-from relaygeom.geometry import sample_field, sq_dists_to_dest
+from relaygeom.montecarlo import sq_dists_to_dest
 from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from relaygeom.quadrature import integrate_1d
 
@@ -722,16 +723,16 @@ def test_pass_releases_each_block_before_the_next_draw(monkeypatch, default_cell
 
 
 def _recorded_fields(monkeypatch) -> list:
-    """The field rows of every ``sample_fields`` call the simulator makes
+    """The field rows of every ``_draw_fields`` call the simulator makes
     from here on, in call order."""
-    sample, rows = mc.sample_fields, []
+    sample, rows = mc._draw_fields, []
 
     def recorded(*args, **kwargs):
         ends, fields = sample(*args, **kwargs)
         rows.append(fields)
         return ends, fields
 
-    monkeypatch.setattr(mc, "sample_fields", recorded)
+    monkeypatch.setattr(mc, "_draw_fields", recorded)
     return rows
 
 
@@ -764,12 +765,12 @@ class TestFieldBuffer:
 
     def test_fields_that_do_not_fit_draw_into_their_own_array(self, monkeypatch, default_cell):
         want = list(mc._blocks(default_cell, self.PLAN, 7, 0, 300))
-        sample = mc.sample_fields
+        sample = mc._draw_fields
 
         def small_buffer(*args, out, **kwargs):
             return sample(*args, out=None if out is None else out[:100], **kwargs)
 
-        monkeypatch.setattr(mc, "sample_fields", small_buffer)
+        monkeypatch.setattr(mc, "_draw_fields", small_buffer)
         fields = _recorded_fields(monkeypatch)
         got = list(mc._blocks(default_cell, self.PLAN, 7, 0, 300))
         assert len(fields) == 5
@@ -777,6 +778,28 @@ class TestFieldBuffer:
         for block, copies in zip(got, want, strict=True):
             for col, copy in zip(block, copies, strict=True):
                 assert col.dtype == copy.dtype and col.tobytes() == copy.tobytes()
+
+
+def test_blocks_compute_distances_once_per_block_through_the_module_name(
+    monkeypatch, default_cell
+):
+    # a profiler that wraps montecarlo.sq_dists_to_dest sees every distance
+    # computation of a pass, one call per block, and changes no column
+    plan = TestFieldBuffer.PLAN
+    want = list(mc._blocks(default_cell, plan, 7, 0, 300))
+    dists, calls = mc.sq_dists_to_dest, []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return dists(*args)
+
+    monkeypatch.setattr(mc, "sq_dists_to_dest", spy)
+    got = list(mc._blocks(default_cell, plan, 7, 0, 300))
+    assert len(calls) == 5
+    assert calls == [block[2].size for block in want]
+    for block, copies in zip(got, want, strict=True):
+        for col, copy in zip(block, copies, strict=True):
+            assert col.dtype == copy.dtype and col.tobytes() == copy.tobytes()
 
 
 class TestRunRequestsGolden:
