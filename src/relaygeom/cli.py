@@ -16,7 +16,8 @@ Subcommands
     distances (KS statistic per k).
 
 Every configuration key is listed once, in :data:`DEFAULTS`, and the first
-two subcommands get one flag per key they read. :func:`parse_config` is the
+two subcommands get one flag per key they read and refuse every other key,
+in the file as on the command line. :func:`parse_config` is the
 only reader and checker of settings: a flag's text means what the same text
 means in the JSON file (``--trials 1e5`` passes, ``--trials 1.5`` does not).
 The flags that are not configuration keys (``validate``'s sizes and seed,
@@ -68,14 +69,12 @@ DEFAULTS: dict = {
     "svg": None,
 }
 
-#: Per configuration command: the defaults :func:`parse_config` starts from
-#: and the keys that get a flag. ``mean-count`` runs criterion 7's trials.
+#: Per configuration command: the keys it reads, each with its flag, and
+#: their defaults. ``mean-count`` runs criterion 7's trials.
 _COMMAND_SETTINGS = {
-    "outage-sweep": (DEFAULTS, tuple(DEFAULTS)),
-    "mean-count": (
-        {**DEFAULTS, "trials": validation.MEAN_COUNT_TRIALS},
-        _CELL_KEYS + ("rate", "trials", "seed", "csv"),
-    ),
+    "outage-sweep": DEFAULTS,
+    "mean-count": {key: DEFAULTS[key] for key in _CELL_KEYS + ("rate", "trials", "seed", "csv")}
+    | {"trials": validation.MEAN_COUNT_TRIALS},
 }
 
 
@@ -134,13 +133,15 @@ def parse_config(
 ) -> SweepConfig:
     """Merge ``defaults``, an optional JSON file and flag overrides, then validate.
 
-    Precedence: flags > file > defaults. An override holds what the file
-    would (a flag's text is first read by :func:`_flag_value`); ``None`` is a
-    flag not given. A list setting also takes a comma-separated string. Unknown
-    keys are rejected, and every malformed value is a :class:`ConfigError`
+    Precedence: flags > file > defaults. ``defaults`` holds the keys the
+    command reads; a key it lacks keeps its :data:`DEFAULTS` value and is
+    refused from the file and the overrides. An override holds what the
+    file would (a flag's text is first read by :func:`_flag_value`);
+    ``None`` is a flag not given. A list setting also takes a
+    comma-separated string. Every malformed value is a :class:`ConfigError`
     naming its key.
     """
-    data = dict(defaults)
+    data = {**DEFAULTS, **defaults}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -151,8 +152,8 @@ def parse_config(
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
-        data.update(_known(loaded))
-    data.update({key: v for key, v in _known(overrides or {}).items() if v is not None})
+        data.update(_known(loaded, defaults))
+    data.update({key: v for key, v in _known(overrides or {}, defaults).items() if v is not None})
 
     try:  # a ConfigError from _number passes through with its message
         cell = CellGeometry(**{key: _number(data[key], key) for key in _CELL_KEYS})
@@ -193,10 +194,10 @@ def parse_config(
     )
 
 
-def _known(settings: dict) -> dict:
+def _known(settings: dict, read: dict) -> dict:
     for key in settings:
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
+        if key not in read:
+            raise ConfigError(f"config key {key} is not read by this command")
     return settings
 
 
@@ -534,10 +535,8 @@ def write_svg(rows: list[SweepRow], path: str) -> None:
 def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     """``--config`` and one flag per key ``command`` reads; each flag keeps its
     text for :func:`parse_config`, the one checker of settings."""
-    defaults, keys = _COMMAND_SETTINGS[command]
     parser.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    for key in keys:
-        default = defaults[key]
+    for key, default in _COMMAND_SETTINGS[command].items():
         shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
         parser.add_argument("--" + key.replace("_", "-"), dest=key, help=f"default: {shown}")
 
@@ -549,8 +548,8 @@ def _flag_value(key: str, text: str | None):
 
 
 def _config(args: argparse.Namespace) -> SweepConfig:
-    defaults, keys = _COMMAND_SETTINGS[args.command]
-    overrides = {key: _flag_value(key, getattr(args, key)) for key in keys}
+    defaults = _COMMAND_SETTINGS[args.command]
+    overrides = {key: _flag_value(key, getattr(args, key)) for key in defaults}
     return parse_config(args.config, overrides, defaults)
 
 

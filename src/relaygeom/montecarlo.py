@@ -61,7 +61,6 @@ they draw.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -73,8 +72,6 @@ import numpy as np
 
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from .model import check_count, check_threshold
-
-log = logging.getLogger(__name__)
 
 #: Environment variable capping the number of worker processes.
 THREADS_ENV = "RELAYGEOM_THREADS"
@@ -165,12 +162,6 @@ class OutageEstimate:
             raise ValueError("need 0 <= outage_count <= trials and trials >= 1")
         p = outage_count / trials
         return cls(trials, outage_count, p, math.sqrt(p * (1.0 - p) / trials))
-
-    @property
-    def below_resolution(self) -> bool:
-        """True when no outage was observed, i.e. the estimate is only an
-        upper bound of order ``1/trials``."""
-        return self.outage_count == 0
 
 
 class _Row(NamedTuple):
@@ -292,11 +283,7 @@ def _draw_block(
     # decides: 19,400 minor page faults per ``tools/mc_memory.py`` body
     # against 641 with the buffer.
     ends, (radii, turns, gains, loss) = _draw_fields(cell, gens, out=field_buf)
-    alpha = cell.path_loss_exponent
-    if alpha == 2.0:
-        np.multiply(radii, radii, out=loss)
-    else:
-        np.power(radii, alpha, out=loss)
+    np.power(radii, cell.path_loss_exponent, out=loss)
     loss += 1.0
     keep = (gains >= plan.theta_min * loss).nonzero()[0]
     kept_ends = keep.searchsorted(ends)
@@ -605,20 +592,7 @@ class OutageGridRequest:
         return sum(parts, np.zeros(len(self.rows), dtype=np.int64))
 
     def result(self, counts: np.ndarray) -> list[OutageEstimate]:
-        estimates = []
-        for (strategy, radio), count in zip(self.rows, counts.tolist()):
-            estimate = OutageEstimate.from_counts(count, self.trials)
-            if estimate.below_resolution:
-                log.info(
-                    "no outage in %d trials (%s, k=%d, %g dB): estimate below resolution %.1e",
-                    self.trials,
-                    strategy,
-                    radio.num_relays,
-                    radio.snr_db,
-                    1.0 / self.trials,
-                )
-            estimates.append(estimate)
-        return estimates
+        return [OutageEstimate.from_counts(count, self.trials) for count in counts.tolist()]
 
 
 def estimate_outage_grid(

@@ -538,14 +538,9 @@ def _cli_sweep(workers: int) -> Sweep:
 
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = os.path.join(tmp, "cfg.json")
-        with open(cfg_path, "w", encoding="utf-8") as fh:
-            fh.write(
-                '{"trials": 2000, "seed": 7, "snr_grid_db": [5, 15, 25], '
-                '"k_values": [1, 2], "strategies": ["exact", "stat"]}'
-            )
         out = os.path.join(tmp, "sweep.csv")
-        output = cli.main(["outage-sweep", "--config", cfg_path, "--csv", out, "--workers", str(workers)])
+        flags = "--trials 2000 --seed 7 --snr-grid-db 5,15,25 --k-values 1,2 --strategies exact,stat"
+        output = cli.main(["outage-sweep", *flags.split(), "--csv", out, "--workers", str(workers)])
         if output == 0:
             with open(out, "rb") as fh:
                 output = fh.read()

@@ -423,6 +423,14 @@ class TestPFail:
         )
         assert analytic.p_fail_jth(j, cell, th, form) == pytest.approx(direct, rel=1e-6)
 
+    @pytest.mark.parametrize("scale, clamped", [(3.0, 0.0), (-1.0, 1.0)])
+    def test_clamps_out_of_range_values_with_a_warning(self, default_cell, monkeypatch, scale, clamped):
+        # densities scaled so that 1 - total leaves [0, 1] by far more than quadrature noise
+        densities = analytic._order_densities
+        monkeypatch.setattr(analytic, "_order_densities", lambda *a, **kw: scale * densities(*a, **kw))
+        with pytest.warns(RuntimeWarning, match=r"p_fail_jth\(j=1\) outside \[0, 1\].*; clamping"):
+            assert analytic.p_fail_jth(1, default_cell, Thresholds(0.01, 0.01)) == clamped
+
     def test_validation(self, default_cell):
         with pytest.raises(ValueError):
             analytic.p_fail_jth(0, default_cell, Thresholds(0.1, 0.1))

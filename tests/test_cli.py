@@ -100,6 +100,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read config file"),
+            ("[1, 2]", "config file must contain a JSON object"),
+            ('{"snr_grid_db": []}', "snr_grid_db must be nonempty"),
+            ('{"strategies": []}', "strategies must be a nonempty subset"),
+            ('{"k_values": 3}', "k_values must be a list, got 3"),
+        ],
+    )
+    def test_file_errors_name_their_cause(self, text, message, tmp_path):
+        path = tmp_path / "cfg.json"
+        if text is not None:  # None: the file does not exist
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(path))
+
     @pytest.mark.parametrize("key", ["trials", "seed"])
     @pytest.mark.parametrize("text", _NOT_INTEGERS)
     def test_integer_fields_refuse_non_integers(self, key, text, tmp_path):
@@ -613,6 +630,42 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             cli._build_parser().parse_args(["mean-count", flag, "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("svg", '"never.svg"'), ("strategies", '["exact"]'), ("k_values", "[9]"), ("fk_form", '"quadratic"')],
+    )
+    def test_mean_count_refuses_file_keys_it_does_not_read(self, key, text, tmp_path, capsys):
+        # what the command refuses as a flag it refuses in the file too
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{key}": {text}}}')
+        assert cli.main(["mean-count", "--config", str(path)]) == 1
+        assert f"configuration error: config key {key} is not read by this command" in capsys.readouterr().err
+
+    def test_validate_prints_each_check_and_fails_on_any(self, monkeypatch, capsys):
+        results = [
+            validation.CheckResult("first", True, "fine", 0.5),
+            validation.CheckResult("second", False, "off", 1.5),
+        ]
+        monkeypatch.setattr(cli.validation, "run_all", lambda **kw: results)
+        assert cli.main(["validate"]) == 2
+        assert capsys.readouterr().out == "[PASS] first (0.5s): fine\n[FAIL] second (1.5s): off\n"
+        monkeypatch.setattr(cli.validation, "run_all", lambda **kw: results[:1])
+        assert cli.main(["validate"]) == 0
+        assert capsys.readouterr().out == "[PASS] first (0.5s): fine\n"
+
+    def test_runtime_error_exit_code(self, tmp_path, capsys):
+        # the sweep runs, then its CSV cannot be opened
+        csv = tmp_path / "missing" / "o.csv"
+        argv = ["outage-sweep", "--snr-grid-db", "15", "--k-values", "1", "--trials", "2", "--csv", str(csv)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_writes_svg(self, tmp_path):
+        svg = tmp_path / "o.svg"
+        argv = ["outage-sweep", "--snr-grid-db", "5,15", "--k-values", "1", "--trials", "20", "--svg", str(svg)]
+        assert cli.main(argv + ["--csv", str(tmp_path / "o.csv")]) == 0
+        assert xml.dom.minidom.parse(str(svg)).documentElement.tagName == "svg"
 
     def test_row_error_exit_code(self, tmp_path, capsys):
         rc = cli.main(

@@ -249,9 +249,10 @@ class TestEstimateOutage:
         assert est.stderr == pytest.approx(math.sqrt(0.1 * 0.9 / 100_000), rel=1e-12)
         assert est.stderr == pytest.approx(9.5e-4, abs=1e-5)
 
-    def test_below_resolution_flag(self):
-        assert mc.OutageEstimate.from_counts(0, 50).below_resolution
-        assert not mc.OutageEstimate.from_counts(1, 50).below_resolution
+    @pytest.mark.parametrize("count, trials", [(-1, 50), (51, 50), (0, 0)])
+    def test_from_counts_refuses_impossible_counts(self, count, trials):
+        with pytest.raises(ValueError, match="outage_count <= trials"):
+            mc.OutageEstimate.from_counts(count, trials)
 
     def test_open_network_outage_is_void_probability(self):
         # thresholds ~ 0 via huge SNR: outage iff the field is empty

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import multiprocessing
 import time
@@ -141,6 +142,40 @@ class TestMeanCountCurves:
         result = validation.check_mean_count_curves(empirical)
         assert not result.passed
         assert "dest at r=20: " in result.detail
+
+    @staticmethod
+    def _judge(monkeypatch, dest_curve):
+        """Criterion 7 on empirical curves equal to the analytic ones, with the
+        analytic destination view replaced by ``dest_curve(bs, dest)``."""
+        cell, theta, grid = validation.DEFAULT_CELL, validation.THETA_15DB, validation._MEAN_COUNT_RADII
+        bs = np.asarray(analytic.mean_count_from_bs(grid, cell, theta))
+        dest = dest_curve(bs, np.asarray(analytic.lambda_prime(grid, cell, theta)))
+        monkeypatch.setattr(validation.analytic, "lambda_prime", lambda *args: dest)
+        empirical = {
+            who: [montecarlo.MeanCountPoint(r, m, 0.0, 200) for r, m in zip(grid, curve.tolist())]
+            for who, curve in (("bs", bs), ("dest", dest))
+        }
+        return validation.check_mean_count_curves(empirical)
+
+    def test_fails_when_dest_exceeds_bs_inside_the_offset(self, monkeypatch):
+        result = self._judge(monkeypatch, lambda bs, dest: 1.01 * bs)
+        assert not result.passed
+        assert "; analytic dest > bs at r=1; empirical dest > bs at r=1;" in result.detail
+        assert "curves differ" not in result.detail
+
+    def test_fails_on_a_far_edge_gap(self, monkeypatch):
+        result = self._judge(monkeypatch, lambda bs, dest: np.append(dest[:-1], 0.95 * bs[-1]))
+        assert not result.passed
+        assert result.detail.endswith("; curves differ at far edge: analytic 0.0500, empirical 0.0500")
+
+
+class TestCliSweep:
+    def test_sweep_bytes_are_pinned(self):
+        output = validation._cli_sweep(1).output
+        assert len(output) == 1065
+        assert hashlib.sha256(output).hexdigest() == (
+            "71b93d0b20d48e6c503bfb34e527a3e91b64d188cb2b6dafaffc8b97a9e7e61a"
+        )
 
 
 class TestStatCsiRecords:
