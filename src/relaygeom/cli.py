@@ -197,7 +197,7 @@ def parse_config(
 def _known(settings: dict, read: dict) -> dict:
     for key in settings:
         if key not in read:
-            raise ConfigError(f"config key {key} is not read by this command")
+            raise ConfigError(f"config key {key} is unknown or not read by this command")
     return settings
 
 

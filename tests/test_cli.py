@@ -640,7 +640,7 @@ class TestMainEntry:
         path = tmp_path / "cfg.json"
         path.write_text(f'{{"{key}": {text}}}')
         assert cli.main(["mean-count", "--config", str(path)]) == 1
-        assert f"configuration error: config key {key} is not read by this command" in capsys.readouterr().err
+        assert f"configuration error: config key {key} is unknown or not read by this command" in capsys.readouterr().err
 
     def test_validate_prints_each_check_and_fails_on_any(self, monkeypatch, capsys):
         results = [

@@ -64,8 +64,14 @@ def test_budget_exhaustion_reports_estimate():
     assert err.value.error > 0
 
 
+def test_divergent_integrand_exhausts_budget():
+    # the K15 nodes are interior, so 1/x is never evaluated at 0: the default
+    # budget runs out on the divergence instead of returning a finite value
+    with pytest.raises(QuadratureError):
+        integrate_1d(lambda x: 1.0 / x, 0.0, 1.0)
+
+
 def test_nonfinite_integrand_rejected():
-    # the K15 nodes are interior, so 1/x on [0, 1] would never be evaluated at 0
     with pytest.raises(QuadratureError, match="non-finite"):
         integrate_1d(lambda x: np.where(x < 0.5, 1.0, np.inf), 0.0, 1.0)
 
