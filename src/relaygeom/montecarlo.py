@@ -54,16 +54,17 @@ relays within each radius for both observers without sorting; k-th nearest
 distances sort each trial's slice in place. Each result reads only its own
 trial's relays, so none depends on the block size or on the other requests
 of the pass. Worker processes take contiguous ranges of trials; parts
-combine by integer sums or in range order; :func:`running_requests` forks
-them before its caller's ``with`` block runs, so the caller can work while
-they draw.
+combine by integer sums or in range order. :func:`running_requests` forks
+them before its caller's ``with`` block runs, each holding its range from
+the fork, so the caller can work while they draw; leaving the block
+terminates them.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -182,9 +183,8 @@ class _Plan(NamedTuple):
 
     @classmethod
     def of(cls, thetas) -> "_Plan":
-        thetas = tuple(thetas)
-        theta_min = min(thetas)
-        return cls(theta_min, any(theta != theta_min for theta in thetas))
+        thetas = set(thetas)
+        return cls(min(thetas), len(thetas) > 1)
 
 
 def _draw_fields(
@@ -344,9 +344,8 @@ def _qualified(plan: _Plan, theta_first: float, block: tuple) -> tuple:
     and with the values that a draw at ``theta_first`` alone gives: all of
     them at the plan's loosest threshold, else those whose first-hop gain
     passes the test of :func:`_draw_block` (:func:`_thin`)."""
-    if theta_first == plan.theta_min:
-        return block[:5]
-    return _thin(block, block, theta_first)[:5]
+    view = block if theta_first == plan.theta_min else _thin(block, block, theta_first)
+    return view[:5]
 
 
 def _thin(block: tuple, view: tuple, theta_first: float) -> tuple:
@@ -509,19 +508,22 @@ def run_requests(requests: Sequence, seed: int, *, workers: int | None = None) -
 @contextmanager
 def running_requests(requests: Sequence, seed: int, *, workers: int | None = None):
     """Start the pass of :func:`run_requests` and yield ``results()``, which
-    waits for it and returns what :func:`run_requests` returns.
+    waits for it and returns what :func:`run_requests` returns; call it
+    once.
 
     ``workers`` defaults to the ``RELAYGEOM_THREADS`` environment variable,
     else 1. The trials split into contiguous ranges over ``min(workers,
     trials, CPUs)`` worker processes, where CPUs is :func:`_usable_cpus`.
-    The ranges are submitted, and the workers forked, before the body of the
-    ``with`` block runs, so the caller can work while they draw; with one
-    worker the pass runs in this process when ``results()`` is called. On
-    leaving the block, normally or by an exception, the pool shuts down with
-    any pending range cancelled, after its running ranges end, so no worker
-    outlives the block. Each trial owns its stream and the parts combine by
-    integer sums or in range order, so the results do not depend on the
-    worker count.
+    Each worker is forked with its range (:func:`_start`) before the body of
+    the ``with`` block runs, so it draws while the caller works; with one
+    worker the pass runs in this process when ``results()`` is called.
+    ``results()`` receives the parts in range order, raises a worker's
+    exception as its own, and raises ``RuntimeError`` naming the range of a
+    worker that exits without a part. On leaving the block, normally or by
+    an exception, every worker is terminated and joined, so none outlives
+    the block. Each trial owns its stream and the parts combine by integer
+    sums or in range order, so the results do not depend on the worker
+    count.
     """
     requests = tuple(requests)
     if not requests:
@@ -539,12 +541,51 @@ def running_requests(requests: Sequence, seed: int, *, workers: int | None = Non
         yield lambda: merged([_pass(requests, seed, 0, trials)])
         return
     bounds = [(i * trials // workers, (i + 1) * trials // workers) for i in range(workers)]
-    pool = ProcessPoolExecutor(max_workers=workers)
+    started = []
     try:
-        futures = [pool.submit(_pass, requests, seed, lo, hi) for lo, hi in bounds]
-        yield lambda: merged([f.result() for f in futures])
+        for lo, hi in bounds:
+            started.append(_start(requests, seed, lo, hi))
+        # received before any join: a part larger than the pipe holds
+        # blocks its worker until read
+        yield lambda: merged([_receive(r, *b) for (_, r), b in zip(started, bounds)])
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker, receive in started:
+            worker.terminate()
+            worker.join()
+            receive.close()
+
+
+def _start(requests: tuple, seed: int, lo: int, hi: int):
+    """Fork a worker process that computes each request's part of trials
+    ``lo .. hi - 1`` (:func:`_pass`) and sends ``(True, parts)`` or
+    ``(False, exception)`` down a one-way pipe; return the process and the
+    pipe's receiving end."""
+    receive, send = multiprocessing.Pipe(duplex=False)
+    worker = multiprocessing.Process(target=_work, args=(send, requests, seed, lo, hi))
+    worker.start()
+    # the worker holds the last send end, so its exit ends the pipe
+    send.close()
+    return worker, receive
+
+
+def _work(send, requests: tuple, seed: int, lo: int, hi: int) -> None:
+    """The body of a worker process of :func:`_start`."""
+    try:
+        send.send((True, _pass(requests, seed, lo, hi)))
+    except Exception as exc:  # handed to the parent, which raises it
+        send.send((False, exc))
+
+
+def _receive(receive, lo: int, hi: int) -> list:
+    """The parts that :func:`_start`'s worker for trials ``lo .. hi - 1``
+    sends, or its exception raised here."""
+    try:
+        ok, parts = receive.recv()
+    except EOFError:
+        raise RuntimeError(f"worker for trials {lo} .. {hi - 1} exited without a result") from None
+    if not ok:
+        raise parts
+    return parts
 
 
 def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:

@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
 import math
 import multiprocessing
+import os
+import signal
+import threading
 import weakref
 from types import SimpleNamespace
 
@@ -312,26 +316,23 @@ def test_bool_count_is_refused_by_name(name, call, default_cell, radio_15db):
 
 
 class TestWorkerCap:
-    """The pool never asks for more processes than this process may run on.
-    A stand-in pool records its size and runs the ranges inline, so these
-    tests start no process."""
+    """The pass never starts more processes than this process may run on.
+    A stand-in for the worker start records each pass's worker count and
+    runs the ranges inline, so these tests start no process."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
         sizes = []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def inline_start(requests, seed, lo, hi):
+            if lo == 0:  # a pass's first range
+                sizes.append(0)
+            sizes[-1] += 1
+            parts = mc._pass(requests, seed, lo, hi)
+            worker = SimpleNamespace(terminate=lambda: None, join=lambda: None)
+            return worker, SimpleNamespace(recv=lambda: (True, parts), close=lambda: None)
 
-            def shutdown(self, cancel_futures=False):
-                pass
-
-            def submit(self, fn, *args):
-                result = fn(*args)
-                return SimpleNamespace(result=lambda: result)
-
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(mc, "_start", inline_start)
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         return sizes
 
@@ -557,6 +558,70 @@ class TestRunningRequests:
             with mc.running_requests(self._requests(default_cell), 5, workers=workers):
                 raise RuntimeError("in the block")
         assert multiprocessing.active_children() == []
+
+    def test_workers_start_no_thread(self, default_cell, monkeypatch):
+        # each worker holds its range from the fork: no thread hands it on
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        with mc.running_requests(self._requests(default_cell), 5, workers=2) as results:
+            assert threading.active_count() == before
+            results()
+
+    def test_worker_exception_is_raised_by_results(self, default_cell, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        requests = [_ChildFaultRequest(default_cell, _raise_value_error)]
+        with _deadline(60), pytest.raises(ValueError, match="^read in a worker$"):
+            with mc.running_requests(requests, 5, workers=2) as results:
+                results()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_names_its_range(self, default_cell, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        requests = [_ChildFaultRequest(default_cell, _exit_3)]
+        match = r"^worker for trials 0 \.\. 64 exited without a result$"
+        with _deadline(60), pytest.raises(RuntimeError, match=match):
+            with mc.running_requests(requests, 5, workers=2) as results:
+                results()
+        assert multiprocessing.active_children() == []
+
+
+class _ChildFaultRequest(mc.KthDistancesRequest):
+    """A 130-trial distance request whose ``read`` calls ``fault`` in a
+    worker process only, never in the process that made it."""
+
+    def __init__(self, cell, fault):
+        super().__init__(cell, 0.01, 3, 130)
+        self.fault, self.parent = fault, os.getpid()
+
+    def read(self, plan, block):
+        if os.getpid() != self.parent:
+            self.fault()
+        return super().read(plan, block)
+
+
+def _raise_value_error():
+    raise ValueError("read in a worker")
+
+
+def _exit_3():
+    os._exit(3)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise ``TimeoutError`` in this thread if the block outlasts
+    ``seconds``, so a wait that would hang fails instead."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestEmptyViews:

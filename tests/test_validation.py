@@ -3,7 +3,6 @@ import hashlib
 import math
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -349,12 +348,15 @@ class TestPassWindow:
     def test_serial_checks_run_while_the_workers_draw(self, monkeypatch):
         events = []
 
-        class SpyPool(ProcessPoolExecutor):
-            def submit(self, *args, **kwargs):
-                events.append("submit")
-                return super().submit(*args, **kwargs)
+        start, inner, running = (
+            montecarlo._start,
+            validation.check_inner_integral,
+            montecarlo.running_requests,
+        )
 
-        inner, running = validation.check_inner_integral, montecarlo.running_requests
+        def spy_start(*args):
+            events.append("start")
+            return start(*args)
 
         def spy_inner():
             events.append("criterion 1 starts")
@@ -373,20 +375,20 @@ class TestPassWindow:
                 yield read
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(montecarlo, "_start", spy_start)
         monkeypatch.setattr(validation, "check_inner_integral", spy_inner)
         monkeypatch.setattr(montecarlo, "running_requests", spy_running)
         validation.run_all(**self.SIZES, workers=2)
         # criterion 9's sweeps at seed 7: one worker in the window, then two
         assert events == [
-            "submit",
-            "submit",
+            "start",
+            "start",
             "criterion 1 starts",
             "criterion 1 ends",
             "results of seed 7 read",
             "results of seed 42 read",
-            "submit",
-            "submit",
+            "start",
+            "start",
             "results of seed 7 read",
         ]
 
