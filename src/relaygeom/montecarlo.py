@@ -280,8 +280,8 @@ def _draw_block(
     # ``_blocks`` reuses for its blocks. Allocated per block, the ~1.3 MB
     # (default cell) can go back to the system at each block's end and be
     # faulted in again at the next draw, as the allocator's heap history
-    # decides: 19,400 minor page faults per ``tools/mc_memory.py`` body
-    # against 641 with the buffer.
+    # decides: 19,400 minor page faults per 28-row ``mc_outage`` body
+    # against 641 with the buffer (c39f050).
     ends, (radii, turns, gains, loss) = _draw_fields(cell, gens, out=field_buf)
     np.power(radii, cell.path_loss_exponent, out=loss)
     loss += 1.0

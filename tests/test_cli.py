@@ -633,14 +633,24 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "key, text",
-        [("svg", '"never.svg"'), ("strategies", '["exact"]'), ("k_values", "[9]"), ("fk_form", '"quadratic"')],
+        [
+            ("svg", '"never.svg"'),
+            ("strategies", '["exact"]'),
+            ("k_values", "[9]"),
+            ("fk_form", '"quadratic"'),
+            ("snr_db", "20"),
+            ("radius_step", "1"),
+        ],
     )
     def test_mean_count_refuses_file_keys_it_does_not_read(self, key, text, tmp_path, capsys):
-        # what the command refuses as a flag it refuses in the file too
+        # what the command refuses as a flag it refuses in the file too, and
+        # its own settings (snr_db, radius_step) are flags only
         path = tmp_path / "cfg.json"
         path.write_text(f'{{"{key}": {text}}}')
         assert cli.main(["mean-count", "--config", str(path)]) == 1
-        assert f"configuration error: config key {key} is unknown or not read by this command" in capsys.readouterr().err
+        takes = "cell_radius, dest_distance, relay_intensity, path_loss_exponent, rate, trials, seed, csv"
+        message = f"configuration error: config key {key} is not one this command's file takes: {takes}\n"
+        assert message in capsys.readouterr().err
 
     def test_validate_prints_each_check_and_fails_on_any(self, monkeypatch, capsys):
         results = [
@@ -666,6 +676,15 @@ class TestMainEntry:
         argv = ["outage-sweep", "--snr-grid-db", "5,15", "--k-values", "1", "--trials", "20", "--svg", str(svg)]
         assert cli.main(argv + ["--csv", str(tmp_path / "o.csv")]) == 0
         assert xml.dom.minidom.parse(str(svg)).documentElement.tagName == "svg"
+
+    def test_sweep_without_plottable_rows_writes_csv_and_no_svg(self, tmp_path, capsys):
+        # one exact row at 30 dB: both sides fall below the chart's floor
+        csv, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+        argv = ["outage-sweep", "--strategies", "exact", "--snr-grid-db", "30", "--trials", "10"]
+        assert cli.main(argv + ["--csv", str(csv), "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err == "error: no plottable rows for SVG\n"
+        assert csv.read_text().splitlines()[-1].startswith("3.0000000000e+01,exact,1,")
+        assert not svg.exists()
 
     def test_row_error_exit_code(self, tmp_path, capsys):
         rc = cli.main(
