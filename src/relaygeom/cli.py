@@ -46,7 +46,7 @@ from typing import ClassVar
 from . import montecarlo, validation
 from .analytic import F_K_FORMS, lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
 from .model import FIRST_HOP_RULES, CellGeometry, RadioParams, compute_thresholds
-from .montecarlo import OBSERVERS, STRATEGIES, THREADS_ENV
+from .montecarlo import OBSERVERS, STRATEGIES
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
 _CELL_KEYS = ("cell_radius", "dest_distance", "relay_intensity", "path_loss_exponent")
@@ -286,7 +286,7 @@ def _side(name: str, compute):
         return None, [f"{name}: {exc}"]
 
 
-def run_outage_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepRow]:
+def run_outage_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """Run the sweep: one row per (snr, strategy, k), in that order.
 
     Every row reuses ``config.seed``, so strategies at the same SNR share
@@ -331,7 +331,7 @@ def run_mean_count(
     config: SweepConfig,
     radii: list[float],
     snr_db: float,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[MeanCountRow]:
     """Mean-count curves from both observers over a radius grid, both
     averaged over the same ``config.trials`` realizations.
@@ -553,7 +553,7 @@ def _config(args: argparse.Namespace) -> SweepConfig:
     return parse_config(args.config, overrides, defaults)
 
 
-_WORKERS_HELP = f"worker processes (default: ${THREADS_ENV} or 1); results do not depend on it"
+_WORKERS_HELP = "worker processes (default: the CPUs this process may use); results do not depend on it"
 
 #: Per command, the flags that are neither configuration keys nor
 #: ``--workers``, which every command takes: name -> (reader, default, help).
@@ -583,18 +583,15 @@ _COMMAND_FLAGS = {
 def _read_flags(args: argparse.Namespace) -> None:
     """Replace the text of each of the command's non-configuration flags by
     its checked value, or by its default when the flag is not given. An
-    absent ``--workers`` takes ``$RELAYGEOM_THREADS`` as the library reads
-    it (:func:`~relaygeom.montecarlo.workers_from_env`); a refused value is
-    a configuration error."""
+    absent ``--workers`` takes the CPUs this process may use
+    (:func:`~relaygeom.montecarlo.usable_cpus`), the cap every pass
+    applies."""
     for name, (reader, default, _) in _COMMAND_FLAGS[args.command].items():
         dest = name.replace("-", "_")
         text = getattr(args, dest)
         setattr(args, dest, default if text is None else reader(_literal(text), "--" + name))
-    try:  # a ConfigError from _count passes through with its message
-        text = args.workers
-        args.workers = montecarlo.workers_from_env() if text is None else _count(_literal(text), "--workers")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    text = args.workers
+    args.workers = montecarlo.usable_cpus() if text is None else _count(_literal(text), "--workers")
 
 
 def _build_parser() -> argparse.ArgumentParser:

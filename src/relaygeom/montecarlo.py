@@ -74,9 +74,6 @@ import numpy as np
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from .model import check_count, check_threshold
 
-#: Environment variable capping the number of worker processes.
-THREADS_ENV = "RELAYGEOM_THREADS"
-
 STRATEGIES = ("exact", "stat")
 OBSERVERS = ("bs", "dest")
 
@@ -126,22 +123,9 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return _enter_trial(_philox(), seed, trial_index)
 
 
-def workers_from_env() -> int | None:
-    """The worker count that ``$RELAYGEOM_THREADS`` sets, or ``None`` when
-    it is unset or empty. The text is read by ``int()``, so ``" 2"`` and
-    ``"+2"`` pass, while ``"2.0"``, ``"1e0"``, ``"true"`` and counts below
-    1 raise a ``ValueError`` naming the variable. The one reader of the
-    variable: the samplers and the command line both call it."""
-    text = os.environ.get(THREADS_ENV)
-    try:
-        workers = int(text) if text else None
-    except ValueError:
-        workers = text
-    return None if workers is None else check_count("$" + THREADS_ENV, workers)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on, the upper bound on worker processes."""
+def usable_cpus() -> int:
+    """CPUs this process may run on: the upper bound on a pass's worker
+    processes, and the worker count of a command without ``--workers``."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -280,8 +264,11 @@ def _draw_block(
     # ``_blocks`` reuses for its blocks. Allocated per block, the ~1.3 MB
     # (default cell) can go back to the system at each block's end and be
     # faulted in again at the next draw, as the allocator's heap history
-    # decides: 19,400 minor page faults per 28-row ``mc_outage`` body
-    # against 641 with the buffer (c39f050).
+    # decides. perfbench sees it on ``gate``: a copy of the tree at 3f2a7d2
+    # without the buffer (``del block`` kept) read ``wall_s`` 0.949 s
+    # against 0.877 s with it (+8.1%) and ``cpu_s`` +3.6%, each worse in 6
+    # of 6 alternated pairs at seeds 901-906 (2 vCPUs); on ``mc_outage`` it
+    # read 1.214 s against 1.222 s (worse in 3 of 6).
     ends, (radii, turns, gains, loss) = _draw_fields(cell, gens, out=field_buf)
     np.power(radii, cell.path_loss_exponent, out=loss)
     loss += 1.0
@@ -489,7 +476,7 @@ def _grid_row(strategy: str, radio: RadioParams, first_hop: str) -> _Row:
     return _Row(th.theta_first, th.theta_second, 0 if strategy == "exact" else k)
 
 
-def run_requests(requests: Sequence, seed: int, *, workers: int | None = None) -> list:
+def run_requests(requests: Sequence, seed: int, *, workers: int = 1) -> list:
     """Serve ``requests`` (:class:`OutageGridRequest`,
     :class:`KthDistancesRequest`, :class:`MeanCountRequest`) on one cell
     from one pass over trials ``0 .. max(trials) - 1``; returns one result
@@ -499,24 +486,28 @@ def run_requests(requests: Sequence, seed: int, *, workers: int | None = None) -
     request reads (:func:`_draw_block`), and read by every request whose
     ``trials`` reach it, at that request's own thresholds. So each result
     equals what the request's function returns on its own, count for count.
-    Worker processes as in :func:`running_requests`, which runs the pass.
+    A request gives its ``cell``, its ``trials`` and the first-hop
+    thresholds it reads (``thetas``); it reads each block it reaches
+    (``read(plan, block)``) and turns the list of what it read, in trial
+    order, into its result (``result(parts)``). Worker processes as in
+    :func:`running_requests`, which runs the pass.
     """
     with running_requests(requests, seed, workers=workers) as results:
         return results()
 
 
 @contextmanager
-def running_requests(requests: Sequence, seed: int, *, workers: int | None = None):
+def running_requests(requests: Sequence, seed: int, *, workers: int = 1):
     """Start the pass of :func:`run_requests` and yield ``results()``, which
     waits for it and returns what :func:`run_requests` returns; call it
     once.
 
-    ``workers`` defaults to the ``RELAYGEOM_THREADS`` environment variable,
-    else 1. The trials split into contiguous ranges over ``min(workers,
-    trials, CPUs)`` worker processes, where CPUs is :func:`_usable_cpus`.
-    Each worker is forked with its range (:func:`_start`) before the body of
-    the ``with`` block runs, so it draws while the caller works; with one
-    worker the pass runs in this process when ``results()`` is called.
+    The trials split into contiguous ranges over ``min(workers, trials,
+    CPUs)`` worker processes, where CPUs is :func:`usable_cpus`. Each worker
+    is forked with its range (:func:`_start`) before the body of the
+    ``with`` block runs, so it draws while the caller works; with one
+    worker, the default, nothing is forked and the pass runs in this
+    process when ``results()`` is called.
     ``results()`` receives the parts in range order, raises a worker's
     exception as its own, and raises ``RuntimeError`` naming the range of a
     worker that exits without a part. On leaving the block, normally or by
@@ -531,11 +522,10 @@ def running_requests(requests: Sequence, seed: int, *, workers: int | None = Non
     if any(request.cell != requests[0].cell for request in requests):
         raise ValueError("requests must share one cell")
     trials = max(request.trials for request in requests)
-    workers = workers_from_env() or 1 if workers is None else check_count("workers", workers)
-    workers = min(workers, trials, _usable_cpus())
+    workers = min(check_count("workers", workers), trials, usable_cpus())
 
     def merged(parts: list) -> list:
-        return [r.result(r.merge([part[i] for part in parts])) for i, r in enumerate(requests)]
+        return [r.result([p for part in parts for p in part[i]]) for i, r in enumerate(requests)]
 
     if workers == 1:
         yield lambda: merged([_pass(requests, seed, 0, trials)])
@@ -589,8 +579,9 @@ def _receive(receive, lo: int, hi: int) -> list:
 
 
 def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:
-    """Each request's part of trials ``start .. stop - 1``: every block is
-    drawn once and read by each request up to that request's last trial."""
+    """Each request's part of trials ``start .. stop - 1``, the list of what
+    it read of each block, in block order: every block is drawn once and
+    read by each request up to that request's last trial."""
     plan = _Plan.of(theta for request in requests for theta in request.thetas)
     parts = [[] for _ in requests]
     lo = start
@@ -603,7 +594,7 @@ def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:
         # field buffer: freed before the next draw; held, they add a block
         # to the peak memory
         del block
-    return [request.merge(part) for request, part in zip(requests, parts)]
+    return parts
 
 
 class OutageGridRequest:
@@ -629,10 +620,8 @@ class OutageGridRequest:
     def read(self, plan: _Plan, block: tuple) -> np.ndarray:
         return _decide(self.cell, plan, self._rows, block).sum(axis=1)
 
-    def merge(self, parts: list) -> np.ndarray:
-        return sum(parts, np.zeros(len(self.rows), dtype=np.int64))
-
-    def result(self, counts: np.ndarray) -> list[OutageEstimate]:
+    def result(self, parts: list) -> list[OutageEstimate]:
+        counts = sum(parts, np.zeros(len(self.rows), dtype=np.int64))
         return [OutageEstimate.from_counts(count, self.trials) for count in counts.tolist()]
 
 
@@ -643,7 +632,7 @@ def estimate_outage_grid(
     seed: int,
     *,
     first_hop: str = "frame_rate",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[OutageEstimate]:
     """Outage estimates for many ``(strategy, radio)`` rows from one set of
     ``trials`` trials; returns one estimate per row, in row order.
@@ -665,16 +654,14 @@ def estimate_outage(
     seed: int,
     *,
     first_hop: str = "frame_rate",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> OutageEstimate:
     """Run ``trials`` independent trials and return the outage estimate.
 
     ``strategy`` is ``"exact"`` (full channel knowledge, requires
     ``radio.num_relays == 1``) or ``"stat"`` (distance ranking with
-    ``radio.num_relays`` slots). ``workers`` defaults to the
-    ``RELAYGEOM_THREADS`` environment variable, else 1; the result is
-    bit-identical for any worker count. A one-row
-    :func:`estimate_outage_grid`.
+    ``radio.num_relays`` slots). The result is bit-identical for any worker
+    count. A one-row :func:`estimate_outage_grid`.
     """
     return estimate_outage_grid(
         cell, [(strategy, radio)], trials, seed, first_hop=first_hop, workers=workers
@@ -732,11 +719,8 @@ class MeanCountRequest:
             sums[:, i] = counts.sum(axis=0), (counts * counts).sum(axis=0)
         return sums
 
-    def merge(self, parts: list) -> np.ndarray:
-        return sum(parts, np.zeros((2, len(OBSERVERS), len(self.grid)), dtype=np.int64))
-
-    def result(self, sums: np.ndarray) -> dict[str, list[MeanCountPoint]]:
-        s1, s2 = sums
+    def result(self, parts: list) -> dict[str, list[MeanCountPoint]]:
+        s1, s2 = sum(parts, np.zeros((2, len(OBSERVERS), len(self.grid)), dtype=np.int64))
         trials = self.trials
         # one trial has no spread: s2 equals s1 * s1 and the variance is 0
         var = (s2 - s1 * s1 / trials) / max(trials - 1, 1)
@@ -754,7 +738,7 @@ def empirical_mean_count(
     trials: int,
     seed: int,
     *,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> dict[str, list[MeanCountPoint]]:
     """Mean number of qualified relays within each radius of both observers.
 
@@ -796,11 +780,8 @@ class KthDistancesRequest:
         out[present] = d[(begins[:, None] + ranks)[present]]
         return out
 
-    def merge(self, parts: list) -> np.ndarray:
+    def result(self, parts: list) -> np.ndarray:
         return np.concatenate([np.empty((0, self.k_max)), *parts])
-
-    def result(self, rows: np.ndarray) -> np.ndarray:
-        return rows
 
 
 def kth_nearest_qualified_distances(
@@ -810,7 +791,7 @@ def kth_nearest_qualified_distances(
     trials: int,
     seed: int,
     *,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> np.ndarray:
     """Sampled distances from the destination to its k-th nearest qualified
     relay, for ``k = 1 .. k_max``.

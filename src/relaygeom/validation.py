@@ -570,7 +570,7 @@ def run_all(
     samples: int = SAMPLES,
     mean_count_trials: int = MEAN_COUNT_TRIALS,
     seed: int = DEFAULT_SEED,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[CheckResult]:
     """Run every check and return the results in criterion order.
 
@@ -579,11 +579,12 @@ def run_all(
     criteria 3, 4, 6 and 7 judge: criteria 3 and 4 read its first ``trials``
     trials, criterion 6 its first ``samples`` and criterion 7 its first
     ``mean_count_trials``. ``workers`` sets the pass's worker processes; no
-    result depends on it. While they draw, this process runs criteria 1, 2,
-    5 and 8 and criterion 9's one-worker sweep. Criterion 9's two-worker
-    sweep runs after the pass's workers have been joined: moved into the
-    window, it gave no gain (perfbench ``gate`` 0.850 s against 0.857 s
-    per body on 2 vCPUs).
+    result depends on it. At the default of 1 the pass runs in this process
+    after the other checks; with more, while they draw, this process runs
+    criteria 1, 2, 5 and 8 and criterion 9's one-worker sweep. Criterion
+    9's two-worker sweep runs after the pass's workers have been joined:
+    moved into the window, it gave no gain (perfbench ``gate`` 0.850 s
+    against 0.857 s per body on 2 vCPUs).
 
     Each check keeps its own seconds. The pass is timed in criterion 4's
     only, from opening it to reading its results, and the details of
@@ -602,7 +603,7 @@ def run_all(
 
 @contextmanager
 def _monte_carlo_checks(
-    trials: int, samples: int, mean_count_trials: int, seed: int, workers: int | None
+    trials: int, samples: int, mean_count_trials: int, seed: int, workers: int
 ):
     """Start the pass of :func:`run_all` and yield ``judge()``, which waits
     for it and returns criteria 3, 4, 6 and 7 judged on it, as

@@ -535,9 +535,44 @@ class TestMainEntry:
         monkeypatch.setattr(cli.validation, "run_all", lambda **kw: seen.update(kw) or [])
         assert cli.main(["validate", "--trials", "1e5", "--seed", "7"]) == 0
         assert seen == {
-            "trials": 100_000, "samples": 10_000, "mean_count_trials": 4000, "seed": 7, "workers": None
+            "trials": 100_000, "samples": 10_000, "mean_count_trials": 4000, "seed": 7,
+            "workers": montecarlo.usable_cpus(),
         }
         assert type(seen["trials"]) is int
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["outage-sweep", "--trials", "2", "--snr-grid-db", "10", "--strategies", "exact"],
+            ["mean-count", "--trials", "2", "--radius-step", "25"],
+            ["validate"],
+            ["fk-check"],
+        ],
+    )
+    def test_commands_default_to_the_cpu_cap(self, argv, monkeypatch):
+        # without --workers, each command's one pass gets what usable_cpus reads
+        seen = []
+
+        def record(*args, workers, **kwargs):
+            seen.append(workers)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "run_requests", record)
+        monkeypatch.setattr(cli.validation, "run_all", record)
+        cli.main(argv)
+        assert seen == [3]
+
+    def test_threads_variable_is_not_read(self, monkeypatch):
+        # the environment variable that once set the worker count, named from
+        # the package: "abc" in it made `relaygeom validate` exit 1
+        retired = cli.__package__.upper() + "_THREADS"
+        seen = []
+        monkeypatch.setattr(cli.validation, "run_all", lambda **kw: seen.append(kw) or [])
+        assert cli.main(["validate"]) == 0
+        monkeypatch.setenv(retired, "abc")
+        assert cli.main(["validate"]) == 0
+        assert seen[0] == seen[1]
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -559,44 +594,6 @@ class TestMainEntry:
         assert cli.main(argv) == 1
         assert f"configuration error: {flag} must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["outage-sweep", "--trials", "2", "--snr-grid-db", "10"],
-            ["validate", "--trials", "2"],
-            ["mean-count", "--trials", "2"],
-        ],
-    )
-    @pytest.mark.parametrize("text", ["abc", "0", "1.5"])
-    def test_malformed_threads_variable_exit_code(self, argv, text, monkeypatch, capsys):
-        # read like --workers when the flag is absent, and named in the error
-        monkeypatch.setenv(cli.THREADS_ENV, text)
-        assert cli.main(argv) == 1
-        assert f"configuration error: ${cli.THREADS_ENV} must be" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "text, accepted",
-        [("2", True), (" 2", True), ("+2", True), ("2.0", False), ("1e0", False),
-         ("0", False), ("abc", False), ("true", False)],
-    )
-    def test_threads_variable_one_rule(self, text, accepted, monkeypatch, capsys):
-        # the library and the command line read the variable alike; one
-        # trial keeps both runs in this process
-        monkeypatch.setenv(cli.THREADS_ENV, text)
-        cell, radio = validation.DEFAULT_CELL, RadioParams(snr_db=10.0, target_rate=1.0)
-        try:
-            montecarlo.estimate_outage("exact", cell, radio, 1, 0)
-            library = True
-        except ValueError as exc:
-            assert f"${cli.THREADS_ENV} must be" in str(exc)
-            library = False
-        argv = ["outage-sweep", "--trials", "1", "--snr-grid-db", "10", "--strategies", "exact"]
-        code = cli.main(argv)
-        err = capsys.readouterr().err
-        assert (library, code == 0) == (accepted, accepted)
-        if not accepted:
-            assert code == 1 and f"configuration error: ${cli.THREADS_ENV} must be" in err
-
     def test_defaults_are_the_gate_scenario(self):
         config = parse_config()
         assert (config.cell, config.rate) == (validation.DEFAULT_CELL, validation.DEFAULT_RATE)
@@ -605,16 +602,6 @@ class TestMainEntry:
         assert (flags["trials"], flags["samples"], flags["mean-count-trials"]) == sizes
         fk = cli._COMMAND_FLAGS["fk-check"]
         assert (fk["samples"][1], fk["k-max"][1]) == (validation.SAMPLES, validation.K_MAX)
-
-    def test_workers_flag_then_threads_variable(self, monkeypatch):
-        seen = {}
-        monkeypatch.setattr(cli.validation, "run_all", lambda **kw: seen.update(kw) or [])
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        assert cli.main(["validate"]) == 0
-        assert seen["workers"] == 2
-        monkeypatch.setenv(cli.THREADS_ENV, "abc")
-        assert cli.main(["validate", "--workers", "1"]) == 0
-        assert seen["workers"] == 1
 
     @pytest.mark.parametrize("text", ['"x"', "null"])
     def test_malformed_rate_in_file_exit_code(self, text, tmp_path, capsys):
@@ -776,7 +763,7 @@ class TestMainEntry:
         assert float(re.search(r"\(([\d.]+)s\)", capsys.readouterr().out).group(1)) >= 0.3
 
 
-_WORKERS_HELP = "worker processes (default: $RELAYGEOM_THREADS or 1); results do not depend on it"
+_WORKERS_HELP = "worker processes (default: the CPUs this process may use); results do not depend on it"
 _CELL_FLAGS = [
     ("--config", "JSON configuration file"),
     ("--cell-radius", "default: 20.0"),

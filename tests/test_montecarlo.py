@@ -13,7 +13,7 @@ import pytest
 
 from conftest import sample_field
 from relaygeom import montecarlo as mc
-from relaygeom import validation
+from relaygeom import cli, validation
 from relaygeom.montecarlo import sq_dists_to_dest
 from relaygeom.model import CellGeometry, RadioParams, Thresholds, compute_thresholds
 from relaygeom.quadrature import integrate_1d
@@ -240,13 +240,6 @@ class TestEstimateOutage:
         parallel = mc.estimate_outage("stat", default_cell, radio_15db, 2000, 9, workers=3)
         assert serial == parallel
 
-    def test_env_variable_sets_workers(self, default_cell, radio_15db, monkeypatch):
-        monkeypatch.setenv(mc.THREADS_ENV, "2")
-        via_env = mc.estimate_outage("exact", default_cell, radio_15db, 1000, 4)
-        monkeypatch.delenv(mc.THREADS_ENV)
-        serial = mc.estimate_outage("exact", default_cell, radio_15db, 1000, 4)
-        assert via_env == serial
-
     def test_stderr_formula(self):
         est = mc.OutageEstimate.from_counts(10_000, 100_000)
         assert est.p_hat == 0.1
@@ -283,12 +276,6 @@ class TestEstimateOutage:
             )
         with pytest.raises(ValueError):
             mc.estimate_outage("exact", default_cell, radio_15db, 10, 0, workers=0)
-
-    @pytest.mark.parametrize("text", ["abc", "0", "2.5"])
-    def test_malformed_env_variable_is_named(self, text, default_cell, radio_15db, monkeypatch):
-        monkeypatch.setenv(mc.THREADS_ENV, text)
-        with pytest.raises(ValueError, match=mc.THREADS_ENV):
-            mc.estimate_outage("exact", default_cell, radio_15db, 10, 0)
 
 
 @pytest.mark.parametrize(
@@ -343,26 +330,31 @@ class TestWorkerCap:
         assert capped == mc.estimate_outage_grid(default_cell, rows, 50, 3, workers=1)
         assert pools == [3]
 
-    def test_env_variable_is_capped(self, pools, default_cell, monkeypatch):
-        monkeypatch.setenv(mc.THREADS_ENV, "5000")
-        grid = [0.0, 5.0, 25.0]
-        kth = mc.kth_nearest_qualified_distances(default_cell, 0.2, 2, 40, 8)
-        curves = mc.empirical_mean_count(grid, default_cell, 0.2, 40, 8)
-        assert pools == [3, 3]
-        monkeypatch.delenv(mc.THREADS_ENV)
-        assert np.array_equal(kth, mc.kth_nearest_qualified_distances(default_cell, 0.2, 2, 40, 8))
-        assert curves == mc.empirical_mean_count(grid, default_cell, 0.2, 40, 8)
-
     def test_trials_cap_below_cpus(self, pools, default_cell):
         mc.empirical_mean_count([1.0], default_cell, 0.2, 2, 1, workers=8)
         assert pools == [2]
 
+    def test_library_calls_fork_nothing_by_default(self, pools, default_cell, radio_15db):
+        # one worker unless asked for more, so a script that calls the
+        # library starts no process of its own accord
+        mc.estimate_outage("exact", default_cell, radio_15db, 80, 3)
+        mc.estimate_outage_grid(default_cell, _mixed_rows((10.0,)), 80, 3)
+        mc.empirical_mean_count([1.0, 5.0], default_cell, 0.2, 80, 3)
+        mc.kth_nearest_qualified_distances(default_cell, 0.2, 2, 80, 3)
+        mc.run_requests([mc.KthDistancesRequest(default_cell, 0.2, 2, 80)], 3)
+        with mc.running_requests([mc.KthDistancesRequest(default_cell, 0.2, 2, 80)], 3) as results:
+            results()
+        config = cli.parse_config(overrides={"trials": 80, "snr_grid_db": "10"})
+        assert not any(row.error for row in cli.run_outage_sweep(config))
+        assert not any(row.error for row in cli.run_mean_count(config, [1.0, 5.0], 15.0))
+        assert pools == []
+
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-        assert mc._usable_cpus() == 4
+        assert mc.usable_cpus() == 4
         monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-        assert mc._usable_cpus() == 1
+        assert mc.usable_cpus() == 1
 
 
 def _mixed_rows(snrs=(5.0, 15.0, 25.0)):
@@ -561,14 +553,14 @@ class TestRunningRequests:
 
     def test_workers_start_no_thread(self, default_cell, monkeypatch):
         # each worker holds its range from the fork: no thread hands it on
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         before = threading.active_count()
         with mc.running_requests(self._requests(default_cell), 5, workers=2) as results:
             assert threading.active_count() == before
             results()
 
     def test_worker_exception_is_raised_by_results(self, default_cell, monkeypatch):
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         requests = [_ChildFaultRequest(default_cell, _raise_value_error)]
         with _deadline(60), pytest.raises(ValueError, match="^read in a worker$"):
             with mc.running_requests(requests, 5, workers=2) as results:
@@ -576,7 +568,7 @@ class TestRunningRequests:
         assert multiprocessing.active_children() == []
 
     def test_worker_exit_names_its_range(self, default_cell, monkeypatch):
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         requests = [_ChildFaultRequest(default_cell, _exit_3)]
         match = r"^worker for trials 0 \.\. 64 exited without a result$"
         with _deadline(60), pytest.raises(RuntimeError, match=match):

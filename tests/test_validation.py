@@ -374,7 +374,7 @@ class TestPassWindow:
 
                 yield read
 
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
         monkeypatch.setattr(montecarlo, "_start", spy_start)
         monkeypatch.setattr(validation, "check_inner_integral", spy_inner)
         monkeypatch.setattr(montecarlo, "running_requests", spy_running)
