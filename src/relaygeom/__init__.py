@@ -10,7 +10,6 @@ instantaneous channel knowledge at the relays, and distance ranking only.
 """
 
 from .model import (
-    FIRST_HOP_RULES,
     CellGeometry,
     RadioParams,
     Thresholds,
@@ -26,7 +25,6 @@ __all__ = [
     "CellGeometry",
     "RadioParams",
     "Thresholds",
-    "FIRST_HOP_RULES",
     "compute_thresholds",
     "snr_db_to_linear",
     "OutageEstimate",

@@ -523,23 +523,17 @@ def p_fail_jth(j: int, cell: CellGeometry, thresholds: Thresholds, form: str = "
     return _p_fail_ranks(profile, j, thresholds.theta_second, form)[j - 1]
 
 
-def _ranked_profile(what: str, k: int, cell: CellGeometry, radio: RadioParams, first_hop: str):
+def _ranked_profile(what: str, k: int, cell: CellGeometry, radio: RadioParams):
     """The first-hop :class:`MassProfile` and ``theta_second`` of a ``k``-relay
     frame (``radio.num_relays`` overridden by ``k``), after the guards that
     both ranked outages share; ``what`` names the caller in their errors."""
     _require_alpha_two(cell, what)
     check_count("k", k)
-    thresholds = compute_thresholds(replace(radio, num_relays=k), first_hop)
+    thresholds = compute_thresholds(replace(radio, num_relays=k))
     return MassProfile(cell, thresholds.theta_first), thresholds.theta_second
 
 
-def outage_stat(
-    k: int,
-    cell: CellGeometry,
-    radio: RadioParams,
-    form: str = "exact",
-    first_hop: str = "frame_rate",
-) -> float:
+def outage_stat(k: int, cell: CellGeometry, radio: RadioParams, form: str = "exact") -> float:
     """Outage probability of distance-ranked selection of ``k`` relays.
 
     The outage is taken as the product of :func:`p_fail_jth` over
@@ -554,7 +548,7 @@ def outage_stat(
     :func:`exact_ranked_outage` gives the outage without the independence
     assumption.
     """
-    profile, theta2 = _ranked_profile("outage_stat", k, cell, radio, first_hop)
+    profile, theta2 = _ranked_profile("outage_stat", k, cell, radio)
     return math.prod(_p_fail_ranks(profile, k, theta2, form))
 
 
@@ -582,7 +576,7 @@ def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float
     accuracy at both ends. This is the independent yardstick for how much
     the product form :func:`outage_stat` loses to rank dependence.
     """
-    profile, theta2 = _ranked_profile("exact_ranked_outage", k, cell, radio, "frame_rate")
+    profile, theta2 = _ranked_profile("exact_ranked_outage", k, cell, radio)
     r = profile.r
     fail = -np.expm1(-theta2 * (1.0 + r * r))
     weighted = fail * profile.density

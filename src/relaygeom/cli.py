@@ -27,9 +27,9 @@ configuration error naming the flag.
 Both row types are written by :func:`write_csv`, headed by their field names.
 
 Exit codes: 0 success, 1 configuration error (a malformed setting, from a
-flag or the file), 2 runtime/numerical error (including any row of a sweep
-failing). Output files are byte-reproducible for a fixed configuration and
-seed, independent of the worker count.
+flag or the file, or a malformed command line), 2 runtime/numerical error
+(including any row of a sweep failing). Output files are byte-reproducible
+for a fixed configuration and seed, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import ClassVar
 
 from . import montecarlo, validation
 from .analytic import F_K_FORMS, lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
-from .model import FIRST_HOP_RULES, CellGeometry, RadioParams, compute_thresholds
+from .model import CellGeometry, RadioParams, compute_thresholds
 from .montecarlo import OBSERVERS, STRATEGIES
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
@@ -64,7 +64,6 @@ DEFAULTS: dict = {
     "trials": 100_000,
     "seed": 42,
     "fk_form": "exact",
-    "first_hop_threshold": "frame_rate",
     "csv": None,
     "svg": None,
 }
@@ -94,7 +93,6 @@ class SweepConfig:
     trials: int
     seed: int
     fk_form: str
-    first_hop_threshold: str
     csv: str | None
     svg: str | None
 
@@ -188,7 +186,6 @@ def parse_config(
         trials=trials,
         seed=_integer(data["seed"], "seed"),
         fk_form=_choice(data["fk_form"], "fk_form", F_K_FORMS),
-        first_hop_threshold=_choice(data["first_hop_threshold"], "first_hop_threshold", FIRST_HOP_RULES),
         csv=_path(data["csv"], "csv"),
         svg=_path(data["svg"], "svg"),
     )
@@ -304,12 +301,7 @@ def run_outage_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     estimates, mc_errors = _side(
         "mc",
         lambda: montecarlo.estimate_outage_grid(
-            config.cell,
-            mc_rows,
-            config.trials,
-            config.seed,
-            first_hop=config.first_hop_threshold,
-            workers=workers,
+            config.cell, mc_rows, config.trials, config.seed, workers=workers
         ),
     )
     rows: list[SweepRow] = []
@@ -319,7 +311,7 @@ def run_outage_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
             "analytic",
             lambda: outage_exact_csi(config.cell, radio)
             if strategy == "exact"
-            else outage_stat(k, config.cell, radio, config.fk_form, config.first_hop_threshold),
+            else outage_stat(k, config.cell, radio, config.fk_form),
         )
         p_mc, stderr = (None, None) if est is None else (est.p_hat, est.stderr)
         error = "; ".join(errors + mc_errors)
@@ -388,7 +380,7 @@ def _csv_lines(rows: list, config: SweepConfig | None, settings: dict | None = N
         raise ValueError("refusing to write CSV without rows")
     kind = type(rows[0])
     if config is not None and not settings:  # an outage sweep's own settings
-        settings = {"fk_form": config.fk_form, "first_hop_threshold": config.first_hop_threshold}
+        settings = {"fk_form": config.fk_form}
     lines = [] if config is None else [
         f"# relaygeom {kind.command}",
         *(f"# {key} = {_field(getattr(config.cell, key))}" for key in _CELL_KEYS),
@@ -422,8 +414,7 @@ def write_csv(
     Byte-reproducible for identical rows; refuses empty input (no file is
     created). Metadata comment lines carry the configuration when given,
     then the command's own ``settings`` (``mean-count``: its ``snr_db`` and
-    ``radius_step``), by default an outage sweep's ``fk_form`` and
-    ``first_hop_threshold``.
+    ``radius_step``), by default an outage sweep's ``fk_form``.
     """
     _write_lines(_csv_lines(rows, config, settings), path)
 
@@ -594,8 +585,16 @@ def _read_flags(args: argparse.Namespace) -> None:
     args.workers = montecarlo.usable_cpus() if text is None else _count(_literal(text), "--workers")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a :class:`ConfigError` (exit 1), as the
+    same refusal in the file is; subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relaygeom",
         description="Outage analysis of opportunistic relaying over a Poisson relay field",
     )
@@ -658,8 +657,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _read_flags(args)
         return _COMMANDS[args.command][0](args)
     except ConfigError as exc:

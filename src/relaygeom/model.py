@@ -13,10 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-#: Accepted first-hop threshold rules, see :func:`compute_thresholds`.
-FIRST_HOP_RULES = ("frame_rate", "base_rate")
-
-
 def check_count(name: str, value) -> int:
     """``value`` if it is an integer >= 1, else a ``ValueError`` naming
     ``name``. A ``bool`` is refused although Python counts it an ``int``."""
@@ -132,38 +128,19 @@ def snr_db_to_linear(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def compute_thresholds(radio: RadioParams, first_hop: str = "frame_rate") -> Thresholds:
+def compute_thresholds(radio: RadioParams) -> Thresholds:
     """Derive the two decoding thresholds for a ``k``-relay frame.
 
     The frame has ``k + 1`` slots (one source broadcast, one slot per
     relay), so delivering ``target_rate`` end to end requires each
-    transmission to run at ``(1 + k) * target_rate``. Each relay transmits
+    transmission to run at ``(1 + k) * target_rate``. The broadcast is one
+    of those slots, so relays qualify at that rate; each relay transmits
     with ``1/k`` of the source power, hence::
 
+        theta_first = (2 ** ((1 + k) * rate) - 1) / snr_linear
         theta_second = k * (2 ** ((1 + k) * rate) - 1) / snr_linear
-
-    The first-hop threshold depends on the chosen rule:
-
-    ``"frame_rate"`` (default)
-        The source broadcast carries the same per-slot rate as the rest of
-        the frame: ``theta_first = (2 ** ((1 + k) * rate) - 1) / snr_linear``.
-        For ``k = 1`` this coincides with ``"base_rate"``.
-    ``"base_rate"``
-        Relays qualify at the two-slot nominal rate regardless of ``k``:
-        ``theta_first = (2 ** (2 * rate) - 1) / snr_linear``.
-
-    Both rules are exposed because the choice only matters for ``k > 1``
-    and changes which relays count as qualified, not how the selected ones
-    are tested at the destination.
     """
-    if first_hop not in FIRST_HOP_RULES:
-        raise ValueError(f"first_hop must be one of {FIRST_HOP_RULES}, got {first_hop!r}")
     snr = snr_db_to_linear(radio.snr_db)
     k = radio.num_relays
     frame_term = 2.0 ** ((1 + k) * radio.target_rate) - 1.0
-    theta_second = k * frame_term / snr
-    if first_hop == "frame_rate":
-        theta_first = frame_term / snr
-    else:
-        theta_first = (2.0 ** (2.0 * radio.target_rate) - 1.0) / snr
-    return Thresholds(theta_first=theta_first, theta_second=theta_second)
+    return Thresholds(theta_first=frame_term / snr, theta_second=k * frame_term / snr)

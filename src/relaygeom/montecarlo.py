@@ -466,13 +466,13 @@ def trial_stat_csi(
     return _trial_outages(cell, [row], rng)[0]
 
 
-def _grid_row(strategy: str, radio: RadioParams, first_hop: str) -> _Row:
+def _grid_row(strategy: str, radio: RadioParams) -> _Row:
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     k = radio.num_relays
     if strategy == "exact" and k != 1:
         raise ValueError("the exact-knowledge strategy is defined for num_relays == 1")
-    th = compute_thresholds(radio, first_hop)
+    th = compute_thresholds(radio)
     return _Row(th.theta_first, th.theta_second, 0 if strategy == "exact" else k)
 
 
@@ -602,18 +602,11 @@ class OutageGridRequest:
     :func:`run_requests`. ``rows`` keeps the rows as given, ``_rows`` as a
     trial decides them."""
 
-    def __init__(
-        self,
-        cell: CellGeometry,
-        rows: Sequence[tuple[str, RadioParams]],
-        trials: int,
-        *,
-        first_hop: str = "frame_rate",
-    ):
+    def __init__(self, cell: CellGeometry, rows: Sequence[tuple[str, RadioParams]], trials: int):
         if not rows:
             raise ValueError("rows must be nonempty")
         self.cell, self.rows = cell, tuple(rows)
-        self._rows = tuple(_grid_row(strategy, radio, first_hop) for strategy, radio in self.rows)
+        self._rows = tuple(_grid_row(strategy, radio) for strategy, radio in self.rows)
         self.trials = check_count("trials", trials)
         self.thetas = tuple(row.theta_first for row in self._rows)
 
@@ -631,7 +624,6 @@ def estimate_outage_grid(
     trials: int,
     seed: int,
     *,
-    first_hop: str = "frame_rate",
     workers: int = 1,
 ) -> list[OutageEstimate]:
     """Outage estimates for many ``(strategy, radio)`` rows from one set of
@@ -642,7 +634,7 @@ def estimate_outage_grid(
     row (see :func:`_draw_block`), so it is drawn once and decided for all rows.
     Worker processes as in :func:`run_requests`.
     """
-    request = OutageGridRequest(cell, rows, trials, first_hop=first_hop)
+    request = OutageGridRequest(cell, rows, trials)
     return run_requests([request], seed, workers=workers)[0]
 
 
@@ -653,7 +645,6 @@ def estimate_outage(
     trials: int,
     seed: int,
     *,
-    first_hop: str = "frame_rate",
     workers: int = 1,
 ) -> OutageEstimate:
     """Run ``trials`` independent trials and return the outage estimate.
@@ -663,9 +654,7 @@ def estimate_outage(
     ``radio.num_relays`` slots). The result is bit-identical for any worker
     count. A one-row :func:`estimate_outage_grid`.
     """
-    return estimate_outage_grid(
-        cell, [(strategy, radio)], trials, seed, first_hop=first_hop, workers=workers
-    )[0]
+    return estimate_outage_grid(cell, [(strategy, radio)], trials, seed, workers=workers)[0]
 
 
 class MeanCountPoint(NamedTuple):

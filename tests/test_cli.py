@@ -44,7 +44,6 @@ class TestParseConfig:
         assert config.trials == 100_000
         assert config.seed == 42
         assert config.fk_form == "exact"
-        assert config.first_hop_threshold == "frame_rate"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -294,6 +293,24 @@ class TestWriters:
         first = lines[len(meta) + 1].split(",")
         assert first[0] == "0.0000000000e+00"
         assert first[1] == "exact"
+
+    def test_csv_metadata_lists_the_sweep_settings(self, tmp_path, sweep_rows):
+        # the first-hop rule is no setting, so no line records it
+        config, rows = sweep_rows
+        path = tmp_path / "out.csv"
+        write_csv(rows, str(path), config)
+        meta = [line for line in path.read_text().splitlines() if line.startswith("#")]
+        assert meta == [
+            "# relaygeom outage-sweep",
+            "# cell_radius = 2.0000000000e+01",
+            "# dest_distance = 5.0000000000e+00",
+            "# relay_intensity = 5.0000000000e-01",
+            "# path_loss_exponent = 2.0000000000e+00",
+            "# rate = 1.0000000000e+00",
+            "# trials = 2",
+            "# seed = 42",
+            "# fk_form = exact",
+        ]
 
     def test_csv_byte_reproducible(self, tmp_path, sweep_rows):
         config, rows = sweep_rows
@@ -613,10 +630,43 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "flag", ["--snr-grid-db", "--strategies", "--k-values", "--fk-form", "--first-hop-threshold", "--svg"]
     )
-    def test_mean_count_refuses_flags_it_does_not_read(self, flag):
+    def test_mean_count_refuses_flags_it_does_not_read(self, flag, capsys):
+        assert cli.main(["mean-count", flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["sweep"], "invalid choice: 'sweep'"),
+            (["validate", "--trials"], "argument --trials: expected one argument"),
+            (
+                ["outage-sweep", "--first-hop-threshold", "base_rate"],
+                "unrecognized arguments: --first-hop-threshold base_rate",
+            ),
+        ],
+        ids=["no-command", "unknown-command", "missing-value", "first-hop-flag"],
+    )
+    def test_malformed_command_line_exit_code(self, argv, message, capsys):
+        # a configuration error (exit 1) like the same refusal in the file,
+        # not argparse's exit 2, which is the runtime-error code here
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
+    def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli._build_parser().parse_args(["mean-count", flag, "1"])
-        assert exc.value.code == 2
+            cli.main(["outage-sweep", "-h"])
+        assert exc.value.code == 0
+        assert "--fk-form" in capsys.readouterr().out
+
+    def test_first_hop_key_is_refused_in_the_file(self, tmp_path, capsys):
+        # relays qualify at the frame's per-slot rate; the rule is no setting
+        path = tmp_path / "cfg.json"
+        path.write_text('{"first_hop_threshold": "frame_rate"}')
+        assert cli.main(["outage-sweep", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config key first_hop_threshold is not one this command's file takes" in err
 
     @pytest.mark.parametrize(
         "key, text",
@@ -798,7 +848,6 @@ def test_command_surface():
         ("--trials", "default: 100000"),
         ("--seed", "default: 42"),
         ("--fk-form", "default: exact"),
-        ("--first-hop-threshold", "default: frame_rate"),
         ("--csv", "default: None"),
         ("--svg", "default: None"),
         ("--workers", _WORKERS_HELP),

@@ -35,29 +35,10 @@ def test_thresholds_two_relays_frame_rate():
     assert th.theta_second == pytest.approx(14.0, abs=1e-12)
 
 
-def test_thresholds_two_relays_base_rate():
-    th = compute_thresholds(
-        RadioParams(snr_db=0.0, target_rate=1.0, num_relays=2), first_hop="base_rate"
-    )
-    # qualification at the two-slot nominal rate, destination test unchanged
-    assert th.theta_first == pytest.approx(3.0, abs=1e-12)
-    assert th.theta_second == pytest.approx(14.0, abs=1e-12)
-
-
 def test_thresholds_vanish_at_high_snr():
     th = compute_thresholds(RadioParams(snr_db=300.0, target_rate=2.0, num_relays=3))
     assert th.theta_first < 1e-25
     assert th.theta_second < 1e-25
-
-
-def test_first_hop_rules_agree_for_single_relay():
-    radio = RadioParams(snr_db=7.3, target_rate=1.7, num_relays=1)
-    assert compute_thresholds(radio, "frame_rate") == compute_thresholds(radio, "base_rate")
-
-
-def test_unknown_first_hop_rule_rejected():
-    with pytest.raises(ValueError, match="first_hop"):
-        compute_thresholds(RadioParams(snr_db=10.0, target_rate=1.0), first_hop="bogus")
 
 
 @given(

@@ -380,15 +380,15 @@ class TestOutageGrid:
             assert np.array_equal(short, long[:n])
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
-    @pytest.mark.parametrize("first_hop", ["frame_rate", "base_rate"])
-    def test_matches_one_row_calls(self, alpha, first_hop):
+    def test_matches_one_row_calls(self, alpha):
         cell = CellGeometry(20.0, 5.0, 0.5, path_loss_exponent=alpha)
         rows = _mixed_rows()
-        # a duplicate row, out of order: under base_rate the rows sharing a
-        # first-hop threshold are then not all adjacent
+        # a duplicate row, out of order: the rows sharing a first-hop
+        # threshold (the duplicate and its original, each SNR's exact and
+        # stat k = 1 rows) are then not all adjacent
         rows.insert(3, rows[5])
-        grid = mc.estimate_outage_grid(cell, rows, 300, 17, first_hop=first_hop)
-        alone = [mc.estimate_outage(s, cell, r, 300, 17, first_hop=first_hop) for s, r in rows]
+        grid = mc.estimate_outage_grid(cell, rows, 300, 17)
+        alone = [mc.estimate_outage(s, cell, r, 300, 17) for s, r in rows]
         assert grid == alone
         assert grid[3] == grid[6]
         # the rows disagree, so equal lists are not all-or-nothing by chance
@@ -440,7 +440,8 @@ class TestOutageGrid:
 
     @pytest.mark.parametrize("trials", [1, 31, 32, 33, 65, 100])
     def test_counts_do_not_depend_on_blocks(self, trials, default_cell, monkeypatch):
-        # base_rate nests the k >= 2 rows inside the k = 1 rows; workers split
+        # the rows' first-hop thresholds nest, each SNR's exact and stat
+        # k = 1 rows sharing one; workers split
         # the trials at edges that are not multiples of the block size, and
         # a block of 1000 holds the whole run
         rows = _mixed_rows((10.0, 25.0))
@@ -448,11 +449,7 @@ class TestOutageGrid:
         blocks = ((1, 1), (7, 1), (32, 1), (64, 1), (1000, 1), (7, 2), (64, 2), (7, 3), (32, 3))
         for block, workers in blocks:
             monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
-            runs.append(
-                mc.estimate_outage_grid(
-                    default_cell, rows, trials, 31, first_hop="base_rate", workers=workers
-                )
-            )
+            runs.append(mc.estimate_outage_grid(default_cell, rows, trials, 31, workers=workers))
         assert all(run == runs[0] for run in runs)
         if trials == 100:
             assert len({e.outage_count for e in runs[0]}) > 3
@@ -491,20 +488,21 @@ class TestRunRequests:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_each_request_alone(self, workers, default_cell, monkeypatch):
-        # the k-th nearest request is looser than every grid row and the
-        # mean-count request tighter than the loosest; the three trial counts
-        # end in different blocks and, at 2 workers, in different ranges,
-        # and each block size puts the block edges elsewhere in the prefixes
+        # the k-th nearest request's threshold falls inside the grid rows'
+        # range and the mean-count request's at its tight end; the three
+        # trial counts end in different blocks and, at 2 workers, in
+        # different ranges, and each block size puts the block edges
+        # elsewhere in the prefixes
         rows, grid = _mixed_rows((10.0, 25.0)), [0.0, 2.0, 7.5, 25.0]
         kth_alone = mc.kth_nearest_qualified_distances(default_cell, 0.01, 3, 130, 5)
-        outage_alone = mc.estimate_outage_grid(default_cell, rows, 70, 5, first_hop="base_rate")
+        outage_alone = mc.estimate_outage_grid(default_cell, rows, 70, 5)
         counts_alone = mc.empirical_mean_count(grid, default_cell, 1.5, 40, 5)
         for block in (1, 7, 64, 1000):
             monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
             kth, outage, counts = mc.run_requests(
                 [
                     mc.KthDistancesRequest(default_cell, 0.01, 3, 130),
-                    mc.OutageGridRequest(default_cell, rows, 70, first_hop="base_rate"),
+                    mc.OutageGridRequest(default_cell, rows, 70),
                     mc.MeanCountRequest(grid, default_cell, 1.5, 40),
                 ],
                 5,
@@ -647,7 +645,7 @@ class TestQualifiedView:
         # view thinned from the plan's block is the block a draw at that
         # threshold alone gives, column for column, second-hop gains included
         rows = validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS
-        thetas = sorted({mc._grid_row(s, r, "frame_rate").theta_first for s, r in rows})
+        thetas = sorted({mc._grid_row(s, r).theta_first for s, r in rows})
         plan = mc._Plan.of(thetas)
         assert len(rows) == 25 and len(thetas) == 21 and plan.nested
         (block,) = mc._blocks(default_cell, plan, 9, 40, 57)
@@ -663,7 +661,7 @@ class TestQualifiedView:
         # criteria 3 and 4's thresholds, loosest first: thinning the view
         # at the threshold before gives the view thinned from the block
         rows = validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS
-        thetas = sorted({mc._grid_row(s, r, "frame_rate").theta_first for s, r in rows})
+        thetas = sorted({mc._grid_row(s, r).theta_first for s, r in rows})
         plan = mc._Plan.of(thetas)
         (block,) = mc._blocks(default_cell, plan, 9, 40, 104)
         view = block
@@ -1052,7 +1050,7 @@ class TestKthNearestDistances:
         # row t lists the nearest of the relays that the outage grid's
         # loosest row qualifies in trial t, so the two estimators pair by trial
         rows = _mixed_rows((10.0, 25.0))
-        plan = mc._Plan.of(mc._grid_row(s, r, "frame_rate").theta_first for s, r in rows)
+        plan = mc._Plan.of(mc._grid_row(s, r).theta_first for s, r in rows)
         assert plan.nested  # so the grid's draw differs in shape from the sampler's
         k_max, seed = 4, 42
         out = mc.kth_nearest_qualified_distances(default_cell, plan.theta_min, k_max, 40, seed)

@@ -118,6 +118,19 @@ class TestInnerIntegralCheck:
         assert not result.passed
         assert "worst relative error 1.00e-06" in result.detail
 
+    def test_integrates_each_distinct_reference_once(self, monkeypatch):
+        # 450 closed values; at r_d = 0 all five bearings share a = 0, so
+        # those 150 values take one quadrature per (theta, slice, r_jd): 30
+        integrate, calls = validation.integrate_1d, []
+
+        def counting(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(validation, "integrate_1d", counting)
+        assert validation.check_inner_integral().passed
+        assert len(calls) == 330
+
 
 class TestMeanCountCurves:
     def test_detail_reads_the_trials_from_the_curves(self):
@@ -171,9 +184,9 @@ class TestMeanCountCurves:
 class TestCliSweep:
     def test_sweep_bytes_are_pinned(self):
         output = validation._cli_sweep(1).output
-        assert len(output) == 1065
+        assert len(output) == 1030
         assert hashlib.sha256(output).hexdigest() == (
-            "71b93d0b20d48e6c503bfb34e527a3e91b64d188cb2b6dafaffc8b97a9e7e61a"
+            "407253355908abe667286e5f02c75957af6b2ea33d27fd50aaa2b7193a9eee6c"
         )
 
 
