@@ -10,9 +10,8 @@ measure seen either from the source or from the displaced destination:
   the destination, with its closed density (:func:`lambda_prime_derivative`,
   an ``I0`` Bessel function) on fixed spectral panels, built once per
   threshold. It is the one implementation of ``M`` here.
-* ``f_k_pdf`` / ``kth_nearest_cdf`` -- density (in two variants, see the
-  function docstring) and distribution of the distance to the k-th nearest
-  qualified relay.
+* ``f_k_pdf`` / ``kth_nearest_cdf`` -- density and distribution of the
+  distance to the k-th nearest qualified relay.
 * ``p_fail_jth`` / ``outage_stat`` -- per-relay failure probabilities and
   their product, the outage of distance-ranked relay selection under the
   approximation that ranked relays fail independently (exact for one relay;
@@ -42,9 +41,6 @@ import numpy as np
 from .model import CellGeometry, RadioParams, Thresholds, check_count, compute_thresholds
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate_1d
 from .specials import erfcx, i0e
-
-#: Variants of the k-th-nearest distance density, see :func:`f_k_pdf`.
-F_K_FORMS = ("exact", "quadratic")
 
 #: Variants of the doubly-connected mean measure, see :func:`outage_exact_csi`.
 LAMBDA_Q_METHODS = ("closed", "quadrature")
@@ -425,55 +421,40 @@ def _cumulative(f: np.ndarray, half: np.ndarray, offsets: np.ndarray) -> np.ndar
     return offsets[:-1, None] + half[:, None] * within
 
 
-def _order_densities(mass, density, r, k: int, form: str, weight=1.0) -> np.ndarray:
-    """``weight * exp(-M) M^(j-1) / (j-1)!`` times ``dM/dr`` (``form="exact"``)
-    or ``2 M / r`` (``"quadratic"``), for ``j = 1 .. k``: the densities of the
-    distances to the j-th nearest points of a process with mean measure ``M``
-    (see :func:`f_k_pdf`), elementwise over the sample points and stacked
-    along a leading axis of length ``k``."""
-    if form not in F_K_FORMS:
-        raise ValueError(f"form must be one of {F_K_FORMS}, got {form!r}")
-    head = weight * np.exp(-mass) * (density if form == "exact" else 2.0 * mass / r)
+def _order_densities(mass, density, k: int, weight=1.0) -> np.ndarray:
+    """``weight * exp(-M) M^(j-1) / (j-1)! * density`` for ``j = 1 .. k``:
+    with ``density = dM/dr``, the densities of the distances to the j-th
+    nearest points of a process with mean measure ``M`` (see
+    :func:`f_k_pdf`), elementwise over the sample points and stacked along a
+    leading axis of length ``k``."""
+    head = weight * np.exp(-mass) * density
     return head * np.stack(_poisson_ladder(mass, k))
 
 
-def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float, form: str = "exact"):
+def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float):
     """Density of the distance from the destination to the k-th nearest
-    qualified relay, elementwise over ``r_jd``, from one :class:`MassProfile`.
+    qualified relay, elementwise over ``r_jd``, from one :class:`MassProfile`:
+    the order-statistic density of a point process with mean measure
+    ``M(r) = lambda_prime(r)``,
 
-    ``form="exact"``
-        The order-statistic density of a point process with mean measure
-        ``M(r) = lambda_prime(r)``:
+        exp(-M(r)) * M(r)^(k-1) / (k-1)! * dM/dr
 
-            exp(-M(r)) * M(r)^(k-1) / (k-1)! * dM/dr
-
-        Its integral over [0, x] equals the probability of finding at least
-        ``k`` qualified relays within ``x``, so the distribution is proper
-        up to the (possibly defective) total mass.
-    ``form="quadratic"``
-        Same expression with ``dM/dr`` replaced by ``2 M(r) / r``:
-
-            exp(-M(r)) * 2 M(r)^k / (r * (k-1)!)
-
-        This substitution is exact only when ``M(r)`` grows quadratically
-        (an unthinned homogeneous field); for a thinned field it inflates
-        the tail. Kept selectable so the two variants can be compared
-        against simulation.
+    Its integral over [0, x] equals the probability of finding at least
+    ``k`` qualified relays within ``x``, so the distribution is proper up to
+    the (possibly defective) total mass. It is 0 at ``r_jd = 0``.
     """
     _require_alpha_two(cell, "f_k_pdf")
     check_count("k", k)
     r_jd = np.asarray(r_jd, dtype=float)
-    if not np.all(r_jd > 0):
-        raise ValueError("r_jd must be > 0 (both variants are densities in the open half-line)")
     mass = lambda_prime(r_jd, cell, theta)
-    out = _order_densities(mass, lambda_prime_derivative(r_jd, cell, theta), r_jd, k, form)[-1]
+    out = _order_densities(mass, lambda_prime_derivative(r_jd, cell, theta), k)[-1]
     return float(out) if out.ndim == 0 else out
 
 
 def kth_nearest_cdf(x, k: int, cell: CellGeometry, theta: float):
     """Probability of at least ``k`` qualified relays within ``x`` of the
     destination, elementwise over ``x`` (a float for a scalar); the CDF
-    matching ``f_k_pdf(form="exact")``.
+    matching :func:`f_k_pdf`.
 
     ``1 - exp(-M(x)) * sum_{i<k} M(x)^i / i!`` with ``M = lambda_prime``,
     0 for ``x <= 0``.
@@ -483,11 +464,10 @@ def kth_nearest_cdf(x, k: int, cell: CellGeometry, theta: float):
     return poisson_tail(lambda_prime(np.maximum(x, 0.0), cell, theta), k)
 
 
-def _p_fail_ranks(profile: MassProfile, k: int, theta_second: float, form: str) -> list[float]:
+def _p_fail_ranks(profile: MassProfile, k: int, theta_second: float) -> list[float]:
     """:func:`p_fail_jth` for ``j = 1 .. k`` from one profile."""
-    r = profile.r
-    success = np.exp(-theta_second * (1.0 + r * r))  # at the destination
-    densities = _order_densities(profile.M, profile.density, r, k, form, weight=success)
+    success = np.exp(-theta_second * (1.0 + profile.r * profile.r))  # at the destination
+    densities = _order_densities(profile.M, profile.density, k, weight=success)
     out = []
     for j, total in enumerate(profile.total(densities).tolist(), start=1):
         p = 1.0 - total
@@ -501,26 +481,25 @@ def _p_fail_ranks(profile: MassProfile, k: int, theta_second: float, form: str) 
     return out
 
 
-def p_fail_jth(j: int, cell: CellGeometry, thresholds: Thresholds, form: str = "exact") -> float:
+def p_fail_jth(j: int, cell: CellGeometry, thresholds: Thresholds) -> float:
     """Probability that the j-th nearest qualified relay fails to reach the
     destination.
 
     ``1 - integral_0^(R + r_d) exp(-theta_second (1 + r^2)) f_j(r) dr``.
     The j-th relay's distance density uses ``thresholds.theta_first`` for
     qualification; the decoding test at the destination uses
-    ``theta_second``. With the ``"exact"`` density the formula also charges
-    the event that fewer than ``j`` qualified relays exist (the defective
-    mass), matching a protocol whose j-th slot stays silent in that case.
+    ``theta_second``. The formula also charges the event that fewer than
+    ``j`` qualified relays exist (the defective mass), matching a protocol
+    whose j-th slot stays silent in that case.
 
     The integral is taken on the :class:`MassProfile` of ``theta_first``
     (error budget abs 1e-10, rel 1e-8). Values outside [0, 1] by more than
-    1e-9 are clamped with a warning; the ``"quadratic"`` density is not a
-    probability law, so it can get there.
+    1e-9 are clamped with a warning.
     """
     _require_alpha_two(cell, "p_fail_jth")
     check_count("j", j)
     profile = MassProfile(cell, thresholds.theta_first)
-    return _p_fail_ranks(profile, j, thresholds.theta_second, form)[j - 1]
+    return _p_fail_ranks(profile, j, thresholds.theta_second)[j - 1]
 
 
 def _ranked_profile(what: str, k: int, cell: CellGeometry, radio: RadioParams):
@@ -533,7 +512,7 @@ def _ranked_profile(what: str, k: int, cell: CellGeometry, radio: RadioParams):
     return MassProfile(cell, thresholds.theta_first), thresholds.theta_second
 
 
-def outage_stat(k: int, cell: CellGeometry, radio: RadioParams, form: str = "exact") -> float:
+def outage_stat(k: int, cell: CellGeometry, radio: RadioParams) -> float:
     """Outage probability of distance-ranked selection of ``k`` relays.
 
     The outage is taken as the product of :func:`p_fail_jth` over
@@ -549,7 +528,7 @@ def outage_stat(k: int, cell: CellGeometry, radio: RadioParams, form: str = "exa
     assumption.
     """
     profile, theta2 = _ranked_profile("outage_stat", k, cell, radio)
-    return math.prod(_p_fail_ranks(profile, k, theta2, form))
+    return math.prod(_p_fail_ranks(profile, k, theta2))
 
 
 def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float:

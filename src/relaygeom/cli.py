@@ -12,8 +12,8 @@ Subcommands
     Run the full oracle/property gate and print one pass/fail line per
     check.
 ``fk-check``
-    Compare the two k-th-nearest-distance density variants against sampled
-    distances (KS statistic per k).
+    Compare the k-th-nearest-distance law against sampled distances (KS
+    statistic per k, with the unthinned-field law's as a contrast).
 
 Every configuration key is listed once, in :data:`DEFAULTS`, and the first
 two subcommands get one flag per key they read and refuse every other key,
@@ -44,7 +44,7 @@ from dataclasses import astuple, dataclass, fields, replace
 from typing import ClassVar
 
 from . import montecarlo, validation
-from .analytic import F_K_FORMS, lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
+from .analytic import lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
 from .model import CellGeometry, RadioParams, compute_thresholds
 from .montecarlo import OBSERVERS, STRATEGIES
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
@@ -63,7 +63,6 @@ DEFAULTS: dict = {
     "k_values": (1, 2, 3),
     "trials": 100_000,
     "seed": 42,
-    "fk_form": "exact",
     "csv": None,
     "svg": None,
 }
@@ -92,7 +91,6 @@ class SweepConfig:
     k_values: tuple[int, ...]
     trials: int
     seed: int
-    fk_form: str
     csv: str | None
     svg: str | None
 
@@ -185,7 +183,6 @@ def parse_config(
         k_values=k_values,
         trials=trials,
         seed=_integer(data["seed"], "seed"),
-        fk_form=_choice(data["fk_form"], "fk_form", F_K_FORMS),
         csv=_path(data["csv"], "csv"),
         svg=_path(data["svg"], "svg"),
     )
@@ -311,7 +308,7 @@ def run_outage_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
             "analytic",
             lambda: outage_exact_csi(config.cell, radio)
             if strategy == "exact"
-            else outage_stat(k, config.cell, radio, config.fk_form),
+            else outage_stat(k, config.cell, radio),
         )
         p_mc, stderr = (None, None) if est is None else (est.p_hat, est.stderr)
         error = "; ".join(errors + mc_errors)
@@ -379,15 +376,13 @@ def _csv_lines(rows: list, config: SweepConfig | None, settings: dict | None = N
     if not rows:
         raise ValueError("refusing to write CSV without rows")
     kind = type(rows[0])
-    if config is not None and not settings:  # an outage sweep's own settings
-        settings = {"fk_form": config.fk_form}
     lines = [] if config is None else [
         f"# relaygeom {kind.command}",
         *(f"# {key} = {_field(getattr(config.cell, key))}" for key in _CELL_KEYS),
         f"# rate = {_field(config.rate)}",
         f"# trials = {config.trials}",
         f"# seed = {config.seed}",
-        *(f"# {key} = {_field(value)}" for key, value in settings.items()),
+        *(f"# {key} = {_field(value)}" for key, value in (settings or {}).items()),
     ]
     lines.append(",".join(f.name for f in fields(kind)))
     lines.extend(",".join(map(_field, astuple(r))) for r in rows)
@@ -414,7 +409,7 @@ def write_csv(
     Byte-reproducible for identical rows; refuses empty input (no file is
     created). Metadata comment lines carry the configuration when given,
     then the command's own ``settings`` (``mean-count``: its ``snr_db`` and
-    ``radius_step``), by default an outage sweep's ``fk_form``.
+    ``radius_step``).
     """
     _write_lines(_csv_lines(rows, config, settings), path)
 

@@ -313,7 +313,7 @@ def check_stat_csi_outage(estimates: list[montecarlo.OutageEstimate]) -> CheckRe
     trials = estimates[0].trials
     for (_, radio), est in zip(_STAT_CSI_ROWS, estimates, strict=True):
         k, snr = radio.num_relays, radio.snr_db
-        p0 = analytic.outage_stat(k, DEFAULT_CELL, radio, form="exact")
+        p0 = analytic.outage_stat(k, DEFAULT_CELL, radio)
         in_band, zscore = binomial_consistent(est.outage_count, trials, p0)
         if not in_band:
             in_band = abs(est.p_hat - p0) <= 0.05 * p0
@@ -393,9 +393,11 @@ def _ks_statistic(samples: np.ndarray, cdf_at_samples: np.ndarray, cdf_at_sup: f
 
 def check_fk_distribution(draws: np.ndarray) -> CheckResult:
     """KS distance between sampled k-th-nearest-qualified-relay distances
-    (destination observer, 15 dB) and the exact-form CDF must stay below the
-    1% critical value for every sampled rank k; the quadratic-growth form's
-    distance is reported alongside for comparison.
+    (destination observer, 15 dB) and :func:`~relaygeom.analytic.kth_nearest_cdf`
+    must stay below the 1% critical value for every sampled rank k. As a
+    contrast, the KS distance of the homogeneous k-th-nearest law is reported
+    alongside: the same order-statistic density with ``dM/dr`` replaced by
+    ``2 M / r``, exact only for an unthinned field (quadratic ``M``).
 
     ``draws`` is a ``(samples, k_max)`` array of distances, ``inf`` where a
     trial has fewer than k qualified relays, as
@@ -405,19 +407,17 @@ def check_fk_distribution(draws: np.ndarray) -> CheckResult:
     t0 = time.perf_counter()
     samples, k_max = draws.shape
     profile = analytic.MassProfile(DEFAULT_CELL, THETA_15DB)
-    quadratic = analytic._order_densities(
-        profile.M, profile.density, profile.r, k_max, "quadratic"
-    )
+    quadratic = analytic._order_densities(profile.M, 2.0 * profile.M / profile.r, k_max)
     crit = _KS_CRIT_1PCT / math.sqrt(samples)
     details = [f"critical value {crit:.5f} (1% level, n={samples})"]
     passed = True
     upper = DEFAULT_CELL.outer_radius
     for k in range(1, k_max + 1):
         finite = np.sort(draws[:, k - 1][np.isfinite(draws[:, k - 1])])
-        # the exact-form CDF at the samples and at the far edge
+        # the order-statistic CDF at the samples and at the far edge
         cdf = analytic.kth_nearest_cdf(np.append(finite, upper), k, DEFAULT_CELL, THETA_15DB)
         ks_exact = _ks_statistic(finite, cdf[:-1], cdf[-1], samples)
-        # Quadratic-growth variant: its density integrated on the profile.
+        # the homogeneous law: its density integrated on the profile
         dens = quadratic[k - 1]
         ks_quad = _ks_statistic(
             finite, profile.cumulative_at(dens, finite), profile.total(dens), samples

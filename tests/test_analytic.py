@@ -294,7 +294,7 @@ class TestMassProfile:
     def test_stacked_totals_match_one_at_a_time(self, cell, theta):
         prof = analytic.MassProfile(cell, theta)
         success = np.exp(-theta * (1.0 + prof.r * prof.r))
-        terms = analytic._order_densities(prof.M, prof.density, prof.r, 3, "exact", success)
+        terms = analytic._order_densities(prof.M, prof.density, 3, success)
         assert prof.total(terms).tolist() == [prof.total(term) for term in terms]
 
     def test_stacked_total_raises_for_any_unresolved_member(self, default_cell):
@@ -308,14 +308,21 @@ class TestMassProfile:
         assert stacked.value.error == pytest.approx(alone.value.error, rel=1e-12)
 
 
+def homogeneous_pdf(r, k, cell, theta) -> float:
+    """Criterion 6's contrast: :func:`analytic.f_k_pdf` with ``dM/dr``
+    replaced by ``2 M / r``, the homogeneous k-th-nearest law."""
+    mass = analytic.lambda_prime(r, cell, theta)
+    return float(analytic._order_densities(mass, 2.0 * mass / r, k)[-1])
+
+
 class TestFkPdf:
     def test_variant_ratio_identity(self, default_cell):
         # quadratic / exact == 2 M(r) / (r dM/dr) for every k
         theta = 0.2
         for k in (1, 2, 3):
             for r in (1.0, 4.0, 9.0):
-                exact = analytic.f_k_pdf(r, k, default_cell, theta, "exact")
-                quad = analytic.f_k_pdf(r, k, default_cell, theta, "quadratic")
+                exact = analytic.f_k_pdf(r, k, default_cell, theta)
+                quad = homogeneous_pdf(r, k, default_cell, theta)
                 mass = analytic.lambda_prime(r, default_cell, theta)
                 deriv = analytic.lambda_prime_derivative(r, default_cell, theta)
                 assert quad / exact == pytest.approx(2 * mass / (r * deriv), rel=1e-9)
@@ -337,8 +344,10 @@ class TestFkPdf:
                     * mass ** (k - 1)
                     / math.factorial(k - 1)
                 )
-                for form in ("exact", "quadratic"):
-                    val = analytic.f_k_pdf(r, k, default_cell, theta, form)
+                for val in (
+                    analytic.f_k_pdf(r, k, default_cell, theta),
+                    homogeneous_pdf(r, k, default_cell, theta),
+                ):
                     assert val == pytest.approx(law, rel=1e-4)
 
     def test_cdf_matches_density_integral(self, default_cell):
@@ -353,13 +362,12 @@ class TestFkPdf:
             analytic.kth_nearest_cdf(5.0, k, default_cell, theta), abs=1e-6
         )
 
-    @pytest.mark.parametrize("form", ["exact", "quadratic"])
-    def test_array_matches_scalar_calls(self, default_cell, form):
+    def test_array_matches_scalar_calls(self, default_cell):
         rs = np.array([0.3, 2.0, 5.0, 11.0, 25.0])
-        batch = analytic.f_k_pdf(rs, 3, default_cell, 0.2, form)
+        batch = analytic.f_k_pdf(rs, 3, default_cell, 0.2)
         assert batch.shape == rs.shape
         for r, val in zip(rs, batch):
-            assert analytic.f_k_pdf(float(r), 3, default_cell, 0.2, form) == val
+            assert analytic.f_k_pdf(float(r), 3, default_cell, 0.2) == val
 
     def test_cdf_array_matches_scalar_calls(self, default_cell):
         xs = np.array([-1.0, 0.0, 0.3, 2.0, 5.0, 11.0, 25.0])
@@ -384,10 +392,10 @@ class TestFkPdf:
     def test_validation(self, default_cell):
         with pytest.raises(ValueError):
             analytic.f_k_pdf(1.0, 0, default_cell, 0.1)
-        with pytest.raises(ValueError):
-            analytic.f_k_pdf(0.0, 1, default_cell, 0.1)
-        with pytest.raises(ValueError):
-            analytic.f_k_pdf(1.0, 1, default_cell, 0.1, form="bogus")
+        # no relay lies closer than distance 0: the density vanishes there
+        for k in (1, 2, 3):
+            assert analytic.f_k_pdf(0.0, k, default_cell, 0.1) == 0.0
+            assert analytic.f_k_pdf(np.zeros(2), k, default_cell, 0.1).tolist() == [0.0, 0.0]
 
 
 class TestPFail:
@@ -395,10 +403,9 @@ class TestPFail:
         th = Thresholds(theta_first=0.1, theta_second=1e6)
         assert analytic.p_fail_jth(1, default_cell, th) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("form", ["exact", "quadratic"])
-    def test_centered_observer_reduces_to_1d(self, form):
+    def test_centered_observer_reduces_to_1d(self):
         # with the destination at the source the mass function is closed, so
-        # each variant must match its own direct 1-d reduction
+        # p_fail_jth must match its direct 1-d reduction
         cell = CellGeometry(cell_radius=20.0, dest_distance=0.0, relay_intensity=0.5)
         th = Thresholds(theta_first=0.09486832980505139, theta_second=0.09486832980505139)
         lam, t1, t2 = 0.5, th.theta_first, th.theta_second
@@ -411,17 +418,13 @@ class TestPFail:
         def mass_deriv(r):
             return 2 * math.pi * lam * r * np.exp(-t1 * (1 + r * r))
 
-        if form == "exact":
-            reduced = lambda r: np.exp(-mass(r)) * mass_deriv(r)
-        else:
-            reduced = lambda r: np.exp(-mass(r)) * 2.0 * mass(r) ** j / np.where(r > 0, r, 1.0)
         direct = 1.0 - integrate_1d(
-            lambda r: np.exp(-t2 * (1 + r * r)) * reduced(r),
+            lambda r: np.exp(-t2 * (1 + r * r)) * np.exp(-mass(r)) * mass_deriv(r),
             0.0,
             20.0,
             QuadratureSpec(1e-12, 1e-10, 1024),
         )
-        assert analytic.p_fail_jth(j, cell, th, form) == pytest.approx(direct, rel=1e-6)
+        assert analytic.p_fail_jth(j, cell, th) == pytest.approx(direct, rel=1e-6)
 
     @pytest.mark.parametrize("scale, clamped", [(3.0, 0.0), (-1.0, 1.0)])
     def test_clamps_out_of_range_values_with_a_warning(self, default_cell, monkeypatch, scale, clamped):

@@ -43,7 +43,6 @@ class TestParseConfig:
         assert config.k_values == (1, 2, 3)
         assert config.trials == 100_000
         assert config.seed == 42
-        assert config.fk_form == "exact"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -295,7 +294,8 @@ class TestWriters:
         assert first[1] == "exact"
 
     def test_csv_metadata_lists_the_sweep_settings(self, tmp_path, sweep_rows):
-        # the first-hop rule is no setting, so no line records it
+        # the first-hop rule and the k-th-nearest density are no settings,
+        # so no line records them
         config, rows = sweep_rows
         path = tmp_path / "out.csv"
         write_csv(rows, str(path), config)
@@ -309,7 +309,6 @@ class TestWriters:
             "# rate = 1.0000000000e+00",
             "# trials = 2",
             "# seed = 42",
-            "# fk_form = exact",
         ]
 
     def test_csv_byte_reproducible(self, tmp_path, sweep_rows):
@@ -644,8 +643,9 @@ class TestMainEntry:
                 ["outage-sweep", "--first-hop-threshold", "base_rate"],
                 "unrecognized arguments: --first-hop-threshold base_rate",
             ),
+            (["outage-sweep", "--fk-form", "quadratic"], "unrecognized arguments: --fk-form quadratic"),
         ],
-        ids=["no-command", "unknown-command", "missing-value", "first-hop-flag"],
+        ids=["no-command", "unknown-command", "missing-value", "first-hop-flag", "fk-form-flag"],
     )
     def test_malformed_command_line_exit_code(self, argv, message, capsys):
         # a configuration error (exit 1) like the same refusal in the file,
@@ -658,15 +658,21 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             cli.main(["outage-sweep", "-h"])
         assert exc.value.code == 0
-        assert "--fk-form" in capsys.readouterr().out
+        assert "--snr-grid-db" in capsys.readouterr().out
 
-    def test_first_hop_key_is_refused_in_the_file(self, tmp_path, capsys):
-        # relays qualify at the frame's per-slot rate; the rule is no setting
+    @pytest.mark.parametrize(
+        "key, text",
+        [("first_hop_threshold", '"frame_rate"'), ("fk_form", '"exact"')],
+        ids=["first_hop_threshold", "fk_form"],
+    )
+    def test_retired_key_is_refused_in_the_file(self, key, text, tmp_path, capsys):
+        # relays qualify at the frame's per-slot rate and rank by the thinned
+        # field's order-statistic density; neither is a setting
         path = tmp_path / "cfg.json"
-        path.write_text('{"first_hop_threshold": "frame_rate"}')
+        path.write_text(f'{{"{key}": {text}}}')
         assert cli.main(["outage-sweep", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "config key first_hop_threshold is not one this command's file takes" in err
+        assert f"config key {key} is not one this command's file takes" in err
 
     @pytest.mark.parametrize(
         "key, text",
@@ -847,7 +853,6 @@ def test_command_surface():
         ("--k-values", "default: 1,2,3"),
         ("--trials", "default: 100000"),
         ("--seed", "default: 42"),
-        ("--fk-form", "default: exact"),
         ("--csv", "default: None"),
         ("--svg", "default: None"),
         ("--workers", _WORKERS_HELP),

@@ -1,8 +1,9 @@
 """The order-statistic values pinned as ``float.hex``.
 
 ``outage_stat`` and ``exact_ranked_outage`` for k in {1, 2, 3, 5} at 0-45 dB
-on three cells, ``f_k_pdf`` (both forms, k = 1..3) on the default cell at
-15 dB, and ``poisson_tail``. A refactor of the destination-view readers
+on three cells, ``f_k_pdf`` and criterion 6's homogeneous contrast (``dM/dr``
+replaced by ``2 M / r``; the ``quadratic`` keys) for k = 1..3 on the default
+cell at 15 dB, and ``poisson_tail``. A refactor of the destination-view readers
 keeps each value within 1e-13 relative of the pinned one.
 """
 
@@ -42,9 +43,13 @@ def order_statistic_values() -> dict[str, float]:
                     k, cell, radio
                 )
     radii = np.array(PDF_RADII)
-    for form in analytic.F_K_FORMS:
-        for k in (1, 2, 3):
-            pdf = analytic.f_k_pdf(radii, k, CELLS["default"], THETA_15DB, form)
+    mass = analytic.lambda_prime(radii, CELLS["default"], THETA_15DB)
+    for k in (1, 2, 3):
+        pdfs = {
+            "exact": analytic.f_k_pdf(radii, k, CELLS["default"], THETA_15DB),
+            "quadratic": analytic._order_densities(mass, 2.0 * mass / radii, k)[-1],
+        }
+        for form, pdf in pdfs.items():
             for r, value in zip(PDF_RADII, pdf):
                 values[f"f_k_pdf/{form}/k={k}/r={r:g}"] = float(value)
     for k in RANKS:

@@ -184,9 +184,9 @@ class TestMeanCountCurves:
 class TestCliSweep:
     def test_sweep_bytes_are_pinned(self):
         output = validation._cli_sweep(1).output
-        assert len(output) == 1030
+        assert len(output) == 1012
         assert hashlib.sha256(output).hexdigest() == (
-            "407253355908abe667286e5f02c75957af6b2ea33d27fd50aaa2b7193a9eee6c"
+            "e7afdc6ae59c0226baca4eebc6aef71af8f9f163e30a79100894efae7735b8c1"
         )
 
 
