@@ -102,17 +102,16 @@ def _inner_core(
     eu = np.exp(e0 - u * u)
     cx_u, cx_a = erfcx(np.abs(np.stack([u, alf])))
     # exp(e0) * (erfc(u) - erfc(alf)); exp(e0 - alf^2) is big_a up to rounding.
+    at_u, at_alf = eu * cx_u, big_a * cx_a
     core = np.where(
         u >= 0.0,
-        eu * cx_u - big_a * cx_a,
-        np.where(
-            alf >= 0.0,
-            2.0 * np.exp(e0) - eu * cx_u - big_a * cx_a,
-            big_a * cx_a - eu * cx_u,
-        ),
+        at_u - at_alf,
+        np.where(alf >= 0.0, 2.0 * np.exp(e0) - at_u - at_alf, at_alf - at_u),
     )
-    term2 = np.sqrt(np.pi / theta) * 0.25 * a * core
-    return term1 + term2
+    term2 = math.sqrt(math.pi / theta) * 0.25 * a
+    term2 *= core
+    term2 += term1
+    return term2
 
 
 def _disk_mass(lam, rho, offset, theta, log_scale, spec: QuadratureSpec) -> float:
@@ -157,8 +156,8 @@ def lambda_prime(r_jd, cell: CellGeometry, theta: float):
     _require_alpha_two(cell, "lambda_prime")
     upper = cell.outer_radius
     r_jd = np.asarray(r_jd, dtype=float)
-    # the profile clips its argument to [0, R + r_d]
-    if not np.all((r_jd >= 0.0) & (r_jd <= upper * (1.0 + 1e-12))):
+    # the profile clips its argument to [0, R + r_d]; a NaN fails both reductions
+    if not (r_jd.min(initial=math.inf) >= 0.0 and r_jd.max(initial=0.0) <= upper * (1.0 + 1e-12)):
         raise ValueError(f"r_jd must lie in [0, cell_radius + dest_distance] = [0, {upper}]")
     profile = MassProfile(cell, theta)
     mass = np.maximum(profile.cumulative_at(profile.density, r_jd), 0.0)
@@ -191,33 +190,34 @@ def lambda_prime_derivative(r_jd, cell: CellGeometry, theta: float):
     _require_alpha_two(cell, "lambda_prime_derivative")
     _require_positive_theta(theta)
     r = np.asarray(r_jd, dtype=float)
-    if not np.all(np.isfinite(r) & (r >= 0.0)):
+    # finite and >= 0 everywhere: a NaN fails both reductions, an empty r passes
+    if not (r.min(initial=math.inf) >= 0.0 and r.max(initial=0.0) < math.inf):
         raise ValueError("r_jd must be finite and >= 0")
     r_d = cell.dest_distance
     d = r - r_d
-    out = (
-        2.0
-        * math.pi
-        * cell.relay_intensity
-        * r
-        * np.exp(-theta * (1.0 + d * d))
-        * i0e(2.0 * theta * r_d * r)
-    )
+    out = 2.0 * math.pi * cell.relay_intensity * r
+    out *= np.exp(-theta * (1.0 + d * d))
+    out *= i0e(2.0 * theta * r_d * r)
     return float(out) if out.ndim == 0 else out
 
 
-def _poisson_ladder(x, k: int) -> list:
-    """``x^j / j!`` for ``j = 0 .. k - 1``, elementwise over ``x``, each term
-    from the one before: ``t_0 = 1``, ``t_j = t_(j-1) x / j``."""
-    terms = [np.ones_like(x)]
+def _poisson_ladder(x, k: int) -> np.ndarray:
+    """``x^j / j!`` for ``j = 0 .. k - 1``, elementwise over ``x`` and stacked
+    along a leading axis, each term from the one before: ``t_0 = 1``,
+    ``t_j = t_(j-1) x / j``."""
+    terms = np.empty((k,) + np.shape(x))
+    terms[0] = 1.0
     for j in range(1, k):
-        terms.append(terms[-1] * x / j)
+        term = terms[j, ...]  # a view, also where x is a scalar
+        np.multiply(terms[j - 1, ...], x, term)
+        term /= j
     return terms
 
 
 def poisson_tail(mass, k: int):
     """``P(N >= k)`` for ``N`` Poisson with mean ``mass``, elementwise:
-    ``1 - exp(-mass) * sum_{i<k} mass^i / i!``."""
+    ``1 - exp(-mass) * sum_{i<k} mass^i / i!``; ``k`` is an integer >= 1."""
+    check_count("k", k)
     mass = np.asarray(mass, dtype=float)
     out = 1.0 - np.exp(-mass) * sum(_poisson_ladder(mass, k))
     return float(out) if out.ndim == 0 else out
@@ -319,12 +319,11 @@ class MassProfile:
         _require_positive_theta(theta)
         upper = cell.outer_radius
         peaks = cell.dest_distance + _PEAK_OFFSETS / math.sqrt(theta)
-        uniform = np.linspace(0.0, upper, _UNIFORM_PANELS + 1)
-        first = _sorted_unique(np.concatenate([uniform, peaks[(peaks > 0) & (peaks < upper)]]))
+        first = _sorted_unique(_uniform_edges(upper), peaks[(peaks > 0) & (peaks < upper)])
         r, half, density = _profile_panels(first, cell, theta)
         mass = _cumulative(density, half, _offsets(density, half)).ravel()
         at_level = np.searchsorted(mass, _MASS_LEVELS)
-        edges = _sorted_unique(np.concatenate([first, r.ravel()[at_level[at_level < mass.size]]]))
+        edges = _sorted_unique(first, r.ravel()[at_level[at_level < mass.size]])
         r, half, density = _profile_panels(edges, cell, theta, (first, density))
         for name, value in (("edges", edges), ("r", r), ("_half", half), ("density", density)):
             value.setflags(write=False)
@@ -340,8 +339,8 @@ class MassProfile:
         """Offsets (:func:`_offsets`) of ``f`` and the error estimate of its
         integral; raises past the budget. A stack of samples ``f`` (leading
         axes) gives stacked offsets and the largest estimate."""
-        tail = np.abs(np.einsum("...pj,kj->...pk", f, _CHEB_TO_COEF[-_CHEB_TAIL:])).sum(axis=-1)
-        errors = np.reshape(tail @ self._half, -1).tolist()
+        tail = np.einsum("...pj,kj->...pk", f, _CHEB_TO_COEF[-_CHEB_TAIL:])
+        errors = (np.abs(tail, tail).sum(axis=-1) @ self._half).ravel().tolist()
         offsets = _offsets(f, self._half)
         for total, err in zip(offsets[..., -1].ravel().tolist(), errors):
             bound = max(_PROFILE_ABS_TOL, _PROFILE_REL_TOL * abs(total))
@@ -380,10 +379,28 @@ class MassProfile:
         return offsets[idx] + self._half[idx] * series
 
 
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
+def _uniform_edges(upper: float) -> np.ndarray:
+    """``np.linspace(0.0, upper, _UNIFORM_PANELS + 1)`` by linspace's own
+    arithmetic, bit for bit, without its per-call overhead."""
+    edges = np.arange(_UNIFORM_PANELS + 1.0)
+    step = upper / _UNIFORM_PANELS
+    if step == 0.0:  # linspace's order where the step underflows
+        edges /= _UNIFORM_PANELS
+        step = upper
+    edges *= step
+    edges[-1] = upper
+    return edges
+
+
+def _sorted_unique(*parts: np.ndarray) -> np.ndarray:
+    """The distinct values of the arrays ``parts``, ascending."""
     # Not np.unique: its first call in a process raises peak RSS by ~0.7 MB.
-    x = np.sort(x)
-    return x[np.concatenate([[True], x[1:] > x[:-1]])]
+    x = np.concatenate(parts)
+    x.sort()
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.greater(x[1:], x[:-1], keep[1:])
+    return x[keep]
 
 
 def _profile_panels(edges: np.ndarray, cell: CellGeometry, theta: float, known=None):
@@ -392,8 +409,9 @@ def _profile_panels(edges: np.ndarray, cell: CellGeometry, theta: float, known=N
     ``known`` is ``(edges, density)`` of an earlier pass: a panel of it that
     survives whole has the same nodes, so its density is copied, and
     ``dM/dr`` is evaluated only on the panels that new edges split."""
-    half = np.diff(edges) / 2.0
-    r = (edges[:-1] + half)[:, None] + half[:, None] * _CHEB_NODES
+    half = (edges[1:] - edges[:-1]) * 0.5
+    r = half[:, None] * _CHEB_NODES
+    r += (edges[:-1] + half)[:, None]
     if known is None:
         return r, half, lambda_prime_derivative(r, cell, theta)
     old_edges, old_density = known
@@ -402,23 +420,29 @@ def _profile_panels(edges: np.ndarray, cell: CellGeometry, theta: float, known=N
     whole = kept[:-1] & kept[1:]
     density = np.empty_like(r)
     density[whole] = old_density[at[:-1][whole]]
-    if not whole.all():
-        density[~whole] = lambda_prime_derivative(r[~whole], cell, theta)
+    split = ~whole
+    if split.any():
+        density[split] = lambda_prime_derivative(r[split], cell, theta)
     return r, half, density
 
 
 def _offsets(f: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Integral of node values ``f`` up to each panel edge, from 0 to the
     whole range (length panels + 1, along the last axis of a stack)."""
-    steps = np.cumsum(half * np.einsum("...pj,j->...p", f, _CHEB_WEIGHTS), axis=-1)
-    return np.concatenate([np.zeros(steps.shape[:-1] + (1,)), steps], axis=-1)
+    steps = np.einsum("...pj,j->...p", f, _CHEB_WEIGHTS)
+    steps *= half
+    offsets = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    np.cumsum(steps, axis=-1, out=offsets[..., 1:])
+    return offsets
 
 
 def _cumulative(f: np.ndarray, half: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-panel spectral cumulative integral of node values ``f`` with
     ``offsets = _offsets(f, half)``."""
     within = np.einsum("pj,kj->pk", f, _CHEB_CUMULATIVE)
-    return offsets[:-1, None] + half[:, None] * within
+    within *= half[:, None]
+    within += offsets[:-1, None]
+    return within
 
 
 def _order_densities(mass, density, k: int, weight=1.0) -> np.ndarray:
@@ -427,8 +451,9 @@ def _order_densities(mass, density, k: int, weight=1.0) -> np.ndarray:
     nearest points of a process with mean measure ``M`` (see
     :func:`f_k_pdf`), elementwise over the sample points and stacked along a
     leading axis of length ``k``."""
-    head = weight * np.exp(-mass) * density
-    return head * np.stack(_poisson_ladder(mass, k))
+    terms = _poisson_ladder(mass, k)
+    terms *= weight * np.exp(-mass) * density
+    return terms
 
 
 def f_k_pdf(r_jd, k: int, cell: CellGeometry, theta: float):
@@ -508,7 +533,7 @@ def _ranked_profile(what: str, k: int, cell: CellGeometry, radio: RadioParams):
     both ranked outages share; ``what`` names the caller in their errors."""
     _require_alpha_two(cell, what)
     check_count("k", k)
-    thresholds = compute_thresholds(replace(radio, num_relays=k))
+    thresholds = compute_thresholds(radio if radio.num_relays == k else replace(radio, num_relays=k))
     return MassProfile(cell, thresholds.theta_first), thresholds.theta_second
 
 
@@ -557,7 +582,8 @@ def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float
     """
     profile, theta2 = _ranked_profile("exact_ranked_outage", k, cell, radio)
     r = profile.r
-    fail = -np.expm1(-theta2 * (1.0 + r * r))
+    exponent = -theta2 * (1.0 + r * r)  # log of the per-relay success
+    fail = -np.expm1(exponent)
     weighted = fail * profile.density
     offsets = profile._check(weighted)[0]  # one check for G at the nodes and G_inf
     g, g_inf = _cumulative(weighted, profile._half, offsets), float(offsets[-1])
@@ -565,7 +591,7 @@ def exact_ranked_outage(k: int, cell: CellGeometry, radio: RadioParams) -> float
     decay = np.exp(-profile.M) * profile.density
     head = math.exp(-profile.total_mass) * float(sum(_poisson_ladder(g_inf, k)))
     tail, success = profile.total(
-        np.stack([fail * decay * ladder[-1], np.exp(-theta2 * (1.0 + r * r)) * decay * sum(ladder)])
+        np.stack([fail * decay * ladder[-1], np.exp(exponent) * decay * sum(ladder)])
     ).tolist()
     outage = head + tail
     return outage / (outage + success)

@@ -102,16 +102,17 @@ def _eval_panels(f: Callable, lows: np.ndarray, highs: np.ndarray):
     mid = 0.5 * (highs + lows)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
     fv = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    if not np.all(np.isfinite(fv)):
+    if not np.isfinite(fv).all():
         raise QuadratureError("integrand returned a non-finite value", math.nan, math.inf)
     k15 = (fv @ _WEIGHTS_K) * half
     g7 = (fv[:, _GAUSS_IDX] @ _WEIGHTS_G) * half
     mean = k15 / (2.0 * half)
     resasc = (np.abs(fv - mean[:, None]) @ _WEIGHTS_K) * half
     raw = np.abs(k15 - g7)
+    positive = resasc > 0.0
     err = np.where(
-        resasc > 0.0,
-        resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
+        positive,
+        resasc * np.minimum(1.0, (200.0 * raw / np.where(positive, resasc, 1.0)) ** 1.5),
         raw,
     )
     return k15, err

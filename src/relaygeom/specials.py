@@ -12,18 +12,28 @@ arrays. erfcx(x) = exp(x^2) erfc(x) uses two regimes, split at |x| = 2:
   evaluated backward from a fixed depth of 72, which is converged to double
   precision for every x >= 2.
 
-Both regimes run once, on |x|, their loops in place; a negative entry is
-then reflected, ``erfcx(-a) = 2 exp(a^2) - erfcx(a)``. erfcx is accurate to
+Both regimes run once, on |x|, their loops in place (on the whole array,
+unmasked, when every element lies in one regime); a negative entry is then
+reflected, ``erfcx(-a) = 2 exp(a^2) - erfcx(a)``. erfcx is accurate to
 ~1e-13 relative for x >= 0; for x < 0 it grows like ``2 exp(x^2)`` and
 overflows to inf near x = -26.6, which is the honest double-precision answer.
 
 i0e(x) = exp(-|x|) I0(x) is the Cephes Chebyshev expansion in two branches,
 split at |x| = 8: a 30-term series in ``x/2 - 2`` below, and a 25-term
 series in ``32/x - 2`` times ``1/sqrt(x)`` above. One in-place Clenshaw
-recurrence runs over both branches at once: the 25-term series is padded
-with leading zeros, which changes no bit of its sum. The scaling keeps it
-in (0, 1] for every finite x, so it never overflows; relative error is a
-few ulp.
+recurrence of 29 steps runs over both branches at once: the 25-term series
+is padded with leading zeros, which changes no bit of its sum. Each step
+adds its coefficients as 0-d arrays (see ``_frozen``). When every element
+lies on one branch (NaN counts as above the split), the step is three
+ufunc calls on the whole array, and the division by ``sqrt(x)`` is skipped
+when no element lies above. Otherwise the elements are put in a stable
+order with the small branch first (if they are not already, as a sorted
+grid's are), the products and differences run on the whole array and each
+branch adds its own coefficient on its own slice; the output is put back
+in the input's order. Each element sees the same operations in the same
+order on every path, so its bits do not depend on the path or on the other
+elements. The scaling keeps i0e in (0, 1] for every finite x, so it never
+overflows; relative error is a few ulp.
 """
 
 from __future__ import annotations
@@ -38,11 +48,23 @@ _SPLIT = 2.0
 _CF_DEPTH = 72
 _SERIES_TERMS = 48
 
+
+def _frozen(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d array. The loops below pass their
+    constants to ufuncs this way: a ufunc takes a 0-d operand faster than a
+    float, and the value, so every bit of the result, is the same."""
+    out = np.array(value, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 # Coefficients of erf(x) * sqrt(pi) / (2 x) as a polynomial in x^2:
 # (-1)^k / (k! (2k + 1)), highest order first for Horner evaluation.
-_SERIES_COEF = np.array(
-    [(-1.0) ** k / (math.factorial(k) * (2 * k + 1)) for k in range(_SERIES_TERMS)]
-)[::-1].copy()
+_SERIES_COEF = tuple(
+    map(_frozen, [(-1.0) ** k / (math.factorial(k) * (2 * k + 1)) for k in range(_SERIES_TERMS)][::-1])
+)
+# The continued fraction's partial numerators n / 2, n = _CF_DEPTH .. 1.
+_CF_NUMERATORS = tuple(_frozen(0.5 * n) for n in range(_CF_DEPTH, 0, -1))
 
 
 def _erf_series(x: np.ndarray) -> np.ndarray:
@@ -55,12 +77,17 @@ def _erf_series(x: np.ndarray) -> np.ndarray:
     return _TWO_OVER_SQRT_PI * x * acc
 
 
+def _erfcx_series(x: np.ndarray) -> np.ndarray:
+    """erfcx from the Maclaurin series of erf, for 0 <= x < 2."""
+    return np.exp(x * x) * (1.0 - _erf_series(x))
+
+
 def _erfcx_cf(x: np.ndarray) -> np.ndarray:
     """Continued fraction for erfcx, valid for x >= 2."""
-    t = np.zeros_like(x)
-    for n in range(_CF_DEPTH, 0, -1):
+    t = np.zeros(x.shape)
+    for half_n in _CF_NUMERATORS:
         t += x
-        np.divide(0.5 * n, t, out=t)
+        np.divide(half_n, t, t)
     return 1.0 / (_SQRT_PI * (x + t))
 
 
@@ -74,15 +101,17 @@ def erfcx(x):
     """Scaled complementary error function ``exp(x^2) * erfc(x)``, elementwise."""
     arr, scalar = _as_array(x)
     a = np.abs(arr)
-    out = np.empty_like(a)
-    hi = a >= _SPLIT
-    lo = ~hi  # NaN lands here and stays NaN
-    if hi.any():
+    hi = a >= _SPLIT  # NaN lands below and stays NaN
+    n_hi = np.count_nonzero(hi)
+    if n_hi == 0 or n_hi == a.size:  # one regime, on the whole array
+        out = (_erfcx_cf if n_hi else _erfcx_series)(a)
+    else:
+        out = np.empty_like(a)
         out[hi] = _erfcx_cf(a[hi])
-    if lo.any():
-        out[lo] = np.exp(a[lo] * a[lo]) * (1.0 - _erf_series(a[lo]))
+        lo = ~hi
+        out[lo] = _erfcx_series(a[lo])
     neg = arr < 0.0
-    if neg.any():
+    if np.count_nonzero(neg):
         # erfcx(-a) = 2 exp(a^2) - erfcx(a); may overflow to inf for a > ~26.6
         with np.errstate(over="ignore"):
             out[neg] = 2.0 * np.exp(a[neg] * a[neg]) - out[neg]
@@ -155,9 +184,12 @@ _I0E_B = np.array(
     ]
 )
 _I0E_SPLIT = 8.0
-# Both series as the columns of one table, the shorter padded with leading
-# zeros: a zero leading coefficient leaves every bit of the Clenshaw sum as it is.
-_I0E_COEF = np.stack([_I0E_A, np.concatenate([np.zeros(_I0E_A.size - _I0E_B.size), _I0E_B])], 1)
+# Both series with one step count, the shorter padded with leading zeros: a
+# zero leading coefficient leaves every bit of the Clenshaw sum as it is.
+_I0E_BRANCH_COEF = (
+    tuple(map(_frozen, _I0E_A)),
+    tuple(map(_frozen, np.concatenate([np.zeros(_I0E_A.size - _I0E_B.size), _I0E_B]))),
+)
 
 
 def i0e(x):
@@ -165,16 +197,42 @@ def i0e(x):
     elementwise; even, 1 at 0, decaying like ``1/sqrt(2 pi |x|)``."""
     arr, scalar = _as_array(x)
     ax = np.abs(arr).ravel()
-    big = ~(ax <= _I0E_SPLIT)  # NaN lands here and stays NaN
-    y = 0.5 * ax - 2.0
-    y[big] = 32.0 / ax[big] - 2.0
-    coef = _I0E_COEF[:, big.astype(np.intp)]  # each element's own branch
-    b0, b1, b2 = coef[0].copy(), np.zeros_like(y), np.zeros_like(y)
-    for c in coef[1:]:  # Clenshaw, in place: b0 <- y b1 - b2 + c
-        b0, b1, b2 = b2, b0, b1
-        np.multiply(y, b1, b0)
-        np.subtract(b0, b2, b0)
-        np.add(b0, c, b0)
-    out = 0.5 * (b0 - b2)
-    out[big] /= np.sqrt(ax[big])
+    small = ax <= _I0E_SPLIT  # NaN lands above the split and stays NaN
+    m = np.count_nonzero(small)
+    order = None
+    if np.count_nonzero(small[:m]) < m:  # sort the small branch first, stably
+        order = np.argsort(~small, kind="stable")
+        ax = ax[order]
+    y = np.empty_like(ax)  # x/2 - 2 on the small branch [:m], 32/x - 2 above
+    np.multiply(ax[:m], 0.5, y[:m])
+    np.divide(32.0, ax[m:], y[m:])
+    y -= 2.0
+    b0, b1, b2 = np.empty_like(y), np.zeros(y.size), np.zeros(y.size)
+    # Clenshaw, in place: b0 <- y b1 - b2 + c, with c of each element's branch
+    if m == 0 or m == ax.size:
+        coef = _I0E_BRANCH_COEF[0 if m else 1]
+        b0[...] = coef[0]
+        for c in coef[1:]:
+            b0, b1, b2 = b2, b0, b1
+            np.multiply(y, b1, b0)
+            b0 -= b2
+            b0 += c
+    else:  # each buffer whole, and its views of the two branches for c
+        b0, b1, b2 = ((b, b[:m], b[m:]) for b in (b0, b1, b2))
+        coef_lo, coef_hi = _I0E_BRANCH_COEF
+        b0[1][...], b0[2][...] = coef_lo[0], coef_hi[0]
+        for c_lo, c_hi in zip(coef_lo[1:], coef_hi[1:]):
+            b0, b1, b2 = b2, b0, b1
+            whole, lo, hi = b0
+            np.multiply(y, b1[0], whole)
+            whole -= b2[0]
+            lo += c_lo
+            hi += c_hi
+        b0, b2 = b0[0], b2[0]
+    out = np.subtract(b0, b2, b0)
+    out *= 0.5
+    if m < ax.size:
+        out[m:] /= np.sqrt(ax[m:])
+    if order is not None:
+        out[order] = out.copy()
     return float(out[0]) if scalar else out.reshape(arr.shape)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -306,6 +307,115 @@ class TestMassProfile:
             prof.total(np.stack([prof.density, step]))
         assert stacked.value.estimate == alone.value.estimate
         assert stacked.value.error == pytest.approx(alone.value.error, rel=1e-12)
+
+    #: sha256 of the bytes of ``edges``, ``r``, ``density`` and ``M``, then
+    #: ``total_mass`` and ``error`` as ``float.hex``, on the golden cells.
+    DIGESTS = {
+        ("default", 0.003): (
+            "9c9212ab3784b0d37ce285ea4db132753e52bfcfaae42de98d34be0e7b31b479",
+            "b817d393a5b8375241519d33bee72a6bcaa0b3335ded78378ee3d91eb49ffd0a",
+            "bb03f7151287643e551438bdd930e9c8fa67e27470e34d83c9283775dfbe99e9",
+            "2939c42d6db418f0b851d9179a84970fdae041a635ce349f9ea44364959fb1c0",
+            "0x1.aebef2dfd71f2p+8",
+            "0x1.11f5aa33c033cp-41",
+        ),
+        ("default", 0.03): (
+            "1566afe6af9c48ec727978fc17faba1865e153bceca8241610d40d9998792ac6",
+            "ffcb67efcde574cde13ecd8f7cbf6dd6afbc0e540175cc1b7448f850db80f33c",
+            "9354a08eaa949d264f9980f4d24e8f074331721f07bf723b96f939c6a0e4ec09",
+            "b72340a5d539f08f6985aae7684cb8c414d9571b89c28c42e826f90e7aaaf71b",
+            "0x1.967fb2cfd3025p+5",
+            "0x1.05d9139182bc5p-44",
+        ),
+        ("default", 0.3): (
+            "3ef5862004b0068e4266b5a3cd62f7672e5949318d02ce4452c18255a265850f",
+            "60ff63cbdd220a0952b33e46b53837f56bd96809be37a6ed270d4b09a5cd97ad",
+            "8b80b072daf058f08cf586fb8d7072de2d9870b651deed06a60016447b71eed2",
+            "185f41aee264464bf4930173a087c079f7ac47c43426a13fae1f9b7c26dbeb15",
+            "0x1.f0804a83e1231p+1",
+            "0x1.4aa7ab732e700p-48",
+        ),
+        ("default", 3.0): (
+            "8d0467b7ff625a2e946235e876212b237b780582797b4271f34a563d2ae9f10c",
+            "a191a8af0c074b48421f43d768eb87c617648f857196fe7bbc05bdff536281ba",
+            "ab4adf147a42d9de51a8b73c6234db523f731190a8d84d8580eec6d097c23b20",
+            "33699b73db56a15daae02e4da3b02ce974f85d726c452079102c9612a991bcee",
+            "0x1.ab1afef1f9ba9p-6",
+            "0x1.66c982d8a8364p-55",
+        ),
+        ("wide", 0.003): (
+            "13975c6e92631e818697809435f0c4ac8fd38d725768bffd8fa1f2de8e34a426",
+            "5cf1ebaff136e610d03ea0b519a8a347242148ffb8d2df0912532b84df80e0b4",
+            "fbbcd663fc1fc7cacaf53a312122a1229a7728f661be2b92d00f67f30d4295cb",
+            "0f0d1483d5f7cf1191a7ac099d71071b64ceab5444ad68235ed08ab87eca17dd",
+            "0x1.4644da71ba561p+12",
+            "0x1.8e9f3c7900abfp-38",
+        ),
+        ("wide", 0.03): (
+            "56fc0d61cea7882ee2bdfcb2f24782d14626d3a63ed23930fdadeb7d2a7db19c",
+            "e271657cc5895627544d617471bbceedb97c65f2de6e0538d4a7148c174de70d",
+            "e8709d4dfeefc34eabb25f1014b04bba813c771f2c551b0df55d913d0f42bef2",
+            "72d1eab0bdeb126ec38df0572b6f4c0ab6066632ab91e7af9698a16df423b625",
+            "0x1.fc1fc49198806p+8",
+            "0x1.4d27baeb057a6p-41",
+        ),
+        ("wide", 0.3): (
+            "f2508d66c55564a287e50be1c868ee50de209756ed22e7d79167df0842b0b22c",
+            "8a89e6cbf719b6192bcf5de35ae582de9d172d983a9c626b04b03507be809fbe",
+            "91c3d10d28200ffd2f50252187d268695350264502d84259de4048a2b42838e8",
+            "0e830a21eda646e90fa633a29c483fe4ff25d741246e85599fffe077046c3d80",
+            "0x1.36502e926cb60p+5",
+            "0x1.b2211f8e2e948p-43",
+        ),
+        ("wide", 3.0): (
+            "96b18e17907e084a2532bca018f87f465c6a5be6331b3be4e636ef268f672780",
+            "782655cc13c5fef8082b06491656b10b4ca4a683a228eaa845264332de90fba4",
+            "e742bc4ee2b6440046ba5bb5db10bfb17d55f75307763eda1952f2dbec035379",
+            "80b411acea297d3ad06d30431d0b6decce3a4a05ba65b4cd09cb694dbbfabc03",
+            "0x1.0af0df573c152p-2",
+            "0x1.017b53df3e6e0p-47",
+        ),
+        ("small", 0.003): (
+            "7d3fc2225f70ddfb69e6efd503a6577b3af16714abbc61a2042a6c128acad850",
+            "ef1508544c9aafb86dbc287c855393337d259a291f99840c0f8334822d0a759e",
+            "5cd0dc7182a0799f3929acf7bf7bbd3556e6d3b6a7026253c79a6da608d0d414",
+            "f6d3e690d77ef2c09fc9d43e25442681bdb8ac1cf0a4376b6574cd3486cafa88",
+            "0x1.1a4be5ec81dd5p+8",
+            "0x1.5af4c743e0214p-42",
+        ),
+        ("small", 0.03): (
+            "9b82c8b202cbe410540b0e4f1fde65d51fd5bb0c56dd5f23f65f99059159a035",
+            "adabdee0cd0ce802ebd9bb531acd9a23ce16dd9a069cd618a8fcd3e36028660f",
+            "e83ae4f2f20919238ed691f773fac5600977812e8e8064a7beb3eb5362fd0091",
+            "a93a36f62ead31669280f50327f1398d58d950df882bc79772ac88d9ff9c0b87",
+            "0x1.28d053f561a8fp+7",
+            "0x1.7b90e7fe12f90p-43",
+        ),
+        ("small", 0.3): (
+            "7dc69ef66797b0ccfe01de914c3b7b23bdf6d9185716a5e4826431133c8a1b36",
+            "787813635d01c437ce42935f1295034d623dc041eb41a4bef46fbabf98e39673",
+            "7e15bb34397f6117f478020bcedc3a3faaea81d55759463d486a04c9645fd814",
+            "5eef40cbe3da0a3ff98a703951bf38292f644609826b76b741d1ef7b3b73373d",
+            "0x1.f0730a620f0bap+3",
+            "0x1.37db3f4d2e6dap-46",
+        ),
+        ("small", 3.0): (
+            "ea8ea4f4e329185565dd5cc4f454e20c385de2b5f112d049a76451e8b6c505f1",
+            "c9cb1e552309ef37a256493b5e0761ce1e2d80ee6cdd659b4235332265f1f1d7",
+            "c429a36acb15cf051faf1b7682b1cac449b3f81e85ae84442fc9e3572d092407",
+            "8e71540230f354547634ed2ffa3bd94b9f0dddfd314781258f27fb4412bc91f1",
+            "0x1.ab1afef1f9ba9p-4",
+            "0x1.0a43bca19ec3fp-53",
+        ),
+    }
+
+    @pytest.mark.parametrize("cell_name, theta", list(DIGESTS))
+    def test_profile_is_bit_pinned(self, cell_name, theta):
+        prof = analytic.MassProfile(GOLDEN_CELLS[("default", "wide", "small").index(cell_name)], theta)
+        arrays = (prof.edges, prof.r, prof.density, prof.M)
+        assert all(a.dtype == np.float64 for a in arrays)
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+        assert got + (prof.total_mass.hex(), prof.error.hex()) == self.DIGESTS[cell_name, theta]
 
 
 def homogeneous_pdf(r, k, cell, theta) -> float:
@@ -658,6 +768,14 @@ def test_ranked_outages_name_the_rank(outage, k, default_cell, radio_15db):
     # both ranked outages guard k themselves, before it becomes the frame's num_relays
     with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
         outage(k, default_cell, radio_15db)
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 2.0])
+def test_poisson_tail_refuses_a_bad_rank(k):
+    # unguarded, each of these read as k = 1 and gave P(N >= 1) = 0.8647
+    with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
+        analytic.poisson_tail(2.0, k)
+    assert analytic.poisson_tail(2.0, 1) == 1.0 - math.exp(-2.0)
 
 
 @pytest.mark.parametrize(

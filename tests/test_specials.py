@@ -158,6 +158,29 @@ class TestI0e:
         assert np.array_equal(mixed[small], i0e(xs[small]))
         assert np.array_equal(mixed[~small], i0e(xs[~small]))
 
+    def test_bits_do_not_depend_on_the_other_elements(self):
+        # an array on one branch, one on both (in branch order or not), and a
+        # 0-d input take different paths; each point's bits are the same
+        small = np.concatenate([np.linspace(-8.0, 8.0, 161), [np.nextafter(8.0, 0.0), -0.0]])
+        big = np.concatenate(
+            [np.geomspace(np.nextafter(8.0, 9.0), 1e5, 160), [-30.0, math.inf, -math.inf, math.nan]]
+        )
+        points = np.concatenate([small, big])  # the small branch first
+        mixed = i0e(points)
+        assert np.all(np.abs(small) <= 8.0) and not np.any(np.abs(big) <= 8.0)
+        order = np.random.default_rng(7).permutation(points.size)
+        for got, want in (
+            (i0e(small), mixed[: small.size]),
+            (i0e(big), mixed[small.size :]),
+            (i0e(points[order]), mixed[order]),
+            (i0e(points[::-1]), mixed[::-1]),
+            (i0e(np.full(3, math.nan)), np.full(3, mixed[-1])),
+        ):
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        for x, want in zip(points, mixed):
+            assert np.float64(i0e(np.array(x))).tobytes() == want.tobytes()
+        assert i0e(np.array([])).shape == (0,)
+
     def test_scalar_and_array_interfaces(self):
         assert isinstance(i0e(3.0), float)
         arr = i0e(np.array([0.0, 3.0, 30.0]))
