@@ -124,8 +124,11 @@ class TestLambdaPrime:
             assert dest_view <= bs_view + 1e-9
 
     def test_domain_validation(self, default_cell):
-        with pytest.raises(ValueError):
-            analytic.lambda_prime(26.0, default_cell, 0.1)
+        for bad in (26.0, -1e-300, math.nan, [1.0, math.nan], [math.inf], [[1.0], [-1.0]]):
+            with pytest.raises(ValueError, match="r_jd must lie in"):
+                analytic.lambda_prime(bad, default_cell, 0.1)
+        assert analytic.lambda_prime(-0.0, default_cell, 0.1) == 0.0
+        assert analytic.lambda_prime(np.empty(0), default_cell, 0.1).shape == (0,)
         with pytest.raises(ValueError):
             analytic.lambda_prime(1.0, default_cell, 0.0)
         with pytest.raises(ValueError):
@@ -204,9 +207,12 @@ class TestLambdaPrimeDerivative:
             assert [float(v).hex() for v in batch.ravel()] == [v.hex() for v in scalars]
 
     def test_array_validation(self, default_cell):
-        for bad in ([1.0, -0.5], [1.0, math.inf], [math.nan]):
+        bad_values = ([1.0, -0.5], [1.0, math.inf], [math.nan], [2.0, math.nan], [[0.5], [-math.inf]], -1e-300)
+        for bad in bad_values:
             with pytest.raises(ValueError, match="r_jd must be finite and >= 0"):
                 analytic.lambda_prime_derivative(bad, default_cell, 0.1)
+        assert analytic.lambda_prime_derivative(-0.0, default_cell, 0.1) == 0.0
+        assert analytic.lambda_prime_derivative(np.empty((0, 3)), default_cell, 0.1).shape == (0, 3)
 
 
 class TestMassProfile:
@@ -408,6 +414,12 @@ class TestMassProfile:
             "0x1.0a43bca19ec3fp-53",
         ),
     }
+
+    @pytest.mark.parametrize("upper", [25.0, 130.0, 7.0, 3e-308, 1e-310, 1e-320, 1e-323, 5e-324])
+    def test_uniform_edges_are_linspace(self, upper):
+        # linspace's own arithmetic, also where its step underflows to 0
+        want = np.linspace(0.0, upper, analytic._UNIFORM_PANELS + 1)
+        assert analytic._uniform_edges(upper).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cell_name, theta", list(DIGESTS))
     def test_profile_is_bit_pinned(self, cell_name, theta):
