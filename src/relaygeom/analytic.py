@@ -108,10 +108,10 @@ def _inner_core(
         at_u - at_alf,
         np.where(alf >= 0.0, 2.0 * np.exp(e0) - at_u - at_alf, at_alf - at_u),
     )
-    term2 = math.sqrt(math.pi / theta) * 0.25 * a
-    term2 *= core
-    term2 += term1
-    return term2
+    out = math.sqrt(math.pi / theta) * 0.25 * a  # term2, then term1 + term2, in place
+    out *= core
+    out += term1
+    return out
 
 
 def _disk_mass(lam, rho, offset, theta, log_scale, spec: QuadratureSpec) -> float:
@@ -340,7 +340,8 @@ class MassProfile:
         integral; raises past the budget. A stack of samples ``f`` (leading
         axes) gives stacked offsets and the largest estimate."""
         tail = np.einsum("...pj,kj->...pk", f, _CHEB_TO_COEF[-_CHEB_TAIL:])
-        errors = (np.abs(tail, tail).sum(axis=-1) @ self._half).ravel().tolist()
+        tail = np.abs(tail, tail).sum(axis=-1)
+        errors = (tail @ self._half).ravel().tolist()
         offsets = _offsets(f, self._half)
         for total, err in zip(offsets[..., -1].ravel().tolist(), errors):
             bound = max(_PROFILE_ABS_TOL, _PROFILE_REL_TOL * abs(total))
