@@ -47,6 +47,10 @@ class CellGeometry:
         Distance attenuation exponent, at least 2. The closed forms in
         :mod:`relaygeom.analytic` additionally require the value 2 exactly;
         the Monte Carlo engine accepts any value >= 2.
+
+    The derived values :attr:`outer_radius` and :attr:`mean_relay_count`
+    must be finite floats too: a cell whose fields are finite but whose
+    derived values overflow is refused, with a ``ValueError`` naming them.
     """
 
     cell_radius: float
@@ -63,6 +67,14 @@ class CellGeometry:
             raise ValueError("relay_intensity must be finite and > 0")
         if not (math.isfinite(self.path_loss_exponent) and self.path_loss_exponent >= 2):
             raise ValueError("path_loss_exponent must be finite and >= 2")
+        if not math.isfinite(self.outer_radius):
+            raise ValueError("outer_radius (cell_radius + dest_distance) must be finite")
+        try:
+            count = self.mean_relay_count
+        except OverflowError:  # cell_radius**2 overflows
+            count = math.inf
+        if not math.isfinite(count):
+            raise ValueError("mean_relay_count (relay_intensity * pi * cell_radius**2) must be finite")
 
     @property
     def inner_radius(self) -> float:

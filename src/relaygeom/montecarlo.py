@@ -5,11 +5,15 @@ Reproducibility contract
 Trial ``t`` of a run seeded with ``s`` draws from its own counter-based
 stream, ``Generator(Philox(key=s, counter=[0, 0, 0, t]))``; streams of
 distinct trials never overlap and do not depend on scheduling, so every
-sampler's output is bit-identical for any worker count. A sampler keeps a
-pool of generators, one per trial of a block, and moves each onto its
-trial's stream by resetting its Philox state (:func:`_enter_trial`), which
-:func:`trial_rng` uses too: the reset generator draws exactly what a fresh
-``trial_rng(s, t)`` draws.
+sampler's output is bit-identical for any worker count. One function
+states a trial's Philox state (:func:`_trial_state`) and refuses a seed or
+trial index that is not an integer. A sampler keeps a pool of generators,
+one per trial of a block, all built from one shared ``SeedSequence``
+(:func:`_pool`), and moves each onto its trial's stream by assigning it
+that state: :func:`_blocks` builds the state once per pass, as a template
+whose counter word it moves per trial, and :func:`trial_rng` builds it per
+call. So a reset generator draws exactly what a fresh ``trial_rng(s, t)``
+draws.
 
 Every trial draws on its own stream in one fixed order: the Poisson relay
 count, then a radius variate for every relay, then an angle variate for
@@ -93,15 +97,20 @@ OBSERVERS = ("bs", "dest")
 _BLOCK_TRIALS = 64
 
 
-def _enter_trial(rng: np.random.Generator, seed: int, trial_index: int) -> np.random.Generator:
-    """Move the Philox generator ``rng`` onto the start of trial
-    ``trial_index``'s stream and return it: counter ``[0, 0, 0, t]``, key
-    ``seed mod 2**128`` as two little-endian 64-bit words, nothing buffered.
-    This is the one definition of a trial's stream."""
-    if trial_index < 0:
-        raise ValueError("trial_index must be >= 0")
+def _trial_state(seed: int, trial_index: int) -> dict:
+    """The Philox state at the start of trial ``trial_index``'s stream:
+    counter ``[0, 0, 0, t]``, key ``seed mod 2**128`` as two little-endian
+    64-bit words, nothing buffered. This is the one definition of a trial's
+    stream. ``seed`` and ``trial_index`` must be integers (numpy integers
+    too, bools not) and ``trial_index`` >= 0; else a ``ValueError`` names
+    the argument."""
+    integers = (int, np.integer)
+    if isinstance(seed, bool) or not isinstance(seed, integers):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if isinstance(trial_index, bool) or not (isinstance(trial_index, integers) and trial_index >= 0):
+        raise ValueError(f"trial_index must be an integer >= 0, got {trial_index!r}")
     high, low = divmod(int(seed) % (1 << 128), 1 << 64)
-    rng.bit_generator.state = {
+    return {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, int(trial_index)], "key": [low, high]},
         "buffer": [0, 0, 0, 0],
@@ -109,18 +118,27 @@ def _enter_trial(rng: np.random.Generator, seed: int, trial_index: int) -> np.ra
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _enter_trial(rng: np.random.Generator, seed: int, trial_index: int) -> np.random.Generator:
+    """Move the Philox generator ``rng`` onto the start of trial
+    ``trial_index``'s stream (:func:`_trial_state`) and return it."""
+    rng.bit_generator.state = _trial_state(seed, trial_index)
     return rng
 
 
-def _philox() -> np.random.Generator:
-    """A Philox generator to be placed by :func:`_enter_trial`."""
-    return np.random.Generator(np.random.Philox(key=0))
+def _pool(n: int) -> list[np.random.Generator]:
+    """``n`` Philox generators to be placed on trial streams, built from one
+    shared ``SeedSequence``: a generator built without one reads OS entropy
+    for a state that the placing overwrites anyway."""
+    seeds = np.random.SeedSequence(0)
+    return [np.random.Generator(np.random.Philox(seeds)) for _ in range(n)]
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent, scheduling-invariant stream for one trial, on a generator
     of its own."""
-    return _enter_trial(_philox(), seed, trial_index)
+    return _enter_trial(_pool(1)[0], seed, trial_index)
 
 
 def usable_cpus() -> int:
@@ -196,7 +214,7 @@ def _draw_fields(
     otherwise.
     """
     mean = cell.mean_relay_count
-    ends = np.cumsum(np.fromiter((rng.poisson(mean) for rng in gens), np.intp, len(gens)))
+    ends = np.cumsum([rng.poisson(mean) for rng in gens], dtype=np.intp)
     n = int(ends[-1]) if ends.size else 0
     if out is not None and out.size >= 4 * n:
         rows = out[: 4 * n].reshape(4, n)
@@ -272,19 +290,23 @@ def _draw_block(
     ends, (radii, turns, gains, loss) = _draw_fields(cell, gens, out=field_buf)
     np.power(radii, cell.path_loss_exponent, out=loss)
     loss += 1.0
-    keep = (gains >= plan.theta_min * loss).nonzero()[0]
+    # a block without the first-hop columns keeps no loss: scaled in place
+    scaled = np.multiply(loss, plan.theta_min, out=None if plan.nested else loss)
+    keep = (gains >= scaled).nonzero()[0]
     kept_ends = keep.searchsorted(ends)
     g2 = np.empty(keep.size)
     begin = 0
     for rng, end in zip(gens, kept_ends.tolist()):
-        rng.standard_exponential(out=g2[begin:end])
+        if end > begin:  # a trial with no qualified relay makes no call
+            rng.standard_exponential(out=g2[begin:end])
         begin = end
     radii, angles = radii[keep], turns[keep]
     angles *= 2.0 * math.pi
     # looked up as a module global on each call, so a profiler that wraps
     # the name times every distance computation
     d2 = sq_dists_to_dest(radii, angles, cell.dest_distance)
-    sizes = np.diff(kept_ends, prepend=0)
+    sizes = kept_ends.copy()
+    sizes[1:] -= kept_ends[:-1]
     block = (sizes, np.repeat(np.arange(sizes.size), sizes), radii, d2, g2)
     return block + (gains[keep], loss[keep]) if plan.nested else block
 
@@ -293,6 +315,12 @@ def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
     """Yield trials ``start .. stop - 1`` drawn under ``plan`` as blocks of up
     to :data:`_BLOCK_TRIALS` trials (see :func:`_draw_block`), each trial on
     a generator of the pool moved onto its stream.
+
+    The pool (:func:`_pool`) is built once per call from one shared
+    ``SeedSequence``, which reads no OS entropy. So is one state template,
+    trial ``start``'s :func:`_trial_state`: a generator is moved onto trial
+    ``t`` by setting the template's counter word to ``t`` and assigning the
+    template as its state, with no new dict per trial.
 
     The fields of every block but the first are drawn into one buffer, with
     room for the 4 rows (:func:`_draw_fields`) of up to 5 standard deviations
@@ -305,12 +333,16 @@ def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
     columns of every block were faulted in afresh (60,113-69,554 minor
     faults against 1,692-15,365 in the first gate-size pass of a fresh
     process, as the heap layout decides)."""
-    pool = [_philox() for _ in range(min(_BLOCK_TRIALS, stop - start))]
+    pool = _pool(min(_BLOCK_TRIALS, stop - start))
+    state = _trial_state(seed, start)
+    counter = state["state"]["counter"]
     mean = len(pool) * cell.mean_relay_count
     field_buf = None
     for lo in range(start, stop, _BLOCK_TRIALS):
-        trials = range(lo, min(lo + _BLOCK_TRIALS, stop))
-        gens = [_enter_trial(g, seed, t) for g, t in zip(pool, trials)]
+        gens = pool[: stop - lo]
+        for t, rng in enumerate(gens, lo):
+            counter[3] = t
+            rng.bit_generator.state = state
         yield _draw_block(cell, plan, gens, field_buf)
         if field_buf is None:
             field_buf = np.empty(4 * math.ceil(mean + 5.0 * math.sqrt(mean) + 5.0))
@@ -523,6 +555,7 @@ def running_requests(requests: Sequence, seed: int, *, workers: int = 1):
         raise ValueError("requests must share one cell")
     trials = max(request.trials for request in requests)
     workers = min(check_count("workers", workers), trials, usable_cpus())
+    _trial_state(seed, 0)  # refuses a bad seed before any worker is forked
 
     def merged(parts: list) -> list:
         return [r.result([p for part in parts for p in part[i]]) for i, r in enumerate(requests)]

@@ -654,6 +654,12 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
 
+    def test_overflowing_cell_is_a_configuration_error(self, capsys):
+        # every field is finite, but the cell's mean relay count overflows
+        assert cli.main(["outage-sweep", "--cell-radius", "1e200", "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "mean_relay_count" in err
+
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["outage-sweep", "-h"])

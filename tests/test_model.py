@@ -72,11 +72,32 @@ def test_threshold_ratio_is_relay_count(snr_db, rate, k):
         dict(cell_radius=20.0, dest_distance=-1.0, relay_intensity=0.5),
         dict(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.0),
         dict(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5, path_loss_exponent=1.9),
+        # finite fields whose derived values overflow
+        dict(cell_radius=1e308, dest_distance=1e308, relay_intensity=1.0),
+        dict(cell_radius=1e200, dest_distance=0.0, relay_intensity=1.0),
     ],
 )
 def test_cell_geometry_invariants(kwargs):
     with pytest.raises(ValueError):
         CellGeometry(**kwargs)
+
+
+@pytest.mark.parametrize(
+    ("fields", "named"),
+    [
+        ((1e308, 1e308, 1.0), "outer_radius"),
+        ((1e200, 0.0, 1.0), "mean_relay_count"),
+        ((1e154, 0.0, 1e300), "mean_relay_count"),
+    ],
+)
+def test_overflowing_cell_names_the_derived_value(fields, named):
+    with pytest.raises(ValueError, match=f"^{named} "):
+        CellGeometry(*fields)
+
+
+def test_large_cell_with_finite_derived_values_is_accepted():
+    cell = CellGeometry(1e150, 0.0, 0.5)
+    assert math.isfinite(cell.mean_relay_count) and math.isfinite(cell.outer_radius)
 
 
 @pytest.mark.parametrize(("big_r", "r_d"), [(20.0, 5.0), (10.0, 15.0), (5.0, 0.0)])

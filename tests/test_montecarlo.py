@@ -34,6 +34,31 @@ class TestTrialRng:
         with pytest.raises(ValueError):
             mc.trial_rng(1, -1)
 
+    @pytest.mark.parametrize(
+        ("seed", "trial_index", "named"),
+        [
+            (5.7, 2, "seed"),
+            (7.9, 0, "seed"),
+            (math.nan, 0, "seed"),
+            ("12", 0, "seed"),
+            (True, 0, "seed"),
+            (np.True_, 0, "seed"),
+            (5, 2.9, "trial_index"),
+            (5, 2.0, "trial_index"),
+            (5, "3", "trial_index"),
+            (5, False, "trial_index"),
+            (5, -1, "trial_index"),
+        ],
+    )
+    def test_refuses_a_seed_or_index_that_is_not_an_integer(self, seed, trial_index, named):
+        with pytest.raises(ValueError, match=f"^{named} must be an integer"):
+            mc.trial_rng(seed, trial_index)
+
+    def test_numpy_integers_draw_what_ints_draw(self):
+        want = mc.trial_rng(7, 3).random(5)
+        for seed, t in ((np.int64(7), 3), (7, np.int64(3)), (np.uint8(7), np.int32(3))):
+            assert mc.trial_rng(seed, t).random(5).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5, 2**128 - 1])
     def test_reset_stream_is_the_trial_stream(self, seed):
         # a generator moved onto trial t draws what the documented stream
@@ -250,6 +275,16 @@ class TestEstimateOutage:
     def test_from_counts_refuses_impossible_counts(self, count, trials):
         with pytest.raises(ValueError, match="outage_count <= trials"):
             mc.OutageEstimate.from_counts(count, trials)
+
+    @pytest.mark.parametrize("seed", [7.9, "12", True, math.nan])
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed, default_cell, radio_15db):
+        # 7.9 and True once drew seeds 7 and 1, "12" seed 12
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            mc.estimate_outage("stat", default_cell, radio_15db, 300, seed)
+
+    def test_numpy_integer_seed_draws_what_the_int_draws(self, default_cell, radio_15db):
+        want = mc.estimate_outage("stat", default_cell, radio_15db, 300, 7)
+        assert mc.estimate_outage("stat", default_cell, radio_15db, 300, np.int64(7)) == want
 
     def test_open_network_outage_is_void_probability(self):
         # thresholds ~ 0 via huge SNR: outage iff the field is empty
@@ -556,6 +591,17 @@ class TestRunningRequests:
         with mc.running_requests(self._requests(default_cell), 5, workers=2) as results:
             assert threading.active_count() == before
             results()
+
+    @pytest.mark.parametrize("seed", [7.9, "12", True])
+    def test_bad_seed_is_refused_before_any_worker_is_forked(self, seed, default_cell, monkeypatch):
+        def no_start(*args):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "_start", no_start)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            with mc.running_requests(self._requests(default_cell), seed, workers=2) as results:
+                results()
 
     def test_worker_exception_is_raised_by_results(self, default_cell, monkeypatch):
         monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
