@@ -38,7 +38,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import CellGeometry, RadioParams, Thresholds, check_count, compute_thresholds
+from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
+from .model import check_count, check_finite, check_radii
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate_1d
 from .specials import erfcx, i0e
 
@@ -56,11 +57,6 @@ _PROFILE_REL_TOL = 1e-8
 def _require_alpha_two(cell: CellGeometry, what: str) -> None:
     if cell.path_loss_exponent != 2.0:
         raise ValueError(f"{what} requires path_loss_exponent == 2, got {cell.path_loss_exponent}")
-
-
-def _require_positive_theta(theta: float) -> None:
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError("theta must be finite and > 0 (the closed forms carry a 1/theta factor)")
 
 
 def _inner_core(
@@ -154,11 +150,7 @@ def lambda_prime(r_jd, cell: CellGeometry, theta: float):
     mass ``pi lam exp(-theta) / theta``.
     """
     _require_alpha_two(cell, "lambda_prime")
-    upper = cell.outer_radius
-    r_jd = np.asarray(r_jd, dtype=float)
-    # the profile clips its argument to [0, R + r_d]; a NaN fails both reductions
-    if not (r_jd.min(initial=math.inf) >= 0.0 and r_jd.max(initial=0.0) <= upper * (1.0 + 1e-12)):
-        raise ValueError(f"r_jd must lie in [0, cell_radius + dest_distance] = [0, {upper}]")
+    r_jd = check_radii("r_jd", r_jd, cell.outer_radius)  # the profile clips to that range
     profile = MassProfile(cell, theta)
     mass = np.maximum(profile.cumulative_at(profile.density, r_jd), 0.0)
     mass = np.where(r_jd > 0.0, mass, 0.0)
@@ -188,11 +180,8 @@ def lambda_prime_derivative(r_jd, cell: CellGeometry, theta: float):
     ``i0e``; the exponent is nonpositive, so nothing overflows at any theta.
     """
     _require_alpha_two(cell, "lambda_prime_derivative")
-    _require_positive_theta(theta)
-    r = np.asarray(r_jd, dtype=float)
-    # finite and >= 0 everywhere: a NaN fails both reductions, an empty r passes
-    if not (r.min(initial=math.inf) >= 0.0 and r.max(initial=0.0) < math.inf):
-        raise ValueError("r_jd must be finite and >= 0")
+    check_finite("theta", theta, 0, strict=True)
+    r = check_radii("r_jd", r_jd)
     r_d = cell.dest_distance
     d = r - r_d
     out = 2.0 * math.pi * cell.relay_intensity * r
@@ -316,7 +305,7 @@ class MassProfile:
     def __post_init__(self) -> None:
         cell, theta = self.cell, self.theta
         _require_alpha_two(cell, "MassProfile")
-        _require_positive_theta(theta)
+        check_finite("theta", theta, 0, strict=True)
         upper = cell.outer_radius
         peaks = cell.dest_distance + _PEAK_OFFSETS / math.sqrt(theta)
         first = _sorted_unique(_uniform_edges(upper), peaks[(peaks > 0) & (peaks < upper)])
@@ -608,7 +597,7 @@ def lambda_q_closed(cell: CellGeometry, theta: float) -> float:
     the cell and is negligible once ``theta * cell_radius^2 >> 1``.
     """
     _require_alpha_two(cell, "lambda_q_closed")
-    _require_positive_theta(theta)
+    check_finite("theta", theta, 0, strict=True)  # the closed forms carry a 1/theta factor
     r_d = cell.dest_distance
     return (
         math.pi
@@ -627,10 +616,16 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
     the closed form this supports any ``path_loss_exponent >= 2``. For
     exponent 2 the radial integral is closed: the exponent is
     ``-theta (2 + r_d^2) - 2 theta (r^2 - r_d cos(phi) r)``, so this is
-    :func:`_disk_mass` at ``(2 theta, r_d / 2)`` with that scale. Other
-    exponents integrate it adaptively.
+    :func:`_disk_mass` at ``(2 theta, r_d / 2)`` with that scale.
+
+    Other exponents integrate it adaptively, nested. ``r^a + r_jd^a`` is
+    convex, least (``2 (r_d / 2)^a``) midway between source and destination,
+    so the integrand is taken relative to its peak ``exp(-theta (2 + 2 (r_d
+    / 2)^a))``, which multiplies the result: the absolute tolerances then
+    hold where the mass is tiny. Each bearing's radial integral breaks where
+    the ray passes closest to the destination and at half that distance.
     """
-    _require_positive_theta(theta)
+    check_finite("theta", theta, 0, strict=True)
     lam = cell.relay_intensity
     r_d = cell.dest_distance
     big_r = cell.cell_radius
@@ -639,21 +634,25 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
         scale = -theta * (2.0 + r_d * r_d)
         return _disk_mass(lam, big_r, 0.5 * r_d, 2.0 * theta, scale, DEFAULT_SPEC)
     half = 0.5 * alpha
+    least = 2.0 * (0.5 * r_d) ** alpha
 
     def radial(phi: float) -> float:
         cosphi = math.cos(phi)
+        near = min(max(r_d * cosphi, 0.0), big_r)
+        edges = (0.0, 0.5 * near, near, big_r)
 
         def integrand(rs: np.ndarray) -> np.ndarray:
             r2 = rs * rs
             rjd2 = np.maximum(r2 + r_d * r_d - 2.0 * r_d * rs * cosphi, 0.0)
-            return lam * rs * np.exp(-theta * (2.0 + r2**half + rjd2**half))
+            return rs * np.exp(-theta * (r2**half + rjd2**half - least))
 
-        return integrate_1d(integrand, 0.0, big_r, _INNER_SPEC)
+        return sum(integrate_1d(integrand, a, b, _INNER_SPEC) for a, b in zip(edges, edges[1:]))
 
     def outer(phis: np.ndarray) -> np.ndarray:
         return np.array([radial(float(p)) for p in phis])
 
-    return 2.0 * integrate_1d(outer, 0.0, math.pi, DEFAULT_SPEC)
+    peak = lam * math.exp(-theta * (2.0 + least))
+    return 2.0 * peak * integrate_1d(outer, 0.0, math.pi, DEFAULT_SPEC)
 
 
 def outage_exact_csi(
@@ -694,10 +693,8 @@ def mean_count_from_bs(r, cell: CellGeometry, theta: float):
     source.
     """
     _require_alpha_two(cell, "mean_count_from_bs")
-    _require_positive_theta(theta)
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r) & (r >= 0.0)):
-        raise ValueError("r must be finite and >= 0")
+    check_finite("theta", theta, 0, strict=True)
+    r = check_radii("r", r)
     scale = math.pi * cell.relay_intensity / theta * math.exp(-theta)
     # math.exp per element: np.exp differs from it in the last bit
     rho = np.minimum(r, cell.cell_radius)

@@ -1,5 +1,16 @@
 """Scenario parameters, decoding-threshold arithmetic and the argument
-guards (:func:`check_count`, :func:`check_threshold`) every module shares.
+guards every module shares. Each rule is written once, here:
+
+* :func:`check_integer` -- an integer (a numpy integer too, a ``bool`` or
+  ``np.bool_`` not), optionally with a lower bound, returned as an ``int``;
+  :func:`check_count` is its ``>= 1`` case (trial, worker and relay counts,
+  ranks, subdivision budgets);
+* :func:`check_finite` -- a finite number at or above a bound, or strictly
+  above it (cell sizes, path-loss exponent, rate, thresholds, tolerances);
+* :func:`check_radii` -- an array of distances, each finite, >= 0 and at
+  most an upper bound up to a relative rounding slack of 1e-12.
+
+Each raises a ``ValueError`` that names the argument.
 
 Everything downstream (closed forms and Monte Carlo alike) sees the radio
 link only through two dimensionless thresholds: a fading-plus-path-loss
@@ -11,21 +22,45 @@ never the two separately.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-def check_count(name: str, value) -> int:
-    """``value`` if it is an integer >= 1, else a ``ValueError`` naming
+import numpy as np
+
+
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer (a numpy integer too) and
+    at least ``least`` when that is given; else a ``ValueError`` naming
     ``name``. A ``bool`` is refused although Python counts it an ``int``."""
-    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and (least is None or value >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def check_count(name: str, value) -> int:
+    """:func:`check_integer` with ``least = 1``."""
+    return check_integer(name, value, 1)
+
+
+def check_finite(name: str, value: float, least: float, strict: bool = False) -> float:
+    """``value`` if it is finite and >= ``least`` (> ``least`` if ``strict``),
+    else a ``ValueError`` naming ``name``."""
+    if not (math.isfinite(value) and (value > least if strict else value >= least)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {least:g}, got {value!r}")
     return value
 
 
-def check_threshold(name: str, value: float) -> float:
-    """``value`` if it is finite and >= 0, else a ``ValueError`` naming ``name``."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
+def check_radii(name: str, values, upper: float = math.inf) -> np.ndarray:
+    """``values`` as a float array if every entry is finite, >= 0 and at most
+    ``upper`` (past it by at most a relative 1e-12 of rounding), else a
+    ``ValueError`` naming ``name`` and the range. An empty array passes."""
+    r = np.asarray(values, dtype=float)
+    largest = r.max(initial=0.0)  # a NaN fails every test below
+    if not (r.min(initial=math.inf) >= 0.0 and largest <= upper * (1.0 + 1e-12) and largest < math.inf):
+        raise ValueError(f"{name} must be finite and lie in [0, {upper}]")
+    return r
 
 
 @dataclass(frozen=True)
@@ -59,14 +94,10 @@ class CellGeometry:
     path_loss_exponent: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cell_radius) and self.cell_radius > 0):
-            raise ValueError("cell_radius must be finite and > 0")
-        if not (math.isfinite(self.dest_distance) and self.dest_distance >= 0):
-            raise ValueError("dest_distance must be finite and >= 0")
-        if not (math.isfinite(self.relay_intensity) and self.relay_intensity > 0):
-            raise ValueError("relay_intensity must be finite and > 0")
-        if not (math.isfinite(self.path_loss_exponent) and self.path_loss_exponent >= 2):
-            raise ValueError("path_loss_exponent must be finite and >= 2")
+        check_finite("cell_radius", self.cell_radius, 0, strict=True)
+        check_finite("dest_distance", self.dest_distance, 0)
+        check_finite("relay_intensity", self.relay_intensity, 0, strict=True)
+        check_finite("path_loss_exponent", self.path_loss_exponent, 2)
         if not math.isfinite(self.outer_radius):
             raise ValueError("outer_radius (cell_radius + dest_distance) must be finite")
         try:
@@ -109,11 +140,9 @@ class RadioParams:
     num_relays: int = 1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
-        if not (math.isfinite(self.target_rate) and self.target_rate > 0):
-            raise ValueError("target_rate must be finite and > 0")
-        check_count("num_relays", self.num_relays)
+        snr_db_to_linear(self.snr_db)  # refuses a non-finite snr_db
+        check_finite("target_rate", self.target_rate, 0, strict=True)
+        object.__setattr__(self, "num_relays", check_count("num_relays", self.num_relays))
 
 
 @dataclass(frozen=True)
@@ -129,8 +158,8 @@ class Thresholds:
     theta_second: float
 
     def __post_init__(self) -> None:
-        check_threshold("theta_first", self.theta_first)
-        check_threshold("theta_second", self.theta_second)
+        check_finite("theta_first", self.theta_first, 0)
+        check_finite("theta_second", self.theta_second, 0)
 
 
 def snr_db_to_linear(snr_db: float) -> float:

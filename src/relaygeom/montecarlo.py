@@ -76,14 +76,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
-from .model import check_count, check_threshold
+from .model import check_count, check_finite, check_integer, check_radii
 
 STRATEGIES = ("exact", "stat")
 OBSERVERS = ("bs", "dest")
 
 
-#: Trials decided together. No count depends on it. Below ~64 trials the
-#: decision's cost is per-call numpy overhead: on criterion 4's 25-row plan
+#: Trials decided together, at most; fewer where a block would hold more
+#: than :data:`_BLOCK_RELAYS` relays on average (:func:`_blocks`). No count
+#: depends on either. Below ~64 trials the decision's cost is per-call
+#: numpy overhead: on criterion 4's 25-row plan
 #: :func:`_decide` takes ~45-75 us per trial at 16, ~35-55 at 32 and ~35-50
 #: at 64 to 256 (2 vCPU). Memory grows with it. While a block is drawn it
 #: holds whole fields, ~64 * lambda*pi*R^2 relays by 4 doubles (radius,
@@ -95,6 +97,12 @@ OBSERVERS = ("bs", "dest")
 #: ``gate`` and ~5% on ``mc_outage`` (``BENCH_block64.json``); drawing whole
 #: blocks raised it by another ~3.5% on both (``BENCH_blockdraw.json``).
 _BLOCK_TRIALS = 64
+#: A block's mean relay count, at most, unless one trial alone holds more.
+#: Cells up to ~1,000 relays per trial (the default cell has ~630) keep
+#: blocks of :data:`_BLOCK_TRIALS`; a larger cell draws fewer trials per
+#: block, so a block's field stays near 2^16 relays by 4 doubles (2 MiB)
+#: instead of growing with the cell.
+_BLOCK_RELAYS = 1 << 16
 
 
 def _trial_state(seed: int, trial_index: int) -> dict:
@@ -104,15 +112,10 @@ def _trial_state(seed: int, trial_index: int) -> dict:
     stream. ``seed`` and ``trial_index`` must be integers (numpy integers
     too, bools not) and ``trial_index`` >= 0; else a ``ValueError`` names
     the argument."""
-    integers = (int, np.integer)
-    if isinstance(seed, bool) or not isinstance(seed, integers):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if isinstance(trial_index, bool) or not (isinstance(trial_index, integers) and trial_index >= 0):
-        raise ValueError(f"trial_index must be an integer >= 0, got {trial_index!r}")
-    high, low = divmod(int(seed) % (1 << 128), 1 << 64)
+    high, low = divmod(check_integer("seed", seed) % (1 << 128), 1 << 64)
     return {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, int(trial_index)], "key": [low, high]},
+        "state": {"counter": [0, 0, 0, check_integer("trial_index", trial_index, 0)], "key": [low, high]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -313,8 +316,9 @@ def _draw_block(
 
 def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
     """Yield trials ``start .. stop - 1`` drawn under ``plan`` as blocks of up
-    to :data:`_BLOCK_TRIALS` trials (see :func:`_draw_block`), each trial on
-    a generator of the pool moved onto its stream.
+    to :data:`_BLOCK_TRIALS` trials, and of at most ``_BLOCK_RELAYS /
+    cell.mean_relay_count`` but at least one (see :func:`_draw_block`), each
+    trial on a generator of the pool moved onto its stream.
 
     The pool (:func:`_pool`) is built once per call from one shared
     ``SeedSequence``, which reads no OS entropy. So is one state template,
@@ -333,12 +337,13 @@ def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
     columns of every block were faulted in afresh (60,113-69,554 minor
     faults against 1,692-15,365 in the first gate-size pass of a fresh
     process, as the heap layout decides)."""
-    pool = _pool(min(_BLOCK_TRIALS, stop - start))
+    size = min(_BLOCK_TRIALS, max(1, int(_BLOCK_RELAYS // max(cell.mean_relay_count, 1.0))))
+    pool = _pool(min(size, stop - start))
     state = _trial_state(seed, start)
     counter = state["state"]["counter"]
     mean = len(pool) * cell.mean_relay_count
     field_buf = None
-    for lo in range(start, stop, _BLOCK_TRIALS):
+    for lo in range(start, stop, size):
         gens = pool[: stop - lo]
         for t, rng in enumerate(gens, lo):
             counter[3] = t
@@ -710,13 +715,10 @@ class MeanCountRequest:
         grid = tuple(float(r) for r in radii)
         if not grid:
             raise ValueError("radii grid must be nonempty")
-        upper = cell.outer_radius
-        # written so that NaN fails both checks
-        if not all(0.0 <= r <= upper * (1.0 + 1e-12) for r in grid):
-            raise ValueError(f"radii must lie within [0, {upper}]")
+        check_radii("radii", grid, cell.outer_radius)
         if not all(a < b for a, b in zip(grid, grid[1:])):
             raise ValueError("radii must be strictly increasing")
-        check_threshold("theta_first", theta_first)
+        check_finite("theta_first", theta_first, 0)
         self.cell, self.grid, self.theta_first = cell, grid, theta_first
         self.trials = check_count("trials", trials)
         self.thetas = (theta_first,)
@@ -782,7 +784,7 @@ class KthDistancesRequest:
 
     def __init__(self, cell: CellGeometry, theta_first: float, k_max: int, trials: int):
         self.k_max = check_count("k_max", k_max)
-        check_threshold("theta_first", theta_first)
+        check_finite("theta_first", theta_first, 0)
         self.cell, self.theta_first = cell, theta_first
         self.trials = check_count("trials", trials)
         self.thetas = (theta_first,)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import check_count
+from .model import check_count, check_finite
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights; the
 # embedded 7-point Gauss rule uses the odd-indexed abscissae.
@@ -73,10 +73,8 @@ class QuadratureSpec:
     max_subdivisions: int = 256
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise ValueError("abs_tol must be finite and > 0")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be finite and > 0")
+        check_finite("abs_tol", self.abs_tol, 0, strict=True)
+        check_finite("rel_tol", self.rel_tol, 0, strict=True)
         check_count("max_subdivisions", self.max_subdivisions)
 
 

@@ -125,7 +125,7 @@ class TestLambdaPrime:
 
     def test_domain_validation(self, default_cell):
         for bad in (26.0, -1e-300, math.nan, [1.0, math.nan], [math.inf], [[1.0], [-1.0]]):
-            with pytest.raises(ValueError, match="r_jd must lie in"):
+            with pytest.raises(ValueError, match=r"r_jd must be finite and lie in \[0, 25.0\]"):
                 analytic.lambda_prime(bad, default_cell, 0.1)
         assert analytic.lambda_prime(-0.0, default_cell, 0.1) == 0.0
         assert analytic.lambda_prime(np.empty(0), default_cell, 0.1).shape == (0,)
@@ -209,7 +209,7 @@ class TestLambdaPrimeDerivative:
     def test_array_validation(self, default_cell):
         bad_values = ([1.0, -0.5], [1.0, math.inf], [math.nan], [2.0, math.nan], [[0.5], [-math.inf]], -1e-300)
         for bad in bad_values:
-            with pytest.raises(ValueError, match="r_jd must be finite and >= 0"):
+            with pytest.raises(ValueError, match=r"r_jd must be finite and lie in \[0, inf\]"):
                 analytic.lambda_prime_derivative(bad, default_cell, 0.1)
         assert analytic.lambda_prime_derivative(-0.0, default_cell, 0.1) == 0.0
         assert analytic.lambda_prime_derivative(np.empty((0, 3)), default_cell, 0.1).shape == (0, 3)
@@ -504,11 +504,11 @@ class TestFkPdf:
     def test_rejects_distances_past_the_far_edge(self, default_cell):
         # the mass profile clips its argument to [0, R + r_d]; the callers may not
         for x in (25.001, 26.0, math.inf):
-            with pytest.raises(ValueError, match="cell_radius"):
+            with pytest.raises(ValueError, match=r"r_jd must be finite and lie in \[0, 25.0\]"):
                 analytic.kth_nearest_cdf(x, 1, default_cell, 0.1)
-            with pytest.raises(ValueError, match="cell_radius"):
+            with pytest.raises(ValueError, match=r"r_jd must be finite and lie in \[0, 25.0\]"):
                 analytic.f_k_pdf(x, 1, default_cell, 0.1)
-            with pytest.raises(ValueError, match="cell_radius"):
+            with pytest.raises(ValueError, match=r"r_jd must be finite and lie in \[0, 25.0\]"):
                 analytic.f_k_pdf(np.array([1.0, x]), 1, default_cell, 0.1)
 
     def test_validation(self, default_cell):
@@ -630,6 +630,26 @@ class TestLambdaQ:
         )
         baseline = analytic.lambda_q_quadrature(default_cell, 0.1)
         assert 0.0 < steeper < baseline
+
+    #: The finite-cell mean where it is tiny at exponents other than 2, by
+    #: ``scipy.integrate.dblquad`` over [0, pi] x [0, R] (relative tolerance
+    #: 1e-10, none absolute), doubled: ``(alpha, theta, R, r_d)`` -> value,
+    #: all at lam = 0.5.
+    TINY_AT_OTHER_EXPONENTS = {
+        (2.5, 3.0, 20.0, 5.0): 4.757936965048323e-30,
+        (2.5, 3.0, 10.0, 8.0): 8.741034908179111e-88,
+        (4.0, 3.0, 20.0, 5.0): 4.880906246933404e-107,
+        (3.0, 0.3, 10.0, 8.0): 3.551658609293652e-18,
+        (3.0, 0.3, 10.0, 15.0): 1.058570710307437e-111,
+    }
+
+    @pytest.mark.parametrize("alpha, theta, big_r, r_d", TINY_AT_OTHER_EXPONENTS)
+    def test_quadrature_keeps_tiny_masses_at_other_exponents(self, alpha, theta, big_r, r_d):
+        # an integrand that small once met the absolute tolerances unresolved,
+        # 1.5-3x off; exp(-mass) rounds to 1 there, so no outage showed it
+        cell = CellGeometry(cell_radius=big_r, dest_distance=r_d, relay_intensity=0.5, path_loss_exponent=alpha)
+        want = self.TINY_AT_OTHER_EXPONENTS[alpha, theta, big_r, r_d]
+        assert analytic.lambda_q_quadrature(cell, theta) == pytest.approx(want, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("theta", [0.003, 0.1, 1.0])
     def test_quadrature_closed_radial_matches_nested(self, theta):

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relaygeom import analytic
+from relaygeom import montecarlo as mc
 from relaygeom.model import (
     CellGeometry,
     RadioParams,
@@ -10,6 +13,7 @@ from relaygeom.model import (
     compute_thresholds,
     snr_db_to_linear,
 )
+from relaygeom.quadrature import QuadratureSpec, integrate_1d
 
 
 def test_snr_db_to_linear_identities():
@@ -143,3 +147,46 @@ def test_thresholds_reject_negative():
         Thresholds(theta_first=-0.1, theta_second=0.2)
     with pytest.raises(ValueError):
         Thresholds(theta_first=0.1, theta_second=math.inf)
+
+
+_CELL = CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5)
+_RADIO = RadioParams(snr_db=15.0, target_rate=1.0)
+
+#: One call per integer argument of the public API, taking the argument's
+#: value ``v``; every value used below (2, or a bad one) is in its domain
+#: or refused by it.
+_INTEGER_ARGUMENTS = {
+    "trials": lambda v: mc.estimate_outage("stat", _CELL, _RADIO, v, 7),
+    "num_relays": lambda v: (
+        RadioParams(15.0, 1.0, v),
+        compute_thresholds(RadioParams(15.0, 1.0, v)),
+        mc.estimate_outage("stat", _CELL, RadioParams(15.0, 1.0, v), 50, 7),
+    ),
+    "k": lambda v: (
+        analytic.outage_stat(v, _CELL, _RADIO),
+        analytic.kth_nearest_cdf(3.0, v, _CELL, 0.1),
+        mc.trial_stat_csi(_CELL, compute_thresholds(_RADIO), v, mc.trial_rng(0, 0)),
+    ),
+    "j": lambda v: analytic.p_fail_jth(v, _CELL, compute_thresholds(_RADIO)),
+    "workers": lambda v: mc.estimate_outage("stat", _CELL, _RADIO, 50, 7, workers=v),
+    "k_max": lambda v: mc.kth_nearest_qualified_distances(_CELL, 0.1, v, 20, 3).tobytes(),
+    "max_subdivisions": lambda v: integrate_1d(np.exp, 0.0, 3.0, QuadratureSpec(max_subdivisions=v)),
+    "seed": lambda v: mc.estimate_outage("stat", _CELL, _RADIO, 50, v),
+    "trial_index": lambda v: mc.trial_rng(7, v).random(3).tobytes(),
+}
+
+
+@pytest.mark.parametrize("as_numpy", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("name", _INTEGER_ARGUMENTS)
+def test_numpy_integers_give_what_ints_give(name, as_numpy):
+    call = _INTEGER_ARGUMENTS[name]
+    want, got = call(2), call(as_numpy(2))
+    # repr tells a float from a numpy float and an int field from a numpy one
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.0, np.float64(2), "3"], ids=repr)
+@pytest.mark.parametrize("name", _INTEGER_ARGUMENTS)
+def test_non_integers_are_refused_by_name(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        _INTEGER_ARGUMENTS[name](bad)

@@ -882,6 +882,29 @@ class TestFieldBuffer:
                 assert col.dtype == copy.dtype and col.tobytes() == copy.tobytes()
 
 
+def test_a_small_relay_budget_draws_smaller_blocks_with_the_same_counts(monkeypatch, default_cell):
+    # the default cell holds ~628 relays per trial: a budget of 2,000 relays
+    # gives blocks of 3 trials, one below a trial's mean gives blocks of 1
+    rows, grid = _mixed_rows((10.0, 25.0)), [0.0, 2.0, 7.5, 25.0]
+
+    def requests():
+        return [
+            mc.KthDistancesRequest(default_cell, 0.01, 3, 50),
+            mc.OutageGridRequest(default_cell, rows, 70),
+            mc.MeanCountRequest(grid, default_cell, 1.5, 40),
+        ]
+
+    kth, outage, counts = mc.run_requests(requests(), 5)
+    plan = TestFieldBuffer.PLAN
+    assert [block[0].size for block in mc._blocks(default_cell, plan, 5, 0, 70)] == [64, 6]
+    for budget, size in ((2000, 3), (100, 1)):
+        monkeypatch.setattr(mc, "_BLOCK_RELAYS", budget)
+        sizes = [block[0].size for block in mc._blocks(default_cell, plan, 5, 0, 70)]
+        assert sizes == [size] * (70 // size) + [70 % size] * (70 % size > 0)
+        got_kth, got_outage, got_counts = mc.run_requests(requests(), 5)
+        assert got_kth.tobytes() == kth.tobytes() and got_outage == outage and got_counts == counts
+
+
 def test_blocks_compute_distances_once_per_block_through_the_module_name(
     monkeypatch, default_cell
 ):
@@ -994,7 +1017,7 @@ class TestEmpiricalMeanCount:
     @pytest.mark.parametrize("grid", [[math.nan], [1.0, math.nan, 2.0]])
     def test_rejects_nan_radii(self, grid, default_cell):
         # NaN compares false both ways, so it must fail the range check itself
-        with pytest.raises(ValueError, match="radii must lie within"):
+        with pytest.raises(ValueError, match=r"radii must be finite and lie in \[0, 25.0\]"):
             mc.empirical_mean_count(grid, default_cell, self.THETA, 10, 0)
 
     @pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf, -math.inf])
