@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
-from .model import check_count, check_finite, check_radii
+from .model import check_choice, check_count, check_finite, check_radii
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate_1d
 from .specials import erfcx, i0e
 
@@ -622,7 +622,8 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
     convex, least (``2 (r_d / 2)^a``) midway between source and destination,
     so the integrand is taken relative to its peak ``exp(-theta (2 + 2 (r_d
     / 2)^a))``, which multiplies the result: the absolute tolerances then
-    hold where the mass is tiny. Each bearing's radial integral breaks where
+    hold where the mass is tiny, and a peak that underflows to 0 returns 0.0
+    with no quadrature. Each bearing's radial integral breaks where
     the ray passes closest to the destination and at half that distance.
     """
     check_finite("theta", theta, 0, strict=True)
@@ -635,6 +636,9 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
         return _disk_mass(lam, big_r, 0.5 * r_d, 2.0 * theta, scale, DEFAULT_SPEC)
     half = 0.5 * alpha
     least = 2.0 * (0.5 * r_d) ** alpha
+    peak = lam * math.exp(-theta * (2.0 + least))
+    if peak == 0.0:  # the integrand relative to its peak is at most 1
+        return 0.0
 
     def radial(phi: float) -> float:
         cosphi = math.cos(phi)
@@ -651,7 +655,6 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
     def outer(phis: np.ndarray) -> np.ndarray:
         return np.array([radial(float(p)) for p in phis])
 
-    peak = lam * math.exp(-theta * (2.0 + least))
     return 2.0 * peak * integrate_1d(outer, 0.0, math.pi, DEFAULT_SPEC)
 
 
@@ -671,8 +674,7 @@ def outage_exact_csi(
     """
     if radio.num_relays != 1:
         raise ValueError("outage_exact_csi is defined for num_relays == 1")
-    if lambda_q not in LAMBDA_Q_METHODS:
-        raise ValueError(f"lambda_q must be one of {LAMBDA_Q_METHODS}, got {lambda_q!r}")
+    check_choice("lambda_q", lambda_q, LAMBDA_Q_METHODS)
     theta = compute_thresholds(radio).theta_second
     if lambda_q == "closed":
         mass = lambda_q_closed(cell, theta)

@@ -20,6 +20,8 @@ two subcommands get one flag per key they read and refuse every other key,
 in the file as on the command line. :func:`parse_config` is the
 only reader and checker of settings: a flag's text means what the same text
 means in the JSON file (``--trials 1e5`` passes, ``--trials 1.5`` does not).
+It checks JSON types itself; every range and choice is checked by the rule
+:mod:`relaygeom.model` holds for the library, with the rule's text.
 The flags that are not configuration keys (``validate``'s sizes and seed,
 ...) are listed in :data:`_COMMAND_FLAGS`; every command also takes
 ``--workers``. They are read by the same rules, so a malformed value is a
@@ -46,6 +48,7 @@ from typing import ClassVar
 from . import montecarlo, validation
 from .analytic import lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
 from .model import CellGeometry, RadioParams, compute_thresholds
+from .model import check_choice, check_finite, check_increasing, check_integer
 from .montecarlo import OBSERVERS, STRATEGIES
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
@@ -151,20 +154,11 @@ def parse_config(
         data.update(_known(loaded, defaults))
     data.update({key: v for key, v in _known(overrides or {}, defaults).items() if v is not None})
 
-    try:  # a ConfigError from _number passes through with its message
-        cell = CellGeometry(**{key: _number(data[key], key) for key in _CELL_KEYS})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    cell = _checked(lambda: CellGeometry(**{key: _number(data[key], key) for key in _CELL_KEYS}))
     rate = _positive(data["rate"], "rate")
+    grid = _checked(lambda: check_increasing("snr_grid_db", _listed(data, "snr_grid_db", _number)))
 
-    grid = tuple(_listed(data, "snr_grid_db", _number))
-    if not grid:
-        raise ConfigError("snr_grid_db must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("snr_grid_db must be strictly increasing")
-
-    chosen = _listed(data, "strategies", lambda s, key: _choice(s, key, STRATEGIES))
+    chosen = _listed(data, "strategies", lambda s, key: _checked(lambda: check_choice(key, s, STRATEGIES)))
     if not chosen:
         raise ConfigError(f"strategies must be a nonempty subset of {STRATEGIES}")
     strategies = tuple(s for s in STRATEGIES if s in chosen)  # canonical order
@@ -226,38 +220,31 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _integer(value, key: str) -> int:
-    """``value`` of setting ``key`` as an int; integral finite floats (``1e5``
-    in JSON) pass, while bools, fractions, NaN, infinities and non-numbers
-    are refused."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not integral and not (
-        isinstance(value, float) and math.isfinite(value) and value.is_integer()
-    ):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _integer(value, key: str, least: int | None = None) -> int:
+    """``value`` of setting ``key`` by :func:`~relaygeom.model.check_integer`;
+    an integral float (``1e5`` in JSON) is read as its int first."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _checked(lambda: check_integer(key, value, least))
 
 
 def _count(value, key: str) -> int:
     """``value`` of setting ``key`` as an integer >= 1 (see :func:`_integer`)."""
-    count = _integer(value, key)
-    if count < 1:
-        raise ConfigError(f"{key} must be >= 1")
-    return count
+    return _integer(value, key, 1)
 
 
 def _positive(value, key: str) -> float:
     """``value`` of setting ``key`` as a number > 0 (see :func:`_number`)."""
-    number = _number(value, key)
-    if not number > 0:
-        raise ConfigError(f"{key} must be > 0")
-    return number
+    return _checked(lambda: check_finite(key, _number(value, key), 0, strict=True))
 
 
-def _choice(value, key: str, options: tuple[str, ...]) -> str:
-    if not (isinstance(value, str) and value in options):
-        raise ConfigError(f"{key} must be one of {options}, got {value!r}")
-    return value
+def _checked(check):
+    """``check()``; a ``ValueError`` it raises (a :mod:`~relaygeom.model`
+    rule's refusal) is raised as a :class:`ConfigError` with the same text."""
+    try:
+        return check()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _path(value, key: str) -> str | None:

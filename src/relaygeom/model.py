@@ -8,7 +8,11 @@ guards every module shares. Each rule is written once, here:
 * :func:`check_finite` -- a finite number at or above a bound, or strictly
   above it (cell sizes, path-loss exponent, rate, thresholds, tolerances);
 * :func:`check_radii` -- an array of distances, each finite, >= 0 and at
-  most an upper bound up to a relative rounding slack of 1e-12.
+  most an upper bound up to a relative rounding slack of 1e-12;
+* :func:`check_increasing` -- a nonempty, strictly increasing grid (SNR
+  points, radii);
+* :func:`check_choice` -- one of a fixed set of options (strategies,
+  ``lambda_q`` methods).
 
 Each raises a ``ValueError`` that names the argument.
 
@@ -61,6 +65,25 @@ def check_radii(name: str, values, upper: float = math.inf) -> np.ndarray:
     if not (r.min(initial=math.inf) >= 0.0 and largest <= upper * (1.0 + 1e-12) and largest < math.inf):
         raise ValueError(f"{name} must be finite and lie in [0, {upper}]")
     return r
+
+
+def check_increasing(name: str, values) -> tuple:
+    """``values`` as a tuple if it is nonempty and strictly increasing, else
+    a ``ValueError`` naming ``name``."""
+    grid = tuple(values)
+    if not grid:
+        raise ValueError(f"{name} must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
+
+
+def check_choice(name: str, value, options: tuple):
+    """``value`` if it is one of ``options``, else a ``ValueError`` naming
+    ``name`` and the options."""
+    if value not in options:
+        raise ValueError(f"{name} must be one of {options}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

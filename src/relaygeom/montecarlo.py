@@ -76,7 +76,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .model import CellGeometry, RadioParams, Thresholds, compute_thresholds
-from .model import check_count, check_finite, check_integer, check_radii
+from .model import check_choice, check_count, check_finite, check_increasing
+from .model import check_integer, check_radii
 
 STRATEGIES = ("exact", "stat")
 OBSERVERS = ("bs", "dest")
@@ -504,8 +505,7 @@ def trial_stat_csi(
 
 
 def _grid_row(strategy: str, radio: RadioParams) -> _Row:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    check_choice("strategy", strategy, STRATEGIES)
     k = radio.num_relays
     if strategy == "exact" and k != 1:
         raise ValueError("the exact-knowledge strategy is defined for num_relays == 1")
@@ -712,12 +712,8 @@ class MeanCountRequest:
     def __init__(
         self, radii: Sequence[float], cell: CellGeometry, theta_first: float, trials: int
     ):
-        grid = tuple(float(r) for r in radii)
-        if not grid:
-            raise ValueError("radii grid must be nonempty")
+        grid = check_increasing("radii", (float(r) for r in radii))
         check_radii("radii", grid, cell.outer_radius)
-        if not all(a < b for a, b in zip(grid, grid[1:])):
-            raise ValueError("radii must be strictly increasing")
         check_finite("theta_first", theta_first, 0)
         self.cell, self.grid, self.theta_first = cell, grid, theta_first
         self.trials = check_count("trials", trials)

@@ -152,11 +152,10 @@ def integrate_1d(
         sign = -1.0
 
     vals, errs = _eval_panels(f, np.array([a]), np.array([b]))
+    total_val, total_err = float(vals[0]), float(errs[0])
     counter = 0
     # heap entries: (-error, insertion index, lo, hi, value, error)
-    heap = [(-errs[0], counter, a, b, vals[0], errs[0])]
-    total_val = float(vals[0])
-    total_err = float(errs[0])
+    heap = [(-total_err, counter, a, b, total_val, total_err)]
     nsub = 0
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
         if nsub >= spec.max_subdivisions:

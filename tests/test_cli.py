@@ -154,6 +154,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=next(iter(json.loads(text)))):
             parse_config(str(path))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"rate": -1.0}, "rate must be finite and > 0, got -1.0"),
+            ({"snr_grid_db": [5.0, 5.0]}, "snr_grid_db must be strictly increasing"),
+            ({"strategies": ["exact", "both"]}, "strategies must be one of ('exact', 'stat'), got 'both'"),
+        ],
+    )
+    def test_refusals_are_the_library_rules(self, overrides, message):
+        # each setting is checked by model's rule for it, with the rule's text
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(overrides=overrides)
+
     def test_flag_text_reads_like_json(self):
         args = cli._build_parser().parse_args(["outage-sweep", "--trials", "1e5", "--seed", "1e3"])
         config = cli._config(args)

@@ -10,6 +10,8 @@ from relaygeom.model import (
     CellGeometry,
     RadioParams,
     Thresholds,
+    check_choice,
+    check_increasing,
     compute_thresholds,
     snr_db_to_linear,
 )
@@ -54,8 +56,8 @@ def test_thresholds_scale_inversely_with_snr(snr_db, rate, k):
     lo = compute_thresholds(RadioParams(snr_db=snr_db, target_rate=rate, num_relays=k))
     hi = compute_thresholds(RadioParams(snr_db=snr_db + 10.0, target_rate=rate, num_relays=k))
     # +10 dB multiplies the linear SNR by exactly 10
-    assert hi.theta_first * 10.0 == pytest.approx(lo.theta_first, rel=1e-12)
-    assert hi.theta_second * 10.0 == pytest.approx(lo.theta_second, rel=1e-12)
+    assert hi.theta_first * 10.0 == pytest.approx(lo.theta_first, rel=1e-12, abs=0)
+    assert hi.theta_second * 10.0 == pytest.approx(lo.theta_second, rel=1e-12, abs=0)
 
 
 @given(
@@ -65,7 +67,7 @@ def test_thresholds_scale_inversely_with_snr(snr_db, rate, k):
 )
 def test_threshold_ratio_is_relay_count(snr_db, rate, k):
     th = compute_thresholds(RadioParams(snr_db=snr_db, target_rate=rate, num_relays=k))
-    assert th.theta_second / th.theta_first == pytest.approx(k, rel=1e-12)
+    assert th.theta_second / th.theta_first == pytest.approx(k, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -113,9 +115,9 @@ def test_cell_radii_about_the_destination(big_r, r_d):
     assert cell.outer_radius == big_r + r_d
     rim = [i * math.pi / 180.0 for i in range(360)]
     dists = [math.hypot(big_r * math.cos(t) - r_d, big_r * math.sin(t)) for t in rim]
-    assert max(dists) == pytest.approx(cell.outer_radius, rel=1e-12)
+    assert max(dists) == pytest.approx(cell.outer_radius, rel=1e-12, abs=0)
     if r_d <= big_r:
-        assert min(dists) == pytest.approx(cell.inner_radius, rel=1e-12)
+        assert min(dists) == pytest.approx(cell.inner_radius, rel=1e-12, abs=0)
     for name in ("inner_radius", "outer_radius"):
         with pytest.raises(AttributeError):
             setattr(cell, name, 1.0)
@@ -190,3 +192,28 @@ def test_numpy_integers_give_what_ints_give(name, as_numpy):
 def test_non_integers_are_refused_by_name(name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         _INTEGER_ARGUMENTS[name](bad)
+
+
+def test_grid_and_choice_rules():
+    assert check_increasing("grid", iter([0.5, 2.0])) == (0.5, 2.0)
+    with pytest.raises(ValueError, match="^grid must be nonempty$"):
+        check_increasing("grid", [])
+    for bad in ([1.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+            check_increasing("grid", bad)
+    assert check_choice("strategy", "stat", mc.STRATEGIES) == "stat"
+    for bad in ("both", None, ["stat"]):
+        with pytest.raises(ValueError, match=r"^strategy must be one of \('exact', 'stat'\), got "):
+            check_choice("strategy", bad, mc.STRATEGIES)
+
+
+def test_grid_and_choice_arguments_share_the_rules():
+    refusals = {
+        "radii must be nonempty": lambda: mc.MeanCountRequest([], _CELL, 0.1, 5),
+        "radii must be strictly increasing": lambda: mc.MeanCountRequest([2.0, 1.0], _CELL, 0.1, 5),
+        "strategy must be one of": lambda: mc.estimate_outage_grid(_CELL, [("both", _RADIO)], 5, 7),
+        "lambda_q must be one of": lambda: analytic.outage_exact_csi(_CELL, _RADIO, "dense"),
+    }
+    for message, call in refusals.items():
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()

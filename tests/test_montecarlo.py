@@ -268,7 +268,7 @@ class TestEstimateOutage:
     def test_stderr_formula(self):
         est = mc.OutageEstimate.from_counts(10_000, 100_000)
         assert est.p_hat == 0.1
-        assert est.stderr == pytest.approx(math.sqrt(0.1 * 0.9 / 100_000), rel=1e-12)
+        assert est.stderr == pytest.approx(math.sqrt(0.1 * 0.9 / 100_000), rel=1e-12, abs=0)
         assert est.stderr == pytest.approx(9.5e-4, abs=1e-5)
 
     @pytest.mark.parametrize("count, trials", [(-1, 50), (51, 50), (0, 0)])

@@ -4,10 +4,13 @@ The product form (:func:`relaygeom.analytic.outage_stat`) and the
 rank-joint outage (:func:`relaygeom.analytic.exact_ranked_outage`) must be
 probabilities, must not rise with SNR at a fixed number of relays, and must
 raise nothing, the mass profile's own accuracy check included, well beyond
-the desk scenario.
+the desk scenario. Two exact invariants hold too: the product is at most
+the rank-joint outage, and more relays (a denser or a wider cell at the
+same thresholds) never raise either outage.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,10 @@ from relaygeom.model import CellGeometry, RadioParams
 OUTAGES = {"product": analytic.outage_stat, "rank_joint": analytic.exact_ranked_outage}
 #: Allowed rise with SNR, for rounding where the curve is flat at 1.
 MONOTONE_SLACK = 1e-9
+#: Relative slack of the exact invariants: the mass profile's relative error
+#: budget. Both outages read the profile; at k = 1, where they are equal,
+#: they differ by up to ~1.5e-9 near 60 dB, so 1e-9 is too tight.
+INVARIANT_SLACK = analytic._PROFILE_REL_TOL
 
 
 def _curve(outage, k, cell, snr_grid, rate=1.0):
@@ -63,3 +70,21 @@ def test_probabilities_falling_in_snr_everywhere(radius, offset, intensity, snr_
     )
     for outage in OUTAGES.values():
         _assert_probabilities_falling(_curve(outage, k, cell, sorted(snr_grid), rate))
+
+    radio = RadioParams(snr_db=snr_grid[0], target_rate=rate, num_relays=k)
+
+    def outages(c):
+        return [OUTAGES[name](k, c, radio) for name in ("product", "rank_joint")]
+
+    product, joint = outages(cell)
+    # given the field the ranked relays fail independently, each with a
+    # probability that falls as points are added, so Harris-FKG for Poisson
+    # processes gives E[prod q(d_j)] >= prod E[q(d_j)]
+    assert product <= joint * (1 + INVARIANT_SLACK), (product, joint)
+    # more relays can only help: 1.5x the intensity, or 1.2x the radius at
+    # the same destination offset
+    denser = replace(cell, relay_intensity=1.5 * intensity)
+    wider = replace(cell, cell_radius=1.2 * radius)
+    for more in (denser, wider):
+        for before, after in zip((product, joint), outages(more)):
+            assert after <= before * (1 + INVARIANT_SLACK), (more, before, after)

@@ -62,7 +62,7 @@ class TestKsStatistic:
         samples = np.sort(rng.random(500))
         mine = _ks_statistic(samples, samples, 1.0, samples.size)  # F(x) = x on [0, 1]
         ref = stats.kstest(samples, "uniform").statistic
-        assert mine == pytest.approx(ref, rel=1e-12)
+        assert mine == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_defective_distribution_counts_missing_mass(self):
         # half the draws "never happened"; the model says everything arrives
