@@ -46,9 +46,12 @@ from .specials import erfcx, i0e
 #: Variants of the doubly-connected mean measure, see :func:`outage_exact_csi`.
 LAMBDA_Q_METHODS = ("closed", "quadrature")
 
-# Budget for integrals nested inside an outer one (lambda_q_quadrature's
-# radial integrals); tighter than the default so inner noise stays below it.
+# Budget of lambda_q_quadrature's radial integral at alpha != 2, whose two
+# bearing counts must also agree within rel_tol, and of the gate's mass
+# oracle (validation._angular_mass); tighter than the default.
 _INNER_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=256)
+#: Midpoint bearings on [0, pi] of lambda_q_quadrature at alpha != 2.
+_BEARINGS = 256
 # Error budget of every MassProfile integral: abs 1e-10, rel 1e-8.
 _PROFILE_ABS_TOL = 1e-10
 _PROFILE_REL_TOL = 1e-8
@@ -278,8 +281,9 @@ class MassProfile:
     pass evaluates ``dM/dr`` only on the first-pass panels that those radii
     split; every other panel keeps its nodes and its first-pass values.
 
-    Every integral taken on the profile (``M`` itself, :meth:`cumulative`,
-    :meth:`total`, :meth:`cumulative_at`) carries an error estimate: the
+    Every integral taken on the profile (``M`` itself, :meth:`total`,
+    :meth:`cumulative_at`, and the failure-weighted mass of
+    :func:`exact_ranked_outage`) carries an error estimate: the
     magnitude of the top ``_CHEB_TAIL`` Chebyshev coefficients of each
     panel's interpolant, i.e. the gap to a lower-order rule on the same
     panels. Past abs 1e-10 or rel 1e-8 it raises :class:`QuadratureError`
@@ -348,10 +352,6 @@ class MassProfile:
         stack of samples (leading axes), an array of one integral each."""
         total = self._check(f)[0][..., -1]
         return float(total) if total.ndim == 0 else total
-
-    def cumulative(self, f: np.ndarray) -> np.ndarray:
-        """``integral_0^r f`` at every node ``r``, for ``f`` sampled on ``r``."""
-        return _cumulative(f, self._half, self._check(f)[0])
 
     def cumulative_at(self, f: np.ndarray, x) -> np.ndarray:
         """``integral_0^x f`` at arbitrary ``x`` in [0, R + r_d], from the
@@ -611,20 +611,26 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
     """Finite-cell mean number of relays decodable by both endpoints.
 
     ``integral_cell lam exp(-theta (1 + r^a)) exp(-theta (1 + r_jd^a)) dw``
-    evaluated in polar coordinates about the source: adaptive angular
-    quadrature on [0, pi], doubled, of the radial integral per angle. Unlike
-    the closed form this supports any ``path_loss_exponent >= 2``. For
-    exponent 2 the radial integral is closed: the exponent is
-    ``-theta (2 + r_d^2) - 2 theta (r^2 - r_d cos(phi) r)``, so this is
-    :func:`_disk_mass` at ``(2 theta, r_d / 2)`` with that scale.
+    in polar coordinates ``(rho, phi)`` about the source, about which the
+    cell is a disk; the intensity is even in ``phi``, so [0, pi] is taken
+    and doubled. Unlike the closed form this supports any
+    ``path_loss_exponent >= 2``. For exponent 2 the radial integral is
+    closed: the exponent is ``-theta (2 + r_d^2) - 2 theta (r^2 - r_d
+    cos(phi) r)``, so this is :func:`_disk_mass` at ``(2 theta, r_d / 2)``
+    with that scale.
 
-    Other exponents integrate it adaptively, nested. ``r^a + r_jd^a`` is
-    convex, least (``2 (r_d / 2)^a``) midway between source and destination,
-    so the integrand is taken relative to its peak ``exp(-theta (2 + 2 (r_d
-    / 2)^a))``, which multiplies the result: the absolute tolerances then
-    hold where the mass is tiny, and a peak that underflows to 0 returns 0.0
-    with no quadrature. Each bearing's radial integral breaks where
-    the ray passes closest to the destination and at half that distance.
+    Other exponents take one adaptive radial integral over [0, R], broken
+    at the peak and at ``rho = r_d``, where ``r_jd^a`` has its kink. At
+    each radius the bearing integral is a midpoint rule of ``_BEARINGS``
+    nodes, spectrally accurate since the intensity is periodic and smooth
+    in ``phi``. The radial integral is run again at twice the bearings;
+    unless the two agree within ``_INNER_SPEC.rel_tol``, a
+    ``QuadratureError`` carrying the estimate is raised. ``r^a + r_jd^a``
+    is convex, so over the cell it is least (``least``) at the cell's point
+    nearest the midpoint of source and destination. The integrand is taken
+    relative to its peak there, ``exp(-theta (2 + least))``, which
+    multiplies the result: the absolute tolerance then holds where the mass
+    is tiny, and a peak that underflows to 0 returns 0.0 with no quadrature.
     """
     check_finite("theta", theta, 0, strict=True)
     lam = cell.relay_intensity
@@ -634,28 +640,26 @@ def lambda_q_quadrature(cell: CellGeometry, theta: float) -> float:
     if alpha == 2.0:
         scale = -theta * (2.0 + r_d * r_d)
         return _disk_mass(lam, big_r, 0.5 * r_d, 2.0 * theta, scale, DEFAULT_SPEC)
-    half = 0.5 * alpha
-    least = 2.0 * (0.5 * r_d) ** alpha
-    peak = lam * math.exp(-theta * (2.0 + least))
-    if peak == 0.0:  # the integrand relative to its peak is at most 1
+    near = min(0.5 * r_d, big_r)
+    least = near**alpha + (r_d - near) ** alpha
+    factor = 2.0 * math.pi * lam * math.exp(-theta * (2.0 + least))  # 2 pi lam times the peak
+    if factor == 0.0:  # the integrand relative to its peak is at most 1
         return 0.0
+    edges = (0.0, near, min(r_d, big_r), big_r)
 
-    def radial(phi: float) -> float:
-        cosphi = math.cos(phi)
-        near = min(max(r_d * cosphi, 0.0), big_r)
-        edges = (0.0, 0.5 * near, near, big_r)
+    def radial(bearings: int) -> float:
+        cos_phi = np.cos((np.arange(bearings) + 0.5) * (math.pi / bearings))[:, None]
 
-        def integrand(rs: np.ndarray) -> np.ndarray:
-            r2 = rs * rs
-            rjd2 = np.maximum(r2 + r_d * r_d - 2.0 * r_d * rs * cosphi, 0.0)
-            return rs * np.exp(-theta * (r2**half + rjd2**half - least))
+        def bearing_mean(rho: np.ndarray) -> np.ndarray:
+            rjd2 = np.maximum(rho * rho + r_d * r_d - 2.0 * r_d * rho * cos_phi, 0.0)
+            return rho * np.exp(-theta * (rho**alpha + rjd2 ** (0.5 * alpha) - least)).mean(axis=0)
 
-        return sum(integrate_1d(integrand, a, b, _INNER_SPEC) for a, b in zip(edges, edges[1:]))
+        return sum(integrate_1d(bearing_mean, a, b, _INNER_SPEC) for a, b in zip(edges, edges[1:]))
 
-    def outer(phis: np.ndarray) -> np.ndarray:
-        return np.array([radial(float(p)) for p in phis])
-
-    return 2.0 * peak * integrate_1d(outer, 0.0, math.pi, DEFAULT_SPEC)
+    coarse, fine = radial(_BEARINGS), radial(2 * _BEARINGS)
+    if not abs(fine - coarse) <= _INNER_SPEC.rel_tol * fine:
+        raise QuadratureError("bearing counts disagree", factor * fine, factor * abs(fine - coarse))
+    return factor * fine
 
 
 def outage_exact_csi(

@@ -104,6 +104,11 @@ _BLOCK_TRIALS = 64
 #: block, so a block's field stays near 2^16 relays by 4 doubles (2 MiB)
 #: instead of growing with the cell.
 _BLOCK_RELAYS = 1 << 16
+#: The largest mean relay count per trial (``cell.mean_relay_count``) that
+#: a pass draws. One trial's field is drawn whole, 4 doubles per relay, so
+#: a trial at the bound holds ~0.5 GiB; a larger cell is refused before any
+#: draw (:func:`running_requests`).
+MAX_MEAN_RELAYS = 1 << 24
 
 
 def _trial_state(seed: int, trial_index: int) -> dict:
@@ -551,7 +556,9 @@ def running_requests(requests: Sequence, seed: int, *, workers: int = 1):
     an exception, every worker is terminated and joined, so none outlives
     the block. Each trial owns its stream and the parts combine by integer
     sums or in range order, so the results do not depend on the worker
-    count.
+    count. A bad seed, and a cell whose ``mean_relay_count`` exceeds
+    :data:`MAX_MEAN_RELAYS`, raise ``ValueError`` before anything is drawn
+    or forked.
     """
     requests = tuple(requests)
     if not requests:
@@ -561,6 +568,12 @@ def running_requests(requests: Sequence, seed: int, *, workers: int = 1):
     trials = max(request.trials for request in requests)
     workers = min(check_count("workers", workers), trials, usable_cpus())
     _trial_state(seed, 0)  # refuses a bad seed before any worker is forked
+    mean = requests[0].cell.mean_relay_count
+    if mean > MAX_MEAN_RELAYS:
+        raise ValueError(
+            f"mean_relay_count {mean:.4g} exceeds MAX_MEAN_RELAYS = {MAX_MEAN_RELAYS}: "
+            "a trial draws its whole relay field at once"
+        )
 
     def merged(parts: list) -> list:
         return [r.result([p for part in parts for p in part[i]]) for i, r in enumerate(requests)]

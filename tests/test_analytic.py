@@ -258,7 +258,8 @@ class TestMassProfile:
         # two evaluations of one polynomial per panel: they differ by rounding
         assert np.max(np.abs(mass_at(prof.r) - prof.M)) <= 1e-15 * prof.total_mass
         f = prof.density * np.exp(-prof.M)
-        assert np.max(np.abs(prof.cumulative_at(f, prof.r) - prof.cumulative(f))) <= 1e-15
+        at_nodes = analytic._cumulative(f, prof._half, prof._check(f)[0])
+        assert np.max(np.abs(prof.cumulative_at(f, prof.r) - at_nodes)) <= 1e-15
 
     def test_error_estimate_within_budget(self, default_cell):
         prof = analytic.MassProfile(default_cell, 0.0949)
@@ -296,7 +297,8 @@ class TestMassProfile:
         prof = analytic.MassProfile(cell, theta)
         density = analytic.lambda_prime_derivative(prof.r, cell, theta)
         assert np.array_equal(prof.density, density)
-        assert np.array_equal(prof.M, prof.cumulative(density))
+        offsets = prof._check(density)[0]
+        assert np.array_equal(prof.M, analytic._cumulative(density, prof._half, offsets))
         assert prof.total_mass == prof.total(density)
 
     @pytest.mark.parametrize("theta", [1e-4, 3e-3, 0.0949, 1.0, 30.0])
@@ -662,6 +664,113 @@ class TestLambdaQ:
         cell = CellGeometry(cell_radius=10.0, dest_distance=12.0, relay_intensity=0.5, path_loss_exponent=6.0)
         assert analytic.lambda_q_quadrature(cell, 0.05) == 0.0
         assert calls == []
+
+    #: The finite-cell mean at exponents other than 2 on R = 5, lam = 0.5,
+    #: by ``scipy.integrate.dblquad`` over [0, pi] x [0, R] (relative
+    #: tolerance 1e-11, none absolute; the radial range broken at r_d / 2 and
+    #: r_d), doubled: ``(alpha, theta, r_d)`` -> value. Integrating in the
+    #: other order agrees to 1.2e-13.
+    AT_OTHER_EXPONENTS = {
+        (2.05, 0.001, 0.0): 38.161280402025476,
+        (2.05, 0.01, 0.0): 29.818942814204476,
+        (2.05, 0.1, 0.0): 6.09496697208421,
+        (2.05, 0.001, 2.5): 37.90047238831274,
+        (2.05, 0.01, 2.5): 28.06240502295589,
+        (2.05, 0.1, 2.5): 4.3056099223557265,
+        (2.05, 0.001, 5.0): 37.12408833691036,
+        (2.05, 0.01, 5.0): 23.372620909256035,
+        (2.05, 0.1, 5.0): 1.4622557809923755,
+        (2.05, 0.001, 7.5): 35.85109309904119,
+        (2.05, 0.01, 7.5): 17.1809477881845,
+        (2.05, 0.1, 7.5): 0.21211199994726532,
+        (2.5, 0.001, 0.0): 37.31211285337093,
+        (2.5, 0.01, 0.0): 24.702565650412986,
+        (2.5, 0.1, 0.0): 4.340727198788637,
+        (2.5, 0.001, 2.5): 36.67711148990952,
+        (2.5, 0.01, 2.5): 21.770466776492256,
+        (2.5, 0.1, 2.5): 2.4166862243275826,
+        (2.5, 0.001, 5.0): 34.7206578479892,
+        (2.5, 0.01, 5.0): 14.851643572384528,
+        (2.5, 0.1, 5.0): 0.3583306161255246,
+        (2.5, 0.001, 7.5): 31.364548179106006,
+        (2.5, 0.01, 7.5): 7.568327332771259,
+        (2.5, 0.1, 7.5): 0.0084611373289397,
+        (3.0, 0.001, 0.0): 35.560803804863454,
+        (3.0, 0.01, 0.0): 18.10055729957932,
+        (3.0, 0.1, 0.0): 3.394737643193541,
+        (3.0, 0.001, 2.5): 34.019879458085065,
+        (3.0, 0.01, 2.5): 14.525151419705322,
+        (3.0, 0.1, 2.5): 1.3920916785829665,
+        (3.0, 0.001, 5.0): 29.345493917955473,
+        (3.0, 0.01, 5.0): 7.564565905136368,
+        (3.0, 0.1, 5.0): 0.05152556563807915,
+        (3.0, 0.001, 7.5): 21.965009826312095,
+        (3.0, 0.01, 7.5): 2.2172549551571077,
+        (3.0, 0.1, 7.5): 2.0886462144508574e-05,
+        (4.0, 0.001, 0.0): 27.528990571477784,
+        (4.0, 0.01, 0.0): 9.648586202117022,
+        (4.0, 0.1, 0.0): 2.548536884894225,
+        (4.0, 0.001, 2.5): 22.897974689639963,
+        (4.0, 0.01, 2.5): 6.032983584540916,
+        (4.0, 0.1, 2.5): 0.5661993180401169,
+        (4.0, 0.001, 5.0): 13.698994568445281,
+        (4.0, 0.01, 5.0): 1.35077839783256,
+        (4.0, 0.1, 5.0): 0.0001167533237628624,
+        (4.0, 0.001, 7.5): 5.418175307038557,
+        (4.0, 0.01, 7.5): 0.02826349477925829,
+        (4.0, 0.1, 7.5): 8.733891593483094e-19,
+        (6.0, 0.001, 0.0): 11.11090542084431,
+        (6.0, 0.01, 0.0): 5.065225875290004,
+        (6.0, 0.1, 0.0): 1.9637783903473607,
+        (6.0, 0.001, 2.5): 6.502737433557603,
+        (6.0, 0.01, 2.5): 1.697397359964158,
+        (6.0, 0.1, 2.5): 0.13774221927984112,
+        (6.0, 0.001, 5.0): 1.2605417917069508,
+        (6.0, 0.01, 5.0): 0.00207698886041959,
+        (6.0, 0.1, 5.0): 1.5156400748864023e-23,
+        (6.0, 0.001, 7.5): 0.0021340422792349074,
+        (6.0, 0.01, 7.5): 4.035451496102832e-26,
+        (6.0, 0.1, 7.5): 1.3741695172084627e-244,
+    }
+
+    @pytest.mark.parametrize("alpha, theta, r_d", AT_OTHER_EXPONENTS)
+    def test_quadrature_matches_dblquad_at_other_exponents(self, alpha, theta, r_d):
+        cell = CellGeometry(cell_radius=5.0, dest_distance=r_d, relay_intensity=0.5, path_loss_exponent=alpha)
+        want = self.AT_OTHER_EXPONENTS[alpha, theta, r_d]
+        assert analytic.lambda_q_quadrature(cell, theta) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    #: As above with the midpoint of source and destination outside the cell
+    #: (R = 10, r_d = 25): ``(alpha, theta)`` -> value. The integrand was once
+    #: taken relative to its peak at that midpoint, so within the cell it
+    #: fell below the absolute tolerance unresolved, 4% off at (3, 0.1) and
+    #: 21% at (4, 0.01).
+    PEAK_OUTSIDE_THE_CELL = {
+        (2.5, 0.001): 10.360252685257283,
+        (2.5, 0.01): 1.8004404481544676e-05,
+        (2.5, 0.1): 2.468377974566173e-53,
+        (3.0, 0.001): 0.07099687925320974,
+        (3.0, 0.01): 2.768759971776049e-20,
+        (3.0, 0.1): 7.983365654840584e-193,
+        (4.0, 0.001): 3.8987646760829353e-28,
+        (4.0, 0.01): 1.386779878436296e-266,
+    }
+
+    @pytest.mark.parametrize("alpha, theta", PEAK_OUTSIDE_THE_CELL)
+    def test_quadrature_scales_by_the_peak_within_the_cell(self, alpha, theta):
+        cell = CellGeometry(cell_radius=10.0, dest_distance=25.0, relay_intensity=0.5, path_loss_exponent=alpha)
+        want = self.PEAK_OUTSIDE_THE_CELL[alpha, theta]
+        assert analytic.lambda_q_quadrature(cell, theta) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_unconverged_bearing_rule_raises_with_its_estimate(self, default_cell, monkeypatch):
+        # 2 and 4 midpoint bearings disagree; the estimate is not returned
+        monkeypatch.setattr(analytic, "_BEARINGS", 2)
+        cell = replace(default_cell, path_loss_exponent=3.0)
+        with pytest.raises(QuadratureError, match="^bearing counts disagree$") as info:
+            analytic.lambda_q_quadrature(cell, 0.1)
+        estimate, error = info.value.estimate, info.value.error
+        assert error > analytic._INNER_SPEC.rel_tol * estimate > 0.0
+        monkeypatch.undo()
+        assert estimate == pytest.approx(analytic.lambda_q_quadrature(cell, 0.1), rel=0.5)
 
     @pytest.mark.parametrize("theta", [0.003, 0.1, 1.0])
     def test_quadrature_closed_radial_matches_nested(self, theta):

@@ -2,6 +2,9 @@
 simplicity changes cite."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,17 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["alpha", "13"], ["beta", "2"], ["total", "15"]]
+
+
+def test_a_closed_stdout_ends_it_quietly():
+    # as under ``| head -3``: the reader is gone before the first line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, str(_PATH)], stdout=write_end, stderr=subprocess.PIPE, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert run.stderr == b""
+    assert run.returncode == 1

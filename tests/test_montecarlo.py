@@ -603,6 +603,24 @@ class TestRunningRequests:
             with mc.running_requests(self._requests(default_cell), seed, workers=2) as results:
                 results()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_cell_past_the_relay_bound_is_refused_before_any_draw(self, workers, monkeypatch):
+        # R = 1e6 holds ~1.6e12 relays per trial at lam = 0.5, a 45.7 TiB field
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a field was drawn or a worker started")
+
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "_start", no_draw)
+        monkeypatch.setattr(mc, "_draw_fields", no_draw)
+        cell = CellGeometry(cell_radius=1e6, dest_distance=5.0, relay_intensity=0.5)
+        match = r"^mean_relay_count 1\.571e\+12 exceeds MAX_MEAN_RELAYS = 16777216: "
+        assert mc.MAX_MEAN_RELAYS == 2**24
+        with pytest.raises(ValueError, match=match):
+            with mc.running_requests(self._requests(cell), 5, workers=workers) as results:
+                results()
+        with pytest.raises(ValueError, match=match):
+            mc.estimate_outage("exact", cell, RadioParams(snr_db=10.0, target_rate=1.0), 1, 5)
+
     def test_worker_exception_is_raised_by_results(self, default_cell, monkeypatch):
         monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         requests = [_ChildFaultRequest(default_cell, _raise_value_error)]

@@ -4,13 +4,15 @@ A code line holds at least one token that is not a comment; blank lines,
 comment-only lines and docstrings (module, class and function) are not
 counted. Standard library only.
 
-Usage: ``python tools/code_lines.py [package_dir]``
+Usage: ``python tools/code_lines.py [package_dir]``. A reader that closes
+the pipe early (``| head -3``) ends it quietly, with exit status 1.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -62,4 +64,10 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop without a traceback,
+        # with stdout on devnull so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
