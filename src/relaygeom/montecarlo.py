@@ -105,9 +105,11 @@ _BLOCK_TRIALS = 64
 #: instead of growing with the cell.
 _BLOCK_RELAYS = 1 << 16
 #: The largest mean relay count per trial (``cell.mean_relay_count``) that
-#: a pass draws. One trial's field is drawn whole, 4 doubles per relay, so
-#: a trial at the bound holds ~0.5 GiB; a larger cell is refused before any
-#: draw (:func:`running_requests`).
+#: a pass draws; a larger cell is refused before any draw
+#: (:func:`running_requests`). A chosen limit: one trial's field is drawn
+#: whole, and just under the bound (R = 3268, lam = 0.5, 2 trials) one
+#: process peaked at 565 MiB RSS with one worker, and each of two workers
+#: at 559 MiB, so ~1.1 GiB together; the peak grows ~32 bytes per relay.
 MAX_MEAN_RELAYS = 1 << 24
 
 

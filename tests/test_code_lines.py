@@ -77,13 +77,23 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert rows == [["alpha", "13"], ["beta", "2"], ["total", "15"]]
 
 
-def test_a_closed_stdout_ends_it_quietly():
-    # as under ``| head -3``: the reader is gone before the first line
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_ends_it_quietly(unbuffered):
+    # as under ``| head -3``: the reader is gone before the first line. A
+    # pipe is block-buffered unless PYTHONUNBUFFERED is set; then nothing is
+    # written until the flush after main() returns
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         run = subprocess.run(
-            [sys.executable, str(_PATH)], stdout=write_end, stderr=subprocess.PIPE, timeout=60
+            [sys.executable, str(_PATH)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
         )
     finally:
         os.close(write_end)

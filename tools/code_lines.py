@@ -65,9 +65,13 @@ def main(argv: list[str]) -> int:
 
 if __name__ == "__main__":
     try:
-        sys.exit(main(sys.argv[1:]))
+        status = main(sys.argv[1:])
+        # a block-buffered stdout (a pipe, PYTHONUNBUFFERED unset) writes
+        # only here, so a closed pipe must raise inside this ``try``
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (``| head``): stop without a traceback,
         # with stdout on devnull so that the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        status = 1
+    sys.exit(status)
