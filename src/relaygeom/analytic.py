@@ -43,9 +43,6 @@ from .model import check_choice, check_count, check_finite, check_radii
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, integrate_1d
 from .specials import erfcx, i0e
 
-#: Variants of the doubly-connected mean measure, see :func:`outage_exact_csi`.
-LAMBDA_Q_METHODS = ("closed", "quadrature")
-
 # Budget of lambda_q_quadrature's radial integral at alpha != 2, whose two
 # bearing counts must also agree within rel_tol, and of the gate's mass
 # oracle (validation._angular_mass); tighter than the default.
@@ -669,22 +666,19 @@ def outage_exact_csi(
 
     With full channel knowledge an outage happens only when no relay decodes
     both hops, so the probability is the void probability
-    ``exp(-Lambda_q)`` of the doubly-connected field. ``lambda_q`` selects
-    the finite-cell ``"quadrature"`` mean (default; matches a simulation
-    confined to the cell) or the far-field ``"closed"`` form.
+    ``exp(-Lambda_q)`` of the doubly-connected field, with the finite-cell
+    mean :func:`lambda_q_quadrature`, which matches a simulation confined to
+    the cell. ``lambda_q`` takes only ``"quadrature"``. The far-field
+    :func:`lambda_q_closed` overcounts it and is not offered.
 
     Defined for a single-relay frame (``num_relays == 1``), where the two
     hop thresholds coincide.
     """
     if radio.num_relays != 1:
         raise ValueError("outage_exact_csi is defined for num_relays == 1")
-    check_choice("lambda_q", lambda_q, LAMBDA_Q_METHODS)
-    theta = compute_thresholds(radio).theta_second
-    if lambda_q == "closed":
-        mass = lambda_q_closed(cell, theta)
-    else:
-        mass = lambda_q_quadrature(cell, theta)
-    return math.exp(-mass)
+    # kept only because perfbench passes it; ROADMAP items 2 and 3 remove it
+    check_choice("lambda_q", lambda_q, ("quadrature",))
+    return math.exp(-lambda_q_quadrature(cell, compute_thresholds(radio).theta_second))
 
 
 def mean_count_from_bs(r, cell: CellGeometry, theta: float):

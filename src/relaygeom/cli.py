@@ -421,33 +421,31 @@ def write_svg(rows: list[SweepRow], path: str) -> None:
     """Log-scale outage chart, one series per (strategy, k): analytic solid,
     Monte Carlo dashed. Presentation only; every number shown is in the CSV.
     Missing values (the failed side of a row) and nonpositive probabilities
-    (below chart floor) are skipped."""
+    (below chart floor) are skipped; a row with either side present still
+    adds its SNR to the x ticks and its series to the legend."""
     if not rows:
         raise ValueError("refusing to write SVG without rows")
-    ok_rows = [r for r in rows if r.p_analytic is not None or r.p_mc is not None]
-    series_keys = sorted({(r.strategy, r.k) for r in ok_rows})
-    xs = sorted({r.snr_db for r in ok_rows})
-    ys = [
-        v
-        for r in ok_rows
-        for v in (r.p_analytic, r.p_mc)
-        if v is not None and v > _SVG_FLOOR
-    ]
-    if not xs or not ys:
+    xs, series = set(), {}
+    for r in rows:
+        if r.p_analytic is None and r.p_mc is None:
+            continue
+        xs.add(r.snr_db)
+        sides = series.setdefault((r.strategy, r.k), ([], []))
+        for pts, p in zip(sides, (r.p_analytic, r.p_mc)):
+            if p is not None and p > _SVG_FLOOR:
+                pts.append((r.snr_db, p))
+    low = min((p for sides in series.values() for pts in sides for _, p in pts), default=None)
+    if low is None:
         raise ValueError("no plottable rows for SVG")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo = 10.0 ** math.floor(math.log10(min(ys)))
-    y_hi = 1.0
-    span_x = max(x_hi - x_lo, 1e-9)
-    span_y = max(math.log10(y_hi) - math.log10(y_lo), 1e-9)
-    plot_w = _SVG_W - _SVG_ML - _SVG_MR
-    plot_h = _SVG_H - _SVG_MT - _SVG_MB
+    x_lo, decade = min(xs), math.floor(math.log10(low))  # the chart spans 10^decade .. 1
+    span_x, span_y = max(max(xs) - x_lo, 1e-9), max(-decade, 1e-9)
+    plot_w, plot_h = _SVG_W - _SVG_ML - _SVG_MR, _SVG_H - _SVG_MT - _SVG_MB
 
     def px(x: float) -> float:
         return _SVG_ML + (x - x_lo) / span_x * plot_w
 
     def py(p: float) -> float:
-        return _SVG_MT + (math.log10(y_hi) - math.log10(p)) / span_y * plot_h
+        return _SVG_MT - math.log10(p) / span_y * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
@@ -455,7 +453,6 @@ def write_svg(rows: list[SweepRow], path: str) -> None:
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_ML}" y="18" font-size="14">outage probability vs transmit SNR</text>',
     ]
-    decade = int(math.log10(y_lo))
     for d in range(decade, 1):
         y = py(10.0**d)
         parts.append(
@@ -463,28 +460,15 @@ def write_svg(rows: list[SweepRow], path: str) -> None:
             f'stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(f'<text x="8" y="{y + 4:.2f}">1e{d}</text>')
-    for x in xs:
-        parts.append(
-            f'<text x="{px(x) - 8:.2f}" y="{_SVG_H - _SVG_MB + 18}">{x:g}</text>'
-        )
-    parts.append(
-        f'<text x="{_SVG_ML + plot_w / 2 - 30:.2f}" y="{_SVG_H - 12}">SNR (dB)</text>'
-    )
+    parts.extend(f'<text x="{px(x) - 8:.2f}" y="{_SVG_H - _SVG_MB + 18}">{x:g}</text>' for x in sorted(xs))
+    parts.append(f'<text x="{_SVG_ML + plot_w / 2 - 30:.2f}" y="{_SVG_H - 12}">SNR (dB)</text>')
     parts.append(
         f'<rect x="{_SVG_ML}" y="{_SVG_MT}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333"/>'
     )
-    for idx, (strategy, k) in enumerate(series_keys):
+    for idx, ((strategy, k), sides) in enumerate(sorted(series.items())):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        label = "exact" if strategy == "exact" else f"stat k={k}"
-        for which, dash in (("p_analytic", ""), ("p_mc", ' stroke-dasharray="5,4"')):
-            pts = [
-                (r.snr_db, getattr(r, which))
-                for r in ok_rows
-                if (r.strategy, r.k) == (strategy, k)
-                and getattr(r, which) is not None
-                and getattr(r, which) > _SVG_FLOOR
-            ]
+        for pts, dash in zip(sides, ("", ' stroke-dasharray="5,4"')):
             if len(pts) >= 2:
                 coords = " ".join(f"{px(x):.2f},{py(p):.2f}" for x, p in sorted(pts))
                 parts.append(
@@ -496,6 +480,7 @@ def write_svg(rows: list[SweepRow], path: str) -> None:
             f'<line x1="{_SVG_W - _SVG_MR - 150}" y1="{ly - 4}" x2="{_SVG_W - _SVG_MR - 120}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
+        label = "exact" if strategy == "exact" else f"stat k={k}"
         parts.append(f'<text x="{_SVG_W - _SVG_MR - 114}" y="{ly}">{label} (mc dashed)</text>')
     parts.append("</svg>")
     _write_lines(parts, path)
@@ -602,8 +587,12 @@ def _cmd_outage_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_mean_count(args: argparse.Namespace) -> int:
     config = _config(args)
-    step = args.radius_step
-    radii = [i * step for i in range(int(math.floor(config.cell.outer_radius / step)) + 1)]
+    step, outer = args.radius_step, config.cell.outer_radius
+    if outer / step >= montecarlo.MAX_RADII:  # floor(outer / step) + 1 radii, counted before any is built
+        raise ConfigError(
+            f"--radius-step must give at most MAX_RADII = {montecarlo.MAX_RADII} radii on [0, {outer:g}], got {step!r}"
+        )
+    radii = [i * step for i in range(int(math.floor(outer / step)) + 1)]
     rows = run_mean_count(config, radii, snr_db=args.snr_db, workers=args.workers)
     return _emit(rows, config, {"snr_db": args.snr_db, "radius_step": step})
 

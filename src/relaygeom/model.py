@@ -11,8 +11,9 @@ guards every module shares. Each rule is written once, here:
   most an upper bound up to a relative rounding slack of 1e-12;
 * :func:`check_increasing` -- a nonempty, strictly increasing grid (SNR
   points, radii);
-* :func:`check_choice` -- one of a fixed set of options (strategies,
-  ``lambda_q`` methods).
+* :func:`check_choice` -- one of a fixed set of options (selection
+  strategies; ``outage_exact_csi``'s ``lambda_q``, whose one option is
+  ``"quadrature"``).
 
 Each raises a ``ValueError`` that names the argument.
 

@@ -345,10 +345,27 @@ def check_stat_csi_outage(estimates: list[montecarlo.OutageEstimate]) -> CheckRe
 # criterion 5: high-SNR slopes (diversity order)
 # ----------------------------------------------------------------------
 
+def _bessel_polynomial(k: int, x: float) -> float:
+    """``y_k(x) = sum_{j<=k} (k+j)! / ((k-j)! j!) (x/2)^j``, which is
+    ``E[prod_{j<=k} (1 + x T_j)]`` over the first ``k`` arrivals ``T_j`` of a
+    unit-rate Poisson process."""
+    f = math.factorial
+    return sum(f(k + j) // (f(k - j) * f(j)) * (x / 2) ** j for j in range(k + 1))
+
+
 def check_diversity_order() -> CheckResult:
     """On the analytic curves, the ranked-selection k=1 slope of
     log10(outage) per decade of SNR must be -1 +- 0.15 over 20-30 dB; the
-    exact-knowledge slope must be strictly steeper on the same grid."""
+    exact-knowledge slope must be strictly steeper on the same grid.
+
+    At 50-60 dB the rank-joint outage (:func:`exact_ranked_outage`) of
+    k = 1..3 must meet its high-SNR asymptote ``theta2^k y_k(1/(pi lam))``:
+    each of the k nearest relays fails with probability ~ ``theta2 (1 +
+    d^2)``, and the ``pi lam d^2`` are the arrivals of a unit-rate Poisson
+    process (see :func:`_bessel_polynomial`). Each slope must be -k +- 0.01
+    and the 60 dB value within a relative 2e-3 of it; the gap is first
+    order in ``theta2``, 5.5e-3 at 50 dB for k = 3 and 5.4e-4 at 60 dB.
+    """
     t0 = time.perf_counter()
     snr_grid = (20.0, 22.5, 25.0, 27.5, 30.0)
     decades = np.array(snr_grid) / 10.0
@@ -365,10 +382,20 @@ def check_diversity_order() -> CheckResult:
     slope_stat = float(np.polyfit(decades, np.log10(p_stat), 1)[0])
     slope_exact = float(np.polyfit(decades, np.log10(p_exact), 1)[0])
     ok = abs(slope_stat + 1.0) <= 0.15 and slope_exact < slope_stat
+    high, x = (50.0, 55.0, 60.0), 1.0 / (math.pi * DEFAULT_CELL.relay_intensity)
+    slopes, ratios = [], []  # per k: the slope at 50-60 dB, the 60 dB value over the asymptote
+    for k in (1, 2, 3):
+        radios = [RadioParams(snr_db=s, target_rate=DEFAULT_RATE, num_relays=k) for s in high]
+        p = [exact_ranked_outage(k, DEFAULT_CELL, radio) for radio in radios]
+        slopes.append(float(np.polyfit(np.array(high) / 10.0, np.log10(p), 1)[0]))
+        ratios.append(p[-1] / (compute_thresholds(radios[-1]).theta_second ** k * _bessel_polynomial(k, x)))
+    ok = ok and all(abs(s + k) <= 0.01 and abs(r - 1.0) <= 2e-3 for k, s, r in zip((1, 2, 3), slopes, ratios))
     return _finish(
         "diversity_order_slopes",
         ok,
-        f"ranked k=1 slope {slope_stat:+.3f} (target -1 +- 0.15); exact-knowledge slope {slope_exact:+.1f} (steeper)",
+        f"ranked k=1 slope {slope_stat:+.3f} (target -1 +- 0.15); exact-knowledge slope {slope_exact:+.1f} (steeper); "
+        f"rank-joint k=1/2/3 at 50-60 dB: slopes {'/'.join(f'{v:+.4f}' for v in slopes)} (target -k +- 0.01), "
+        f"60 dB over theta2^k y_k(1/(pi lam)) {'/'.join(f'{v:.5f}' for v in ratios)} (target 1 +- 2e-3)",
         t0,
     )
 

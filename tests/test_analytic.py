@@ -820,24 +820,37 @@ class TestOutageExact:
         }
         assert got == self.PINNED
 
+    @staticmethod
+    def _far_field(cell, radio) -> float:
+        """The void probability of the plane-wide field, exp(-lambda_q_closed)."""
+        return math.exp(-analytic.lambda_q_closed(cell, compute_thresholds(radio).theta_second))
+
     def test_void_probability_reference(self, default_cell):
         # snr such that the decoding threshold is exactly 0.1
         radio = RadioParams(snr_db=10 * math.log10(30.0), target_rate=1.0, num_relays=1)
-        p = analytic.outage_exact_csi(default_cell, radio, "closed")
+        p = self._far_field(default_cell, radio)
         assert p == pytest.approx(0.1584508648668925, abs=2e-4)
         assert p == pytest.approx(0.1585, abs=2e-4)
 
     def test_tends_to_one_at_low_snr(self, default_cell):
         radio = RadioParams(snr_db=-100.0, target_rate=1.0, num_relays=1)
-        assert analytic.outage_exact_csi(default_cell, radio, "closed") > 0.999999
+        assert self._far_field(default_cell, radio) > 0.999999
 
     def test_quadrature_at_least_closed(self, default_cell):
         # smaller mass inside the finite cell -> larger void probability
         for snr in (10.0, 20.0, 30.0):
             radio = RadioParams(snr_db=snr, target_rate=1.0, num_relays=1)
             p_quad = analytic.outage_exact_csi(default_cell, radio, "quadrature")
-            p_closed = analytic.outage_exact_csi(default_cell, radio, "closed")
+            p_closed = self._far_field(default_cell, radio)
             assert p_quad >= p_closed * (1 - 1e-12)
+
+    def test_only_the_finite_cell_mass_is_offered(self, default_cell):
+        radio = RadioParams(snr_db=10.0, target_rate=1.0, num_relays=1)
+        with pytest.raises(ValueError, match=r"^lambda_q must be one of \('quadrature',\), got 'closed'$"):
+            analytic.outage_exact_csi(default_cell, radio, "closed")
+        default = analytic.outage_exact_csi(default_cell, radio)
+        assert analytic.outage_exact_csi(default_cell, radio, "quadrature") == default
+        assert not hasattr(analytic, "LAMBDA_Q_METHODS")
 
     def test_validation(self, default_cell):
         with pytest.raises(ValueError):

@@ -384,6 +384,35 @@ class TestWriters:
             write_svg([], str(tmp_path / "no.svg"))
 
 
+class TestChartGolden:
+    """The chart's bytes pinned by sha256: a small sweep, and hand-built rows
+    with a missing side, a series wholly below the chart floor and a
+    single-SNR series. A refactor of :func:`write_svg` keeps them."""
+
+    @staticmethod
+    def _digest(rows, tmp_path) -> str:
+        path = tmp_path / "chart.svg"
+        write_svg(rows, str(path))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_small_sweep(self, tmp_path):
+        overrides = {"snr_grid_db": [5.0, 15.0, 25.0], "k_values": [1, 2], "trials": 20, "seed": 42}
+        rows = run_outage_sweep(parse_config(overrides=overrides))
+        assert self._digest(rows, tmp_path) == "1dc27cb1f066bc5c035f11e40636d59f3548dbc212594fa8bdcdfafdd34d4ce2"
+
+    def test_hand_built_rows(self, tmp_path):
+        rows = [
+            SweepRow(0.0, "exact", 1, 0.9, 0.85, 0.01, 100),
+            SweepRow(10.0, "exact", 1, 0.2, None, None, 100, "mc: failed"),
+            SweepRow(20.0, "exact", 1, 1e-3, 2e-3, 1e-3, 100),
+            SweepRow(0.0, "stat", 1, 1e-13, 1e-14, 0.0, 100),
+            SweepRow(10.0, "stat", 1, 1e-20, 0.0, 0.0, 100),
+            SweepRow(10.0, "stat", 2, 0.4, 0.35, 0.02, 100),
+            SweepRow(30.0, "stat", 3, None, None, None, 100, "analytic: x; mc: y"),
+        ]
+        assert self._digest(rows, tmp_path) == "11eb8561948aaca94a705c96b5b64e2847281b41bff5f2e47dcbd3996d771f28"
+
+
 class TestMeanCountCommand:
     def test_rows_and_zero_radius(self):
         config = parse_config(overrides={"trials": 300, "seed": 3})
@@ -624,6 +653,29 @@ class TestMainEntry:
         # refused before any work, as a configuration error naming the flag
         assert cli.main(argv) == 1
         assert f"configuration error: {flag} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["1e-300", "5e-324", repr(25 / 2**17)])
+    def test_radius_step_past_the_grid_bound(self, step, monkeypatch, capsys):
+        # the count comes from the step: nothing is built or run
+        def no_run(*args, **kwargs):
+            raise AssertionError("the grid was built and run")
+
+        monkeypatch.setattr(cli, "run_mean_count", no_run)
+        t0 = time.perf_counter()
+        assert cli.main(["mean-count", "--radius-step", step]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            "configuration error: --radius-step must give at most MAX_RADII = 131072 radii "
+            f"on [0, 25], got {float(step)!r}\n"
+        )
+
+    def test_radius_step_at_the_grid_bound(self, monkeypatch):
+        # 25 / step lies just below 2^17: floor(25 / step) + 1 = MAX_RADII radii
+        seen = []
+        monkeypatch.setattr(cli, "run_mean_count", lambda config, radii, **kw: seen.append(radii) or [])
+        monkeypatch.setattr(cli, "_emit", lambda rows, config, settings: 0)
+        assert cli.main(["mean-count", "--radius-step", repr(25 / (2**17 - 0.5))]) == 0
+        assert len(seen[0]) == montecarlo.MAX_RADII
 
     def test_defaults_are_the_gate_scenario(self):
         config = parse_config()

@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import weakref
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 import numpy as np
@@ -1045,6 +1046,29 @@ class TestEmpiricalMeanCount:
             mc.empirical_mean_count([1.0], default_cell, theta, 10, 0)
         with pytest.raises(ValueError, match="theta_first"):
             mc.kth_nearest_qualified_distances(default_cell, theta, 1, 10, 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_grid_past_the_radius_bound_is_refused_unread(self, workers, default_cell, monkeypatch):
+        class Unread(Sequence):
+            """MAX_RADII + 1 radii that are never built: reading one fails."""
+
+            def __len__(self):
+                return mc.MAX_RADII + 1
+
+            def __getitem__(self, index):
+                raise AssertionError("the grid was read")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a field was drawn or a worker started")
+
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "_start", no_draw)
+        monkeypatch.setattr(mc, "_draw_fields", no_draw)
+        assert mc.MAX_RADII == 2**17
+        with pytest.raises(ValueError, match=r"^radii must hold at most MAX_RADII = 131072 points, got 131073$"):
+            mc.empirical_mean_count(Unread(), default_cell, self.THETA, 10, 0, workers=workers)
+        grid = np.linspace(0.0, default_cell.outer_radius, mc.MAX_RADII)
+        assert len(mc.MeanCountRequest(grid, default_cell, self.THETA, 10).grid) == mc.MAX_RADII
 
 
 class TestMonotoneProperties:

@@ -132,6 +132,44 @@ class TestInnerIntegralCheck:
         assert len(calls) == 330
 
 
+class TestDiversityOrder:
+    """Criterion 5 holds the rank-joint outage at 50-60 dB to its high-SNR
+    asymptote ``theta2^k y_k(1/(pi lam))``."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 2.0 / math.pi, 3.0])
+    def test_bessel_polynomials(self, x):
+        expected = (1 + x, 1 + 3 * x + 3 * x**2, 1 + 6 * x + 15 * x**2 + 15 * x**3)
+        got = tuple(validation._bessel_polynomial(k, x) for k in (1, 2, 3))
+        assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_bessel_polynomial_is_the_poisson_product_mean(self):
+        # E[prod_{j<=k} (1 + x T_j)] over the first k arrivals of a unit-rate Poisson process
+        n, x = 200_000, 2.0 / math.pi
+        arrivals = np.cumsum(np.random.default_rng(3).standard_exponential((n, 3)), axis=1)
+        for k in (1, 2, 3):
+            product = np.prod(1.0 + x * arrivals[:, :k], axis=1)
+            sem = product.std(ddof=1) / math.sqrt(n)
+            assert abs(product.mean() - validation._bessel_polynomial(k, x)) < 4 * sem
+
+    def test_passes_with_its_figures(self):
+        result = validation.check_diversity_order()
+        assert result.passed, result.detail
+        assert "slopes -1.0001/-2.0006/-3.0021 (target -k +- 0.01)" in result.detail
+        assert "theta2^k y_k(1/(pi lam)) 1.00003/1.00016/1.00054 (target 1 +- 2e-3)" in result.detail
+
+    @pytest.mark.parametrize(
+        "skew",
+        [lambda snr: 1.003, lambda snr: 10.0 ** (0.002 * (60.0 - snr))],
+        ids=["value-off-by-3e-3", "slope-off-by-0.02"],
+    )
+    def test_fails_when_rank_joint_leaves_the_asymptote(self, skew, monkeypatch):
+        exact = validation.exact_ranked_outage
+        monkeypatch.setattr(
+            validation, "exact_ranked_outage", lambda k, cell, radio: exact(k, cell, radio) * skew(radio.snr_db)
+        )
+        assert not validation.check_diversity_order().passed
+
+
 class TestMeanCountCurves:
     def test_detail_reads_the_trials_from_the_curves(self):
         empirical = montecarlo.empirical_mean_count(
