@@ -23,8 +23,12 @@ measure seen either from the source or from the displaced destination:
 * ``mean_count_from_bs`` -- the source-view mean measure, closed since the
   thinned field is isotropic about the source; the twin of ``lambda_prime``.
 
-All closed forms assume ``path_loss_exponent == 2`` (they complete a square
-in the radial coordinate) and reject other exponents. ``theta == 0`` is
+The closed forms assume ``path_loss_exponent == 2`` (they complete a square
+in the radial coordinate), and so do the mass profile, its readers,
+``mean_count_from_bs`` and ``lambda_q_closed``: they reject other
+exponents. ``lambda_q_quadrature``
+and ``outage_exact_csi`` take any exponent >= 2 (one adaptive radial
+integral over a bearing rule where it is not 2). ``theta == 0`` is
 rejected wherever a ``1/theta`` prefactor appears; the homogeneous limits
 are documented in the tests instead. Every function here is pure and
 deterministic: identical inputs give bit-identical outputs.

@@ -48,7 +48,7 @@ from typing import ClassVar
 from . import montecarlo, validation
 from .analytic import lambda_prime, mean_count_from_bs, outage_exact_csi, outage_stat
 from .model import CellGeometry, RadioParams, compute_thresholds
-from .model import check_choice, check_finite, check_increasing, check_integer
+from .model import check_choice, check_finite, check_increasing, check_integer, check_thresholds
 from .montecarlo import OBSERVERS, STRATEGIES
 from .montecarlo import estimate_outage  # noqa: F401 - perfbench's tracer wraps this name
 
@@ -166,6 +166,11 @@ def parse_config(
     k_values = tuple(sorted(set(_listed(data, "k_values", _integer))))
     if "stat" in strategies and (not k_values or any(k < 1 for k in k_values)):
         raise ConfigError("k_values must be a nonempty set of integers >= 1 when 'stat' is selected")
+    if "snr_grid_db" in defaults:  # a command that reads the grid sweeps it: check each radio it builds
+        frames = ({1} if "exact" in strategies else set()) | (set(k_values) if "stat" in strategies else set())
+        for k in sorted(frames):
+            for snr in grid:
+                _checked(lambda: check_thresholds("snr_grid_db", snr, "rate", rate, k))
 
     trials = _count(data["trials"], "trials")
 
@@ -592,12 +597,14 @@ def _cmd_mean_count(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--radius-step must give at most MAX_RADII = {montecarlo.MAX_RADII} radii on [0, {outer:g}], got {step!r}"
         )
+    _checked(lambda: check_thresholds("--snr-db", args.snr_db, "rate", config.rate, 1))
     radii = [i * step for i in range(int(math.floor(outer / step)) + 1)]
     rows = run_mean_count(config, radii, snr_db=args.snr_db, workers=args.workers)
     return _emit(rows, config, {"snr_db": args.snr_db, "radius_step": step})
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    _checked(lambda: montecarlo.check_distances("k_max", validation.K_MAX, "--samples", args.samples))
     # validate's flags are run_all's keyword arguments, one for one
     flags = [name.replace("-", "_") for name in _COMMAND_FLAGS["validate"]]
     results = validation.run_all(**{flag: getattr(args, flag) for flag in flags}, workers=args.workers)
@@ -607,6 +614,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fk_check(args: argparse.Namespace) -> int:
+    _checked(lambda: montecarlo.check_distances("--k-max", args.k_max, "--samples", args.samples))
     t0 = time.perf_counter()
     draws = montecarlo.kth_nearest_qualified_distances(
         validation.DEFAULT_CELL, validation.THETA_15DB, args.k_max, args.samples, args.seed,

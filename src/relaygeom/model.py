@@ -13,7 +13,10 @@ guards every module shares. Each rule is written once, here:
   points, radii);
 * :func:`check_choice` -- one of a fixed set of options (selection
   strategies; ``outage_exact_csi``'s ``lambda_q``, whose one option is
-  ``"quadrature"``).
+  ``"quadrature"``);
+* :func:`check_thresholds` -- an SNR and a rate whose decoding thresholds
+  (:func:`compute_thresholds`) are finite floats, the rule of
+  :class:`RadioParams`.
 
 Each raises a ``ValueError`` that names the argument.
 
@@ -156,7 +159,9 @@ class RadioParams:
     ``snr_db`` is the ratio of source transmit power to receiver noise power
     in decibels. ``num_relays`` is the number ``k`` of relays scheduled for
     the cooperative phase; they split the source power evenly, so each one
-    transmits with ``1/k`` of it.
+    transmits with ``1/k`` of it. An ``snr_db`` or ``target_rate`` whose
+    decoding thresholds are not finite floats is refused, with a
+    ``ValueError`` naming the field (:func:`check_thresholds`).
     """
 
     snr_db: float
@@ -164,9 +169,9 @@ class RadioParams:
     num_relays: int = 1
 
     def __post_init__(self) -> None:
-        snr_db_to_linear(self.snr_db)  # refuses a non-finite snr_db
         check_finite("target_rate", self.target_rate, 0, strict=True)
         object.__setattr__(self, "num_relays", check_count("num_relays", self.num_relays))
+        check_thresholds("snr_db", self.snr_db, "target_rate", self.target_rate, self.num_relays)
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,30 @@ def compute_thresholds(radio: RadioParams) -> Thresholds:
         theta_first = (2 ** ((1 + k) * rate) - 1) / snr_linear
         theta_second = k * (2 ** ((1 + k) * rate) - 1) / snr_linear
     """
-    snr = snr_db_to_linear(radio.snr_db)
-    k = radio.num_relays
-    frame_term = 2.0 ** ((1 + k) * radio.target_rate) - 1.0
+    return _thresholds(radio.snr_db, radio.target_rate, radio.num_relays)
+
+
+def _thresholds(snr_db: float, rate: float, k: int) -> Thresholds:
+    snr = snr_db_to_linear(snr_db)
+    frame_term = 2.0 ** ((1 + k) * rate) - 1.0
     return Thresholds(theta_first=frame_term / snr, theta_second=k * frame_term / snr)
+
+
+def check_thresholds(snr_name: str, snr_db: float, rate_name: str, rate: float, num_relays: int) -> None:
+    """Refuse an SNR or a rate whose thresholds (:func:`compute_thresholds`)
+    at ``num_relays`` relays are not finite floats, with a ``ValueError``
+    naming ``rate_name`` where they are not finite at 0 dB (the frame term
+    ``2 ** ((1 + k) * rate)`` overflows), else ``snr_name`` (a non-finite
+    ``snr_db``, or ``10 ** (snr_db / 10)`` or a threshold past a float)."""
+    try:
+        _thresholds(snr_db, rate, num_relays)
+    except (ArithmeticError, ValueError):  # an overflow, a division by an SNR of 0, or an inf threshold
+        try:
+            _thresholds(0.0, rate, num_relays)
+        except (ArithmeticError, ValueError):
+            raise ValueError(
+                f"{rate_name} must give finite decoding thresholds at num_relays {num_relays}, got {rate!r}"
+            ) from None
+        raise ValueError(
+            f"{snr_name} must give finite decoding thresholds at rate {rate!r}, num_relays {num_relays}, got {snr_db!r}"
+        ) from None

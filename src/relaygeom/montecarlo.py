@@ -66,8 +66,10 @@ terminates them.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -112,11 +114,28 @@ _BLOCK_RELAYS = 1 << 16
 #: at 559 MiB, so ~1.1 GiB together; the peak grows ~32 bytes per relay.
 MAX_MEAN_RELAYS = 1 << 24
 #: The most radii a mean-count grid holds (:class:`MeanCountRequest`); a
-#: longer grid is refused before any draw. A chosen limit: each block's
-#: counts and sums grow with the grid, and at 2^17 radii ``mean-count`` at
-#: its default 4000 trials peaked at 484 MiB RSS with one worker, and at
-#: 423 MiB in the larger of two.
+#: longer grid is refused before any draw. A chosen limit: a block's counts
+#: and sums grow with the grid, and at 2^17 radii ``mean-count`` at its
+#: default 4000 trials peaked at 245 MiB RSS with one worker, and at 240 MiB
+#: in the larger of two (243 MiB at 64 trials: a pass keeps one running sum
+#: per request, so the peak does not grow with the trials).
 MAX_RADII = 1 << 17
+#: The highest rank a k-th-distance sample holds (:class:`KthDistancesRequest`'s
+#: ``k_max``); a higher one is refused before any draw
+#: (:func:`check_distances`). A chosen limit: criterion 6 holds ``k_max``
+#: order-statistic densities per profile node (696 nodes at 15 dB on the
+#: default cell). At the bound, ``fk-check --k-max 1024 --samples 16384``
+#: peaked at 294 MiB RSS with one worker (2.7 s), and at 288 MiB in the
+#: larger process with two.
+MAX_RANK = 1 << 10
+#: The most distances (trials times ``k_max``) a k-th-distance sample holds;
+#: a larger one is refused before any draw (:func:`check_distances`). A
+#: chosen limit: the sample is 8 bytes per distance, held once as its
+#: blocks and once joined, and criterion 6 sorts and tests each rank's
+#: column. At the bound ``fk-check`` peaked at 300 MiB RSS at 16 ranks
+#: (one worker, 29 s), and in the larger of two processes at 775 MiB at 3
+#: ranks (``validate``'s most, 85 s) and 1,549 MiB at one rank (289 s).
+MAX_DISTANCES = 1 << 24
 
 
 def _trial_state(seed: int, trial_index: int) -> dict:
@@ -137,13 +156,6 @@ def _trial_state(seed: int, trial_index: int) -> dict:
     }
 
 
-def _enter_trial(rng: np.random.Generator, seed: int, trial_index: int) -> np.random.Generator:
-    """Move the Philox generator ``rng`` onto the start of trial
-    ``trial_index``'s stream (:func:`_trial_state`) and return it."""
-    rng.bit_generator.state = _trial_state(seed, trial_index)
-    return rng
-
-
 def _pool(n: int) -> list[np.random.Generator]:
     """``n`` Philox generators to be placed on trial streams, built from one
     shared ``SeedSequence``: a generator built without one reads OS entropy
@@ -155,7 +167,9 @@ def _pool(n: int) -> list[np.random.Generator]:
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent, scheduling-invariant stream for one trial, on a generator
     of its own."""
-    return _enter_trial(_pool(1)[0], seed, trial_index)
+    rng = _pool(1)[0]
+    rng.bit_generator.state = _trial_state(seed, trial_index)
+    return rng
 
 
 def usable_cpus() -> int:
@@ -538,9 +552,11 @@ def run_requests(requests: Sequence, seed: int, *, workers: int = 1) -> list:
     equals what the request's function returns on its own, count for count.
     A request gives its ``cell``, its ``trials`` and the first-hop
     thresholds it reads (``thetas``); it reads each block it reaches
-    (``read(plan, block)``) and turns the list of what it read, in trial
-    order, into its result (``result(parts)``). Worker processes as in
-    :func:`running_requests`, which runs the pass.
+    (``read(plan, block)``), and what it reads adds in place by ``+=`` (an
+    array, or a list joined in trial order) into its part, which starts as
+    its read of no trial. It turns that one part into its result
+    (``result(part)``). Worker processes as in :func:`running_requests`,
+    which runs the pass.
     """
     with running_requests(requests, seed, workers=workers) as results:
         return results()
@@ -558,15 +574,15 @@ def running_requests(requests: Sequence, seed: int, *, workers: int = 1):
     ``with`` block runs, so it draws while the caller works; with one
     worker, the default, nothing is forked and the pass runs in this
     process when ``results()`` is called.
-    ``results()`` receives the parts in range order, raises a worker's
-    exception as its own, and raises ``RuntimeError`` naming the range of a
-    worker that exits without a part. On leaving the block, normally or by
-    an exception, every worker is terminated and joined, so none outlives
-    the block. Each trial owns its stream and the parts combine by integer
-    sums or in range order, so the results do not depend on the worker
-    count. A bad seed, and a cell whose ``mean_relay_count`` exceeds
-    :data:`MAX_MEAN_RELAYS`, raise ``ValueError`` before anything is drawn
-    or forked.
+    ``results()`` adds the workers' parts in range order (``+=``), raises
+    a worker's exception as its own, and raises ``RuntimeError`` naming the
+    range of a worker that exits without a part. On leaving the block,
+    normally or by an exception, every worker is terminated and joined, so
+    none outlives the block. Each trial owns its stream and the parts
+    combine by integer sums or in range order, so the results do not
+    depend on the worker count. A bad seed, and a cell whose
+    ``mean_relay_count`` exceeds :data:`MAX_MEAN_RELAYS`, raise
+    ``ValueError`` before anything is drawn or forked.
     """
     requests = tuple(requests)
     if not requests:
@@ -584,7 +600,7 @@ def running_requests(requests: Sequence, seed: int, *, workers: int = 1):
         )
 
     def merged(parts: list) -> list:
-        return [r.result([p for part in parts for p in part[i]]) for i, r in enumerate(requests)]
+        return [r.result(functools.reduce(operator.iadd, column)) for r, column in zip(requests, zip(*parts))]
 
     if workers == 1:
         yield lambda: merged([_pass(requests, seed, 0, trials)])
@@ -638,16 +654,20 @@ def _receive(receive, lo: int, hi: int) -> list:
 
 
 def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:
-    """Each request's part of trials ``start .. stop - 1``, the list of what
-    it read of each block, in block order: every block is drawn once and
-    read by each request up to that request's last trial."""
+    """Each request's part of trials ``start .. stop - 1``: what it reads of
+    no trial, with what it reads of each block added in place (``+=``), in
+    block order. Every block is drawn once and read by each request up to
+    that request's last trial; a request's part is all the pass keeps of its
+    earlier blocks, so the pass's memory does not grow with its trials."""
     plan = _Plan.of(theta for request in requests for theta in request.thetas)
-    parts = [[] for _ in requests]
+    parts = None
     lo = start
     for block in _blocks(requests[0].cell, plan, seed, start, stop):
-        for request, part in zip(requests, parts):
+        if parts is None:  # a request's zero: its read of the block's first 0 trials
+            parts = [request.read(plan, _head(block, 0)) for request in requests]
+        for i, request in enumerate(requests):
             if lo < request.trials:
-                part.append(request.read(plan, _head(block, request.trials - lo)))
+                parts[i] += request.read(plan, _head(block, request.trials - lo))
         lo += block[0].size
         # the block's columns are arrays of their own, not views of the
         # field buffer: freed before the next draw; held, they add a block
@@ -658,23 +678,22 @@ def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:
 
 class OutageGridRequest:
     """What :func:`estimate_outage_grid` computes, as a request for
-    :func:`run_requests`. ``rows`` keeps the rows as given, ``_rows`` as a
-    trial decides them."""
+    :func:`run_requests`. ``rows`` holds the rows as a trial decides them."""
 
     def __init__(self, cell: CellGeometry, rows: Sequence[tuple[str, RadioParams]], trials: int):
         if not rows:
             raise ValueError("rows must be nonempty")
-        self.cell, self.rows = cell, tuple(rows)
-        self._rows = tuple(_grid_row(strategy, radio) for strategy, radio in self.rows)
+        self.cell = cell
+        self.rows = tuple(_grid_row(strategy, radio) for strategy, radio in rows)
         self.trials = check_count("trials", trials)
-        self.thetas = tuple(row.theta_first for row in self._rows)
+        self.thetas = tuple(row.theta_first for row in self.rows)
 
     def read(self, plan: _Plan, block: tuple) -> np.ndarray:
-        return _decide(self.cell, plan, self._rows, block).sum(axis=1)
+        """The block's outage count of each row."""
+        return _decide(self.cell, plan, self.rows, block).sum(axis=1)
 
-    def result(self, parts: list) -> list[OutageEstimate]:
-        counts = sum(parts, np.zeros(len(self.rows), dtype=np.int64))
-        return [OutageEstimate.from_counts(count, self.trials) for count in counts.tolist()]
+    def result(self, part: np.ndarray) -> list[OutageEstimate]:
+        return [OutageEstimate.from_counts(count, self.trials) for count in part.tolist()]
 
 
 def estimate_outage_grid(
@@ -762,8 +781,8 @@ class MeanCountRequest:
             sums[:, i] = counts.sum(axis=0), (counts * counts).sum(axis=0)
         return sums
 
-    def result(self, parts: list) -> dict[str, list[MeanCountPoint]]:
-        s1, s2 = sum(parts, np.zeros((2, len(OBSERVERS), len(self.grid)), dtype=np.int64))
+    def result(self, part: np.ndarray) -> dict[str, list[MeanCountPoint]]:
+        s1, s2 = part
         trials = self.trials
         # one trial has no spread: s2 equals s1 * s1 and the variance is 0
         var = (s2 - s1 * s1 / trials) / max(trials - 1, 1)
@@ -797,19 +816,36 @@ def empirical_mean_count(
     return run_requests([request], seed, workers=workers)[0]
 
 
+def check_distances(k_name: str, k_max, trials_name: str, trials) -> tuple[int, int]:
+    """``(k_max, trials)`` as ints if each is an integer >= 1 (see
+    :func:`~relaygeom.model.check_count`), ``k_max`` is at most
+    :data:`MAX_RANK` and ``trials * k_max`` at most :data:`MAX_DISTANCES`;
+    else a ``ValueError`` naming ``k_name`` or ``trials_name``. The one rule
+    of a k-th-distance sample's size."""
+    k_max, trials = check_count(k_name, k_max), check_count(trials_name, trials)
+    if k_max > MAX_RANK:
+        raise ValueError(f"{k_name} must be at most MAX_RANK = {MAX_RANK}, got {k_max}")
+    if trials * k_max > MAX_DISTANCES:
+        raise ValueError(
+            f"{trials_name} must be at most {MAX_DISTANCES // k_max} at {k_max} ranks "
+            f"(MAX_DISTANCES = {MAX_DISTANCES} distances), got {trials}"
+        )
+    return k_max, trials
+
+
 class KthDistancesRequest:
     """What :func:`kth_nearest_qualified_distances` computes, as a request
-    for :func:`run_requests`."""
+    for :func:`run_requests`; its size is bounded by :func:`check_distances`."""
 
     def __init__(self, cell: CellGeometry, theta_first: float, k_max: int, trials: int):
-        self.k_max = check_count("k_max", k_max)
+        self.k_max, self.trials = check_distances("k_max", k_max, "trials", trials)
         check_finite("theta_first", theta_first, 0)
         self.cell, self.theta_first = cell, theta_first
-        self.trials = check_count("trials", trials)
         self.thetas = (theta_first,)
 
-    def read(self, plan: _Plan, block: tuple) -> np.ndarray:
-        """The block's rows: each trial's ``k_max`` smallest destination
+    def read(self, plan: _Plan, block: tuple) -> list[np.ndarray]:
+        """The block's rows, as a list of one array (so ``+=`` lists the
+        blocks in trial order): each trial's ``k_max`` smallest destination
         distances, sorted, ``inf`` past its relay count."""
         sizes, _, _, d2, _ = _qualified(plan, self.theta_first, block)
         d = np.sqrt(d2)
@@ -821,10 +857,10 @@ class KthDistancesRequest:
         present = ranks < sizes[:, None]
         out = np.full((sizes.size, self.k_max), np.inf)
         out[present] = d[(begins[:, None] + ranks)[present]]
-        return out
+        return [out]
 
-    def result(self, parts: list) -> np.ndarray:
-        return np.concatenate([np.empty((0, self.k_max)), *parts])
+    def result(self, part: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(part)
 
 
 def kth_nearest_qualified_distances(
@@ -843,7 +879,8 @@ def kth_nearest_qualified_distances(
     ``k`` relays qualified are ``inf`` (the distance distribution is
     defective). Trials are drawn as in :func:`empirical_mean_count`, so row
     ``t`` lists the nearest relays that the loosest row of an outage grid at
-    threshold ``theta_first`` qualifies in trial ``t``. Worker processes as
+    threshold ``theta_first`` qualifies in trial ``t``. ``k_max`` and
+    ``trials`` are bounded by :func:`check_distances`. Worker processes as
     in :func:`run_requests`.
     """
     request = KthDistancesRequest(cell, theta_first, k_max, trials)

@@ -25,7 +25,6 @@ import math
 import os
 import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -605,60 +604,53 @@ def run_all(
 
     One :func:`~relaygeom.montecarlo.running_requests` pass at ``seed``
     over ``max(trials, samples, mean_count_trials)`` trials draws what
-    criteria 3, 4, 6 and 7 judge: criteria 3 and 4 read its first ``trials``
-    trials, criterion 6 its first ``samples`` and criterion 7 its first
-    ``mean_count_trials``. ``workers`` sets the pass's worker processes; no
-    result depends on it. At the default of 1 the pass runs in this process
-    after the other checks; with more, while they draw, this process runs
-    criteria 1, 2, 5 and 8 and criterion 9's one-worker sweep. Criterion
-    9's two-worker sweep runs after the pass's workers have been joined:
-    moved into the window, it gave no gain (perfbench ``gate`` 0.850 s
-    against 0.857 s per body on 2 vCPUs).
+    criteria 3, 4, 6 and 7 judge (:func:`_pass_requests`): criteria 3 and 4
+    read its first ``trials`` trials, criterion 6 its first ``samples`` and
+    criterion 7 its first ``mean_count_trials``. ``workers`` sets the pass's
+    worker processes; no result depends on it. At the default of 1 the pass
+    runs in this process after the other checks; with more, while they
+    draw, this process runs criteria 1, 2, 5 and 8 and criterion 9's
+    one-worker sweep. Criterion 9's two-worker sweep runs after the pass's
+    workers have been joined: moved into the window, it gave no gain
+    (perfbench ``gate`` 0.850 s against 0.857 s per body on 2 vCPUs).
 
     Each check keeps its own seconds. The pass is timed in criterion 4's
-    only, from opening it to reading its results, and the details of
-    criteria 3, 6 and 7 say so. That span holds the checks run while the
-    workers draw, so the seconds of a run no longer add up to its wall
-    time.
+    only, from opening it to reading its results (:func:`_judge_pass`), and
+    the details of criteria 3, 6 and 7 say so. That span holds the checks
+    run while the workers draw, so the seconds of a run no longer add up to
+    its wall time.
     """
-    with _monte_carlo_checks(trials, samples, mean_count_trials, seed, workers) as judge:
+    t0 = time.perf_counter()
+    requests = _pass_requests(trials, samples, mean_count_trials)
+    with montecarlo.running_requests(requests, seed, workers=workers) as results:
         inner, far_field = check_inner_integral(), check_far_field_mean()
         slopes, normalization = check_diversity_order(), check_normalization()
         one_worker = _cli_sweep(1)
-        exact, stat, fk, mean_count = judge()
+        exact, stat, fk, mean_count = _judge_pass(results(), time.perf_counter() - t0)
     determinism = check_cli_determinism(one_worker, _cli_sweep(2))
     return [inner, far_field, exact, stat, slopes, fk, mean_count, normalization, determinism]
 
 
-@contextmanager
-def _monte_carlo_checks(
-    trials: int, samples: int, mean_count_trials: int, seed: int, workers: int
-):
-    """Start the pass of :func:`run_all` and yield ``judge()``, which waits
-    for it and returns criteria 3, 4, 6 and 7 judged on it, as
-    :func:`run_all` says; the workers draw until the block ends."""
-    t0 = time.perf_counter()
-    requests = [
+def _pass_requests(trials: int, samples: int, mean_count_trials: int) -> list:
+    """The requests of :func:`run_all`'s pass, in the order of its
+    results: criteria 3 and 4's outage grid, criterion 6's distances and
+    criterion 7's mean counts."""
+    return [
         montecarlo.OutageGridRequest(DEFAULT_CELL, _EXACT_CSI_ROWS + _STAT_CSI_ROWS, trials),
         montecarlo.KthDistancesRequest(DEFAULT_CELL, THETA_15DB, K_MAX, samples),
         montecarlo.MeanCountRequest(_MEAN_COUNT_RADII, DEFAULT_CELL, THETA_15DB, mean_count_trials),
     ]
-    with montecarlo.running_requests(requests, seed, workers=workers) as results:
 
-        def judge() -> list[CheckResult]:
-            estimates, draws, empirical = results()
-            drawn = time.perf_counter() - t0
-            split = len(_EXACT_CSI_ROWS)
-            stat = check_stat_csi_outage(estimates[split:])
 
-            def shared(result: CheckResult) -> CheckResult:
-                return replace(result, detail=result.detail + _SHARED_DRAW_NOTE)
-
-            return [
-                shared(check_exact_csi_outage(estimates[:split])),
-                replace(stat, seconds=stat.seconds + drawn),
-                shared(check_fk_distribution(draws)),
-                shared(check_mean_count_curves(empirical)),
-            ]
-
-        yield judge
+def _judge_pass(results: list, drawn: float) -> list[CheckResult]:
+    """Criteria 3, 4, 6 and 7 judged on ``results``, what the pass of
+    :func:`_pass_requests` returns, which took ``drawn`` seconds: criterion
+    4's result counts them, and the other three say so
+    (:data:`_SHARED_DRAW_NOTE`)."""
+    estimates, draws, empirical = results
+    split = len(_EXACT_CSI_ROWS)
+    stat = check_stat_csi_outage(estimates[split:])
+    exact = check_exact_csi_outage(estimates[:split])
+    fk, mean_count = check_fk_distribution(draws), check_mean_count_curves(empirical)
+    noted = [replace(r, detail=r.detail + _SHARED_DRAW_NOTE) for r in (exact, fk, mean_count)]
+    return [noted[0], replace(stat, seconds=stat.seconds + drawn), *noted[1:]]

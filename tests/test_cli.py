@@ -677,6 +677,87 @@ class TestMainEntry:
         assert cli.main(["mean-count", "--radius-step", repr(25 / (2**17 - 0.5))]) == 0
         assert len(seen[0]) == montecarlo.MAX_RADII
 
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["outage-sweep", "--snr-grid-db", "1e308"], "snr_grid_db must give finite decoding thresholds"),
+            (["outage-sweep", "--snr-grid-db", "-4000"], "snr_grid_db must give finite decoding thresholds"),
+            (["outage-sweep", "--rate", "600"], "rate must give finite decoding thresholds"),
+            (["outage-sweep", "--rate", "300", "--k-values", "1,3"], "rate must give finite decoding thresholds"),
+            (["mean-count", "--snr-db", "1e308"], "--snr-db must give finite decoding thresholds"),
+            (["mean-count", "--rate", "600"], "rate must give finite decoding thresholds"),
+        ],
+    )
+    def test_thresholds_past_a_float_are_configuration_errors(self, argv, refusal, monkeypatch, capsys):
+        # each radio the command runs is built before anything runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "run_outage_sweep", no_run)
+        monkeypatch.setattr(cli, "run_mean_count", no_run)
+        t0 = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith(f"configuration error: {refusal}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["outage-sweep", "--rate", "300", "--strategies", "exact", "--k-values", "3"],  # runs one relay only
+            ["mean-count", "--rate", "300"],  # one relay, whatever the sweep's frame sizes
+            ["outage-sweep", "--snr-grid-db", "3000"],
+        ],
+    )
+    def test_radios_the_command_does_not_run_are_not_refused(self, argv, monkeypatch):
+        monkeypatch.setattr(cli, "run_outage_sweep", lambda config, **kw: [])
+        monkeypatch.setattr(cli, "run_mean_count", lambda config, radii, **kw: [])
+        monkeypatch.setattr(cli, "_emit", lambda *args: 0)
+        assert cli.main(argv) == 0
+
+    def test_parse_config_builds_each_radio_of_the_sweep(self):
+        # at -3075 dB one relay's thresholds are finite and two relays' are not
+        refusal = r"^snr_grid_db must give finite decoding thresholds at rate 1\.0, num_relays 2, got -3075\.0$"
+        with pytest.raises(ConfigError, match=refusal):
+            parse_config(overrides={"snr_grid_db": "-3075,0"})
+        assert parse_config(overrides={"snr_grid_db": "-3075,0", "strategies": "exact"}).snr_grid_db == (-3075.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["fk-check", "--k-max", "1000000"], "--k-max must be at most MAX_RANK = 1024, got 1000000"),
+            (
+                ["fk-check", "--k-max", "1024", "--samples", "16385"],
+                "--samples must be at most 16384 at 1024 ranks (MAX_DISTANCES = 16777216 distances), got 16385",
+            ),
+            (
+                ["validate", "--samples", "1e9"],
+                "--samples must be at most 5592405 at 3 ranks (MAX_DISTANCES = 16777216 distances), got 1000000000",
+            ),
+        ],
+    )
+    def test_distance_samples_past_their_bounds(self, argv, refusal, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(montecarlo, "kth_nearest_qualified_distances", no_run)
+        monkeypatch.setattr(cli.validation, "run_all", no_run)
+        t0 = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == f"configuration error: {refusal}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fk-check", "--k-max", "1024", "--samples", "16384"], ["validate", "--samples", "5592405"]],
+    )
+    def test_distance_samples_at_their_bounds(self, argv, monkeypatch):
+        seen = []
+        monkeypatch.setattr(montecarlo, "kth_nearest_qualified_distances", lambda *a, **kw: seen.append(a))
+        monkeypatch.setattr(validation, "check_fk_distribution", lambda draws: validation.CheckResult("", True, "", 0.0))
+        monkeypatch.setattr(cli.validation, "run_all", lambda **kw: seen.append(kw) or [])
+        assert cli.main(argv) == 0
+        assert len(seen) == 1
+
     def test_defaults_are_the_gate_scenario(self):
         config = parse_config()
         assert (config.cell, config.rate) == (validation.DEFAULT_CELL, validation.DEFAULT_RATE)
@@ -874,8 +955,8 @@ class TestMainEntry:
         rc = cli.main(["fk-check", "--samples", "300", "--seed", "42", "--workers", str(workers)])
         out = capsys.readouterr().out
         status, detail = re.fullmatch(r"(\[\w+\]) \S+ \([\d.]+s\): (.*)\n", out).groups()
-        with validation._monte_carlo_checks(50, 300, 50, 42, workers) as judge:
-            gate = judge()[2]
+        results = montecarlo.run_requests(validation._pass_requests(50, 300, 50), 42, workers=workers)
+        gate = validation._judge_pass(results, 0.0)[2]
         assert gate.name == "kth_nearest_distance_ks"
         assert detail == gate.detail.removesuffix(validation._SHARED_DRAW_NOTE)
         assert (status, rc) == (("[PASS]", 0) if gate.passed else ("[FAIL]", 2))

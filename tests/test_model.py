@@ -12,6 +12,7 @@ from relaygeom.model import (
     Thresholds,
     check_choice,
     check_increasing,
+    check_thresholds,
     compute_thresholds,
     snr_db_to_linear,
 )
@@ -142,6 +143,47 @@ def test_cell_mean_relay_count():
 def test_radio_params_invariants(kwargs):
     with pytest.raises(ValueError):
         RadioParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(snr_db=3090.0, target_rate=1.0), "snr_db"),  # 10 ** 309 overflows
+        (dict(snr_db=-4000.0, target_rate=1.0), "snr_db"),  # 10 ** -400 is 0: a division by zero
+        (dict(snr_db=-3080.0, target_rate=1.0, num_relays=2), "snr_db"),  # theta_second alone is inf
+        (dict(snr_db=10.0, target_rate=600.0), "target_rate"),  # 2 ** 1200 overflows
+        (dict(snr_db=10.0, target_rate=300.0, num_relays=3), "target_rate"),
+        (dict(snr_db=-10.0, target_rate=511.0), "snr_db"),  # finite at 0 dB, not at -10 dB
+        (dict(snr_db=math.nan, target_rate=1.0), "snr_db"),
+    ],
+)
+def test_radio_thresholds_past_a_float_are_refused_by_name(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must give finite decoding thresholds"):
+        RadioParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(snr_db=3082.0, target_rate=1.0),
+        dict(snr_db=-3000.0, target_rate=1.0, num_relays=3),
+        dict(snr_db=10.0, target_rate=300.0),  # 2 ** 600 at one relay
+        dict(snr_db=10.0, target_rate=255.0, num_relays=3),
+    ],
+)
+def test_radios_just_inside_a_float_keep_their_thresholds(kwargs):
+    th = compute_thresholds(RadioParams(**kwargs))
+    assert math.isfinite(th.theta_first) and math.isfinite(th.theta_second)
+
+
+def test_threshold_rule_names_the_callers_settings():
+    with pytest.raises(ValueError, match=r"^rate must give finite decoding thresholds at num_relays 3, got 300\.0$"):
+        check_thresholds("snr_grid_db", 10.0, "rate", 300.0, 3)
+    with pytest.raises(
+        ValueError, match=r"^--snr-db must give finite decoding thresholds at rate 1\.0, num_relays 1, got 1e\+308$"
+    ):
+        check_thresholds("--snr-db", 1e308, "rate", 1.0, 1)
+    assert check_thresholds("snr_grid_db", 30.0, "rate", 300.0, 1) is None
 
 
 def test_thresholds_reject_negative():

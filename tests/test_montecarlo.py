@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import tracemalloc
 import weakref
 from collections.abc import Sequence
 from types import SimpleNamespace
@@ -77,7 +78,8 @@ class TestTrialRng:
         rng = mc.trial_rng(3, 9)
         for t in (0, 1, 7, 2**32 + 1, 2**40):
             draws(rng)
-            moved = draws(mc._enter_trial(rng, seed, t))
+            rng.bit_generator.state = mc._trial_state(seed, t)
+            moved = draws(rng)
             documented = np.random.Philox(key=seed % 2**128, counter=[0, 0, 0, t])
             for reference in (np.random.Generator(documented), mc.trial_rng(seed, t)):
                 for a, b in zip(moved, draws(reference), strict=True):
@@ -1181,3 +1183,67 @@ class TestKthNearestDistances:
             runs.append(mc.empirical_mean_count(grid, default_cell, 1.5, trials, 3))
         assert all(np.array_equal(run, runs[0]) for run in runs[0::2])
         assert all(run == runs[1] for run in runs[1::2])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_row_per_block_on_two_workers(self, workers, default_cell, monkeypatch):
+        # 150 one-trial blocks, so each worker's part joins 75 row blocks in
+        # trial order; the rows are pinned bit for bit
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "_BLOCK_TRIALS", 1)
+        out = mc.kth_nearest_qualified_distances(default_cell, 0.0948, 3, 150, 42, workers=workers)
+        assert out.shape == (150, 3)
+        assert out[149].tolist() == [3.0844215113488698, 4.28704460279355, 4.364365997957316]
+        digest = hashlib.sha256(out.tobytes()).hexdigest()
+        assert digest == "ae9810fee2fec4614bacbee8f722225224e2ae2e70c9da8ec4620998a2236175"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "k_max, trials, refusal",
+        [
+            (2**10 + 1, 1, r"^k_max must be at most MAX_RANK = 1024, got 1025$"),
+            (10**6, 10**6, r"^k_max must be at most MAX_RANK = 1024, got 1000000$"),
+            (
+                3,
+                2**24 // 3 + 1,
+                r"^trials must be at most 5592405 at 3 ranks \(MAX_DISTANCES = 16777216 distances\), got 5592406$",
+            ),
+        ],
+    )
+    def test_a_sample_past_the_size_bounds_is_refused_before_any_draw(
+        self, k_max, trials, refusal, workers, default_cell, monkeypatch
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a field was drawn or a worker started")
+
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc, "_start", no_draw)
+        monkeypatch.setattr(mc, "_draw_fields", no_draw)
+        assert (mc.MAX_RANK, mc.MAX_DISTANCES) == (2**10, 2**24)
+        with pytest.raises(ValueError, match=refusal):
+            mc.kth_nearest_qualified_distances(default_cell, 0.0948, k_max, trials, 0, workers=workers)
+        request = mc.KthDistancesRequest(default_cell, 0.0948, mc.MAX_RANK, mc.MAX_DISTANCES // mc.MAX_RANK)
+        assert (request.k_max, request.trials) == (1024, 16384)
+
+
+class TestPassMemory:
+    """A pass keeps one running part per request: its memory does not grow
+    with the trials it draws."""
+
+    def test_a_mean_count_pass_holds_one_part(self):
+        # 2^14 radii: a block's sums are 2 x 2 x 2^14 int64, 512 KiB; a pass
+        # that kept every block's sums held 19 more at 1280 trials (~9.5
+        # MiB). The cell is small (~6 relays per trial) so that the field
+        # buffer, which a one-block pass makes only after its read, is too.
+        cell = CellGeometry(cell_radius=2.0, dest_distance=1.0, relay_intensity=0.5)
+        radii = np.linspace(0.0, cell.outer_radius, 2**14)
+
+        def peak(trials: int) -> int:
+            request = mc.MeanCountRequest(radii, cell, 0.05, trials)
+            tracemalloc.start()
+            try:
+                mc.run_requests([request], 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(1280) - peak(64)) < 512 * 1024

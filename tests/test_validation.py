@@ -353,8 +353,8 @@ class TestRunAllSharesDraws:
         alone = self._standalone(**sizes, workers=1)
         for block in (1, 7, 64, 1000):
             monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", block)
-            with validation._monte_carlo_checks(**sizes, seed=42, workers=workers) as judge:
-                self._assert_shared_equal_alone(judge(), alone)
+            results = montecarlo.run_requests(validation._pass_requests(**sizes), 42, workers=workers)
+            self._assert_shared_equal_alone(validation._judge_pass(results, 0.0), alone)
 
     def test_one_pass_per_run_and_no_memo(self, passes):
         first = validation.run_all(**self.SIZES, workers=1)
