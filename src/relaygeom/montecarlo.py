@@ -54,13 +54,14 @@ that threshold makes, and hands each kept relay the second-hop gain that
 draw would give it; a view at a looser threshold thins the same way, since
 it holds every relay that a tighter one keeps. An outage grid decides every
 row on a block with array operations (:func:`_decide`); mean counts count the
-relays within each radius for both observers without sorting; k-th nearest
-distances sort each trial's slice in place. Each result reads only its own
-trial's relays, so none depends on the block size or on the other requests
-of the pass. Worker processes take contiguous ranges of trials; parts
-combine by integer sums or in range order. :func:`running_requests` forks
-them before its caller's ``with`` block runs, each holding its range from
-the fork, so the caller can work while they draw; leaving the block
+relays within each radius for both observers without sorting, in one count
+array per block; k-th nearest distances order the block's relays in one
+sort, by trial and then by squared distance. Each result reads only its
+own trial's relays, so none depends on the block size or on the other
+requests of the pass. Worker processes take contiguous ranges of trials;
+parts combine by integer sums or in range order. :func:`running_requests`
+forks them before its caller's ``with`` block runs, each holding its range
+from the fork, so the caller can work while they draw; leaving the block
 terminates them.
 """
 
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import operator
 import os
 from contextlib import contextmanager
@@ -115,10 +115,11 @@ _BLOCK_RELAYS = 1 << 16
 MAX_MEAN_RELAYS = 1 << 24
 #: The most radii a mean-count grid holds (:class:`MeanCountRequest`); a
 #: longer grid is refused before any draw. A chosen limit: a block's counts
-#: and sums grow with the grid, and at 2^17 radii ``mean-count`` at its
-#: default 4000 trials peaked at 245 MiB RSS with one worker, and at 240 MiB
-#: in the larger of two (243 MiB at 64 trials: a pass keeps one running sum
-#: per request, so the peak does not grow with the trials).
+#: grow with the grid, and at 2^17 radii ``mean-count`` at its default 4000
+#: trials peaked at 160 MiB RSS with one worker, and at 156 MiB in the
+#: largest process with two (a block holds one count array, 64 MiB here, and
+#: a pass one running sum per request, so the peak does not grow with the
+#: trials).
 MAX_RADII = 1 << 17
 #: The highest rank a k-th-distance sample holds (:class:`KthDistancesRequest`'s
 #: ``k_max``); a higher one is refused before any draw
@@ -625,6 +626,8 @@ def _start(requests: tuple, seed: int, lo: int, hi: int):
     ``lo .. hi - 1`` (:func:`_pass`) and sends ``(True, parts)`` or
     ``(False, exception)`` down a one-way pipe; return the process and the
     pipe's receiving end."""
+    import multiprocessing  # deferred: a pass that forks no worker never loads it
+
     receive, send = multiprocessing.Pipe(duplex=False)
     worker = multiprocessing.Process(target=_work, args=(send, requests, seed, lo, hi))
     worker.start()
@@ -757,7 +760,7 @@ class MeanCountRequest:
         grid = check_increasing("radii", (float(r) for r in radii))
         check_radii("radii", grid, cell.outer_radius)
         check_finite("theta_first", theta_first, 0)
-        self.cell, self.grid, self.theta_first = cell, grid, theta_first
+        self.cell, self.grid, self.theta_first = cell, np.asarray(grid), theta_first
         self.trials = check_count("trials", trials)
         self.thetas = (theta_first,)
 
@@ -770,15 +773,18 @@ class MeanCountRequest:
         along the grid, gives the counts without sorting.
         """
         sizes, trial, radii, d2, _ = _qualified(plan, self.theta_first, block)
-        grid = np.asarray(self.grid)
-        bins = grid.size + 1
+        bins = self.grid.size + 1
         offset = trial * bins
-        sums = np.empty((2, len(OBSERVERS), grid.size), dtype=np.int64)
+        sums = np.empty((2, len(OBSERVERS), self.grid.size), dtype=np.int64)
         for i, d in enumerate((radii, np.sqrt(d2))):
-            first = offset + np.searchsorted(grid, d, side="left")
-            hist = np.bincount(first, minlength=sizes.size * bins).reshape(sizes.size, bins)
-            counts = hist[:, :-1].cumsum(axis=1)
-            sums[:, i] = counts.sum(axis=0), (counts * counts).sum(axis=0)
+            first = offset + np.searchsorted(self.grid, d, side="left")
+            counts = np.bincount(first, minlength=sizes.size * bins).reshape(sizes.size, bins)
+            # one (trials x bins) array: its running sums along the grid are
+            # taken in place, its last bin (beyond the grid) is never read,
+            # and it is freed before the next observer's
+            counts = np.cumsum(counts, axis=1, out=counts)[:, :-1]
+            sums[:, i] = counts.sum(axis=0), np.einsum("tr,tr->r", counts, counts)
+            del counts
         return sums
 
     def result(self, part: np.ndarray) -> dict[str, list[MeanCountPoint]]:
@@ -788,7 +794,7 @@ class MeanCountRequest:
         var = (s2 - s1 * s1 / trials) / max(trials - 1, 1)
         means, stderrs = (s1 / trials).tolist(), np.sqrt(np.maximum(var, 0.0) / trials).tolist()
         return {
-            observer: [MeanCountPoint(*point, trials) for point in zip(self.grid, means[o], stderrs[o])]
+            observer: [MeanCountPoint(*point, trials) for point in zip(self.grid.tolist(), means[o], stderrs[o])]
             for o, observer in enumerate(OBSERVERS)
         }
 
@@ -847,16 +853,13 @@ class KthDistancesRequest:
         """The block's rows, as a list of one array (so ``+=`` lists the
         blocks in trial order): each trial's ``k_max`` smallest destination
         distances, sorted, ``inf`` past its relay count."""
-        sizes, _, _, d2, _ = _qualified(plan, self.theta_first, block)
-        d = np.sqrt(d2)
-        ends = np.cumsum(sizes)
-        begins = ends - sizes
-        for a, b in zip(begins.tolist(), ends.tolist()):
-            d[a:b].sort()
+        sizes, trial, _, d2, _ = _qualified(plan, self.theta_first, block)
+        # ordered by trial, then by d2: a square root keeps that order
+        d = np.sqrt(d2[np.lexsort((d2, trial))])
         ranks = np.arange(self.k_max)
         present = ranks < sizes[:, None]
         out = np.full((sizes.size, self.k_max), np.inf)
-        out[present] = d[(begins[:, None] + ranks)[present]]
+        out[present] = d[((np.cumsum(sizes) - sizes)[:, None] + ranks)[present]]
         return [out]
 
     def result(self, part: list[np.ndarray]) -> np.ndarray:

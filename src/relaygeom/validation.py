@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -562,6 +561,8 @@ class Sweep(NamedTuple):
 def _cli_sweep(workers: int) -> Sweep:
     """Criterion 9's 2000-trial, 9-row ``outage-sweep`` at seed 7, run
     through ``cli.main`` with ``--workers`` set to ``workers``."""
+    import tempfile  # deferred: only criterion 9 writes a file
+
     from . import cli  # deferred: cli imports this module for `validate`
 
     t0 = time.perf_counter()

@@ -1224,6 +1224,71 @@ class TestKthNearestDistances:
         request = mc.KthDistancesRequest(default_cell, 0.0948, mc.MAX_RANK, mc.MAX_DISTANCES // mc.MAX_RANK)
         assert (request.k_max, request.trials) == (1024, 16384)
 
+    def test_read_sorts_each_trial_of_a_hand_built_block(self, default_cell):
+        # four trials: ties within a trial, an empty trial, one relay fewer
+        # than k_max, and a trial whose distances all lie below the first's,
+        # so a sort that did not key on the trial first would mix the rows
+        k_max = 4
+        slices = [[9.0, 1.0, 4.0, 1.0, 4.0], [], [2.0], [0.25, 0.04, 0.25, 0.01, 0.04, 0.09]]
+        sizes = np.array([len(d2) for d2 in slices])
+        trial = np.repeat(np.arange(sizes.size), sizes)
+        d2 = np.array([v for d in slices for v in d])
+        block = (sizes, trial, np.sqrt(d2), d2, np.ones(d2.size))
+        request = mc.KthDistancesRequest(default_cell, 0.1, k_max, sizes.size)
+        (out,) = request.read(mc._Plan.of([0.1]), block)
+        assert out.shape == (sizes.size, k_max)
+        for row, values in zip(out, slices):
+            want = np.full(k_max, np.inf)
+            kept = np.sort(np.sqrt(np.array(values)))[:k_max]
+            want[: kept.size] = kept
+            assert row.tobytes() == want.tobytes()
+
+
+class TestCheckDistances:
+    """The one rule of a k-th-distance sample's size, named by its caller."""
+
+    @pytest.mark.parametrize(
+        "k_max, trials",
+        [(2**10, 2**24 // 2**10), (1, 2**24), (2**10, 1), (3, 2**24 // 3)],
+    )
+    def test_samples_at_the_bounds_pass(self, k_max, trials):
+        assert (mc.MAX_RANK, mc.MAX_DISTANCES) == (2**10, 2**24)
+        got = mc.check_distances("--k-max", k_max, "--samples", trials)
+        assert got == (k_max, trials) and all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize(
+        "k_max, trials, refusal",
+        [
+            (2**10 + 1, 1, r"^--k-max must be at most MAX_RANK = 1024, got 1025$"),
+            (
+                2**10,
+                2**24 // 2**10 + 1,
+                r"^--samples must be at most 16384 at 1024 ranks \(MAX_DISTANCES = 16777216 distances\), got 16385$",
+            ),
+            (
+                1,
+                2**24 + 1,
+                r"^--samples must be at most 16777216 at 1 ranks \(MAX_DISTANCES = 16777216 distances\), got 16777217$",
+            ),
+        ],
+    )
+    def test_one_past_a_bound_is_refused_by_the_callers_name(self, k_max, trials, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            mc.check_distances("--k-max", k_max, "--samples", trials)
+
+    @pytest.mark.parametrize(
+        "k_max, trials, name",
+        [
+            (True, 10, "--k-max"),
+            (3.0, 10, "--k-max"),
+            (3, False, "--samples"),
+            (3, 10.0, "--samples"),
+        ],
+    )
+    def test_a_bool_or_a_float_is_refused(self, k_max, trials, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
+            mc.check_distances("--k-max", k_max, "--samples", trials)
+
 
 class TestPassMemory:
     """A pass keeps one running part per request: its memory does not grow
@@ -1247,3 +1312,20 @@ class TestPassMemory:
                 tracemalloc.stop()
 
         assert abs(peak(1280) - peak(64)) < 512 * 1024
+
+    def test_a_mean_count_block_holds_one_count_array(self):
+        # one 64-trial block at 2^14 radii: its per-trial counts are one
+        # (trials x (radii + 1)) int64 array, ~8 MiB, whose running sums are
+        # taken in place and whose squares are summed without a copy; a read
+        # that copied the running sums and squared them held three (~24 MiB).
+        # The cell is the small one above.
+        cell = CellGeometry(cell_radius=2.0, dest_distance=1.0, relay_intensity=0.5)
+        trials, size = 64, 2**14
+        request = mc.MeanCountRequest(np.linspace(0.0, cell.outer_radius, size), cell, 0.05, trials)
+        tracemalloc.start()
+        try:
+            mc.run_requests([request], 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * trials * (size + 1) * 8
