@@ -46,23 +46,25 @@ relay counts, then the qualified relays of its trials concatenated,
 grouped by trial in input order: trial indices, source distances, squared
 destination distances, second-hop gains, and the first-hop gains and
 losses when some threshold is tighter than the loosest.
-A request brings its own first-hop threshold and its own trial count: it
-reads the pass's first trials up to its count, and of each block the relays
-qualified at its threshold. One function, :func:`_thin`, thins a block
-to a threshold, by the same ``gains >= theta * loss`` test that a draw at
-that threshold makes, and hands each kept relay the second-hop gain that
-draw would give it; a view at a looser threshold thins the same way, since
-it holds every relay that a tighter one keeps. An outage grid decides every
-row on a block with array operations (:func:`_decide`); mean counts count the
-relays within each radius for both observers without sorting, in one count
-array per block; k-th nearest distances order the block's relays in one
-sort, by trial and then by squared distance. Each result reads only its
-own trial's relays, so none depends on the block size or on the other
-requests of the pass. Worker processes take contiguous ranges of trials;
-parts combine by integer sums or in range order. :func:`running_requests`
-forks them before its caller's ``with`` block runs, each holding its range
-from the fork, so the caller can work while they draw; leaving the block
-terminates them.
+A request brings its own first-hop thresholds and its own trial count: it
+reads the pass's first trials up to its count, and of each block the views
+at its thresholds. A view holds the block's relays qualified at one
+threshold, in the block's layout. Each block is thinned once for every
+threshold that some request reads (:func:`_ladder`), from the loosest up,
+each view from the one before, by one function, :func:`_thin`: it keeps
+the relays that pass the ``gains >= theta * loss`` test a draw at that
+threshold makes, and hands each the second-hop gain that draw would give
+it; a looser view holds every relay that a tighter one keeps. An outage
+grid decides every row on its threshold's view with array operations
+(:func:`_decide`); mean counts count the relays within each radius for
+both observers without sorting, in one count array per block; k-th
+nearest distances order the block's relays in one sort, by trial and then
+by squared distance. Each result reads only its own trial's relays, so
+none depends on the block size or on the other requests of the pass.
+Worker processes take contiguous ranges of trials; parts combine by
+integer sums or in range order. :func:`running_requests` forks them before
+its caller's ``with`` block runs, each holding its range from the fork, so
+the caller can work while they draw; leaving the block terminates them.
 """
 
 from __future__ import annotations
@@ -95,10 +97,13 @@ OBSERVERS = ("bs", "dest")
 #: angle, first-hop gain and loss), about 1.3 MB on the default cell, in the
 #: one field buffer that :func:`_blocks` keeps for its blocks; once
 #: drawn it holds the qualified relays of this many trials (up to ~630 each
-#: on the default cell), and one decision's traced peak is ~1.9 MB at 64,
-#: ~7.7 MB at 256. Going from 16 to 64 raised perfbench's peak RSS by ~4% on
-#: ``gate`` and ~5% on ``mc_outage`` (``BENCH_block64.json``); drawing whole
-#: blocks raised it by another ~3.5% on both (``BENCH_blockdraw.json``).
+#: on the default cell), ~1.1 MB at 64 and ~4.5 MB at 256. Its views at
+#: criterion 4's 21 thresholds (:func:`_ladder`) add ~2.1 MB at 64 and
+#: ~8.4 MB at 256, and one decision's traced peak, the views included, is
+#: ~2.9 MB at 64, ~11.6 MB at 256. Going from 16 to 64 raised perfbench's
+#: peak RSS by ~4% on ``gate`` and ~5% on ``mc_outage``
+#: (``BENCH_block64.json``); drawing whole blocks raised it by another
+#: ~3.5% on both (``BENCH_blockdraw.json``).
 _BLOCK_TRIALS = 64
 #: A block's mean relay count, at most, unless one trial alone holds more.
 #: Cells up to ~1,000 relays per trial (the default cell has ~630) keep
@@ -208,19 +213,6 @@ class _Row(NamedTuple):
     k: int
 
 
-class _Plan(NamedTuple):
-    """The loosest first-hop threshold that the requests of one pass read,
-    and whether some request reads a tighter one."""
-
-    theta_min: float
-    nested: bool
-
-    @classmethod
-    def of(cls, thetas) -> "_Plan":
-        thetas = set(thetas)
-        return cls(min(thetas), len(thetas) > 1)
-
-
 def _draw_fields(
     cell: CellGeometry, gens: Sequence[np.random.Generator], out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -284,17 +276,17 @@ def sq_dists_to_dest(radii: np.ndarray, angles: np.ndarray, dest_distance: float
 
 def _draw_block(
     cell: CellGeometry,
-    plan: _Plan,
+    thetas: Sequence[float],
     gens: Sequence[np.random.Generator],
     field_buf: np.ndarray | None = None,
 ) -> tuple:
     """The trials drawn on ``gens``, one generator per trial, as one block
-    ``(sizes, trial, radii, d2, g2, *first)``: the per-trial counts of
-    relays qualified under the plan's loosest threshold, then per such relay
-    its trial's index in the block, its source distance, squared
-    destination distance and second-hop gain, plus its first-hop gain and
-    loss when some request reads a tighter threshold; grouped by trial, in
-    input order.
+    ``(sizes, trial, radii, d2, g2, *first)`` to be read at the increasing
+    first-hop thresholds ``thetas``: the per-trial counts of relays
+    qualified at the loosest, then per such relay its trial's index in the
+    block, its source distance, squared destination distance and second-hop
+    gain, plus its first-hop gain and loss when a tighter threshold follows
+    (:func:`_ladder` thins to it); grouped by trial, in input order.
 
     Each generator draws its trial in the module docstring's order: the
     field and first-hop gains (:func:`_draw_fields`), then a second-hop
@@ -322,8 +314,10 @@ def _draw_block(
     ends, (radii, turns, gains, loss) = _draw_fields(cell, gens, out=field_buf)
     np.power(radii, cell.path_loss_exponent, out=loss)
     loss += 1.0
-    # a block without the first-hop columns keeps no loss: scaled in place
-    scaled = np.multiply(loss, plan.theta_min, out=None if plan.nested else loss)
+    # read at one threshold, a block keeps no first-hop columns and scales
+    # the loss in place: keeping them always cost ``mc_outage`` ~3% wall
+    # time, worse in 9 of 10 alternated benchmark pairs
+    scaled = np.multiply(loss, thetas[0], out=loss if len(thetas) == 1 else None)
     keep = (gains >= scaled).nonzero()[0]
     kept_ends = keep.searchsorted(ends)
     g2 = np.empty(keep.size)
@@ -340,14 +334,15 @@ def _draw_block(
     sizes = kept_ends.copy()
     sizes[1:] -= kept_ends[:-1]
     block = (sizes, np.repeat(np.arange(sizes.size), sizes), radii, d2, g2)
-    return block + (gains[keep], loss[keep]) if plan.nested else block
+    return block if len(thetas) == 1 else block + (gains[keep], loss[keep])
 
 
-def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
-    """Yield trials ``start .. stop - 1`` drawn under ``plan`` as blocks of up
-    to :data:`_BLOCK_TRIALS` trials, and of at most ``_BLOCK_RELAYS /
-    cell.mean_relay_count`` but at least one (see :func:`_draw_block`), each
-    trial on a generator of the pool moved onto its stream.
+def _blocks(cell: CellGeometry, thetas: Sequence[float], seed: int, start: int, stop: int):
+    """Yield trials ``start .. stop - 1`` drawn for the increasing first-hop
+    thresholds ``thetas`` as blocks of up to :data:`_BLOCK_TRIALS` trials,
+    and of at most ``_BLOCK_RELAYS / cell.mean_relay_count`` but at least
+    one (see :func:`_draw_block`), each trial on a generator of the pool
+    moved onto its stream.
 
     The pool (:func:`_pool`) is built once per call from one shared
     ``SeedSequence``, which reads no OS entropy. So is one state template,
@@ -377,34 +372,42 @@ def _blocks(cell: CellGeometry, plan: _Plan, seed: int, start: int, stop: int):
         for t, rng in enumerate(gens, lo):
             counter[3] = t
             rng.bit_generator.state = state
-        yield _draw_block(cell, plan, gens, field_buf)
+        yield _draw_block(cell, thetas, gens, field_buf)
         if field_buf is None:
             field_buf = np.empty(4 * math.ceil(mean + 5.0 * math.sqrt(mean) + 5.0))
 
 
-def _head(block: tuple, n: int) -> tuple:
-    """The first ``n`` trials of a block."""
-    sizes = block[0]
-    if n >= sizes.size:
-        return block
-    relays = int(sizes[:n].sum())
-    return (sizes[:n], *(col[:relays] for col in block[1:]))
+def _ladder(block: tuple, thetas: Sequence[float]) -> dict:
+    """The block's view at each of the increasing thresholds ``thetas`` it
+    was drawn for (:func:`_draw_block`): the block itself at the loosest,
+    and above it the relays qualified at that threshold, in the order and
+    with the values that a draw at it alone gives. The views are built from
+    the loosest up, each thinned from the one before (:func:`_thin`); once
+    one is empty, it serves every tighter threshold."""
+    views, view = {}, block
+    for theta in thetas:
+        if views and view[1].size:
+            view = _thin(block, view, theta)
+        views[theta] = view
+    return views
 
 
-def _qualified(plan: _Plan, theta_first: float, block: tuple) -> tuple:
-    """The block's relays qualified at ``theta_first``, as a block without
-    the first-hop columns, ``(sizes, trial, radii, d2, g2)``, in the order
-    and with the values that a draw at ``theta_first`` alone gives: all of
-    them at the plan's loosest threshold, else those whose first-hop gain
-    passes the test of :func:`_draw_block` (:func:`_thin`)."""
-    view = block if theta_first == plan.theta_min else _thin(block, block, theta_first)
-    return view[:5]
+def _head(views: dict, n: int) -> dict:
+    """The first ``n`` trials of each view; ``views`` itself when it holds
+    no more."""
+    heads = {}
+    for theta, (sizes, *cols) in views.items():
+        if n >= sizes.size:  # every view holds the block's trials
+            return views
+        relays = int(sizes[:n].sum())
+        heads[theta] = (sizes[:n], *(col[:relays] for col in cols))
+    return heads
 
 
 def _thin(block: tuple, view: tuple, theta_first: float) -> tuple:
     """The relays of ``view`` whose first-hop gain passes the test of
     :func:`_draw_block` at ``theta_first``, as a view ``(sizes, trial,
-    radii, d2, g2, gains, loss)`` of the nested ``block``. ``view`` is the
+    radii, d2, g2, gains, loss)`` of ``block``. ``view`` is the
     block itself or a view of it at a threshold not above ``theta_first``,
     so it holds every relay that passes. A trial's j-th qualified relay
     takes the block's j-th second-hop gain of that trial, which is the gain
@@ -419,33 +422,34 @@ def _thin(block: tuple, view: tuple, theta_first: float) -> tuple:
     return counts, tid, radii[keep], d2[keep], g2, gains[keep], loss[keep]
 
 
-def _decide(cell: CellGeometry, plan: _Plan, rows: Sequence[_Row], block: tuple) -> np.ndarray:
-    """Outage flags, shape ``(rows, trials)``, of a block of trials.
-
-    A row reads the block's relays qualified at its first-hop threshold,
-    one view per threshold. The thresholds are visited from the loosest up,
-    each view thinned from the one before (:func:`_thin`), so a tight
-    threshold tests only the relays that passed the looser ones. Exact
-    knowledge is an outage iff no relay succeeds; distance ranking as in
-    :func:`_ranked_outages`. Once a view is empty, so is every tighter one:
-    its rows and all later ones are outages in every trial.
-    """
-    n = block[0].size
-    alpha = cell.path_loss_exponent
+def _by_theta(rows: Sequence[_Row]) -> list:
+    """The ``(index, row)`` pairs of ``rows`` grouped by first-hop
+    threshold, loosest first."""
     by_theta = {}
     for i, row in enumerate(rows):
-        by_theta.setdefault(row.theta_first, []).append(i)
+        by_theta.setdefault(row.theta_first, []).append((i, row))
+    return sorted(by_theta.items())
+
+
+def _decide(cell: CellGeometry, rows: Sequence[_Row], by_theta: list, views: dict) -> np.ndarray:
+    """Outage flags, shape ``(rows, trials)``, of a block of trials.
+
+    A row reads the block's view at its first-hop threshold (``views``,
+    from :func:`_ladder`); ``by_theta`` groups the rows by it
+    (:func:`_by_theta`). Exact knowledge is an outage iff no relay
+    succeeds; distance ranking as in :func:`_ranked_outages`. Once a view
+    is empty, so is every tighter one: its rows and all later ones are
+    outages in every trial.
+    """
+    n = views[by_theta[0][0]][0].size
+    alpha = cell.path_loss_exponent
     out = np.ones((len(rows), n), dtype=bool)
-    view = block
-    for theta_first in sorted(by_theta):
-        if theta_first != plan.theta_min:
-            view = _thin(block, view, theta_first)
-        _, tid, _, d2, g2, *_ = view
+    for theta_first, group in by_theta:
+        _, tid, _, d2, g2, *_ = views[theta_first]
         if tid.size == 0:
             break
         loss2 = 1.0 + (d2 if alpha == 2.0 else d2 ** (0.5 * alpha))
-        for i in by_theta[theta_first]:
-            _, theta_second, k = rows[i]
+        for i, (_, theta_second, k) in group:
             succ = g2 >= theta_second * loss2
             if k:
                 out[i] = _ranked_outages(d2, succ, tid, n, k)
@@ -501,8 +505,9 @@ def _trial_outages(
     cell: CellGeometry, rows: Sequence[_Row], rng: np.random.Generator
 ) -> list[bool]:
     """One trial decided for every row: whether each is an outage."""
-    plan = _Plan.of(row.theta_first for row in rows)
-    return _decide(cell, plan, rows, _draw_block(cell, plan, [rng]))[:, 0].tolist()
+    thetas = sorted({row.theta_first for row in rows})
+    views = _ladder(_draw_block(cell, thetas, [rng]), thetas)
+    return _decide(cell, rows, _by_theta(rows), views)[:, 0].tolist()
 
 
 def trial_exact_csi(cell: CellGeometry, thresholds: Thresholds, rng: np.random.Generator) -> bool:
@@ -547,15 +552,17 @@ def run_requests(requests: Sequence, seed: int, *, workers: int = 1) -> list:
     from one pass over trials ``0 .. max(trials) - 1``; returns one result
     per request, in request order.
 
-    Each trial is drawn once, under the loosest first-hop threshold that any
-    request reads (:func:`_draw_block`), and read by every request whose
-    ``trials`` reach it, at that request's own thresholds. So each result
-    equals what the request's function returns on its own, count for count.
-    A request gives its ``cell``, its ``trials`` and the first-hop
-    thresholds it reads (``thetas``); it reads each block it reaches
-    (``read(plan, block)``), and what it reads adds in place by ``+=`` (an
-    array, or a list joined in trial order) into its part, which starts as
-    its read of no trial. It turns that one part into its result
+    Each trial is drawn once, at the loosest first-hop threshold that any
+    request reads (:func:`_draw_block`), and each block is thinned once to
+    every threshold that some request reads (:func:`_ladder`). Every request
+    whose ``trials`` reach a block reads those views, cut to its trials, at
+    its own thresholds. So each result equals what the request's function
+    returns on its own, count for count. A request gives its ``cell``, its
+    ``trials`` and the first-hop thresholds it reads (``thetas``); it reads
+    the views of each block it reaches, a dict keyed by threshold
+    (``read(views)``), and what it reads adds in place by ``+=`` (an array,
+    or a list joined in trial order) into its part, which starts as its
+    read of no trial. It turns that one part into its result
     (``result(part)``). Worker processes as in :func:`running_requests`,
     which runs the pass.
     """
@@ -659,23 +666,25 @@ def _receive(receive, lo: int, hi: int) -> list:
 def _pass(requests: tuple, seed: int, start: int, stop: int) -> list:
     """Each request's part of trials ``start .. stop - 1``: what it reads of
     no trial, with what it reads of each block added in place (``+=``), in
-    block order. Every block is drawn once and read by each request up to
-    that request's last trial; a request's part is all the pass keeps of its
-    earlier blocks, so the pass's memory does not grow with its trials."""
-    plan = _Plan.of(theta for request in requests for theta in request.thetas)
+    block order. Every block is drawn once, thinned once to each threshold
+    (:func:`_ladder`), and read by each request up to that request's last
+    trial; a request's part is all the pass keeps of its earlier blocks, so
+    the pass's memory does not grow with its trials."""
+    thetas = sorted({theta for request in requests for theta in request.thetas})
     parts = None
     lo = start
-    for block in _blocks(requests[0].cell, plan, seed, start, stop):
+    for block in _blocks(requests[0].cell, thetas, seed, start, stop):
+        views = _ladder(block, thetas)
         if parts is None:  # a request's zero: its read of the block's first 0 trials
-            parts = [request.read(plan, _head(block, 0)) for request in requests]
+            parts = [request.read(_head(views, 0)) for request in requests]
         for i, request in enumerate(requests):
             if lo < request.trials:
-                parts[i] += request.read(plan, _head(block, request.trials - lo))
+                parts[i] += request.read(_head(views, request.trials - lo))
         lo += block[0].size
         # the block's columns are arrays of their own, not views of the
-        # field buffer: freed before the next draw; held, they add a block
-        # to the peak memory
-        del block
+        # field buffer: freed with its views before the next draw; held,
+        # they add a block to the peak memory
+        del block, views
     return parts
 
 
@@ -690,10 +699,11 @@ class OutageGridRequest:
         self.rows = tuple(_grid_row(strategy, radio) for strategy, radio in rows)
         self.trials = check_count("trials", trials)
         self.thetas = tuple(row.theta_first for row in self.rows)
+        self.by_theta = _by_theta(self.rows)
 
-    def read(self, plan: _Plan, block: tuple) -> np.ndarray:
+    def read(self, views: dict) -> np.ndarray:
         """The block's outage count of each row."""
-        return _decide(self.cell, plan, self.rows, block).sum(axis=1)
+        return _decide(self.cell, self.rows, self.by_theta, views).sum(axis=1)
 
     def result(self, part: np.ndarray) -> list[OutageEstimate]:
         return [OutageEstimate.from_counts(count, self.trials) for count in part.tolist()]
@@ -764,7 +774,7 @@ class MeanCountRequest:
         self.trials = check_count("trials", trials)
         self.thetas = (theta_first,)
 
-    def read(self, plan: _Plan, block: tuple) -> np.ndarray:
+    def read(self, views: dict) -> np.ndarray:
         """Sums over the block's trials of the per-trial counts within each
         grid radius and of their squares, shape ``(2, observers, radii)``.
 
@@ -772,7 +782,7 @@ class MeanCountRequest:
         point ``>= d`` on, so a per-trial histogram of that index, accumulated
         along the grid, gives the counts without sorting.
         """
-        sizes, trial, radii, d2, _ = _qualified(plan, self.theta_first, block)
+        sizes, trial, radii, d2, *_ = views[self.theta_first]
         bins = self.grid.size + 1
         offset = trial * bins
         sums = np.empty((2, len(OBSERVERS), self.grid.size), dtype=np.int64)
@@ -849,11 +859,11 @@ class KthDistancesRequest:
         self.cell, self.theta_first = cell, theta_first
         self.thetas = (theta_first,)
 
-    def read(self, plan: _Plan, block: tuple) -> list[np.ndarray]:
+    def read(self, views: dict) -> list[np.ndarray]:
         """The block's rows, as a list of one array (so ``+=`` lists the
         blocks in trial order): each trial's ``k_max`` smallest destination
         distances, sorted, ``inf`` past its relay count."""
-        sizes, trial, _, d2, _ = _qualified(plan, self.theta_first, block)
+        sizes, trial, _, d2, *_ = views[self.theta_first]
         # ordered by trial, then by d2: a square root keeps that order
         d = np.sqrt(d2[np.lexsort((d2, trial))])
         ranks = np.arange(self.k_max)

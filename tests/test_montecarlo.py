@@ -89,7 +89,7 @@ class TestTrialRng:
 def _qualified(cell: CellGeometry, theta: float, rng) -> tuple:
     """The source distances and squared destination distances of one trial's
     relays qualified at ``theta``."""
-    return mc._draw_block(cell, mc._Plan.of([theta]), [rng])[2:4]
+    return mc._draw_block(cell, [theta], [rng])[2:4]
 
 
 def _kept_fraction(ring_field, radius: float, theta: float, n: int, rng) -> float:
@@ -530,25 +530,31 @@ class TestRunRequests:
         # range and the mean-count request's at its tight end; the three
         # trial counts end in different blocks and, at 2 workers, in
         # different ranges, and each block size puts the block edges
-        # elsewhere in the prefixes
+        # elsewhere in the prefixes. A second pass adds a k-th nearest
+        # request looser than every row, so the pass draws at a threshold
+        # that no row reads and every row reads a thinned view
         rows, grid = _mixed_rows((10.0, 25.0)), [0.0, 2.0, 7.5, 25.0]
         kth_alone = mc.kth_nearest_qualified_distances(default_cell, 0.01, 3, 130, 5)
         outage_alone = mc.estimate_outage_grid(default_cell, rows, 70, 5)
         counts_alone = mc.empirical_mean_count(grid, default_cell, 1.5, 40, 5)
+        loose_alone = mc.kth_nearest_qualified_distances(default_cell, 0.005, 2, 90, 5)
         for block in (1, 7, 64, 1000):
             monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
-            kth, outage, counts = mc.run_requests(
-                [
-                    mc.KthDistancesRequest(default_cell, 0.01, 3, 130),
-                    mc.OutageGridRequest(default_cell, rows, 70),
-                    mc.MeanCountRequest(grid, default_cell, 1.5, 40),
-                ],
-                5,
-                workers=workers,
-            )
-            assert kth.tobytes() == kth_alone.tobytes(), block
-            assert outage == outage_alone, block
-            assert counts == counts_alone, block
+            for loose in ([], [mc.KthDistancesRequest(default_cell, 0.005, 2, 90)]):
+                kth, outage, counts, *rest = mc.run_requests(
+                    [
+                        mc.KthDistancesRequest(default_cell, 0.01, 3, 130),
+                        mc.OutageGridRequest(default_cell, rows, 70),
+                        mc.MeanCountRequest(grid, default_cell, 1.5, 40),
+                        *loose,
+                    ],
+                    5,
+                    workers=workers,
+                )
+                assert kth.tobytes() == kth_alone.tobytes(), block
+                assert outage == outage_alone, block
+                assert counts == counts_alone, block
+                assert [r.tobytes() for r in rest] == [loose_alone.tobytes()] * len(loose), block
 
     def test_rejects_no_request_and_mixed_cells(self, default_cell):
         with pytest.raises(ValueError, match="nonempty"):
@@ -650,10 +656,10 @@ class _ChildFaultRequest(mc.KthDistancesRequest):
         super().__init__(cell, 0.01, 3, 130)
         self.fault, self.parent = fault, os.getpid()
 
-    def read(self, plan, block):
+    def read(self, views):
         if os.getpid() != self.parent:
             self.fault()
-        return super().read(plan, block)
+        return super().read(views)
 
 
 def _raise_value_error():
@@ -685,7 +691,9 @@ class TestEmptyViews:
     def test_no_thinning_or_ranking_after_a_view_empties(self, monkeypatch, default_cell):
         # criteria 3 and 4's 25 rows on 64 trials: the tightest first-hop
         # thresholds keep no relay, and a view tighter than an empty one is
-        # empty too, so neither it nor its rows cost a numpy call
+        # empty too, so neither it nor its rows cost a numpy call. The
+        # ladder thins every view before any row is decided, so a ranking
+        # past the empty view would read it: an empty d2
         thin, ranked, empty = mc._thin, mc._ranked_outages, []
 
         def counting_thin(block, view, theta_first):
@@ -696,7 +704,7 @@ class TestEmptyViews:
             return out
 
         def counting_ranked(d2, succ, trial, n, k):
-            assert not empty and d2.size, "_ranked_outages called on an empty view"
+            assert d2.size, "_ranked_outages called on an empty view"
             return ranked(d2, succ, trial, n, k)
 
         monkeypatch.setattr(mc, "_thin", counting_thin)
@@ -708,34 +716,61 @@ class TestEmptyViews:
 
 class TestQualifiedView:
     def test_equals_the_draw_at_each_threshold(self, default_cell):
-        # every first-hop threshold of criteria 3 and 4's 25-row plan: the
-        # view thinned from the plan's block is the block a draw at that
-        # threshold alone gives, column for column, second-hop gains included
+        # every first-hop threshold of criteria 3 and 4's 25 rows: the view
+        # that the ladder thins from the block drawn for all of them is the
+        # block a draw at that threshold alone gives, column for column,
+        # second-hop gains included
         rows = validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS
         thetas = sorted({mc._grid_row(s, r).theta_first for s, r in rows})
-        plan = mc._Plan.of(thetas)
-        assert len(rows) == 25 and len(thetas) == 21 and plan.nested
-        (block,) = mc._blocks(default_cell, plan, 9, 40, 57)
+        assert len(rows) == 25 and len(thetas) == 21
+        (block,) = mc._blocks(default_cell, thetas, 9, 40, 57)
+        views = mc._ladder(block, thetas)
+        assert list(views) == thetas and views[thetas[0]] is block
         for theta in thetas:
-            (alone,) = mc._blocks(default_cell, mc._Plan.of([theta]), 9, 40, 57)
-            view = mc._qualified(plan, theta, block)
-            assert len(view) == len(alone) == 5, theta
+            (alone,) = mc._blocks(default_cell, [theta], 9, 40, 57)
+            view = views[theta]
+            assert len(view) == 7 and len(alone) == 5, theta
             for got, want in zip(view, alone):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), theta
-
 
     def test_each_view_thins_from_the_looser_one(self, default_cell):
         # criteria 3 and 4's thresholds, loosest first: thinning the view
         # at the threshold before gives the view thinned from the block
         rows = validation._EXACT_CSI_ROWS + validation._STAT_CSI_ROWS
         thetas = sorted({mc._grid_row(s, r).theta_first for s, r in rows})
-        plan = mc._Plan.of(thetas)
-        (block,) = mc._blocks(default_cell, plan, 9, 40, 104)
+        (block,) = mc._blocks(default_cell, thetas, 9, 40, 104)
         view = block
         for theta in thetas[1:]:
             view = mc._thin(block, view, theta)
             for got, want in zip(view, mc._thin(block, block, theta), strict=True):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), theta
+
+
+def test_a_pass_thins_each_threshold_of_a_block_once(monkeypatch):
+    # run_all's pass at reduced sizes: the grid reads 21 first-hop
+    # thresholds and both distance readers one of them, above the loosest;
+    # each block is thinned to each threshold once, for every request
+    draw, thin, drawn, thinned = mc._draw_block, mc._thin, [], []
+
+    def counting_draw(*args):
+        drawn.append(list(args[1]))
+        return draw(*args)
+
+    def counting_thin(block, view, theta_first):
+        thinned.append((len(drawn) - 1, theta_first))
+        return thin(block, view, theta_first)
+
+    monkeypatch.setattr(mc, "_draw_block", counting_draw)
+    monkeypatch.setattr(mc, "_thin", counting_thin)
+    requests = validation._pass_requests(2000, 1000, 700)
+    mc.run_requests(requests, 42)
+    assert len(drawn) == 32 and len(set(thinned)) == len(thinned)
+    # the first block is drawn at the grid's loosest threshold and thinned
+    # from there up, past the readers' threshold, until a view empties
+    thetas = sorted(set(requests[0].thetas))
+    first = sorted(theta for block, theta in thinned if block == 0)
+    assert drawn == [thetas] * 32 and first == thetas[1 : len(first) + 1]
+    assert validation.THETA_15DB in first
 
 
 #: Cells for the block pins: one where most trials draw no relay
@@ -746,12 +781,9 @@ _BLOCK_CELLS = {
     "rim": CellGeometry(cell_radius=10.0, dest_distance=15.0, relay_intensity=0.5, path_loss_exponent=2.5),
     "alpha3": CellGeometry(cell_radius=20.0, dest_distance=5.0, relay_intensity=0.5, path_loss_exponent=3.0),
 }
-#: A flat plan, a nested one and one under which no relay qualifies.
-_BLOCK_PLANS = (
-    mc._Plan.of([0.0949]),
-    mc._Plan.of([0.01, 0.3, 3.0]),
-    mc._Plan.of([50.0]),
-)
+#: The first-hop thresholds a pass reads, increasing: one, three, and one
+#: at which no relay qualifies.
+_BLOCK_PLANS = ([0.0949], [0.01, 0.3, 3.0], [50.0])
 
 
 class TestBlocksGolden:
@@ -772,20 +804,20 @@ class TestBlocksGolden:
             for size in (1, 7, 64):
                 monkeypatch.setattr(mc, "_BLOCK_TRIALS", size)
                 for block in mc._blocks(_BLOCK_CELLS[name], plan, 5, 3, 139):
-                    assert len(block) == (7 if plan.nested else 5)
+                    assert len(block) == (7 if len(plan) > 1 else 5)
                     for col in block:
                         digest.update(col.dtype.str.encode())
                         digest.update(col.tobytes())
         assert digest.hexdigest() == self.SHA[name]
 
 
-def _replay_trial(cell: CellGeometry, plan, seed: int, t: int) -> tuple[int, list]:
+def _replay_trial(cell: CellGeometry, thetas: list, seed: int, t: int) -> tuple[int, list]:
     """Trial ``t`` drawn by hand on a fresh ``trial_rng(seed, t)`` in the
     documented order: the relay count ``n``, ``random(n)`` radius variates,
     ``random(n)`` angle variates, ``standard_exponential(n)`` first-hop
     gains, then ``standard_exponential(J)`` for the ``J`` relays qualified
-    under the plan's loosest threshold. Returns ``n`` and the trial's block
-    columns after the trial index."""
+    at the loosest of the increasing ``thetas``. Returns ``n`` and the
+    trial's block columns after the trial index."""
     rng = mc.trial_rng(seed, t)
     n = rng.poisson(cell.mean_relay_count)
     radii = cell.cell_radius * np.sqrt(rng.random(n))
@@ -793,10 +825,10 @@ def _replay_trial(cell: CellGeometry, plan, seed: int, t: int) -> tuple[int, lis
     gains = rng.standard_exponential(n)
     alpha = cell.path_loss_exponent
     loss = 1.0 + (radii * radii if alpha == 2.0 else radii**alpha)
-    keep = gains >= plan.theta_min * loss
+    keep = gains >= thetas[0] * loss
     g2 = rng.standard_exponential(int(keep.sum()))
     d2 = sq_dists_to_dest(radii[keep], angles[keep], cell.dest_distance)
-    first = [gains[keep], loss[keep]] if plan.nested else []
+    first = [gains[keep], loss[keep]] if len(thetas) > 1 else []
     return n, [radii[keep], d2, g2, *first]
 
 
@@ -813,18 +845,18 @@ class TestBlockReplay:
             t = 3
             for sizes, trial, *cols in mc._blocks(cell, plan, seed, 3, 139):
                 assert trial.tolist() == np.repeat(np.arange(sizes.size), sizes).tolist()
-                assert len(cols) == (5 if plan.nested else 3)
+                assert len(cols) == (5 if len(plan) > 1 else 3)
                 ends = np.cumsum(sizes).tolist()
                 for i, end in enumerate(ends):
                     n, want = _replay_trial(cell, plan, seed, t)
                     begin = end - sizes[i]
                     for got, col in zip(want, cols, strict=True):
                         assert col[begin:end].tobytes() == got.tobytes(), (plan, t)
-                    shapes.add((n > 0, sizes[i] > 0, plan.nested))
+                    shapes.add((n > 0, sizes[i] > 0, len(plan) > 1))
                     t += 1
             assert t == 139
         # trials with no relay (sparse cell), with relays of which none
-        # qualifies, and with qualified relays under the nested plan
+        # qualifies, and with qualified relays under the three-threshold plan
         want = {"sparse": {(False, False, False)}, "rim": set(), "alpha3": set()}[name]
         assert want | {(True, False, False), (True, True, True)} <= shapes
 
@@ -863,11 +895,11 @@ class TestFieldBuffer:
     """One ``_blocks`` call draws the fields of every block after the first
     into one buffer, and hands on blocks that do not depend on it."""
 
-    PLAN = mc._Plan.of([0.01, 0.3])
+    THETAS = [0.01, 0.3]
 
     def test_every_block_after_the_first_draws_into_one_buffer(self, monkeypatch, default_cell):
         fields = _recorded_fields(monkeypatch)
-        for _ in mc._blocks(default_cell, self.PLAN, 7, 0, 300):
+        for _ in mc._blocks(default_cell, self.THETAS, 7, 0, 300):
             pass
         assert len(fields) == 5
         assert not np.shares_memory(fields[0], fields[1])
@@ -875,9 +907,9 @@ class TestFieldBuffer:
 
     def test_no_block_is_a_view_of_the_buffer(self, monkeypatch, default_cell):
         fields = _recorded_fields(monkeypatch)
-        listed = list(mc._blocks(default_cell, self.PLAN, 7, 0, 300))
+        listed = list(mc._blocks(default_cell, self.THETAS, 7, 0, 300))
         # each block copied before the next is drawn
-        blocks = mc._blocks(default_cell, self.PLAN, 7, 0, 300)
+        blocks = mc._blocks(default_cell, self.THETAS, 7, 0, 300)
         one_at_a_time = [[col.copy() for col in block] for block in blocks]
         assert len(listed) == len(one_at_a_time) == 5
         for block, copies in zip(listed, one_at_a_time):
@@ -887,7 +919,7 @@ class TestFieldBuffer:
                 assert not any(np.shares_memory(col, rows) for rows in fields)
 
     def test_fields_that_do_not_fit_draw_into_their_own_array(self, monkeypatch, default_cell):
-        want = list(mc._blocks(default_cell, self.PLAN, 7, 0, 300))
+        want = list(mc._blocks(default_cell, self.THETAS, 7, 0, 300))
         sample = mc._draw_fields
 
         def small_buffer(*args, out, **kwargs):
@@ -895,7 +927,7 @@ class TestFieldBuffer:
 
         monkeypatch.setattr(mc, "_draw_fields", small_buffer)
         fields = _recorded_fields(monkeypatch)
-        got = list(mc._blocks(default_cell, self.PLAN, 7, 0, 300))
+        got = list(mc._blocks(default_cell, self.THETAS, 7, 0, 300))
         assert len(fields) == 5
         assert not any(np.shares_memory(a, b) for a, b in zip(fields, fields[1:]))
         for block, copies in zip(got, want, strict=True):
@@ -916,11 +948,11 @@ def test_a_small_relay_budget_draws_smaller_blocks_with_the_same_counts(monkeypa
         ]
 
     kth, outage, counts = mc.run_requests(requests(), 5)
-    plan = TestFieldBuffer.PLAN
-    assert [block[0].size for block in mc._blocks(default_cell, plan, 5, 0, 70)] == [64, 6]
+    thetas = TestFieldBuffer.THETAS
+    assert [block[0].size for block in mc._blocks(default_cell, thetas, 5, 0, 70)] == [64, 6]
     for budget, size in ((2000, 3), (100, 1)):
         monkeypatch.setattr(mc, "_BLOCK_RELAYS", budget)
-        sizes = [block[0].size for block in mc._blocks(default_cell, plan, 5, 0, 70)]
+        sizes = [block[0].size for block in mc._blocks(default_cell, thetas, 5, 0, 70)]
         assert sizes == [size] * (70 // size) + [70 % size] * (70 % size > 0)
         got_kth, got_outage, got_counts = mc.run_requests(requests(), 5)
         assert got_kth.tobytes() == kth.tobytes() and got_outage == outage and got_counts == counts
@@ -931,8 +963,8 @@ def test_blocks_compute_distances_once_per_block_through_the_module_name(
 ):
     # a profiler that wraps montecarlo.sq_dists_to_dest sees every distance
     # computation of a pass, one call per block, and changes no column
-    plan = TestFieldBuffer.PLAN
-    want = list(mc._blocks(default_cell, plan, 7, 0, 300))
+    thetas = TestFieldBuffer.THETAS
+    want = list(mc._blocks(default_cell, thetas, 7, 0, 300))
     dists, calls = mc.sq_dists_to_dest, []
 
     def spy(*args):
@@ -940,7 +972,7 @@ def test_blocks_compute_distances_once_per_block_through_the_module_name(
         return dists(*args)
 
     monkeypatch.setattr(mc, "sq_dists_to_dest", spy)
-    got = list(mc._blocks(default_cell, plan, 7, 0, 300))
+    got = list(mc._blocks(default_cell, thetas, 7, 0, 300))
     assert len(calls) == 5
     assert calls == [block[2].size for block in want]
     for block, copies in zip(got, want, strict=True):
@@ -1163,12 +1195,12 @@ class TestKthNearestDistances:
         # row t lists the nearest of the relays that the outage grid's
         # loosest row qualifies in trial t, so the two estimators pair by trial
         rows = _mixed_rows((10.0, 25.0))
-        plan = mc._Plan.of(mc._grid_row(s, r).theta_first for s, r in rows)
-        assert plan.nested  # so the grid's draw differs in shape from the sampler's
+        thetas = {mc._grid_row(s, r).theta_first for s, r in rows}
+        assert len(thetas) > 1  # so the grid's draw differs in shape from the sampler's
         k_max, seed = 4, 42
-        out = mc.kth_nearest_qualified_distances(default_cell, plan.theta_min, k_max, 40, seed)
+        out = mc.kth_nearest_qualified_distances(default_cell, min(thetas), k_max, 40, seed)
         for t in (0, 1, 15, 16, 17, 39):
-            d2 = mc._draw_block(default_cell, plan, [mc.trial_rng(seed, t)])[3]
+            d2 = mc._draw_block(default_cell, sorted(thetas), [mc.trial_rng(seed, t)])[3]
             d = np.sort(np.sqrt(d2))
             assert d.size >= k_max
             assert out[t].tolist() == d[:k_max].tolist()
@@ -1235,7 +1267,7 @@ class TestKthNearestDistances:
         d2 = np.array([v for d in slices for v in d])
         block = (sizes, trial, np.sqrt(d2), d2, np.ones(d2.size))
         request = mc.KthDistancesRequest(default_cell, 0.1, k_max, sizes.size)
-        (out,) = request.read(mc._Plan.of([0.1]), block)
+        (out,) = request.read({0.1: block})
         assert out.shape == (sizes.size, k_max)
         for row, values in zip(out, slices):
             want = np.full(k_max, np.inf)
